@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,7 +62,6 @@ class RunConfig:
     drop_columns: tuple[int, ...] = ()
     normalize: bool = False
     output: str | None = None
-    jobs: int = 1
     # synthetic-stream knobs (used by the synth-* formats only)
     synth_n: int = 2000
     synth_d: int = 5
@@ -91,8 +89,6 @@ class RunConfig:
             raise ValueError("--kernel-h and --sigma must be > 0")
         if self.query_every is not None and self.query_every < 1:
             raise ValueError("--query-every must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
         if self.format in ("csv", "sets") and not self.input:
             raise ValueError(f"--format {self.format} requires --input")
         if self.drop_columns and self.format != "csv":
@@ -162,8 +158,8 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
     """Stream the dataset through the configured algorithm, recording metrics.
 
     Records are taken at every ``query_every``-th timestep and at the final
-    one. Reported utility is always recomputed from the returned ids with a
-    separate, uncounted oracle, so cross-algorithm comparisons use identical
+    one. Reported utility is always recomputed from the returned ids by the
+    uncounted inner oracle, so cross-algorithm comparisons use identical
     oracle code and counted calls reflect the algorithm alone.
     """
     config.validate()
@@ -178,7 +174,7 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
         upper = estimate_upper_bound(config.objective, store, config.k, params)
     bounds = Bounds(upper, config.epsilon)
     counting = CountingOracle(make_oracle(config, store))
-    measure = make_oracle(config, store)
+    measure = counting.inner
     query_every = config.query_every or max(1, math.ceil(config.window / 10))
 
     records: list[MetricsRecord] = []
@@ -207,19 +203,19 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
                 continue
             members = window_members(Window(t, config.window), n)
             if config.algorithm == "greedy":
-                solution, _ = greedy_select(members, config.k, counting)
+                solution = greedy_select(members, config.k, counting)[0]
                 peak = max(peak, len(members))
             else:
                 sieve = SieveStream(config.k, bounds, counting)
                 for m in members:
-                    sieve.step(Item(m, m))
+                    sieve.step(Item(m))
                 solution, _ = sieve.query()
                 peak = max(peak, sieve.peak_items())
             record(t, solution, peak)
     else:
         alg = _make_stream_algorithm(config, counting, bounds)
         for t in range(1, n + 1):
-            alg.step(Item(t, t))
+            alg.step(Item(t))
             if t % query_every == 0 or t == n:
                 solution, _ = alg.query()
                 record(t, solution, alg.peak_items())
@@ -245,19 +241,6 @@ def write_metrics_csv(records: Sequence[MetricsRecord], path) -> None:
     """Write records with LF line endings and 6-significant-digit floats."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_metrics_csv(records))
-
-
-def run_many(configs: Sequence[RunConfig], jobs: int = 1) -> list[list[MetricsRecord]]:
-    """Run independent configs, optionally in a worker pool.
-
-    Each run owns its oracle, counters, and rng, so results are identical
-    to a serial run; outputs come back in input order regardless of
-    completion order.
-    """
-    if jobs <= 1 or len(configs) <= 1:
-        return [run_benchmark(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_benchmark, configs))
 
 
 def parse_cli(argv: Sequence[str]) -> RunConfig:
@@ -305,7 +288,6 @@ def parse_cli(argv: Sequence[str]) -> RunConfig:
         help="min-max each column then L2-normalize each row (dense input)",
     )
     parser.add_argument("--output", default=None, help="metrics CSV path (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size for multi-config runs")
     parser.add_argument("--synth-n", type=int, default=2000)
     parser.add_argument("--synth-d", type=int, default=5)
     parser.add_argument("--synth-clusters", type=int, default=4)
@@ -340,7 +322,6 @@ def parse_cli(argv: Sequence[str]) -> RunConfig:
         drop_columns=drop,
         normalize=args.normalize,
         output=args.output,
-        jobs=args.jobs,
         synth_n=args.synth_n,
         synth_d=args.synth_d,
         synth_clusters=args.synth_clusters,

@@ -4,11 +4,17 @@ Streams are 1-based and dense in time: the t-th arrival is item t, and the
 item id doubles as its timestep. A window of size W ending at ``end`` covers
 timesteps ``max(1, end - W + 1) .. end``.
 
-Objectives are accessed through a two-method oracle (``eval``/``marginal``).
-``CountingOracle`` wraps any oracle and counts invocations, which is the
-cost metric every benchmark reports; a marginal query counts as a single
-call because both shipped objectives compute gains directly rather than by
-two evaluations.
+Objectives are accessed through an oracle: ``eval(ids)`` scores a set,
+``empty()`` returns a handle on the empty set and ``rebuild(ids)`` a handle
+on any set plus its value, for buffers that shrank. A handle owns the
+objective state of one growing set: ``gain(id)`` is the marginal gain of
+one more item, ``add(id)`` grows the set and ``copy()`` forks it.
+
+``CountingOracle`` wraps any oracle and counts calls, the cost metric every
+benchmark reports: ``eval``, ``rebuild`` and ``gain`` cost one call each
+(both shipped objectives compute a gain directly, not by two evaluations);
+``empty``, ``add`` and ``copy`` are free, since a handle only records
+choices whose gains were already paid for.
 """
 
 from __future__ import annotations
@@ -19,10 +25,9 @@ from typing import Protocol, Sequence
 
 @dataclass(frozen=True)
 class Item:
-    """A stream element: arrival timestep plus payload position in the store."""
+    """A stream element; its timestep ``t`` is also its id in the store."""
 
     t: int
-    payload_id: int
 
     def __post_init__(self):
         if self.t < 1:
@@ -67,16 +72,35 @@ class Bounds:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
+class OracleHandle(Protocol):
+    """Objective state of one set of item ids, grown one item at a time.
+
+    While ``counter`` is set, each gain adds one to ``counter.calls``;
+    copies share the counter. That is how ``CountingOracle`` counts gains
+    without a wrapper around every handle.
+    """
+
+    counter: object | None
+
+    def gain(self, item_id: int) -> float: ...
+
+    def add(self, item_id: int) -> None: ...
+
+    def copy(self) -> "OracleHandle": ...
+
+
 class SubmodularOracle(Protocol):
-    """Set-function access: ``eval`` a set of item ids, or the gain of adding one."""
+    """Set-function access: ``eval`` a set of item ids, or handles to grow sets."""
 
     def eval(self, ids: Sequence[int]) -> float: ...
 
-    def marginal(self, item_id: int, ids: Sequence[int]) -> float: ...
+    def empty(self) -> OracleHandle: ...
+
+    def rebuild(self, ids: Sequence[int]) -> tuple[OracleHandle, float]: ...
 
 
 class CountingOracle:
-    """Forwards to ``inner`` and counts calls; a marginal counts as one call."""
+    """Forwards to ``inner`` and counts calls: ``eval``, ``rebuild`` and ``gain``."""
 
     def __init__(self, inner: SubmodularOracle):
         self.inner = inner
@@ -86,9 +110,16 @@ class CountingOracle:
         self.calls += 1
         return self.inner.eval(ids)
 
-    def marginal(self, item_id: int, ids: Sequence[int]) -> float:
+    def empty(self) -> OracleHandle:
+        handle = self.inner.empty()
+        handle.counter = self
+        return handle
+
+    def rebuild(self, ids: Sequence[int]) -> tuple[OracleHandle, float]:
         self.calls += 1
-        return self.inner.marginal(item_id, ids)
+        handle, value = self.inner.rebuild(ids)
+        handle.counter = self
+        return handle, value
 
     def reset(self) -> None:
         self.calls = 0
@@ -149,8 +180,3 @@ class BestSoFar:
 
     def peak_items(self) -> int:
         return self._peak
-
-
-def monotone_wrap(alg) -> BestSoFar:
-    """Wrap ``alg`` so queries report the best solution over all prefixes."""
-    return BestSoFar(alg)

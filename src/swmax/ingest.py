@@ -78,7 +78,7 @@ class DatasetStore:
 
     def items(self) -> Iterator[Item]:
         for t in range(1, len(self) + 1):
-            yield Item(t, t)
+            yield Item(t)
 
 
 def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ()) -> DatasetStore:

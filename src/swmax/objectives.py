@@ -7,18 +7,18 @@ exponential kernel ``K(x, y) = exp(-||x - y||^2 / h**2)``. Natural log is
 used throughout; the base only rescales utilities uniformly, but upper
 bounds must be computed in the same base, so one is fixed globally.
 
-Log-det values come from a Cholesky factor of ``I + K_S / sigma**2`` that
-grows one row per accepted element, so a marginal gain costs a single
-triangular solve instead of a fresh factorization. Factors are only ever
-extended; whenever a buffer shrinks (expiry, greedy repair) the factor is
-rebuilt from scratch, since downdating is numerically risky and shrinks are
-rare relative to marginal queries.
+Each objective hands out handles (see ``swmax.core``). A coverage handle is
+the running union bitmask. A log-det handle is a Cholesky factor of
+``I + K_S / sigma**2`` that grows one row per added element, so a marginal
+gain costs one linear solve against the factor instead of a fresh
+factorization. Factors are only ever extended; a buffer that shrinks
+(expiry) is refactored from scratch by ``rebuild``, since downdating is
+numerically risky and shrinks are rare relative to gain queries.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,10 +31,6 @@ DEGENERATE_PIVOT = 1e-12
 
 class NumericDegeneracyError(RuntimeError):
     """A Cholesky pivot collapsed; the kernel matrix is numerically singular."""
-
-
-class StaleExtensionError(RuntimeError):
-    """An extension was applied to a factor that changed since it was probed."""
 
 
 @dataclass(frozen=True)
@@ -69,37 +65,31 @@ def se_kernel(x, y, params: KernelParams) -> float:
     return math.exp(-d2 / params.h**2)
 
 
-@dataclass(frozen=True)
-class CholExtension:
-    """One probed element, ready to be appended to the factor it was probed on."""
-
-    item_id: int
-    x: np.ndarray
-    w: np.ndarray
-    sqrt_d: float
-    gain: float
-    degenerate: bool
-    base_n: int
-    base_version: int
-
-
 class CholState:
-    """Lower-triangular L with ``L @ L.T == I + K_S / sigma**2`` for members S.
+    """Log-det handle: lower-triangular L with ``L @ L.T == I + K_S / sigma**2``.
 
+    Members S are rows of ``points``, where item id ``t`` is row ``t - 1``.
     The stored value ``sum(log diag L)`` equals ``0.5 * log det`` of the
-    factored matrix. Members enter in insertion order; a degenerate probe
-    (pivot <= DEGENERATE_PIVOT) may still be recorded as a member, but the
-    factor itself is left untouched so its invariant survives.
+    factored matrix. Members enter in insertion order; a degenerate pivot
+    (<= DEGENERATE_PIVOT) is recorded in ``skipped_ids`` and leaves the
+    factor untouched so its invariant survives. ``add`` replaces the member
+    matrix and the factor instead of writing into them, so copies share them.
+
+    The algorithms add an item right after asking for its gain, so the last
+    probe is kept until the factor changes and ``add`` of that item reuses it.
+    Gains count into ``counter.calls`` while a counter is set.
     """
 
-    def __init__(self, params: KernelParams):
+    def __init__(self, points: np.ndarray, params: KernelParams):
+        self.points = points
         self.params = params
+        self.counter = None
         self.ids: list[int] = []
         self.skipped_ids: list[int] = []
-        self._X: list[np.ndarray] = []
+        self._X = points[:0]
         self._L = np.zeros((0, 0))
         self._logdiag: list[float] = []
-        self._version = 0
+        self._probed: tuple[int, tuple[np.ndarray, np.ndarray, float]] | None = None
 
     @property
     def n(self) -> int:
@@ -112,93 +102,89 @@ class CholState:
         return math.fsum(self._logdiag)
 
     @property
-    def version(self) -> int:
-        return self._version
-
-    @property
     def L(self) -> np.ndarray:
         return self._L.copy()
 
     @classmethod
-    def from_vectors(cls, ids: Sequence[int], X, params: KernelParams) -> "CholState":
-        """Factor I + K/sigma^2 for the given points in one shot."""
-        state = cls(params)
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        if n == 0:
+    def from_vectors(cls, points: np.ndarray, ids: Sequence[int], params: KernelParams) -> "CholState":
+        """Factor I + K/sigma^2 for the members ``ids`` in one shot."""
+        state = cls(points, params)
+        if not len(ids):
             return state
+        X = points[[state._row(i) for i in ids]]
         diff = X[:, None, :] - X[None, :, :]
         K = np.exp(-np.sum(diff**2, axis=2) / params.h**2)
-        A = np.eye(n) + K / params.sigma**2
+        A = np.eye(len(ids)) + K / params.sigma**2
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:
             raise NumericDegeneracyError(f"factorization failed: {exc}") from exc
-        if float(np.min(np.diag(L)) ** 2) <= DEGENERATE_PIVOT:
+        diag = L.diagonal().tolist()
+        if min(diag) ** 2 <= DEGENERATE_PIVOT:
             raise NumericDegeneracyError("factorization pivot collapsed")
         state.ids = list(ids)
-        state._X = [X[i].copy() for i in range(n)]
+        state._X = X
         state._L = L
-        state._logdiag = [math.log(L[i, i]) for i in range(n)]
+        state._logdiag = [math.log(v) for v in diag]
         return state
 
-    def copy(self) -> "CholState":
-        dup = CholState(self.params)
-        dup.ids = list(self.ids)
-        dup.skipped_ids = list(self.skipped_ids)
-        dup._X = list(self._X)
-        dup._L = self._L.copy()
-        dup._logdiag = list(self._logdiag)
-        dup._version = self._version
-        return dup
+    def _row(self, item_id: int) -> int:
+        if not 1 <= item_id <= len(self.points):
+            raise ValueError(f"unknown item id {item_id}")
+        return item_id - 1
 
-    def probe(self, item_id: int, x) -> tuple[float, CholExtension]:
-        """Marginal log-det gain of adding ``x``, plus the data to append it.
+    def _probe(self, item_id: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Point x of ``item_id``, ``w`` solving ``L w = c``, and the pivot ``d``.
 
-        Solves ``L w = c`` with ``c_j = K(x, s_j) / sigma^2`` and takes the
-        Schur complement ``d = 1 + K(x, x)/sigma^2 - w.w``; the gain is
-        ``0.5 * log d``. A collapsed pivot reports gain 0 with the extension
-        flagged degenerate.
+        ``c_j = K(x, s_j) / sigma^2`` and ``d = 1 + K(x, x)/sigma^2 - w.w``
+        is the Schur complement, where ``K(x, x) = 1`` for this kernel.
         """
-        x = np.asarray(x, dtype=float)
+        x = self.points[self._row(item_id)]
         inv_s2 = self.params.sigma**-2
         if self.n:
-            Xm = np.asarray(self._X)
-            if x.shape != Xm[0].shape:
-                raise ValueError(f"dimension mismatch: {x.shape} vs {Xm[0].shape}")
-            c = inv_s2 * np.exp(-np.sum((Xm - x) ** 2, axis=1) / self.params.h**2)
+            c = inv_s2 * np.exp(-np.sum((self._X - x) ** 2, axis=1) / self.params.h**2)
             w = np.linalg.solve(self._L, c)
         else:
             w = np.zeros(0)
-        d = 1.0 + inv_s2 * se_kernel(x, x, self.params) - float(w @ w)
-        if d <= DEGENERATE_PIVOT:
-            ext = CholExtension(item_id, x, w, 0.0, 0.0, True, self.n, self._version)
-            return 0.0, ext
-        gain = 0.5 * math.log(d)
-        ext = CholExtension(item_id, x, w, math.sqrt(d), gain, False, self.n, self._version)
-        return gain, ext
+        return x, w, 1.0 + inv_s2 - float(w @ w)
 
-    def extend(self, ext: CholExtension) -> "CholState":
-        """Append a probed element; the extension must match this exact state."""
-        if ext.base_version != self._version or ext.base_n != self.n:
-            raise StaleExtensionError(
-                f"extension built for version {ext.base_version} (n={ext.base_n}), "
-                f"state is at version {self._version} (n={self.n})"
-            )
-        self._version += 1
-        if ext.degenerate:
-            self.skipped_ids.append(ext.item_id)
-            return self
+    def gain(self, item_id: int) -> float:
+        """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a collapsed pivot."""
+        if self.counter is not None:
+            self.counter.calls += 1
+        probe = self._probe(item_id)
+        self._probed = (item_id, probe)
+        d = probe[2]
+        return 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
+
+    def add(self, item_id: int) -> None:
+        """Append the item to the factor, or to ``skipped_ids`` on a collapsed pivot."""
+        probed, self._probed = self._probed, None
+        x, w, d = probed[1] if probed is not None and probed[0] == item_id else self._probe(item_id)
+        if d <= DEGENERATE_PIVOT:
+            self.skipped_ids.append(item_id)
+            return
         n = self.n
+        root = math.sqrt(d)
         grown = np.zeros((n + 1, n + 1))
         grown[:n, :n] = self._L
-        grown[n, :n] = ext.w
-        grown[n, n] = ext.sqrt_d
+        grown[n, :n] = w
+        grown[n, n] = root
         self._L = grown
-        self.ids.append(ext.item_id)
-        self._X.append(ext.x)
-        self._logdiag.append(math.log(ext.sqrt_d))
-        return self
+        self._X = np.vstack([self._X, x])
+        self.ids.append(item_id)
+        self._logdiag.append(math.log(root))
+
+    def copy(self) -> "CholState":
+        dup = CholState(self.points, self.params)
+        dup.counter = self.counter
+        dup.ids = list(self.ids)
+        dup.skipped_ids = list(self.skipped_ids)
+        dup._X = self._X
+        dup._L = self._L
+        dup._logdiag = list(self._logdiag)
+        dup._probed = self._probed
+        return dup
 
 
 def ivm_value(X, params: KernelParams) -> float:
@@ -206,17 +192,35 @@ def ivm_value(X, params: KernelParams) -> float:
     X = np.asarray(X, dtype=float)
     if X.size == 0:
         return 0.0
-    return CholState.from_vectors(range(1, X.shape[0] + 1), X, params).value
+    return CholState.from_vectors(X, range(1, X.shape[0] + 1), params).value
 
 
-def ivm_marginal(item_id: int, x, chol: CholState) -> tuple[float, CholExtension]:
-    """Gain of adding point ``x`` to the set factored by ``chol``."""
-    return chol.probe(item_id, x)
+class CoverageUnion:
+    """Coverage handle: the union bitmask of the members' sets."""
 
+    __slots__ = ("_masks", "mask", "counter")
 
-def chol_extend(chol: CholState, ext: CholExtension) -> CholState:
-    """Append the probed element to the factor it was probed on."""
-    return chol.extend(ext)
+    def __init__(self, masks: dict[int, int], mask: int = 0, counter=None):
+        self._masks = masks
+        self.mask = mask
+        self.counter = counter
+
+    def gain(self, item_id: int) -> float:
+        if self.counter is not None:
+            self.counter.calls += 1
+        mask = self._masks.get(item_id)
+        if mask is None:
+            raise ValueError(f"unknown item id {item_id}")
+        return float((mask & ~self.mask).bit_count())
+
+    def add(self, item_id: int) -> None:
+        mask = self._masks.get(item_id)
+        if mask is None:
+            raise ValueError(f"unknown item id {item_id}")
+        self.mask |= mask
+
+    def copy(self) -> "CoverageUnion":
+        return CoverageUnion(self._masks, self.mask, self.counter)
 
 
 class CoverageOracle:
@@ -249,69 +253,42 @@ class CoverageOracle:
             raise ValueError(f"unknown item id {exc.args[0]}") from exc
         return acc
 
+    def empty(self) -> CoverageUnion:
+        return CoverageUnion(self._masks)
+
+    def rebuild(self, ids: Sequence[int]) -> tuple[CoverageUnion, float]:
+        union = self._union(ids)
+        return CoverageUnion(self._masks, union), float(union.bit_count())
+
     def eval(self, ids: Sequence[int]) -> float:
         return float(self._union(ids).bit_count())
 
-    def marginal(self, item_id: int, ids: Sequence[int]) -> float:
-        mask = self._masks.get(item_id)
-        if mask is None:
-            raise ValueError(f"unknown item id {item_id}")
-        return float((mask & ~self._union(ids)).bit_count())
-
 
 class IVMOracle:
-    """Log-det objective over a dense-vector store, with factor reuse.
+    """Log-det objective over a dense-vector store; handles are ``CholState`` factors."""
 
-    One Cholesky state is kept per distinct evaluation set (keyed by the id
-    tuple, LRU-bounded). Growth by one element extends the cached factor of
-    the prefix; any other shape  (first sight, shrink, reorder) is built
-    from scratch.
-    """
-
-    def __init__(self, store, params: KernelParams, cache_size: int = 4096):
+    def __init__(self, store, params: KernelParams):
         if store.kind != "dense":
             raise ValueError(f"log-det objective needs dense vectors, got {store.kind!r}")
         self.params = params
-        self._store = store
-        self._n = len(store)
-        self._cache: OrderedDict[tuple[int, ...], CholState] = OrderedDict()
-        self._cache_size = cache_size
+        self._points = store.vectors
+        # The last set evaluated and its value: the harness re-scores, and
+        # the random baseline re-evaluates, an unchanged set after most
+        # arrivals, and a fresh factorization costs far more than the query.
+        self._last_eval: tuple[tuple[int, ...], float] = ((), 0.0)
 
-    def _vec(self, item_id: int) -> np.ndarray:
-        if not 1 <= item_id <= self._n:
-            raise ValueError(f"unknown item id {item_id}")
-        return self._store.payload(item_id)
+    def empty(self) -> CholState:
+        return CholState(self._points, self.params)
 
-    def _state(self, key: tuple[int, ...]) -> CholState:
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        state = None
-        for cut in range(len(key) - 1, 0, -1):
-            base = self._cache.get(key[:cut])
-            if base is not None:
-                state = base.copy()
-                for item_id in key[cut:]:
-                    _, ext = state.probe(item_id, self._vec(item_id))
-                    state.extend(ext)
-                break
-        if state is None:
-            X = np.asarray([self._vec(i) for i in key])
-            state = CholState.from_vectors(key, X, self.params)
-        self._cache[key] = state
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return state
+    def rebuild(self, ids: Sequence[int]) -> tuple[CholState, float]:
+        state = CholState.from_vectors(self._points, ids, self.params)
+        return state, state.value
 
     def eval(self, ids: Sequence[int]) -> float:
-        if not ids:
-            return 0.0
-        return self._state(tuple(ids)).value
-
-    def marginal(self, item_id: int, ids: Sequence[int]) -> float:
-        gain, _ = self._state(tuple(ids)).probe(item_id, self._vec(item_id))
-        return gain
+        key = tuple(ids)
+        if key != self._last_eval[0]:
+            self._last_eval = (key, self.rebuild(key)[1])
+        return self._last_eval[1]
 
 
 def estimate_upper_bound(objective: str, store, k: int, params: KernelParams | None = None) -> float:

@@ -28,7 +28,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Bounds, Item, SubmodularOracle, monotone_wrap
+from .core import Bounds, Item, SubmodularOracle
 from .streaming import SieveStream, ceil_log_ratio, greedy_select
 
 
@@ -49,18 +49,11 @@ class SlidingWindowReduction:
     value-negligible prefix of the window, which is what yields the
     c/(2+eps) factor for a prefix-monotone, c-approximate inner algorithm.
 
-    ``inner_factory`` builds one fresh inner instance; set ``wrap_inner``
-    for inner algorithms that are not naturally prefix-monotone (the
-    wrapper keeps their best solution over time).
+    ``inner_factory`` builds one fresh inner instance; one that is not
+    naturally prefix-monotone can be wrapped in ``core.BestSoFar``.
     """
 
-    def __init__(
-        self,
-        window: int,
-        epsilon: float,
-        inner_factory: Callable[[], object],
-        wrap_inner: bool = False,
-    ):
+    def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
         if window < 1:
             raise ValueError(f"window size must be >= 1, got {window}")
         if epsilon <= 0:
@@ -68,16 +61,12 @@ class SlidingWindowReduction:
         self.window = window
         self.epsilon = epsilon
         self.inner_factory = inner_factory
-        self.wrap_inner = wrap_inner
         self.instances: list[ReductionInstance] = []
         self._now = 0
         self._peak = 0
 
     def step(self, item: Item) -> None:
-        alg = self.inner_factory()
-        if self.wrap_inner:
-            alg = monotone_wrap(alg)
-        self.instances.append(ReductionInstance(item.t, alg))
+        self.instances.append(ReductionInstance(item.t, self.inner_factory()))
         cutoff = item.t - self.window
         while self.instances and self.instances[0].start <= cutoff:
             self.instances.pop(0)
@@ -138,12 +127,13 @@ class ThresholdGreedy:
     """Level table for one threshold T over a sliding window.
 
     ``level[j]`` is the latest timestep from which j elements with marginal
-    gain >= T were still collectible; ``sets[j]`` holds those j elements.
-    On arrival, level 0 restarts at the current step, expired levels are
-    deactivated (their sets are retained but unreported), and levels are
-    scanned from high to low so each reads its pre-step state: a literal
-    low-to-high in-place scan would let the fresh level-0 restart overwrite
-    level 1 before it is read, destroying valid longer solutions.
+    gain >= T were still collectible; ``sets[j]`` holds those j elements and
+    ``handles[j]`` their oracle handle. On arrival, level 0 restarts at the
+    current step, expired levels are deactivated (their sets are retained
+    but unreported), and levels are scanned from high to low so each reads
+    its pre-step state: a literal low-to-high in-place scan would let the
+    fresh level-0 restart overwrite level 1 before it is read, destroying
+    valid longer solutions.
     """
 
     def __init__(self, k: int, window: int, threshold: float, oracle: SubmodularOracle):
@@ -154,9 +144,11 @@ class ThresholdGreedy:
         self.k = k
         self.window = window
         self.threshold = threshold
-        self.oracle = oracle
         self.levels: list[int] = [-1] * (k + 1)
         self.sets: list[list[int]] = [[] for _ in range(k + 1)]
+        # Level 0's handle is only copied, and a higher level's handle is
+        # replaced before it is first grown, so all levels can start from one.
+        self.handles = [oracle.empty()] * (k + 1)
         self.vals: list[float] = [0.0] * (k + 1)
 
     def step(self, item: Item) -> None:
@@ -167,16 +159,24 @@ class ThresholdGreedy:
         for j in range(self.k + 1):
             if self.levels[j] <= i - self.window:
                 self.levels[j] = -1
+        passed: dict[int, float] = {}
         for j in range(self.k - 1, -1, -1):
             if self.levels[j] == -1:
                 continue
             if self.levels[j] <= self.levels[j + 1]:
                 continue
-            gain = self.oracle.marginal(i, self.sets[j])
+            gain = self.handles[j].gain(i)
             if gain >= self.threshold:
-                self.levels[j + 1] = self.levels[j]
-                self.sets[j + 1] = self.sets[j] + [i]
-                self.vals[j + 1] = self.vals[j] + gain
+                passed[j] = gain
+        for j, gain in passed.items():
+            self.levels[j + 1] = self.levels[j]
+            self.sets[j + 1] = self.sets[j] + [i]
+            self.vals[j + 1] = self.vals[j] + gain
+            # When level j - 1 passed too, level j is overwritten next, so
+            # its handle moves up instead of being copied.
+            grown = self.handles[j] if j - 1 in passed else self.handles[j].copy()
+            grown.add(i)
+            self.handles[j + 1] = grown
 
     def query(self) -> tuple[list[int], float]:
         for j in range(self.k, -1, -1):
@@ -236,10 +236,10 @@ def dp_threshold_grid(k: int, bounds: Bounds) -> list[float]:
 class SieveNaive(SieveStream):
     """SieveStream with per-buffer expiry: drop the expired item, keep going.
 
-    After a drop the buffer value is re-evaluated (one oracle call) and the
-    usual add condition applies against the reduced buffer. Buffer ids are
-    timesteps, so at most one item can expire per buffer per step; the scan
-    checks that defensively.
+    After a drop the buffer's handle and value are rebuilt (one oracle call)
+    and the usual add condition applies against the reduced buffer. Buffer
+    ids are timesteps, so at most one item can expire per buffer per step;
+    the scan checks that defensively.
     """
 
     def __init__(self, k: int, window: int, bounds: Bounds, oracle: SubmodularOracle):
@@ -261,7 +261,10 @@ class SieveNaive(SieveStream):
             return
         assert len(expired) == 1, f"multiple expiries in one step: {expired}"
         buf.remove(expired[0])
-        self.values[level] = self.oracle.eval(buf) if buf else 0.0
+        if buf:
+            self.handles[level], self.values[level] = self.oracle.rebuild(buf)
+        else:
+            self.handles[level], self.values[level] = self.oracle.empty(), 0.0
 
 
 class SieveGreedy(SieveStream):
@@ -315,9 +318,9 @@ class SieveGreedy(SieveStream):
         target = len(buf) - 1
         survivors = [t for t in buf if t != expired[0]]
         candidates = sorted(set(self.samples) | set(survivors))
-        solution, value = greedy_select(candidates, target, self.oracle)
-        self.buffers[level] = solution
-        self.values[level] = value
+        self.buffers[level], self.values[level], self.handles[level] = greedy_select(
+            candidates, target, self.oracle
+        )
 
     def retained_count(self) -> int:
         return super().retained_count() + len(self.samples)

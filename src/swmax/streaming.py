@@ -6,7 +6,7 @@ import math
 from itertools import combinations
 from typing import Sequence
 
-from .core import Bounds, Item, SubmodularOracle
+from .core import Bounds, Item, OracleHandle, SubmodularOracle
 
 
 def ceil_log_ratio(m: float, epsilon: float) -> int:
@@ -38,8 +38,9 @@ class SieveStream:
     joins buffer S while |S| < k and its marginal gain exceeds
     ``(T/2 - f(S)) / (k - |S|)`` (strict, as the rule is usually stated);
     queries return the best buffer. With the optimum inside [1, opt_upper]
-    the best buffer is within (1-eps)/2 of it. Buffer values are maintained
-    as running sums of accepted gains, so queries cost no oracle calls.
+    the best buffer is within (1-eps)/2 of it. Each buffer owns an oracle
+    handle for its gains; buffer values are maintained as running sums of
+    accepted gains, so queries cost no oracle calls.
     """
 
     def __init__(self, k: int, bounds: Bounds, oracle: SubmodularOracle):
@@ -49,6 +50,7 @@ class SieveStream:
         self.oracle = oracle
         self.thresholds = threshold_grid(bounds)
         self.buffers: list[list[int]] = [[] for _ in self.thresholds]
+        self.handles = [oracle.empty() for _ in self.thresholds]
         self.values: list[float] = [0.0] * len(self.thresholds)
         self._peak = 0
 
@@ -61,10 +63,12 @@ class SieveStream:
         buf = self.buffers[level]
         if len(buf) >= self.k or item.t in buf:
             return
-        gain = self.oracle.marginal(item.t, buf)
+        handle = self.handles[level]
+        gain = handle.gain(item.t)
         threshold = self.thresholds[level]
         if gain > (threshold / 2.0 - self.values[level]) / (self.k - len(buf)):
             buf.append(item.t)
+            handle.add(item.t)
             self.values[level] += gain
 
     def _best_level(self) -> int:
@@ -93,15 +97,17 @@ class SieveStream:
 
 def greedy_select(
     items: Sequence[int], k: int, oracle: SubmodularOracle
-) -> tuple[list[int], float]:
+) -> tuple[list[int], float, OracleHandle]:
     """Classic greedy: k rounds of best marginal gain, smallest id on ties.
 
-    Stops early once the best gain is <= 0 (it cannot help a monotone
-    objective and skipping it saves oracle calls). The id tie-break makes
-    the result invariant to candidate order.
+    Returns the selection, its value and the handle grown with it. Stops
+    early once the best gain is <= 0 (it cannot help a monotone objective
+    and skipping it saves oracle calls). The id tie-break makes the result
+    invariant to candidate order.
     """
     selected: list[int] = []
     chosen: set[int] = set()
+    handle = oracle.empty()
     value = 0.0
     for _ in range(k):
         best_id = None
@@ -109,7 +115,7 @@ def greedy_select(
         for cand in items:
             if cand in chosen:
                 continue
-            gain = oracle.marginal(cand, selected)
+            gain = handle.gain(cand)
             if best_id is None or gain > best_gain or (gain == best_gain and cand < best_id):
                 best_id = cand
                 best_gain = gain
@@ -117,8 +123,9 @@ def greedy_select(
             break
         selected.append(best_id)
         chosen.add(best_id)
+        handle.add(best_id)
         value += best_gain
-    return selected, value
+    return selected, value, handle
 
 
 def brute_force_opt(

@@ -90,7 +90,7 @@ def guarantee_runs():
         swdp = SlidingWindowDP(k, w, bounds, oracle)
         sieve = SieveStream(k, bounds, oracle)
         for t in range(1, n + 1):
-            item = Item(t, t)
+            item = Item(t)
             swrd.step(item)
             swdp.step(item)
             sieve.step(item)
@@ -155,16 +155,16 @@ def test_criterion_3_logdet_numerics():
     for _ in range(200):
         size = int(rng.integers(1, 26))
         X = rng.normal(size=(size, 5))
-        state = CholState(params)
+        state = CholState(X, params)
         running = 0.0
         for i in range(size):
             base_ids = list(state.ids)
             base_value = state.value
-            gain, ext = state.probe(i + 1, X[i])
+            gain = state.gain(i + 1)
             min_gain = min(min_gain, gain)
             fresh_diff = ivm_value(X[: i + 1], params) - ivm_value(X[:i], params)
             worst_marg = max(worst_marg, abs(gain - fresh_diff))
-            state.extend(ext)
+            state.add(i + 1)
             running += gain
             assert state.ids == base_ids + [i + 1]
             assert state.value >= base_value
@@ -248,7 +248,7 @@ def test_criterion_5_qualitative_replication():
         sums["greedy"] = 0.0
         queries = 0
         for t in range(1, n + 1):
-            item = Item(t, t)
+            item = Item(t)
             for alg in algs.values():
                 alg.step(item)
             if t % 10 == 0:
@@ -259,7 +259,7 @@ def test_criterion_5_qualitative_replication():
                 sums["greedy"] += greedy_select(members, k, oracle)[1]
                 per_window_sieve = SieveStream(k, bounds, oracle)
                 for mt in members:
-                    per_window_sieve.step(Item(mt, mt))
+                    per_window_sieve.step(Item(mt))
                 sieve_val = oracle.eval(per_window_sieve.query()[0])
                 swrd_val = oracle.eval(algs["sw-rd"].query()[0])
                 windows += 1
@@ -295,7 +295,7 @@ def test_criterion_6_sampler_uniformity():
     for trial in range(trials):
         sampler = PrioritySample(k, w, oracle, seed=900000 + trial)
         for t in range(1, w + 1):
-            sampler.step(Item(t, t))
+            sampler.step(Item(t))
         ids, _ = sampler.query()
         counts[tuple(ids)] += 1
     expected = trials / len(counts)
@@ -320,11 +320,11 @@ def test_criterion_7_cost_accounting():
     naive = SieveNaive(k, w, bounds, oracle)
     sieve_peak = 0
     for t in range(1, n + 1):
-        naive.step(Item(t, t))
+        naive.step(Item(t))
         if t % 10 == 0 or t == n:
             per_window = SieveStream(k, bounds, oracle)
             for mt in window_members(Window(t, w), n):
-                per_window.step(Item(mt, mt))
+                per_window.step(Item(mt))
             sieve_peak = max(sieve_peak, per_window.peak_items())
     ratio = naive.peak_items() / sieve_peak
 
@@ -345,7 +345,7 @@ def test_criterion_7_cost_accounting():
         for t in range(1, n + 1):
             fed = sum(1 for s in previous_starts if s > t - w) + 1
             before = counting.calls
-            swrd.step(Item(t, t))
+            swrd.step(Item(t))
             if counting.calls - before > fed * grid:
                 accounting_ok = False
             if len(swrd.instances) > cap:

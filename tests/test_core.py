@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swmax.core import (
+    BestSoFar,
     Bounds,
     CountingOracle,
     Item,
     Window,
-    monotone_wrap,
     window_members,
 )
 from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle
+from swmax.sliding import SieveNaive
 from swmax.streaming import SieveStream
 
 from conftest import set_store
@@ -21,7 +22,7 @@ from conftest import set_store
 class TestTypes:
     def test_item_rejects_nonpositive_timestep(self):
         with pytest.raises(ValueError):
-            Item(0, 1)
+            Item(0)
 
     def test_window_start_clamps_at_one(self):
         assert Window(2, 10).start == 1
@@ -54,7 +55,9 @@ class TestCountingOracle:
 
     def test_marginal_counts_one(self):
         oracle = CountingOracle(CoverageOracle(set_store((1, 2), (2, 3))))
-        oracle.marginal(2, [1])
+        handle = oracle.empty()
+        handle.add(1)
+        assert handle.gain(2) == 1.0
         assert oracle.calls == 1
 
     def test_wrapping_preserves_values(self):
@@ -68,8 +71,23 @@ class TestCountingOracle:
         assert wrapped.calls == 100
 
     def test_counter_matches_independent_tally(self):
+        # SieveNaive issues gains, adds, rebuilds after expiry and empty handles
         store = gen_set_stream(40, 20, 5, seed=3)
         tally = {"n": 0}
+
+        class SpyHandle:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def gain(self, item_id):
+                tally["n"] += 1
+                return self.inner.gain(item_id)
+
+            def add(self, item_id):
+                self.inner.add(item_id)
+
+            def copy(self):
+                return SpyHandle(self.inner.copy())
 
         class Spy:
             def __init__(self, inner):
@@ -79,14 +97,19 @@ class TestCountingOracle:
                 tally["n"] += 1
                 return self.inner.eval(ids)
 
-            def marginal(self, item_id, ids):
-                tally["n"] += 1
-                return self.inner.marginal(item_id, ids)
+            def empty(self):
+                return SpyHandle(self.inner.empty())
 
-        counting = CountingOracle(Spy(CoverageOracle(store)))
-        sieve = SieveStream(3, Bounds(30.0, 0.2), counting)
+            def rebuild(self, ids):
+                tally["n"] += 1
+                handle, value = self.inner.rebuild(ids)
+                return SpyHandle(handle), value
+
+        counting = CountingOracle(CoverageOracle(store))
+        naive = SieveNaive(3, 8, Bounds(30.0, 0.2), Spy(counting))
         for item in store.items():
-            sieve.step(item)
+            naive.step(item)
+        assert tally["n"] > 0
         assert counting.calls == tally["n"]
 
     def test_invalid_id_raises(self):
@@ -111,7 +134,7 @@ class TestWindowMembers:
             window_members(Window(6, 3), 5)
 
     def test_accepts_sized_history(self):
-        history = [Item(t, t) for t in range(1, 9)]
+        history = [Item(t) for t in range(1, 9)]
         assert window_members(Window(8, 4), history) == [5, 6, 7, 8]
 
     @given(end=st.integers(1, 500), size=st.integers(1, 500))
@@ -138,26 +161,26 @@ class _ScriptedAlg:
 
 class TestMonotoneWrap:
     def test_running_max(self):
-        wrapped = monotone_wrap(_ScriptedAlg([1.0, 3.0, 2.0]))
+        wrapped = BestSoFar(_ScriptedAlg([1.0, 3.0, 2.0]))
         seen = []
         for t in range(1, 4):
-            wrapped.step(Item(t, t))
+            wrapped.step(Item(t))
             seen.append(wrapped.query()[1])
         assert seen == [1.0, 3.0, 3.0]
         assert wrapped.query()[0] == [2]  # the step that scored 3
 
     def test_constant_sequence_unchanged(self):
-        wrapped = monotone_wrap(_ScriptedAlg([2.0, 2.0, 2.0]))
+        wrapped = BestSoFar(_ScriptedAlg([2.0, 2.0, 2.0]))
         for t in range(1, 4):
-            wrapped.step(Item(t, t))
+            wrapped.step(Item(t))
             assert wrapped.query()[1] == 2.0
 
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=30))
     def test_wrapped_sequence_non_decreasing(self, values):
-        wrapped = monotone_wrap(_ScriptedAlg(values))
+        wrapped = BestSoFar(_ScriptedAlg(values))
         previous = 0.0
         for t in range(1, len(values) + 1):
-            wrapped.step(Item(t, t))
+            wrapped.step(Item(t))
             current = wrapped.query()[1]
             assert current >= previous
             previous = current
@@ -169,7 +192,7 @@ class TestMonotoneWrap:
             oracle = CoverageOracle(store)
             bounds = Bounds(12.0, 0.25)
             plain = SieveStream(3, bounds, oracle)
-            wrapped = monotone_wrap(SieveStream(3, bounds, oracle))
+            wrapped = BestSoFar(SieveStream(3, bounds, oracle))
             for item in store.items():
                 plain.step(item)
                 wrapped.step(item)

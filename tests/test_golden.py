@@ -1,0 +1,54 @@
+"""Golden regression: the metrics CSV of every algorithm on both objectives.
+
+Each cell is one small seeded synthetic run; the pinned value is the SHA-256
+of its CSV with the ``wall_ms`` column removed. Any change to a reported
+utility, solution size, oracle-call count or peak-item count shows up here.
+A hash is re-pinned only together with a stated reason for the changed
+output.
+"""
+
+import hashlib
+
+import pytest
+
+from swmax.bench import ALGORITHMS, RunConfig, render_metrics_csv, run_benchmark
+
+CONFIGS = {
+    "coverage": dict(format="synth-sets", synth_n=300, synth_universe=40, synth_mean_size=6.0, seed=3),
+    "ivm": dict(format="synth-vec", synth_n=240, synth_d=4, synth_drift_period=60, normalize=True, seed=5),
+}
+
+GOLDEN = {
+    ("coverage", "greedy"): "f115b42d772d1b0d32f6f82143312f050b717bede7d2c24a042df0b56a1f50df",
+    ("coverage", "sieve"): "cbd14e482c8692b119c32bf56899b939e7eb683efebd4cc6f84d872c33a7a991",
+    ("coverage", "sw-rd"): "8664455a4dcf51fe3e0ceaab2dcf6c0546d31ffbae80f79f885a89d6f6c747da",
+    ("coverage", "sw-dp"): "2f97368089c3e5104a618bcf4cb75be24764222c777f995787123502e603965c",
+    ("coverage", "sieve-naive"): "4fa87d5a2b718297a116650bcb2ef878d67cacf5f7ec26d2008a75d9fcb2db21",
+    ("coverage", "sieve-greedy"): "982f3402d7ed413d52eb209ccc04a2fa5b1d65457264261f7ecb36d7f3c73575",
+    ("coverage", "random"): "e9c7120989beb1135df557b72ae35cb7057f73a8bfd11a245513214d5ef4e40d",
+    ("ivm", "greedy"): "92927482cc929865854e8bb690476d619dcfd8502e221e6e6c56e8dfac8ee35e",
+    ("ivm", "sieve"): "a75eff56f12f05f6152699bb6a5054cc7254b133ba390470ceb729ce47c33ae4",
+    ("ivm", "sw-rd"): "2a2c5454102bd45109cf75e6d8e721019211a7c3ae3d6123c7e42de4d6ba8375",
+    ("ivm", "sw-dp"): "ca225a3e883dc58f0feba0d4ad2d88008a6c9f6ca92b13ee340d7d653793a10c",
+    ("ivm", "sieve-naive"): "e1a3f15a8ca2453f71c92a2a453182cb037308c8ee5a1a852ac1634220adecac",
+    ("ivm", "sieve-greedy"): "fdba95ff7aa701db8204dfb3bc698c58569b6d66faf455f2ba6b11d7f59258a0",
+    ("ivm", "random"): "c4b70a48968246041ccfb4c14109713bb0253480d2fd0163797ed84446f1c9ef",
+}
+
+
+def metrics_without_wall(objective: str, algorithm: str) -> str:
+    config = RunConfig(
+        objective=objective, algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS[objective]
+    )
+    csv = render_metrics_csv(run_benchmark(config))
+    return "\n".join(line.rsplit(",", 1)[0] for line in csv.splitlines()) + "\n"
+
+
+@pytest.mark.parametrize("objective,algorithm", sorted(GOLDEN))
+def test_metrics_csv_pinned(objective, algorithm):
+    text = metrics_without_wall(objective, algorithm)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[objective, algorithm], text
+
+
+def test_every_cell_pinned():
+    assert set(GOLDEN) == {(o, a) for o in CONFIGS for a in ALGORITHMS}

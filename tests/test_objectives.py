@@ -3,18 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swmax.core import CountingOracle
 from swmax.objectives import (
-    CholExtension,
     CholState,
     CoverageOracle,
     IVMOracle,
     KernelParams,
-    StaleExtensionError,
-    chol_extend,
     coverage_value,
     estimate_upper_bound,
-    ivm_marginal,
     ivm_value,
     se_kernel,
 )
@@ -23,6 +21,14 @@ from swmax.streaming import brute_force_opt
 from conftest import UnionRecount, set_store, vec_store
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
+
+
+def _grown(oracle, ids):
+    """A handle of ``oracle`` grown from empty by adding ``ids`` in order."""
+    handle = oracle.empty()
+    for i in ids:
+        handle.add(i)
+    return handle
 
 
 class TestCoverage:
@@ -46,7 +52,8 @@ class TestCoverage:
             if ids:
                 extra = rng.randint(1, 50)
                 if extra not in ids:
-                    assert fast.marginal(extra, ids) == slow.marginal(extra, ids)
+                    handle, _ = fast.rebuild(ids)
+                    assert handle.gain(extra) == slow.marginal(extra, ids)
 
     def test_sparse_universe_ids(self):
         store = set_store((10**9, 7), (7, 42))
@@ -93,49 +100,46 @@ class TestIvmValue:
 
 class TestIvmMarginal:
     def test_empty_base(self):
-        state = CholState(PARAMS)
-        gain, _ = ivm_marginal(1, np.array([0.4, 0.4]), state)
+        state = CholState(np.array([[0.4, 0.4]]), PARAMS)
+        gain = state.gain(1)
         assert gain == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
     def test_duplicate_of_single_member(self):
-        x = np.array([[0.2, 0.5]])
-        state = CholState.from_vectors([1], x, PARAMS)
-        gain, ext = ivm_marginal(2, x[0], state)
+        x = np.array([[0.2, 0.5], [0.2, 0.5]])
+        state = CholState.from_vectors(x, [1], PARAMS)
+        gain = state.gain(2)
         assert gain == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
-        assert not ext.degenerate
+        state.add(2)
+        assert state.ids == [1, 2] and not state.skipped_ids
         # consistent with the from-scratch difference
-        assert gain == pytest.approx(
-            ivm_value(np.vstack([x, x]), PARAMS) - ivm_value(x, PARAMS), abs=1e-9
-        )
+        assert gain == pytest.approx(ivm_value(x, PARAMS) - ivm_value(x[:1], PARAMS), abs=1e-9)
 
     def test_matches_eval_difference(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             base = rng.normal(size=(rng.integers(0, 8), 5))
-            x = rng.normal(size=5)
-            state = CholState.from_vectors(range(1, len(base) + 1), base, PARAMS)
-            gain, _ = ivm_marginal(99, x, state)
-            fresh = ivm_value(np.vstack([base, x[None]]), PARAMS) - ivm_value(base, PARAMS)
+            points = np.vstack([base, rng.normal(size=(1, 5))])
+            state = CholState.from_vectors(points, range(1, len(base) + 1), PARAMS)
+            gain = state.gain(len(points))
+            fresh = ivm_value(points, PARAMS) - ivm_value(base, PARAMS)
             assert gain == pytest.approx(fresh, abs=1e-9)
             assert gain >= -1e-9
 
 
 class TestCholState:
     def test_extend_from_empty(self):
-        state = CholState(PARAMS)
-        _, ext = state.probe(1, np.array([0.5]))
-        state.extend(ext)
+        state = CholState(np.array([[0.5]]), PARAMS)
+        state.add(1)
         assert state.n == 1
         assert state.L[0, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_sequential_extensions_match_fresh_factorization(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 5))
-        state = CholState(PARAMS)
+        state = CholState(X, PARAMS)
         for i in range(20):
-            _, ext = state.probe(i + 1, X[i])
-            chol_extend(state, ext)
-        fresh = CholState.from_vectors(range(1, 21), X, PARAMS)
+            state.add(i + 1)
+        fresh = CholState.from_vectors(X, range(1, 21), PARAMS)
         scale = max(1.0, np.linalg.norm(fresh.L))
         assert np.linalg.norm(state.L - fresh.L) / scale <= 1e-8
         assert state.value == pytest.approx(fresh.value, rel=1e-8, abs=1e-10)
@@ -145,10 +149,9 @@ class TestCholState:
         # with strictly positive diagonal
         rng = np.random.default_rng(6)
         X = rng.normal(size=(15, 3))
-        state = CholState(PARAMS)
+        state = CholState(X, PARAMS)
         for i in range(15):
-            _, ext = state.probe(i + 1, X[i])
-            state.extend(ext)
+            state.add(i + 1)
         L = state.L
         assert np.all(np.diag(L) > 0)
         diff = X[:, None, :] - X[None, :, :]
@@ -160,45 +163,29 @@ class TestCholState:
         rng = np.random.default_rng(9)
         for trial in range(30):
             X = rng.normal(size=(rng.integers(1, 31), 4))
-            state = CholState(PARAMS)
+            state = CholState(X, PARAMS)
             total = 0.0
             for i in range(X.shape[0]):
-                gain, ext = state.probe(i + 1, X[i])
-                state.extend(ext)
-                total += gain
+                total += state.gain(i + 1)
+                state.add(i + 1)
             fresh = ivm_value(X, PARAMS)
             assert abs(total - fresh) <= 1e-8 * max(1.0, abs(fresh))
             assert abs(state.value - fresh) <= 1e-8 * max(1.0, abs(fresh))
 
-    def test_stale_extension_rejected(self):
-        rng = np.random.default_rng(2)
-        state = CholState(PARAMS)
-        _, ext_a = state.probe(1, rng.normal(size=3))
-        _, ext_b = state.probe(2, rng.normal(size=3))
-        state.extend(ext_a)
-        with pytest.raises(StaleExtensionError):
-            state.extend(ext_b)
-
     def test_degenerate_extension_leaves_factor_intact(self):
-        state = CholState.from_vectors([1], np.array([[0.1, 0.2]]), PARAMS)
+        # With sigma this small, 1 + 1/sigma^2 rounds to 1/sigma^2 and the
+        # Schur complement of a duplicate point collapses to zero.
+        params = KernelParams(h=0.75, sigma=1e-9)
+        points = np.array([[0.1, 0.2], [0.1, 0.2], [2.0, -1.0]])
+        state = CholState.from_vectors(points, [1], params)
         before_value = state.value
-        ext = CholExtension(
-            item_id=9,
-            x=np.array([0.1, 0.2]),
-            w=np.zeros(1),
-            sqrt_d=0.0,
-            gain=0.0,
-            degenerate=True,
-            base_n=state.n,
-            base_version=state.version,
-        )
-        state.extend(ext)
+        assert state.gain(2) == 0.0
+        state.add(2)
         assert state.n == 1
-        assert state.skipped_ids == [9]
+        assert state.skipped_ids == [2]
         assert state.value == before_value
         # factor still usable afterwards
-        gain, _ = state.probe(3, np.array([2.0, -1.0]))
-        assert gain > 0
+        assert state.gain(3) > 0
 
 
 class TestIvmOracle:
@@ -224,7 +211,7 @@ class TestIvmOracle:
             if extra in ids:
                 continue
             diff = oracle.eval(list(ids) + [extra]) - oracle.eval(ids)
-            assert oracle.marginal(extra, ids) == pytest.approx(diff, abs=1e-9)
+            assert oracle.rebuild(ids)[0].gain(extra) == pytest.approx(diff, abs=1e-9)
 
     def test_shrink_rebuilds_consistently(self):
         oracle, store = self._oracle(seed=5)
@@ -232,7 +219,10 @@ class TestIvmOracle:
         v_grown = oracle.eval(grown)
         shrunk = [1, 2, 4, 5]  # middle member expired
         expected = ivm_value(np.asarray([store.payload(i) for i in shrunk]), PARAMS)
-        assert oracle.eval(shrunk) == pytest.approx(expected, abs=1e-8)
+        handle, value = oracle.rebuild(shrunk)
+        assert value == oracle.eval(shrunk)
+        assert value == pytest.approx(expected, abs=1e-8)
+        assert handle.ids == shrunk
         assert oracle.eval(grown) == v_grown
 
     def test_invalid_id(self):
@@ -260,7 +250,7 @@ class TestOracleLaws:
         )
         oracle = CoverageOracle(store)
         for a, b, v in self._triples(rng, 40, 500):
-            assert oracle.marginal(v, a) >= oracle.marginal(v, b) - 1e-9
+            assert _grown(oracle, a).gain(v) >= _grown(oracle, b).gain(v) - 1e-9
             assert oracle.eval(a) <= oracle.eval(b) + 1e-9
 
     def test_ivm_laws(self):
@@ -269,8 +259,103 @@ class TestOracleLaws:
         store = vec_store(np_rng.normal(size=(40, 5)))
         oracle = IVMOracle(store, PARAMS)
         for a, b, v in self._triples(rng, 40, 500):
-            assert oracle.marginal(v, a) >= oracle.marginal(v, b) - 1e-9
+            assert _grown(oracle, a).gain(v) >= _grown(oracle, b).gain(v) - 1e-9
             assert oracle.eval(a) <= oracle.eval(b) + 1e-9
+
+
+class TestHandles:
+    """The handle laws, for both objectives: gains match eval differences,
+    copies are independent, unknown ids are rejected, and counting charges
+    gain/eval/rebuild but not empty/add/copy."""
+
+    N = 30
+    COVERAGE = CoverageOracle(
+        set_store(*[tuple(random.Random(t).sample(range(50), t % 9)) for t in range(N)])
+    )
+    IVM = IVMOracle(vec_store(np.random.default_rng(41).normal(size=(N, 4))), PARAMS)
+    ORACLES = {"coverage": (COVERAGE, 0.0), "ivm": (IVM, 1e-9)}
+    ids = st.lists(st.integers(1, N), max_size=8, unique=True)
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    @settings(max_examples=60, deadline=None)
+    @given(members=ids, extra=st.integers(1, N))
+    def test_gain_matches_eval_difference(self, objective, members, extra):
+        oracle, tol = self.ORACLES[objective]
+        if extra in members:
+            return
+        handle = _grown(oracle, members)
+        diff = oracle.eval(members + [extra]) - oracle.eval(members)
+        assert abs(handle.gain(extra) - diff) <= tol
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    @settings(max_examples=40, deadline=None)
+    @given(members=ids, more=ids)
+    def test_copy_is_independent(self, objective, members, more):
+        oracle, tol = self.ORACLES[objective]
+        extra = [i for i in more if i not in members]
+        everyone = range(1, self.N + 1)
+        source = _grown(oracle, members)
+        before = [source.gain(i) for i in everyone]
+        dup = source.copy()
+        for i in extra:
+            dup.add(i)
+        assert [source.gain(i) for i in everyone] == before
+        source.add(1)
+        expected = _grown(oracle, members + extra)
+        for i in everyone:
+            assert abs(dup.gain(i) - expected.gain(i)) <= tol
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_add_after_a_gain_on_an_older_set(self, objective):
+        oracle, tol = self.ORACLES[objective]
+        handle = _grown(oracle, [3])
+        handle.gain(5)  # taken against {3}
+        handle.add(7)
+        handle.add(5)  # must be taken against {3, 7}
+        expected = _grown(oracle, [3, 7, 5])
+        for i in range(1, self.N + 1):
+            assert abs(handle.gain(i) - expected.gain(i)) <= tol
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    @pytest.mark.parametrize("bad", [0, -1, N + 1])
+    def test_unknown_id_rejected(self, objective, bad):
+        oracle, _ = self.ORACLES[objective]
+        handle = _grown(oracle, [1, 2])
+        with pytest.raises(ValueError):
+            handle.gain(bad)
+        with pytest.raises(ValueError):
+            handle.add(bad)
+        with pytest.raises(ValueError):
+            oracle.rebuild([1, bad])
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_counting_charges_gain_eval_rebuild_only(self, objective):
+        counting = CountingOracle(self.ORACLES[objective][0])
+        handle = counting.empty()
+        handle.add(1)
+        dup = handle.copy()
+        dup.add(2)
+        assert counting.calls == 0
+        handle.gain(3)
+        dup.gain(3)
+        assert counting.calls == 2
+        counting.eval([1, 2])
+        assert counting.calls == 3
+        rebuilt, _ = counting.rebuild([2, 3])
+        assert counting.calls == 4
+        rebuilt.copy().gain(4)
+        assert counting.calls == 5
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_rebuild_matches_grown_handle(self, objective):
+        oracle, tol = self.ORACLES[objective]
+        members = [4, 9, 2, 17]
+        rebuilt, value = oracle.rebuild(members)
+        assert value == oracle.eval(members)
+        grown = _grown(oracle, members)
+        for i in range(1, self.N + 1):
+            if i not in members:
+                assert abs(rebuilt.gain(i) - grown.gain(i)) <= tol
 
 
 class TestUpperBound:

@@ -53,7 +53,7 @@ class TestReduction:
     def test_first_item_single_instance(self):
         store = set_store((1,))
         red = sieve_reduction(1, 3, Bounds(2.0, 0.5), CoverageOracle(store))
-        red.step(Item(1, 1))
+        red.step(Item(1))
         assert red.instance_starts() == [1]
 
     def test_expired_instance_dropped(self):
@@ -146,11 +146,11 @@ class TestThresholdGreedy:
     def test_hand_trace(self):
         store = set_store((0,), (1,), (2,))
         tg = ThresholdGreedy(2, 2, 1.0, CoverageOracle(store))
-        tg.step(Item(1, 1))
-        tg.step(Item(2, 2))
+        tg.step(Item(1))
+        tg.step(Item(2))
         assert tg.levels == [2, 2, 1]
         assert tg.sets[2] == [1, 2]
-        tg.step(Item(3, 3))  # level-2 start expired, rebuilt from level 1
+        tg.step(Item(3))  # level-2 start expired, rebuilt from level 1
         assert tg.levels == [3, 3, 2]
         assert tg.sets[2] == [2, 3]
         assert tg.query() == ([2, 3], 2.0)
@@ -158,8 +158,8 @@ class TestThresholdGreedy:
     def test_no_double_insertion(self):
         store = set_store((0, 1), (0, 1))
         tg = ThresholdGreedy(2, 5, 1.0, CoverageOracle(store))
-        tg.step(Item(1, 1))
-        tg.step(Item(2, 2))  # duplicate payload: marginal 0 < T at level 1
+        tg.step(Item(1))
+        tg.step(Item(2))  # duplicate payload: marginal 0 < T at level 1
         assert tg.sets[1] in ([1], [2])
         assert all(len(set(s)) == len(s) for s in tg.sets)
 
@@ -252,10 +252,10 @@ class TestSieveNaive:
         store = set_store((0, 1), (5,), (0, 1))
         bounds = Bounds(2.0, 1.0)
         naive = SieveNaive(1, 2, bounds, CoverageOracle(store))
-        naive.step(Item(1, 1))
+        naive.step(Item(1))
         assert naive.buffers[0] == [1]
-        naive.step(Item(2, 2))
-        naive.step(Item(3, 3))  # item 1 expires first, so the duplicate payload enters
+        naive.step(Item(2))
+        naive.step(Item(3))  # item 1 expires first, so the duplicate payload enters
         assert 1 not in naive.buffers[0]
 
     def test_no_expired_items_after_any_step(self):
@@ -396,3 +396,26 @@ class TestPrioritySample:
     def test_empty_query(self):
         ps = PrioritySample(2, 5, CoverageOracle(set_store((1,))), seed=0)
         assert ps.query() == ([], 0.0)
+
+
+def test_handles_track_their_sets():
+    # Every buffer's or level's handle must describe exactly its id list,
+    # through sieve expiry rebuilds, greedy repairs and level hand-offs.
+    for seed in range(10):
+        store = gen_set_stream(60, 25, 5, seed=seed)
+        oracle = CoverageOracle(store)
+        bounds = Bounds(estimate_upper_bound("coverage", store, 3), 0.2)
+        naive = SieveNaive(3, 9, bounds, oracle)
+        greedy = SieveGreedy(3, 9, bounds, oracle, sample_c=4.0, seed=seed)
+        dp = SlidingWindowDP(3, 9, bounds, oracle)
+        for item in store.items():
+            pairs = []
+            for alg in (naive, greedy):
+                alg.step(item)
+                pairs += zip(alg.buffers, alg.handles)
+            dp.step(item)
+            for table in dp.instances:
+                pairs += zip(table.sets, table.handles)
+            for ids, handle in pairs:
+                for probe in (1, item.t, 60):
+                    assert handle.gain(probe) == oracle.eval(ids + [probe]) - oracle.eval(ids)

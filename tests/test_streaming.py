@@ -48,7 +48,7 @@ class TestSieveStream:
         store = set_store((1,), (2, 3, 4))
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, Bounds(4.0, 1.0), oracle)
-        sieve.step(Item(1, 1))  # f=1: enters T=1 (1 > 0.25) and T=2 (1 > 0.5), not T=4 (1 == 1)
+        sieve.step(Item(1))  # f=1: enters T=1 (1 > 0.25) and T=2 (1 > 0.5), not T=4 (1 == 1)
         assert sieve.buffers[0] == [1]
         assert sieve.buffers[1] == [1]
         assert sieve.buffers[2] == []
@@ -58,8 +58,8 @@ class TestSieveStream:
         store = set_store((0, 1), (1, 2))
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, Bounds(4.0, 1.0), oracle)
-        sieve.step(Item(1, 1))
-        sieve.step(Item(2, 2))
+        sieve.step(Item(1))
+        sieve.step(Item(2))
         assert sieve.buffers[2] == [1, 2]
         assert sieve.values[2] == 3.0
         assert sieve.query() == ([1, 2], 3.0)
@@ -77,7 +77,7 @@ class TestSieveStream:
         store = set_store((5, 6))
         oracle = CoverageOracle(store)
         sieve = SieveStream(1, Bounds(4.0, 1.0), oracle)
-        sieve.step(Item(1, 1))
+        sieve.step(Item(1))
         # both T=1 and T=2 buffers hold item 1 at value 2; smallest wins
         assert sieve.values[0] == sieve.values[1] == 2.0
         level = sieve._best_level()
@@ -119,7 +119,7 @@ class TestSieveStream:
 class TestGreedy:
     def test_picks_unique_maxima(self, abc_store):
         oracle = CoverageOracle(abc_store)
-        solution, value = greedy_select([1, 2, 3], 2, oracle)
+        solution, value, _ = greedy_select([1, 2, 3], 2, oracle)
         assert solution == [1, 2]
         assert value == 5.0
 
@@ -127,20 +127,20 @@ class TestGreedy:
         # with k >= |items|, everything with positive cumulative gain is taken;
         # C = {3,4} is fully covered by A and B and is correctly left out
         oracle = CoverageOracle(abc_store)
-        solution, value = greedy_select([1, 2, 3], 10, oracle)
+        solution, value, _ = greedy_select([1, 2, 3], 10, oracle)
         assert solution == [1, 2]
         assert value == 5.0
 
     def test_k_beyond_candidates_all_positive(self):
         store = set_store((1,), (2,), (3,))
-        solution, value = greedy_select([1, 2, 3], 10, CoverageOracle(store))
+        solution, value, _ = greedy_select([1, 2, 3], 10, CoverageOracle(store))
         assert sorted(solution) == [1, 2, 3]
         assert value == 3.0
 
     def test_zero_gain_early_stop(self):
         store = set_store((1, 2), (1,), (2,))
         oracle = CountingOracle(CoverageOracle(store))
-        solution, value = greedy_select([1, 2, 3], 3, oracle)
+        solution, value, _ = greedy_select([1, 2, 3], 3, oracle)
         assert solution == [1]
         assert value == 2.0
 
@@ -149,11 +149,11 @@ class TestGreedy:
         store = gen_set_stream(12, 20, 6, seed=13)
         oracle = CoverageOracle(store)
         ids = list(range(1, 13))
-        baseline = greedy_select(ids, 4, oracle)
+        baseline = greedy_select(ids, 4, oracle)[:2]
         for _ in range(10):
             shuffled = ids[:]
             rng.shuffle(shuffled)
-            assert greedy_select(shuffled, 4, oracle) == baseline
+            assert greedy_select(shuffled, 4, oracle)[:2] == baseline
 
     def test_classical_bound_against_brute_force(self):
         ratio = 1 - 1 / math.e
@@ -162,7 +162,7 @@ class TestGreedy:
             oracle = CoverageOracle(store)
             ids = list(range(1, 17))
             _, opt = brute_force_opt(ids, 3, oracle)
-            _, got = greedy_select(ids, 3, oracle)
+            got = greedy_select(ids, 3, oracle)[1]
             assert got >= ratio * opt - 1e-9
 
 
