@@ -5,16 +5,27 @@ item id doubles as its timestep. A window of size W ending at ``end`` covers
 timesteps ``max(1, end - W + 1) .. end``.
 
 Objectives are accessed through an oracle: ``eval(ids)`` scores a set,
-``empty()`` returns a handle on the empty set and ``rebuild(ids)`` a handle
-on any set plus its value, for buffers that shrank. A handle owns the
-objective state of one growing set: ``gain(id)`` is the marginal gain of
-one more item, ``add(id)`` grows the set and ``copy()`` forks it.
+``empty()`` returns the oracle's root handle on the empty set and
+``rebuild(ids)`` a fresh root on any set plus its value, for buffers that
+shrank. A handle is an immutable trie node for one set: ``gain(id)`` is the
+marginal gain of one more item and ``child(id)`` the node for the set plus
+that item, leaving the node itself unchanged. A node remembers its last
+gain and its last child, so buffers with equal contents grown from one root
+hold one node, compute the gain of an arrival once and converge on one
+child. One slot of each is enough because every buffer at a node asks about
+an arrival, and takes it, during that arrival's step; a query that misses
+the memo only loses sharing, never correctness. A node holds at most one
+child and no parent, so a node is freed once no buffer holds it and its
+parent has made another child.
 
 ``CountingOracle`` wraps any oracle and counts calls, the cost metric every
 benchmark reports: ``eval``, ``rebuild`` and ``gain`` cost one call each
-(both shipped objectives compute a gain directly, not by two evaluations);
-``empty``, ``add`` and ``copy`` are free, since a handle only records
-choices whose gains were already paid for.
+(both shipped objectives compute a gain directly, not by two evaluations),
+and a gain served from a node's memo is still charged, so the count is the
+algorithm's logical one; ``empty`` and ``child`` are free, since a node only
+records choices whose gains were already paid for. ``evaluations`` counts
+the calls that did compute: every ``eval`` and ``rebuild``, and each gain
+that missed its node's memo.
 """
 
 from __future__ import annotations
@@ -73,20 +84,19 @@ class Bounds:
 
 
 class OracleHandle(Protocol):
-    """Objective state of one set of item ids, grown one item at a time.
+    """Objective state of one fixed set of item ids: an immutable trie node.
 
-    While ``counter`` is set, each gain adds one to ``counter.calls``;
-    copies share the counter. That is how ``CountingOracle`` counts gains
-    without a wrapper around every handle.
+    While ``counter`` is set, each gain adds one to ``counter.calls`` and
+    each gain not served from the node's memo also adds one to
+    ``counter.evaluations``; children inherit the counter. That is how
+    ``CountingOracle`` counts gains without a wrapper around every node.
     """
 
     counter: object | None
 
     def gain(self, item_id: int) -> float: ...
 
-    def add(self, item_id: int) -> None: ...
-
-    def copy(self) -> "OracleHandle": ...
+    def child(self, item_id: int) -> "OracleHandle": ...
 
 
 class SubmodularOracle(Protocol):
@@ -100,29 +110,38 @@ class SubmodularOracle(Protocol):
 
 
 class CountingOracle:
-    """Forwards to ``inner`` and counts calls: ``eval``, ``rebuild`` and ``gain``."""
+    """Forwards to ``inner`` and counts calls (``eval``, ``rebuild``, ``gain``)
+    and evaluations (the calls not served from a node's memo).
+
+    It owns one root node, minted by an uncounted ``inner.rebuild(())``, so
+    its counter never reaches nodes that ``inner`` hands out directly.
+    """
 
     def __init__(self, inner: SubmodularOracle):
         self.inner = inner
         self.calls = 0
+        self.evaluations = 0
+        self._root, _ = inner.rebuild(())
+        self._root.counter = self
 
     def eval(self, ids: Sequence[int]) -> float:
         self.calls += 1
+        self.evaluations += 1
         return self.inner.eval(ids)
 
     def empty(self) -> OracleHandle:
-        handle = self.inner.empty()
-        handle.counter = self
-        return handle
+        return self._root
 
     def rebuild(self, ids: Sequence[int]) -> tuple[OracleHandle, float]:
         self.calls += 1
+        self.evaluations += 1
         handle, value = self.inner.rebuild(ids)
         handle.counter = self
         return handle, value
 
     def reset(self) -> None:
         self.calls = 0
+        self.evaluations = 0
 
 
 def window_members(window: Window, history) -> list[int]:

@@ -7,13 +7,16 @@ exponential kernel ``K(x, y) = exp(-||x - y||^2 / h**2)``. Natural log is
 used throughout; the base only rescales utilities uniformly, but upper
 bounds must be computed in the same base, so one is fixed globally.
 
-Each objective hands out handles (see ``swmax.core``). A coverage handle is
-the running union bitmask. A log-det handle is a Cholesky factor of
-``I + K_S / sigma**2`` that grows one row per added element, so a marginal
-gain costs one linear solve against the factor instead of a fresh
-factorization. Factors are only ever extended; a buffer that shrinks
-(expiry) is refactored from scratch by ``rebuild``, since downdating is
-numerically risky and shrinks are rare relative to gain queries.
+Each objective hands out handles (see ``swmax.core``): immutable trie
+nodes, one per member set, all grown from the one root that ``empty()``
+returns. A coverage node is the union bitmask of its members. A log-det
+node is a Cholesky factor of ``I + K_S / sigma**2``; its children grow it
+by one row, so a marginal gain costs one linear solve against the factor
+instead of a fresh factorization, and each node computes the gain of an
+arrival once however many buffers hold it. Factors are only ever extended;
+a buffer that shrinks (expiry) gets a fresh root from ``rebuild``, factored
+from scratch, since downdating is numerically risky and shrinks are rare
+relative to gain queries.
 """
 
 from __future__ import annotations
@@ -66,18 +69,24 @@ def se_kernel(x, y, params: KernelParams) -> float:
 
 
 class CholState:
-    """Log-det handle: lower-triangular L with ``L @ L.T == I + K_S / sigma**2``.
+    """Log-det handle: one immutable trie node with lower-triangular L,
+    ``L @ L.T == I + K_S / sigma**2`` for its member set S.
 
-    Members S are rows of ``points``, where item id ``t`` is row ``t - 1``.
-    The stored value ``sum(log diag L)`` equals ``0.5 * log det`` of the
-    factored matrix. Members enter in insertion order; a degenerate pivot
-    (<= DEGENERATE_PIVOT) is recorded in ``skipped_ids`` and leaves the
-    factor untouched so its invariant survives. ``add`` replaces the member
-    matrix and the factor instead of writing into them, so copies share them.
+    Members are rows of ``points``, where item id ``t`` is row ``t - 1``.
+    The value ``sum(log diag L)`` equals ``0.5 * log det`` of the factored
+    matrix. Members enter in insertion order; a degenerate pivot
+    (<= DEGENERATE_PIVOT) is recorded in ``skipped_ids`` and the factor is
+    kept as it was, so its invariant survives.
 
-    The algorithms add an item right after asking for its gain, so the last
-    probe is kept until the factor changes and ``add`` of that item reuses it.
-    Gains count into ``counter.calls`` while a counter is set.
+    A node's set and factor never change, only its two memo slots do.
+    ``child(id)`` returns the node for S + [id], whose factor is this one
+    grown by one row; member matrices, factors and lists are shared between
+    nodes, never written in place. The node keeps its last gain with the
+    probe behind it, so a repeated gain is a memo hit and a child of the
+    same item grows from that probe, and its last child, so a repeated
+    ``child`` returns the same object. Gains count into ``counter.calls``
+    while a counter is set, memo hits included; only misses count into
+    ``counter.evaluations``. Children inherit the counter.
     """
 
     def __init__(self, points: np.ndarray, params: KernelParams):
@@ -89,7 +98,8 @@ class CholState:
         self._X = points[:0]
         self._L = np.zeros((0, 0))
         self._logdiag: list[float] = []
-        self._probed: tuple[int, tuple[np.ndarray, np.ndarray, float]] | None = None
+        self._gain: tuple[int, float, tuple[np.ndarray, np.ndarray, float]] | None = None
+        self._child: tuple[int, CholState] | None = None
 
     @property
     def n(self) -> int:
@@ -107,7 +117,7 @@ class CholState:
 
     @classmethod
     def from_vectors(cls, points: np.ndarray, ids: Sequence[int], params: KernelParams) -> "CholState":
-        """Factor I + K/sigma^2 for the members ``ids`` in one shot."""
+        """A fresh root node: I + K/sigma^2 for the members ``ids``, factored in one shot."""
         state = cls(points, params)
         if not len(ids):
             return state
@@ -150,41 +160,46 @@ class CholState:
 
     def gain(self, item_id: int) -> float:
         """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a collapsed pivot."""
-        if self.counter is not None:
-            self.counter.calls += 1
+        counter = self.counter
+        if counter is not None:
+            counter.calls += 1
+        memo = self._gain
+        if memo is not None and memo[0] == item_id:
+            return memo[1]
         probe = self._probe(item_id)
-        self._probed = (item_id, probe)
         d = probe[2]
-        return 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
+        gain = 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
+        self._gain = (item_id, gain, probe)
+        if counter is not None:
+            counter.evaluations += 1
+        return gain
 
-    def add(self, item_id: int) -> None:
-        """Append the item to the factor, or to ``skipped_ids`` on a collapsed pivot."""
-        probed, self._probed = self._probed, None
-        x, w, d = probed[1] if probed is not None and probed[0] == item_id else self._probe(item_id)
+    def child(self, item_id: int) -> "CholState":
+        """The node with the item appended, or added to ``skipped_ids`` on a collapsed pivot."""
+        memo = self._child
+        if memo is not None and memo[0] == item_id:
+            return memo[1]
+        gained = self._gain
+        x, w, d = gained[2] if gained is not None and gained[0] == item_id else self._probe(item_id)
+        node = CholState(self.points, self.params)
+        node.counter = self.counter
         if d <= DEGENERATE_PIVOT:
-            self.skipped_ids.append(item_id)
-            return
-        n = self.n
-        root = math.sqrt(d)
-        grown = np.zeros((n + 1, n + 1))
-        grown[:n, :n] = self._L
-        grown[n, :n] = w
-        grown[n, n] = root
-        self._L = grown
-        self._X = np.vstack([self._X, x])
-        self.ids.append(item_id)
-        self._logdiag.append(math.log(root))
-
-    def copy(self) -> "CholState":
-        dup = CholState(self.points, self.params)
-        dup.counter = self.counter
-        dup.ids = list(self.ids)
-        dup.skipped_ids = list(self.skipped_ids)
-        dup._X = self._X
-        dup._L = self._L
-        dup._logdiag = list(self._logdiag)
-        dup._probed = self._probed
-        return dup
+            node.ids, node._X, node._L, node._logdiag = self.ids, self._X, self._L, self._logdiag
+            node.skipped_ids = self.skipped_ids + [item_id]
+        else:
+            n = self.n
+            root = math.sqrt(d)
+            grown = np.zeros((n + 1, n + 1))
+            grown[:n, :n] = self._L
+            grown[n, :n] = w
+            grown[n, n] = root
+            node.ids = self.ids + [item_id]
+            node.skipped_ids = self.skipped_ids
+            node._X = np.vstack([self._X, x])
+            node._L = grown
+            node._logdiag = self._logdiag + [math.log(root)]
+        self._child = (item_id, node)
+        return node
 
 
 def ivm_value(X, params: KernelParams) -> float:
@@ -196,31 +211,48 @@ def ivm_value(X, params: KernelParams) -> float:
 
 
 class CoverageUnion:
-    """Coverage handle: the union bitmask of the members' sets."""
+    """Coverage handle: an immutable node holding its members' union bitmask.
 
-    __slots__ = ("_masks", "mask", "counter")
+    It keeps the same two memo slots as ``CholState``: the last gain and the
+    last child, each keyed by item id.
+    """
+
+    # ``__weakref__`` lets a test check that a node no buffer holds is freed.
+    __slots__ = ("_masks", "mask", "counter", "_gain", "_child", "__weakref__")
 
     def __init__(self, masks: dict[int, int], mask: int = 0, counter=None):
         self._masks = masks
         self.mask = mask
         self.counter = counter
+        self._gain: tuple[int, float] | None = None
+        self._child: tuple[int, CoverageUnion] | None = None
 
     def gain(self, item_id: int) -> float:
-        if self.counter is not None:
-            self.counter.calls += 1
+        counter = self.counter
+        if counter is not None:
+            counter.calls += 1
+        memo = self._gain
+        if memo is not None and memo[0] == item_id:
+            return memo[1]
         mask = self._masks.get(item_id)
         if mask is None:
             raise ValueError(f"unknown item id {item_id}")
-        return float((mask & ~self.mask).bit_count())
+        gain = float((mask & ~self.mask).bit_count())
+        self._gain = (item_id, gain)
+        if counter is not None:
+            counter.evaluations += 1
+        return gain
 
-    def add(self, item_id: int) -> None:
+    def child(self, item_id: int) -> "CoverageUnion":
+        memo = self._child
+        if memo is not None and memo[0] == item_id:
+            return memo[1]
         mask = self._masks.get(item_id)
         if mask is None:
             raise ValueError(f"unknown item id {item_id}")
-        self.mask |= mask
-
-    def copy(self) -> "CoverageUnion":
-        return CoverageUnion(self._masks, self.mask, self.counter)
+        node = CoverageUnion(self._masks, self.mask | mask, self.counter)
+        self._child = (item_id, node)
+        return node
 
 
 class CoverageOracle:
@@ -242,6 +274,7 @@ class CoverageOracle:
                 m |= 1 << b
             masks[t] = m
         self._masks = masks
+        self._root = CoverageUnion(masks)
 
     def _union(self, ids: Sequence[int]) -> int:
         acc = 0
@@ -254,7 +287,8 @@ class CoverageOracle:
         return acc
 
     def empty(self) -> CoverageUnion:
-        return CoverageUnion(self._masks)
+        """The oracle's one root node, the same object on every call."""
+        return self._root
 
     def rebuild(self, ids: Sequence[int]) -> tuple[CoverageUnion, float]:
         union = self._union(ids)
@@ -265,20 +299,22 @@ class CoverageOracle:
 
 
 class IVMOracle:
-    """Log-det objective over a dense-vector store; handles are ``CholState`` factors."""
+    """Log-det objective over a dense-vector store; handles are ``CholState`` nodes."""
 
     def __init__(self, store, params: KernelParams):
         if store.kind != "dense":
             raise ValueError(f"log-det objective needs dense vectors, got {store.kind!r}")
         self.params = params
         self._points = store.vectors
+        self._root = CholState(self._points, params)
         # The last set evaluated and its value: the harness re-scores, and
         # the random baseline re-evaluates, an unchanged set after most
         # arrivals, and a fresh factorization costs far more than the query.
         self._last_eval: tuple[tuple[int, ...], float] = ((), 0.0)
 
     def empty(self) -> CholState:
-        return CholState(self._points, self.params)
+        """The oracle's one root node, the same object on every call."""
+        return self._root
 
     def rebuild(self, ids: Sequence[int]) -> tuple[CholState, float]:
         state = CholState.from_vectors(self._points, ids, self.params)

@@ -146,10 +146,9 @@ class ThresholdGreedy:
         self.threshold = threshold
         self.levels: list[int] = [-1] * (k + 1)
         self.sets: list[list[int]] = [[] for _ in range(k + 1)]
-        # Level 0's handle is only copied, and a higher level's handle is
-        # replaced before it is first grown, so all levels can start from one.
         self.handles = [oracle.empty()] * (k + 1)
         self.vals: list[float] = [0.0] * (k + 1)
+        self._retained = 0
 
     def step(self, item: Item) -> None:
         i = item.t
@@ -170,13 +169,10 @@ class ThresholdGreedy:
                 passed[j] = gain
         for j, gain in passed.items():
             self.levels[j + 1] = self.levels[j]
+            self._retained += len(self.sets[j]) + 1 - len(self.sets[j + 1])
             self.sets[j + 1] = self.sets[j] + [i]
             self.vals[j + 1] = self.vals[j] + gain
-            # When level j - 1 passed too, level j is overwritten next, so
-            # its handle moves up instead of being copied.
-            grown = self.handles[j] if j - 1 in passed else self.handles[j].copy()
-            grown.add(i)
-            self.handles[j + 1] = grown
+            self.handles[j + 1] = self.handles[j].child(i)
 
     def query(self) -> tuple[list[int], float]:
         for j in range(self.k, -1, -1):
@@ -185,7 +181,7 @@ class ThresholdGreedy:
         return [], 0.0
 
     def retained_count(self) -> int:
-        return sum(len(s) for s in self.sets)
+        return self._retained
 
 
 class SlidingWindowDP:
@@ -261,6 +257,7 @@ class SieveNaive(SieveStream):
             return
         assert len(expired) == 1, f"multiple expiries in one step: {expired}"
         buf.remove(expired[0])
+        self._retained -= 1
         if buf:
             self.handles[level], self.values[level] = self.oracle.rebuild(buf)
         else:
@@ -321,6 +318,7 @@ class SieveGreedy(SieveStream):
         self.buffers[level], self.values[level], self.handles[level] = greedy_select(
             candidates, target, self.oracle
         )
+        self._retained += len(self.buffers[level]) - len(buf)
 
     def retained_count(self) -> int:
         return super().retained_count() + len(self.samples)

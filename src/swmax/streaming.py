@@ -38,9 +38,11 @@ class SieveStream:
     joins buffer S while |S| < k and its marginal gain exceeds
     ``(T/2 - f(S)) / (k - |S|)`` (strict, as the rule is usually stated);
     queries return the best buffer. With the optimum inside [1, opt_upper]
-    the best buffer is within (1-eps)/2 of it. Each buffer owns an oracle
-    handle for its gains; buffer values are maintained as running sums of
-    accepted gains, so queries cost no oracle calls.
+    the best buffer is within (1-eps)/2 of it. Each buffer holds the oracle
+    handle of its contents, all grown from the oracle's root, so buffers with
+    equal contents share a handle; buffer values are maintained as running
+    sums of accepted gains, so queries cost no oracle calls. The number of
+    retained item references is kept as a running count.
     """
 
     def __init__(self, k: int, bounds: Bounds, oracle: SubmodularOracle):
@@ -50,8 +52,9 @@ class SieveStream:
         self.oracle = oracle
         self.thresholds = threshold_grid(bounds)
         self.buffers: list[list[int]] = [[] for _ in self.thresholds]
-        self.handles = [oracle.empty() for _ in self.thresholds]
+        self.handles = [oracle.empty()] * len(self.thresholds)
         self.values: list[float] = [0.0] * len(self.thresholds)
+        self._retained = 0
         self._peak = 0
 
     def step(self, item: Item) -> None:
@@ -68,8 +71,9 @@ class SieveStream:
         threshold = self.thresholds[level]
         if gain > (threshold / 2.0 - self.values[level]) / (self.k - len(buf)):
             buf.append(item.t)
-            handle.add(item.t)
+            self.handles[level] = handle.child(item.t)
             self.values[level] += gain
+            self._retained += 1
 
     def _best_level(self) -> int:
         best = 0
@@ -86,7 +90,7 @@ class SieveStream:
         return list(self.buffers[level]), self.values[level]
 
     def retained_count(self) -> int:
-        return sum(len(buf) for buf in self.buffers)
+        return self._retained
 
     def _note_peak(self) -> None:
         self._peak = max(self._peak, self.retained_count())
@@ -123,7 +127,7 @@ def greedy_select(
             break
         selected.append(best_id)
         chosen.add(best_id)
-        handle.add(best_id)
+        handle = handle.child(best_id)
         value += best_gain
     return selected, value, handle
 

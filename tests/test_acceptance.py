@@ -164,7 +164,7 @@ def test_criterion_3_logdet_numerics():
             min_gain = min(min_gain, gain)
             fresh_diff = ivm_value(X[: i + 1], params) - ivm_value(X[:i], params)
             worst_marg = max(worst_marg, abs(gain - fresh_diff))
-            state.add(i + 1)
+            state = state.child(i + 1)
             running += gain
             assert state.ids == base_ids + [i + 1]
             assert state.value >= base_value

@@ -14,7 +14,12 @@ from swmax.bench import (
     run_benchmark,
     write_metrics_csv,
 )
+from swmax.core import Bounds, CountingOracle, Item
 from swmax.ingest import gen_set_stream, write_set_stream
+from swmax.objectives import KernelParams, estimate_upper_bound
+from swmax.sliding import SlidingWindowDP, sieve_reduction
+
+from test_golden import CONFIGS
 
 
 def _config(**overrides):
@@ -120,6 +125,29 @@ class TestRunBenchmark:
         # harness re-scores every record through the same, uncounted objective
         assert [r.oracle_calls for r in records] == list(range(1, len(records) + 1))
         assert built == ["coverage"]
+
+
+class TestSharedEvaluations:
+    """Buffers with equal contents share one node and so one evaluation per
+    arrival. The exact counts on the golden ivm configs catch a change that
+    silently breaks sharing, which wall time alone would hide."""
+
+    @pytest.mark.parametrize("algorithm,evaluations", [("sw-rd", 915), ("sw-dp", 1380)])
+    def test_ivm_evaluations_pinned(self, algorithm, evaluations):
+        config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
+        store = load_store(config)
+        counting = CountingOracle(bench.make_oracle(config, store))
+        params = KernelParams(config.kernel_h, config.sigma)
+        bounds = Bounds(estimate_upper_bound("ivm", store, config.k, params), config.epsilon)
+        if algorithm == "sw-rd":
+            alg = sieve_reduction(config.k, config.window, bounds, counting)
+        else:
+            alg = SlidingWindowDP(config.k, config.window, bounds, counting)
+        for t in range(1, len(store) + 1):
+            alg.step(Item(t))
+        assert counting.calls == run_benchmark(config)[-1].oracle_calls
+        assert counting.evaluations == evaluations
+        assert counting.evaluations < counting.calls
 
 
 class TestDeterminism:

@@ -55,8 +55,7 @@ class TestCountingOracle:
 
     def test_marginal_counts_one(self):
         oracle = CountingOracle(CoverageOracle(set_store((1, 2), (2, 3))))
-        handle = oracle.empty()
-        handle.add(1)
+        handle = oracle.empty().child(1)
         assert handle.gain(2) == 1.0
         assert oracle.calls == 1
 
@@ -71,7 +70,7 @@ class TestCountingOracle:
         assert wrapped.calls == 100
 
     def test_counter_matches_independent_tally(self):
-        # SieveNaive issues gains, adds, rebuilds after expiry and empty handles
+        # SieveNaive issues gains, children, rebuilds after expiry and empty handles
         store = gen_set_stream(40, 20, 5, seed=3)
         tally = {"n": 0}
 
@@ -83,11 +82,8 @@ class TestCountingOracle:
                 tally["n"] += 1
                 return self.inner.gain(item_id)
 
-            def add(self, item_id):
-                self.inner.add(item_id)
-
-            def copy(self):
-                return SpyHandle(self.inner.copy())
+            def child(self, item_id):
+                return SpyHandle(self.inner.child(item_id))
 
         class Spy:
             def __init__(self, inner):

@@ -1,11 +1,14 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmax.core import CountingOracle
+from swmax.core import Bounds, CountingOracle, Item
+from swmax.ingest import gen_set_stream
 from swmax.objectives import (
     CholState,
     CoverageOracle,
@@ -16,6 +19,7 @@ from swmax.objectives import (
     ivm_value,
     se_kernel,
 )
+from swmax.sliding import sieve_reduction
 from swmax.streaming import brute_force_opt
 
 from conftest import UnionRecount, set_store, vec_store
@@ -24,10 +28,10 @@ PARAMS = KernelParams(h=0.75, sigma=1.0)
 
 
 def _grown(oracle, ids):
-    """A handle of ``oracle`` grown from empty by adding ``ids`` in order."""
+    """The node of ``oracle`` grown from its root by ``ids`` in order."""
     handle = oracle.empty()
     for i in ids:
-        handle.add(i)
+        handle = handle.child(i)
     return handle
 
 
@@ -109,7 +113,7 @@ class TestIvmMarginal:
         state = CholState.from_vectors(x, [1], PARAMS)
         gain = state.gain(2)
         assert gain == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
-        state.add(2)
+        state = state.child(2)
         assert state.ids == [1, 2] and not state.skipped_ids
         # consistent with the from-scratch difference
         assert gain == pytest.approx(ivm_value(x, PARAMS) - ivm_value(x[:1], PARAMS), abs=1e-9)
@@ -129,7 +133,7 @@ class TestIvmMarginal:
 class TestCholState:
     def test_extend_from_empty(self):
         state = CholState(np.array([[0.5]]), PARAMS)
-        state.add(1)
+        state = state.child(1)
         assert state.n == 1
         assert state.L[0, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
@@ -138,7 +142,7 @@ class TestCholState:
         X = rng.normal(size=(20, 5))
         state = CholState(X, PARAMS)
         for i in range(20):
-            state.add(i + 1)
+            state = state.child(i + 1)
         fresh = CholState.from_vectors(X, range(1, 21), PARAMS)
         scale = max(1.0, np.linalg.norm(fresh.L))
         assert np.linalg.norm(state.L - fresh.L) / scale <= 1e-8
@@ -151,7 +155,7 @@ class TestCholState:
         X = rng.normal(size=(15, 3))
         state = CholState(X, PARAMS)
         for i in range(15):
-            state.add(i + 1)
+            state = state.child(i + 1)
         L = state.L
         assert np.all(np.diag(L) > 0)
         diff = X[:, None, :] - X[None, :, :]
@@ -167,7 +171,7 @@ class TestCholState:
             total = 0.0
             for i in range(X.shape[0]):
                 total += state.gain(i + 1)
-                state.add(i + 1)
+                state = state.child(i + 1)
             fresh = ivm_value(X, PARAMS)
             assert abs(total - fresh) <= 1e-8 * max(1.0, abs(fresh))
             assert abs(state.value - fresh) <= 1e-8 * max(1.0, abs(fresh))
@@ -180,7 +184,7 @@ class TestCholState:
         state = CholState.from_vectors(points, [1], params)
         before_value = state.value
         assert state.gain(2) == 0.0
-        state.add(2)
+        state = state.child(2)
         assert state.n == 1
         assert state.skipped_ids == [2]
         assert state.value == before_value
@@ -265,8 +269,9 @@ class TestOracleLaws:
 
 class TestHandles:
     """The handle laws, for both objectives: gains match eval differences,
-    copies are independent, unknown ids are rejected, and counting charges
-    gain/eval/rebuild but not empty/add/copy."""
+    nodes are immutable and shared, unknown ids are rejected, unreferenced
+    nodes are freed, and counting charges gain/eval/rebuild but not
+    empty/child."""
 
     N = 30
     COVERAGE = CoverageOracle(
@@ -276,6 +281,9 @@ class TestHandles:
     ORACLES = {"coverage": (COVERAGE, 0.0), "ivm": (IVM, 1e-9)}
     ids = st.lists(st.integers(1, N), max_size=8, unique=True)
 
+    def _diff(self, oracle, members, extra):
+        return oracle.eval(members + [extra]) - oracle.eval(members)
+
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     @settings(max_examples=60, deadline=None)
     @given(members=ids, extra=st.integers(1, N))
@@ -284,57 +292,86 @@ class TestHandles:
         if extra in members:
             return
         handle = _grown(oracle, members)
-        diff = oracle.eval(members + [extra]) - oracle.eval(members)
-        assert abs(handle.gain(extra) - diff) <= tol
+        assert abs(handle.gain(extra) - self._diff(oracle, members, extra)) <= tol
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     @settings(max_examples=40, deadline=None)
     @given(members=ids, more=ids)
-    def test_copy_is_independent(self, objective, members, more):
+    def test_child_leaves_node_unchanged(self, objective, members, more):
         oracle, tol = self.ORACLES[objective]
         extra = [i for i in more if i not in members]
         everyone = range(1, self.N + 1)
         source = _grown(oracle, members)
         before = [source.gain(i) for i in everyone]
-        dup = source.copy()
+        grown = source
         for i in extra:
-            dup.add(i)
+            grown = grown.child(i)
+        source.child(1)
         assert [source.gain(i) for i in everyone] == before
-        source.add(1)
-        expected = _grown(oracle, members + extra)
         for i in everyone:
-            assert abs(dup.gain(i) - expected.gain(i)) <= tol
+            if i not in members + extra:
+                assert abs(grown.gain(i) - self._diff(oracle, members + extra, i)) <= tol
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
-    def test_add_after_a_gain_on_an_older_set(self, objective):
+    def test_child_is_shared(self, objective):
+        oracle, _ = self.ORACLES[objective]
+        node = oracle.rebuild([2])[0]
+        first = node.child(5)
+        node.gain(9)  # a gain between two requests does not unshare them
+        assert node.child(5) is first
+        assert first.child(6) is first.child(6)
+        assert oracle.empty() is oracle.empty()
+        assert _grown(oracle, [4, 8]) is _grown(oracle, [4, 8])
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_gain_memo_not_served_to_a_child(self, objective):
         oracle, tol = self.ORACLES[objective]
-        handle = _grown(oracle, [3])
+        handle = oracle.rebuild([3])[0]
         handle.gain(5)  # taken against {3}
-        handle.add(7)
-        handle.add(5)  # must be taken against {3, 7}
-        expected = _grown(oracle, [3, 7, 5])
+        grown = handle.child(7)
+        assert abs(grown.gain(5) - self._diff(oracle, [3, 7], 5)) <= tol
+        grown = grown.child(5)  # must be grown against {3, 7}
         for i in range(1, self.N + 1):
-            assert abs(handle.gain(i) - expected.gain(i)) <= tol
+            if i not in (3, 5, 7):
+                assert abs(grown.gain(i) - self._diff(oracle, [3, 7, 5], i)) <= tol
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     @pytest.mark.parametrize("bad", [0, -1, N + 1])
     def test_unknown_id_rejected(self, objective, bad):
         oracle, _ = self.ORACLES[objective]
-        handle = _grown(oracle, [1, 2])
-        with pytest.raises(ValueError):
-            handle.gain(bad)
-        with pytest.raises(ValueError):
-            handle.add(bad)
+        fresh = oracle.rebuild([1, 2])[0]
+        used = _grown(oracle, [1, 2])
+        for _ in range(2):  # the second round is served from the memo
+            used.gain(3)
+            used.child(3)
+        for handle in (fresh, fresh.child(4), used):
+            with pytest.raises(ValueError):
+                handle.gain(bad)
+            with pytest.raises(ValueError):
+                handle.child(bad)
         with pytest.raises(ValueError):
             oracle.rebuild([1, bad])
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_unreferenced_node_is_freed(self, objective):
+        window = 10
+        if objective == "coverage":
+            oracle = CoverageOracle(gen_set_stream(3 * window + 1, 20, 5, seed=2))
+        else:
+            oracle = IVMOracle(vec_store(np.random.default_rng(2).normal(size=(3 * window + 1, 4))), PARAMS)
+        swrd = sieve_reduction(3, window, Bounds(10.0, 0.2), oracle)
+        swrd.step(Item(1))
+        node = weakref.ref(oracle.empty().child(1))
+        for t in range(2, 3 * window + 2):
+            swrd.step(Item(t))
+        gc.collect()
+        assert node() is None
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_counting_charges_gain_eval_rebuild_only(self, objective):
         counting = CountingOracle(self.ORACLES[objective][0])
-        handle = counting.empty()
-        handle.add(1)
-        dup = handle.copy()
-        dup.add(2)
+        handle = counting.empty().child(1)
+        dup = handle.child(2)
         assert counting.calls == 0
         handle.gain(3)
         dup.gain(3)
@@ -343,8 +380,20 @@ class TestHandles:
         assert counting.calls == 3
         rebuilt, _ = counting.rebuild([2, 3])
         assert counting.calls == 4
-        rebuilt.copy().gain(4)
+        rebuilt.child(1).gain(4)
         assert counting.calls == 5
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_memo_hits_are_charged_but_not_evaluated(self, objective):
+        counting = CountingOracle(self.ORACLES[objective][0])
+        node = counting.empty().child(6)
+        for _ in range(3):
+            node.gain(9)
+        node.child(9).gain(9)
+        assert (counting.calls, counting.evaluations) == (4, 2)
+        counting.eval([1])
+        counting.rebuild([1])
+        assert (counting.calls, counting.evaluations) == (6, 4)
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_rebuild_matches_grown_handle(self, objective):

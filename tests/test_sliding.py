@@ -419,3 +419,39 @@ def test_handles_track_their_sets():
             for ids, handle in pairs:
                 for probe in (1, item.t, 60):
                     assert handle.gain(probe) == oracle.eval(ids + [probe]) - oracle.eval(ids)
+
+
+def _recount(alg) -> int:
+    """Retained item references, counted from the algorithm's buffers."""
+    if isinstance(alg, SlidingWindowReduction):
+        return sum(_recount(inst.alg) for inst in alg.instances)
+    if isinstance(alg, SlidingWindowDP):
+        return sum(len(s) for table in alg.instances for s in table.sets)
+    if isinstance(alg, PrioritySample):
+        return len(alg.candidates)
+    samples = len(alg.samples) if isinstance(alg, SieveGreedy) else 0
+    return sum(len(buf) for buf in alg.buffers) + samples
+
+
+def test_running_retained_count_matches_recount():
+    # The running counts must follow sieve admissions, level hand-offs,
+    # naive expiry, greedy repair and sampling after every single step, and
+    # the peak must be the maximum over all of them.
+    store = gen_set_stream(80, 25, 5, seed=4)
+    oracle = CoverageOracle(store)
+    bounds = Bounds(estimate_upper_bound("coverage", store, 3), 0.2)
+    algs = {
+        "sw-rd": sieve_reduction(3, 9, bounds, oracle),
+        "sw-dp": SlidingWindowDP(3, 9, bounds, oracle),
+        "sieve-naive": SieveNaive(3, 9, bounds, oracle),
+        "sieve-greedy": SieveGreedy(3, 9, bounds, oracle, sample_c=4.0, seed=4),
+        "random": PrioritySample(3, 9, oracle, seed=4),
+    }
+    peaks = dict.fromkeys(algs, 0)
+    for item in store.items():
+        for name, alg in algs.items():
+            alg.step(item)
+            count = _recount(alg)
+            assert alg.retained_count() == count, (name, item.t)
+            peaks[name] = max(peaks[name], count)
+    assert {name: alg.peak_items() for name, alg in algs.items()} == peaks
