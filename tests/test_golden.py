@@ -35,10 +35,19 @@ GOLDEN = {
     ("ivm", "random"): "c4b70a48968246041ccfb4c14109713bb0253480d2fd0163797ed84446f1c9ef",
 }
 
+# ivm cells at a larger k: their Cholesky factors reach order 12, where the
+# rounding of the factor differs most between ways of growing it, so a
+# changed admission or greedy choice on a deep factor shows here.
+GOLDEN_IVM_K12 = {
+    "sw-rd": "d1276450a9f774da3d6e6209521526b6dbde8f60d7f8147d741dfdb15e50910e",
+    "sw-dp": "b1e2ae981278c5a5367e788848102ae132be83293809a9f34ca3319b9f2bebc5",
+    "sieve-greedy": "0e99c85c6c2a1005ba543632871d1cfd38969026efe8cdddc39ddd8e15af6ccb",
+}
 
-def metrics_without_wall(objective: str, algorithm: str) -> str:
+
+def metrics_without_wall(objective: str, algorithm: str, k: int = 4) -> str:
     config = RunConfig(
-        objective=objective, algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS[objective]
+        objective=objective, algorithm=algorithm, k=k, window=50, epsilon=0.2, **CONFIGS[objective]
     )
     csv = render_metrics_csv(run_benchmark(config))
     return "\n".join(line.rsplit(",", 1)[0] for line in csv.splitlines()) + "\n"
@@ -48,6 +57,12 @@ def metrics_without_wall(objective: str, algorithm: str) -> str:
 def test_metrics_csv_pinned(objective, algorithm):
     text = metrics_without_wall(objective, algorithm)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[objective, algorithm], text
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_IVM_K12))
+def test_ivm_k12_metrics_csv_pinned(algorithm):
+    text = metrics_without_wall("ivm", algorithm, k=12)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_IVM_K12[algorithm], text
 
 
 def test_every_cell_pinned():
