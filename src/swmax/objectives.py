@@ -10,19 +10,21 @@ bounds must be computed in the same base, so one is fixed globally.
 Each objective hands out handles (see ``swmax.core``): immutable trie
 nodes, one per member set, all grown from the one root that ``empty()``
 returns. A coverage node is the union bitmask of its members. A log-det
-node is a Cholesky factor of ``I + K_S / sigma**2``; its children grow it
-by one row, so a marginal gain costs one linear solve against the factor
-instead of a fresh factorization, and each node computes the gain of an
-arrival once however many buffers hold it. Factors are only ever extended;
-a buffer that shrinks (expiry) gets a fresh root from ``rebuild``, factored
-from scratch, since downdating is numerically risky and shrinks are rare
-relative to gain queries.
+node is a Cholesky factor of ``I + K_S / sigma**2`` in Python floats; its
+children grow it by one row, so a marginal gain costs one kernel row and one
+forward substitution against the factor instead of a fresh factorization,
+and each node computes the gain of an arrival once however many buffers
+hold it. Factors are only ever extended; a buffer that shrinks (expiry)
+gets a fresh root from ``rebuild``, factored from scratch with numpy, since
+downdating is numerically risky and shrinks are rare relative to gain
+queries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,15 +80,21 @@ class CholState:
     (<= DEGENERATE_PIVOT) is recorded in ``skipped_ids`` and the factor is
     kept as it was, so its invariant survives.
 
+    The factor is kept as Python lists of floats, row ``i`` being
+    ``[L_i0, ..., L_ii]``, next to the members' points, also as lists: on
+    factors of a few rows a numpy call costs more in overhead than the
+    arithmetic it does. Only an arrival's point is converted, when it is
+    probed.
+
     A node's set and factor never change, only its two memo slots do.
     ``child(id)`` returns the node for S + [id], whose factor is this one
-    grown by one row; member matrices, factors and lists are shared between
-    nodes, never written in place. The node keeps its last gain with the
-    probe behind it, so a repeated gain is a memo hit and a child of the
-    same item grows from that probe, and its last child, so a repeated
-    ``child`` returns the same object. Gains count into ``counter.calls``
-    while a counter is set, memo hits included; only misses count into
-    ``counter.evaluations``. Children inherit the counter.
+    grown by one row; rows and lists are shared between nodes, never
+    written in place. The node keeps its last gain with the probe behind
+    it, so a repeated gain is a memo hit and a child of the same item grows
+    from that probe, and its last child, so a repeated ``child`` returns
+    the same object. Gains count into ``counter.calls`` while a counter is
+    set, memo hits included; only misses count into ``counter.evaluations``.
+    Children inherit the counter.
     """
 
     def __init__(self, points: np.ndarray, params: KernelParams):
@@ -95,10 +103,10 @@ class CholState:
         self.counter = None
         self.ids: list[int] = []
         self.skipped_ids: list[int] = []
-        self._X = points[:0]
-        self._L = np.zeros((0, 0))
+        self._members: list[list[float]] = []
+        self._rows: list[list[float]] = []
         self._logdiag: list[float] = []
-        self._gain: tuple[int, float, tuple[np.ndarray, np.ndarray, float]] | None = None
+        self._gain: tuple[int, float, tuple[list[float], list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
 
     @property
@@ -113,7 +121,11 @@ class CholState:
 
     @property
     def L(self) -> np.ndarray:
-        return self._L.copy()
+        """The factor as a new ``n x n`` array."""
+        L = np.zeros((self.n, self.n))
+        for i, row in enumerate(self._rows):
+            L[i, : i + 1] = row
+        return L
 
     @classmethod
     def from_vectors(cls, points: np.ndarray, ids: Sequence[int], params: KernelParams) -> "CholState":
@@ -133,8 +145,8 @@ class CholState:
         if min(diag) ** 2 <= DEGENERATE_PIVOT:
             raise NumericDegeneracyError("factorization pivot collapsed")
         state.ids = list(ids)
-        state._X = X
-        state._L = L
+        state._members = X.tolist()
+        state._rows = [row[: i + 1] for i, row in enumerate(L.tolist())]
         state._logdiag = [math.log(v) for v in diag]
         return state
 
@@ -143,20 +155,22 @@ class CholState:
             raise ValueError(f"unknown item id {item_id}")
         return item_id - 1
 
-    def _probe(self, item_id: int) -> tuple[np.ndarray, np.ndarray, float]:
+    def _probe(self, item_id: int) -> tuple[list[float], list[float], float]:
         """Point x of ``item_id``, ``w`` solving ``L w = c``, and the pivot ``d``.
 
         ``c_j = K(x, s_j) / sigma^2`` and ``d = 1 + K(x, x)/sigma^2 - w.w``
         is the Schur complement, where ``K(x, x) = 1`` for this kernel.
+        ``w`` comes by forward substitution, one kernel entry and one
+        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member.
         """
-        x = self.points[self._row(item_id)]
+        x = self.points[self._row(item_id)].tolist()
         inv_s2 = self.params.sigma**-2
-        if self.n:
-            c = inv_s2 * np.exp(-np.sum((self._X - x) ** 2, axis=1) / self.params.h**2)
-            w = np.linalg.solve(self._L, c)
-        else:
-            w = np.zeros(0)
-        return x, w, 1.0 + inv_s2 - float(w @ w)
+        h2 = self.params.h**2
+        w: list[float] = []
+        for s, row in zip(self._members, self._rows):
+            c = inv_s2 * math.exp(-math.dist(s, x) ** 2 / h2)
+            w.append((c - sum(map(mul, row, w))) / row[-1])
+        return x, w, 1.0 + inv_s2 - sum(map(mul, w, w))
 
     def gain(self, item_id: int) -> float:
         """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a collapsed pivot."""
@@ -184,19 +198,14 @@ class CholState:
         node = CholState(self.points, self.params)
         node.counter = self.counter
         if d <= DEGENERATE_PIVOT:
-            node.ids, node._X, node._L, node._logdiag = self.ids, self._X, self._L, self._logdiag
+            node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
             node.skipped_ids = self.skipped_ids + [item_id]
         else:
-            n = self.n
             root = math.sqrt(d)
-            grown = np.zeros((n + 1, n + 1))
-            grown[:n, :n] = self._L
-            grown[n, :n] = w
-            grown[n, n] = root
             node.ids = self.ids + [item_id]
             node.skipped_ids = self.skipped_ids
-            node._X = np.vstack([self._X, x])
-            node._L = grown
+            node._members = self._members + [x]
+            node._rows = self._rows + [w + [root]]
             node._logdiag = self._logdiag + [math.log(root)]
         self._child = (item_id, node)
         return node

@@ -259,9 +259,10 @@ class SieveNaive(SieveStream):
         buf.remove(expired[0])
         self._retained -= 1
         if buf:
-            self.handles[level], self.values[level] = self.oracle.rebuild(buf)
+            self.handles[level], value = self.oracle.rebuild(buf)
         else:
-            self.handles[level], self.values[level] = self.oracle.empty(), 0.0
+            self.handles[level], value = self.oracle.empty(), 0.0
+        self._set_value(level, value)
 
 
 class SieveGreedy(SieveStream):
@@ -315,9 +316,8 @@ class SieveGreedy(SieveStream):
         target = len(buf) - 1
         survivors = [t for t in buf if t != expired[0]]
         candidates = sorted(set(self.samples) | set(survivors))
-        self.buffers[level], self.values[level], self.handles[level] = greedy_select(
-            candidates, target, self.oracle
-        )
+        self.buffers[level], value, self.handles[level] = greedy_select(candidates, target, self.oracle)
+        self._set_value(level, value)
         self._retained += len(self.buffers[level]) - len(buf)
 
     def retained_count(self) -> int:

@@ -42,7 +42,8 @@ class SieveStream:
     handle of its contents, all grown from the oracle's root, so buffers with
     equal contents share a handle; buffer values are maintained as running
     sums of accepted gains, so queries cost no oracle calls. The number of
-    retained item references is kept as a running count.
+    retained item references is kept as a running count, and the level of
+    the best value (the lowest level on ties) as a running index.
     """
 
     def __init__(self, k: int, bounds: Bounds, oracle: SubmodularOracle):
@@ -56,6 +57,7 @@ class SieveStream:
         self.values: list[float] = [0.0] * len(self.thresholds)
         self._retained = 0
         self._peak = 0
+        self._best = 0
 
     def step(self, item: Item) -> None:
         for level in range(len(self.thresholds)):
@@ -72,10 +74,31 @@ class SieveStream:
         if gain > (threshold / 2.0 - self.values[level]) / (self.k - len(buf)):
             buf.append(item.t)
             self.handles[level] = handle.child(item.t)
-            self.values[level] += gain
+            values = self.values
+            value = values[level] + gain
+            values[level] = value
             self._retained += 1
+            # _set_value's rule, inlined because it runs on every admission.
+            best = self._best
+            if value > values[best] or (value == values[best] and level < best):
+                self._best = level
+            elif level == best and gain < 0.0:
+                self._best = self._best_level()
+
+    def _set_value(self, level: int, value: float) -> None:
+        """Set a level's value and keep ``_best`` on the best level, the
+        lowest one on ties; only a drop of the best value needs a scan."""
+        values = self.values
+        best = self._best
+        dropped = level == best and value < values[level]
+        values[level] = value
+        if dropped:
+            self._best = self._best_level()
+        elif value > values[best] or (value == values[best] and level < best):
+            self._best = level
 
     def _best_level(self) -> int:
+        """The level of the best value, the lowest one on ties, by a full scan."""
         best = 0
         for level in range(1, len(self.values)):
             if self.values[level] > self.values[best]:
@@ -83,10 +106,10 @@ class SieveStream:
         return best
 
     def best_value(self) -> float:
-        return self.values[self._best_level()]
+        return self.values[self._best]
 
     def query(self) -> tuple[list[int], float]:
-        level = self._best_level()
+        level = self._best
         return list(self.buffers[level]), self.values[level]
 
     def retained_count(self) -> int:

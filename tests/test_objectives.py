@@ -5,15 +5,18 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from swmax.core import Bounds, CountingOracle, Item
 from swmax.ingest import gen_set_stream
 from swmax.objectives import (
+    DEGENERATE_PIVOT,
     CholState,
     CoverageOracle,
     IVMOracle,
     KernelParams,
+    NumericDegeneracyError,
     coverage_value,
     estimate_upper_bound,
     ivm_value,
@@ -190,6 +193,101 @@ class TestCholState:
         assert state.value == before_value
         # factor still usable afterwards
         assert state.gain(3) > 0
+
+
+@st.composite
+def edge_points(draw):
+    """Up to 30 points drawn from a small pool (so duplicates are common),
+    some columns held constant, and ``sigma`` log-uniform in [1e-3, 1e3]."""
+    d = draw(st.integers(1, 4))
+    coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=10))
+    X = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)))
+    constant = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    X[:, constant] = draw(coord)
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return X, KernelParams(h=0.75, sigma=sigma)
+
+
+def _fresh(X, ids, params):
+    """``from_vectors`` on the members, or None where it finds the matrix singular."""
+    try:
+        return CholState.from_vectors(X, ids, params)
+    except NumericDegeneracyError:
+        return None
+
+
+class TestNumericalEdges:
+    """Handles grown one child at a time on duplicate points, constant
+    columns and extreme ``sigma``, against fresh factorizations."""
+
+    # A duplicate point with sigma this small collapses its pivot.
+    COLLAPSE = (np.array([[0.1, 0.2], [0.1, 0.2], [2.0, -1.0], [0.1, 0.2]]), KernelParams(h=0.75, sigma=1e-9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=edge_points())
+    @example(case=COLLAPSE)
+    def test_grown_handle_matches_fresh_factorization(self, case):
+        X, params = case
+        state = CholState(X, params)
+        for i in range(1, len(X) + 1):
+            gain = state.gain(i)
+            assert math.isfinite(gain)
+            state = state.child(i)
+            assert (i in state.skipped_ids) != (i in state.ids)
+            assert np.all(np.isfinite(state.L)) and math.isfinite(state.value)
+            assert np.all(np.diag(state.L) ** 2 > DEGENERATE_PIVOT)
+            if i in state.skipped_ids:
+                assert gain == 0.0
+                continue
+            fresh = _fresh(X, state.ids, params)
+            if fresh is None:
+                continue
+            L, ref = state.L, fresh.L
+            assert np.linalg.norm(L - ref) <= 1e-8 * np.linalg.norm(ref)
+            assert abs(state.value - fresh.value) <= 1e-9
+            before = _fresh(X, state.ids[:-1], params)
+            if before is not None:
+                assert abs(gain - (fresh.value - before.value)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=edge_points())
+    @example(case=COLLAPSE)
+    def test_new_row_is_the_triangular_solve(self, case):
+        X, params = case
+        state = CholState(X, params)
+        for i in range(1, len(X) + 1):
+            grown = state.child(i)
+            if grown.n > state.n:
+                S = X[[j - 1 for j in state.ids]]
+                c = np.exp(-np.sum((S - X[i - 1]) ** 2, axis=1) / params.h**2) / params.sigma**2
+                ref = solve_triangular(state.L, c, lower=True)
+                w = grown.L[-1, :-1]
+                assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+            state = grown
+
+    def test_gain_and_child_call_no_numpy(self, monkeypatch):
+        # A gain and a child are a kernel row and a forward substitution in
+        # Python floats; on factors this small a numpy call costs more in
+        # overhead than the arithmetic it does.
+        X = np.random.default_rng(8).normal(size=(12, 4))
+        state = _grown(IVMOracle(vec_store(X), PARAMS), range(1, 11))
+        assert state.n == 10
+
+        def banned(*args, **kwargs):
+            raise AssertionError("numpy called on the gain path")
+
+        monkeypatch.setattr(np.linalg, "solve", banned)
+        monkeypatch.setattr(np, "vstack", banned)
+        monkeypatch.setattr(np, "zeros", banned)
+        gains = [state.gain(11)]
+        grown = state.child(11)
+        gains.append(grown.gain(12))
+        grown = grown.child(12)
+        monkeypatch.undo()
+        assert grown.ids == list(range(1, 13))
+        assert gains == pytest.approx([ivm_value(X[:11], PARAMS) - ivm_value(X[:10], PARAMS),
+                                       ivm_value(X, PARAMS) - ivm_value(X[:11], PARAMS)], abs=1e-9)
 
 
 class TestIvmOracle:

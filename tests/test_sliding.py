@@ -1,8 +1,8 @@
 import random
 
 from swmax.core import Bounds, CountingOracle, Item, Window, window_members
-from swmax.ingest import DatasetStore, gen_set_stream
-from swmax.objectives import CoverageOracle, estimate_upper_bound
+from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
+from swmax.objectives import CoverageOracle, IVMOracle, KernelParams, estimate_upper_bound
 from swmax.streaming import SieveStream, brute_force_opt, ceil_log_ratio
 from swmax.sliding import (
     PrioritySample,
@@ -455,3 +455,26 @@ def test_running_retained_count_matches_recount():
             assert alg.retained_count() == count, (name, item.t)
             peaks[name] = max(peaks[name], count)
     assert {name: alg.peak_items() for name, alg in algs.items()} == peaks
+
+
+def test_running_best_level_matches_scan():
+    # The kept best level must follow admissions (lowest level on ties),
+    # naive expiry and greedy repair after every single step. Sets from a
+    # small universe give many equal values on different levels.
+    coverage = gen_set_stream(80, 10, 3, seed=5)
+    vectors = gen_drift_vectors(80, 3, 3, 20, seed=4)
+    oracles = {
+        "coverage": (CoverageOracle(coverage), Bounds(estimate_upper_bound("coverage", coverage, 4), 0.2)),
+        "ivm": (IVMOracle(vectors, KernelParams()), Bounds(4.0, 0.2)),
+    }
+    for objective, (oracle, bounds) in oracles.items():
+        algs = {
+            "sieve": SieveStream(4, bounds, oracle),
+            "sieve-naive": SieveNaive(4, 9, bounds, oracle),
+            "sieve-greedy": SieveGreedy(4, 9, bounds, oracle, sample_c=4.0, seed=5),
+        }
+        for item in coverage.items():
+            for name, alg in algs.items():
+                alg.step(item)
+                assert alg._best == alg._best_level(), (objective, name, item.t)
+                assert alg.query() == (alg.buffers[alg._best], alg.values[alg._best])
