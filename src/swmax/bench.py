@@ -51,7 +51,6 @@ class RunConfig:
     k: int
     window: int
     epsilon: float = 0.2
-    upper_bound: float | None = None
     sample_c: float = 20.0
     kernel_h: float = 0.75
     sigma: float = 1.0
@@ -81,8 +80,6 @@ class RunConfig:
             raise ValueError("--window must be >= 1")
         if not self.epsilon > 0:
             raise ValueError("--epsilon must be > 0")
-        if self.upper_bound is not None and self.upper_bound < 1:
-            raise ValueError("--upper-bound must be >= 1")
         if self.algorithm == "sieve-greedy" and not self.sample_c > 0:
             raise ValueError("--sample-c must be > 0 for sieve-greedy")
         if self.kernel_h <= 0 or self.sigma <= 0:
@@ -169,9 +166,7 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
     if n == 0:
         raise ValueError("dataset is empty")
     params = KernelParams(config.kernel_h, config.sigma)
-    upper = config.upper_bound
-    if upper is None:
-        upper = estimate_upper_bound(config.objective, store, config.k, params)
+    upper = estimate_upper_bound(config.objective, store, config.k, params)
     bounds = Bounds(upper, config.epsilon)
     counting = CountingOracle(make_oracle(config, store))
     measure = counting.inner
@@ -209,16 +204,18 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
                 sieve = SieveStream(config.k, bounds, counting)
                 for m in members:
                     sieve.step(Item(m))
+                    peak = max(peak, sieve.retained_count())
                 solution, _ = sieve.query()
-                peak = max(peak, sieve.peak_items())
             record(t, solution, peak)
     else:
         alg = _make_stream_algorithm(config, counting, bounds)
+        peak = 0
         for t in range(1, n + 1):
             alg.step(Item(t))
+            peak = max(peak, alg.retained_count())
             if t % query_every == 0 or t == n:
                 solution, _ = alg.query()
-                record(t, solution, alg.peak_items())
+                record(t, solution, peak)
     return records
 
 
@@ -254,12 +251,6 @@ def parse_cli(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--k", type=int, required=True, help="cardinality constraint")
     parser.add_argument("--window", type=int, required=True, help="sliding window size W")
     parser.add_argument("--epsilon", type=float, default=0.2)
-    parser.add_argument(
-        "--upper-bound",
-        type=float,
-        default=None,
-        help="upper bound on the window optimum; estimated by a prescan when omitted",
-    )
     parser.add_argument(
         "--sample-c",
         type=float,
@@ -311,7 +302,6 @@ def parse_cli(argv: Sequence[str]) -> RunConfig:
         k=args.k,
         window=args.window,
         epsilon=args.epsilon,
-        upper_bound=args.upper_bound,
         sample_c=args.sample_c if args.sample_c is not None else 20.0,
         kernel_h=args.kernel_h,
         sigma=args.sigma,

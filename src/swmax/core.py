@@ -157,13 +157,15 @@ def window_members(window: Window, history) -> list[int]:
 
 
 class StreamAlgorithm(Protocol):
-    """One-pass algorithm: feed items, query the current (solution, value)."""
+    """One-pass algorithm: feed items, query the current (solution, value),
+    and count the item references it holds; the harness takes the peak of
+    that count over the run."""
 
     def step(self, item: Item) -> None: ...
 
     def query(self) -> tuple[list[int], float]: ...
 
-    def peak_items(self) -> int: ...
+    def retained_count(self) -> int: ...
 
 
 class BestSoFar:
@@ -179,23 +181,19 @@ class BestSoFar:
     def __init__(self, inner):
         self.inner = inner
         self._best: tuple[list[int], float] = ([], 0.0)
-        self._peak = 0
 
     def step(self, item: Item) -> None:
         self.inner.step(item)
         sol, val = self.inner.query()
         if val > self._best[1]:
             self._best = (list(sol), val)
-        self._peak = max(self._peak, self.retained_count())
+
+    def best_value(self) -> float:
+        return self._best[1]
 
     def query(self) -> tuple[list[int], float]:
         sol, val = self._best
         return list(sol), val
 
     def retained_count(self) -> int:
-        counter = getattr(self.inner, "retained_count", None)
-        base = counter() if counter is not None else self.inner.peak_items()
-        return base + len(self._best[0])
-
-    def peak_items(self) -> int:
-        return self._peak
+        return self.inner.retained_count() + len(self._best[0])

@@ -17,8 +17,8 @@ constraint k:
   window via smallest-priority sampling.
 
 All algorithms are deterministic functions of (stream, config, seed) and
-track the peak number of item references they hold, which is the space
-metric the benchmark reports.
+count the item references they hold (``retained_count``); the benchmark
+harness reports the peak of that count as the space metric.
 """
 
 from __future__ import annotations
@@ -49,8 +49,11 @@ class SlidingWindowReduction:
     value-negligible prefix of the window, which is what yields the
     c/(2+eps) factor for a prefix-monotone, c-approximate inner algorithm.
 
-    ``inner_factory`` builds one fresh inner instance; one that is not
-    naturally prefix-monotone can be wrapped in ``core.BestSoFar``.
+    ``inner_factory`` builds one fresh inner instance. The reduction calls
+    only four of its methods: ``step(item)``, ``best_value()`` (the value
+    ``query`` would report, read on every prune without building the
+    solution), ``query()`` and ``retained_count()``. An inner algorithm that
+    is not naturally prefix-monotone can be wrapped in ``core.BestSoFar``.
     """
 
     def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
@@ -62,8 +65,6 @@ class SlidingWindowReduction:
         self.epsilon = epsilon
         self.inner_factory = inner_factory
         self.instances: list[ReductionInstance] = []
-        self._now = 0
-        self._peak = 0
 
     def step(self, item: Item) -> None:
         self.instances.append(ReductionInstance(item.t, self.inner_factory()))
@@ -73,8 +74,6 @@ class SlidingWindowReduction:
         for inst in self.instances:
             inst.alg.step(item)
         self.prune()
-        self._now = item.t
-        self._peak = max(self._peak, self.retained_count())
 
     def prune(self) -> None:
         """Drop instances strictly between pairs with values within (1+eps).
@@ -84,7 +83,7 @@ class SlidingWindowReduction:
         instances remain; zero values can survive only in the last two
         positions.
         """
-        vals = [inst.alg.query()[1] for inst in self.instances]
+        vals = self.instance_values()
         u = len(vals)
         keep = [True] * u
         grow = 1.0 + self.epsilon
@@ -99,28 +98,21 @@ class SlidingWindowReduction:
         if not all(keep):
             self.instances = [inst for inst, kept in zip(self.instances, keep) if kept]
 
-    def query(self, now: int | None = None) -> tuple[list[int], float]:
-        """Solution of the oldest instance started inside the window at ``now``."""
+    def query(self) -> tuple[list[int], float]:
+        """Solution of the oldest instance; ``step`` has dropped every
+        instance that started before the window."""
         if not self.instances:
             return [], 0.0
-        now = self._now if now is None else now
-        lo = now - self.window + 1
-        for inst in self.instances:
-            if lo <= inst.start <= now:
-                return inst.alg.query()
-        return [], 0.0
+        return self.instances[0].alg.query()
 
     def instance_starts(self) -> list[int]:
         return [inst.start for inst in self.instances]
 
     def instance_values(self) -> list[float]:
-        return [inst.alg.query()[1] for inst in self.instances]
+        return [inst.alg.best_value() for inst in self.instances]
 
     def retained_count(self) -> int:
         return sum(inst.alg.retained_count() for inst in self.instances)
-
-    def peak_items(self) -> int:
-        return self._peak
 
 
 class ThresholdGreedy:
@@ -198,12 +190,10 @@ class SlidingWindowDP:
         self.window = window
         self.thresholds = dp_threshold_grid(k, bounds)
         self.instances = [ThresholdGreedy(k, window, t, oracle) for t in self.thresholds]
-        self._peak = 0
 
     def step(self, item: Item) -> None:
         for inst in self.instances:
             inst.step(item)
-        self._peak = max(self._peak, self.retained_count())
 
     def query(self) -> tuple[list[int], float]:
         best: tuple[list[int], float] = [], 0.0
@@ -215,9 +205,6 @@ class SlidingWindowDP:
 
     def retained_count(self) -> int:
         return sum(inst.retained_count() for inst in self.instances)
-
-    def peak_items(self) -> int:
-        return self._peak
 
 
 def dp_threshold_grid(k: int, bounds: Bounds) -> list[float]:
@@ -248,7 +235,6 @@ class SieveNaive(SieveStream):
         for level in range(len(self.thresholds)):
             self._expire(level, item.t)
             self._consider(level, item)
-        self._note_peak()
 
     def _expire(self, level: int, now: int) -> None:
         buf = self.buffers[level]
@@ -262,7 +248,7 @@ class SieveNaive(SieveStream):
             self.handles[level], value = self.oracle.rebuild(buf)
         else:
             self.handles[level], value = self.oracle.empty(), 0.0
-        self._set_value(level, value)
+        self.values[level] = value
 
 
 class SieveGreedy(SieveStream):
@@ -305,7 +291,6 @@ class SieveGreedy(SieveStream):
         for level in range(len(self.thresholds)):
             self._repair(level, item.t)
             self._consider(level, item)
-        self._note_peak()
 
     def _repair(self, level: int, now: int) -> None:
         buf = self.buffers[level]
@@ -316,8 +301,9 @@ class SieveGreedy(SieveStream):
         target = len(buf) - 1
         survivors = [t for t in buf if t != expired[0]]
         candidates = sorted(set(self.samples) | set(survivors))
-        self.buffers[level], value, self.handles[level] = greedy_select(candidates, target, self.oracle)
-        self._set_value(level, value)
+        self.buffers[level], self.values[level], self.handles[level] = greedy_select(
+            candidates, target, self.oracle
+        )
         self._retained += len(self.buffers[level]) - len(buf)
 
     def retained_count(self) -> int:
@@ -343,8 +329,6 @@ class PrioritySample:
         self.window = window
         self.oracle = oracle
         self.candidates: list[tuple[int, float]] = []
-        self._now = 0
-        self._peak = 0
         self._rng = random.Random(seed)
 
     def step(self, item: Item) -> None:
@@ -353,8 +337,6 @@ class PrioritySample:
             self.candidates.pop(0)
         self.candidates.append((item.t, self._rng.random()))
         self._evict_dominated()
-        self._now = item.t
-        self._peak = max(self._peak, len(self.candidates))
 
     def _evict_dominated(self) -> None:
         kept_rev: list[tuple[int, float]] = []
@@ -365,11 +347,8 @@ class PrioritySample:
             insort(later, cand[1])
         self.candidates = kept_rev[::-1]
 
-    def query(self, now: int | None = None) -> tuple[list[int], float]:
-        now = self._now if now is None else now
-        lo = now - self.window + 1
-        pool = [c for c in self.candidates if lo <= c[0] <= now]
-        pool.sort(key=lambda c: c[1])
+    def query(self) -> tuple[list[int], float]:
+        pool = sorted(self.candidates, key=lambda c: c[1])
         ids = sorted(t for t, _ in pool[: self.k])
         if not ids:
             return [], 0.0
@@ -377,9 +356,6 @@ class PrioritySample:
 
     def retained_count(self) -> int:
         return len(self.candidates)
-
-    def peak_items(self) -> int:
-        return self._peak
 
 
 def sieve_reduction(

@@ -41,9 +41,9 @@ class SieveStream:
     the best buffer is within (1-eps)/2 of it. Each buffer holds the oracle
     handle of its contents, all grown from the oracle's root, so buffers with
     equal contents share a handle; buffer values are maintained as running
-    sums of accepted gains, so queries cost no oracle calls. The number of
-    retained item references is kept as a running count, and the level of
-    the best value (the lowest level on ties) as a running index.
+    sums of accepted gains, so queries cost no oracle calls, and the best
+    level (the lowest one on ties) is found by a scan of those values. The
+    number of retained item references is kept as a running count.
     """
 
     def __init__(self, k: int, bounds: Bounds, oracle: SubmodularOracle):
@@ -56,13 +56,10 @@ class SieveStream:
         self.handles = [oracle.empty()] * len(self.thresholds)
         self.values: list[float] = [0.0] * len(self.thresholds)
         self._retained = 0
-        self._peak = 0
-        self._best = 0
 
     def step(self, item: Item) -> None:
         for level in range(len(self.thresholds)):
             self._consider(level, item)
-        self._note_peak()
 
     def _consider(self, level: int, item: Item) -> None:
         buf = self.buffers[level]
@@ -74,52 +71,18 @@ class SieveStream:
         if gain > (threshold / 2.0 - self.values[level]) / (self.k - len(buf)):
             buf.append(item.t)
             self.handles[level] = handle.child(item.t)
-            values = self.values
-            value = values[level] + gain
-            values[level] = value
+            self.values[level] += gain
             self._retained += 1
-            # _set_value's rule, inlined because it runs on every admission.
-            best = self._best
-            if value > values[best] or (value == values[best] and level < best):
-                self._best = level
-            elif level == best and gain < 0.0:
-                self._best = self._best_level()
-
-    def _set_value(self, level: int, value: float) -> None:
-        """Set a level's value and keep ``_best`` on the best level, the
-        lowest one on ties; only a drop of the best value needs a scan."""
-        values = self.values
-        best = self._best
-        dropped = level == best and value < values[level]
-        values[level] = value
-        if dropped:
-            self._best = self._best_level()
-        elif value > values[best] or (value == values[best] and level < best):
-            self._best = level
-
-    def _best_level(self) -> int:
-        """The level of the best value, the lowest one on ties, by a full scan."""
-        best = 0
-        for level in range(1, len(self.values)):
-            if self.values[level] > self.values[best]:
-                best = level
-        return best
 
     def best_value(self) -> float:
-        return self.values[self._best]
+        return max(self.values)
 
     def query(self) -> tuple[list[int], float]:
-        level = self._best
-        return list(self.buffers[level]), self.values[level]
+        value = self.best_value()
+        return list(self.buffers[self.values.index(value)]), value
 
     def retained_count(self) -> int:
         return self._retained
-
-    def _note_peak(self) -> None:
-        self._peak = max(self._peak, self.retained_count())
-
-    def peak_items(self) -> int:
-        return self._peak
 
 
 def greedy_select(

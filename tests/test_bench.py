@@ -96,10 +96,6 @@ class TestRunBenchmark:
         records = run_benchmark(config)
         assert records and all(r.utility > 0 for r in records)
 
-    def test_upper_bound_override(self):
-        records = run_benchmark(_config(upper_bound=30.0, query_every=20))
-        assert records
-
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -220,7 +216,6 @@ class TestCli:
                 "--output", str(tmp_path / "out.csv"),
             ]
         )
-        assert config.upper_bound is None  # resolved by prescan inside the run
         assert config.algorithm == "sw-rd"
         assert config.window == 2000
 

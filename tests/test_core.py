@@ -151,7 +151,7 @@ class _ScriptedAlg:
     def query(self):
         return [self.i], self.values[self.i - 1]
 
-    def peak_items(self):
+    def retained_count(self):
         return 1
 
 

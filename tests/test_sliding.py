@@ -1,5 +1,6 @@
 import random
 
+from swmax.bench import RunConfig, run_benchmark
 from swmax.core import Bounds, CountingOracle, Item, Window, window_members
 from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams, estimate_upper_bound
@@ -26,11 +27,19 @@ class _StubAlg:
     def step(self, item):
         pass
 
+    def best_value(self):
+        return self.value
+
     def query(self):
         return [], self.value
 
     def retained_count(self):
         return 0
+
+
+class _ValueOnlyAlg(_StubAlg):
+    def query(self):
+        raise AssertionError("the reduction read a solution it does not report")
 
 
 def _stub_reduction(window, epsilon, start_value_pairs):
@@ -91,9 +100,16 @@ class TestReduction:
                 assert kept[j] > (1 + eps) * kept[j + 2]
 
     def test_query_picks_oldest_in_window(self):
-        red = _stub_reduction(8, 0.2, [(2, 5.0), (5, 4.0), (9, 1.0)])
-        red._now = 9
-        assert red.query(now=9) == ([], 5.0)  # min start in [2, 9] is 2
+        red = _stub_reduction(8, 0.2, [(1, 9.0), (2, 5.0), (5, 4.0)])
+        red.step(Item(9))  # start 1 leaves the window [2, 9]
+        assert red.instance_starts() == [2, 5, 9]
+        assert red.query() == ([], 5.0)
+
+    def test_prune_reads_values_without_solutions(self):
+        red = SlidingWindowReduction(5, 0.2, lambda: _ValueOnlyAlg(1.0))
+        for t in range(1, 21):
+            red.step(Item(t))
+        assert len(red.instances) == 2  # equal values: all but the ends pruned
 
     def test_query_before_any_item(self):
         red = sieve_reduction(1, 3, Bounds(2.0, 0.5), CoverageOracle(set_store((1,))))
@@ -435,8 +451,7 @@ def _recount(alg) -> int:
 
 def test_running_retained_count_matches_recount():
     # The running counts must follow sieve admissions, level hand-offs,
-    # naive expiry, greedy repair and sampling after every single step, and
-    # the peak must be the maximum over all of them.
+    # naive expiry, greedy repair and sampling after every single step.
     store = gen_set_stream(80, 25, 5, seed=4)
     oracle = CoverageOracle(store)
     bounds = Bounds(estimate_upper_bound("coverage", store, 3), 0.2)
@@ -447,20 +462,54 @@ def test_running_retained_count_matches_recount():
         "sieve-greedy": SieveGreedy(3, 9, bounds, oracle, sample_c=4.0, seed=4),
         "random": PrioritySample(3, 9, oracle, seed=4),
     }
-    peaks = dict.fromkeys(algs, 0)
     for item in store.items():
         for name, alg in algs.items():
             alg.step(item)
-            count = _recount(alg)
-            assert alg.retained_count() == count, (name, item.t)
-            peaks[name] = max(peaks[name], count)
-    assert {name: alg.peak_items() for name, alg in algs.items()} == peaks
+            assert alg.retained_count() == _recount(alg), (name, item.t)
+
+
+def test_harness_peak_is_running_max_of_recount():
+    # Each record's peak_items is the maximum retained count over every
+    # arrival so far, not only over the recorded ones; the rerun baselines
+    # take it over every window they rerun.
+    n, k, w, seed = 60, 3, 9, 6
+    store = gen_set_stream(n, 25, 5, seed=seed)
+    oracle = CoverageOracle(store)
+    bounds = Bounds(estimate_upper_bound("coverage", store, k), 0.2)
+    algs = {
+        "sw-rd": sieve_reduction(k, w, bounds, oracle),
+        "sw-dp": SlidingWindowDP(k, w, bounds, oracle),
+        "sieve-naive": SieveNaive(k, w, bounds, oracle),
+        "sieve-greedy": SieveGreedy(k, w, bounds, oracle, sample_c=4.0, seed=seed),
+        "random": PrioritySample(k, w, oracle, seed=seed),
+    }
+    expected = {name: [] for name in ("greedy", "sieve", *algs)}
+    peaks = dict.fromkeys(expected, 0)
+    for item in store.items():
+        for name, alg in algs.items():
+            alg.step(item)
+            peaks[name] = max(peaks[name], _recount(alg))
+        members = window_members(Window(item.t, w), n)
+        peaks["greedy"] = max(peaks["greedy"], len(members))
+        sieve = SieveStream(k, bounds, oracle)
+        for m in members:
+            sieve.step(Item(m))
+            peaks["sieve"] = max(peaks["sieve"], _recount(sieve))
+        for name, peak in peaks.items():
+            expected[name].append(peak)
+    for name, peak_trace in expected.items():
+        config = RunConfig(
+            objective="coverage", algorithm=name, k=k, window=w, epsilon=0.2, sample_c=4.0,
+            query_every=1, seed=seed, format="sets", input="unused",
+        )
+        records = run_benchmark(config, store=store)
+        assert [r.peak_items for r in records] == peak_trace, name
 
 
 def test_running_best_level_matches_scan():
-    # The kept best level must follow admissions (lowest level on ties),
-    # naive expiry and greedy repair after every single step. Sets from a
-    # small universe give many equal values on different levels.
+    # Queries must report the best level, the lowest one on ties, after
+    # admissions, naive expiry and greedy repair at every single step. Sets
+    # from a small universe give many equal values on different levels.
     coverage = gen_set_stream(80, 10, 3, seed=5)
     vectors = gen_drift_vectors(80, 3, 3, 20, seed=4)
     oracles = {
@@ -476,5 +525,7 @@ def test_running_best_level_matches_scan():
         for item in coverage.items():
             for name, alg in algs.items():
                 alg.step(item)
-                assert alg._best == alg._best_level(), (objective, name, item.t)
-                assert alg.query() == (alg.buffers[alg._best], alg.values[alg._best])
+                best = max(alg.values)
+                level = min(lv for lv, value in enumerate(alg.values) if value == best)
+                assert alg.query() == (alg.buffers[level], alg.values[level]), (objective, name, item.t)
+                assert alg.best_value() == alg.values[level], (objective, name, item.t)

@@ -80,8 +80,10 @@ class TestSieveStream:
         sieve.step(Item(1))
         # both T=1 and T=2 buffers hold item 1 at value 2; smallest wins
         assert sieve.values[0] == sieve.values[1] == 2.0
-        level = sieve._best_level()
+        best = max(sieve.values)
+        level = min(lv for lv, value in enumerate(sieve.values) if value == best)
         assert level == 0
+        assert sieve.query() == (sieve.buffers[level], sieve.values[level])
 
     def test_empty_query(self):
         sieve = SieveStream(2, Bounds(4.0, 1.0), CoverageOracle(set_store((1,))))
