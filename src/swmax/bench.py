@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Bounds, CountingOracle, Item, Window, window_members
+from .core import CountingOracle, Item, Window, window_members
 from .ingest import (
     DatasetStore,
     gen_drift_vectors,
@@ -27,7 +27,7 @@ from .ingest import (
     load_set_stream,
     normalize_columns_then_rows,
 )
-from .objectives import CoverageOracle, IVMOracle, KernelParams, estimate_upper_bound
+from .objectives import CoverageOracle, IVMOracle, KernelParams
 from .sliding import (
     PrioritySample,
     SieveGreedy,
@@ -136,16 +136,16 @@ def make_oracle(config: RunConfig, store: DatasetStore):
     return IVMOracle(store, KernelParams(config.kernel_h, config.sigma))
 
 
-def _make_stream_algorithm(config: RunConfig, counting: CountingOracle, bounds: Bounds):
-    k, w = config.k, config.window
+def _make_stream_algorithm(config: RunConfig, counting: CountingOracle):
+    k, w, eps = config.k, config.window, config.epsilon
     if config.algorithm == "sw-rd":
-        return sieve_reduction(k, w, bounds, counting)
+        return sieve_reduction(k, w, eps, counting)
     if config.algorithm == "sw-dp":
-        return SlidingWindowDP(k, w, bounds, counting)
+        return SlidingWindowDP(k, w, eps, counting)
     if config.algorithm == "sieve-naive":
-        return SieveNaive(k, w, bounds, counting)
+        return SieveNaive(k, w, eps, counting)
     if config.algorithm == "sieve-greedy":
-        return SieveGreedy(k, w, bounds, counting, config.sample_c, seed=config.seed)
+        return SieveGreedy(k, w, eps, counting, config.sample_c, seed=config.seed)
     if config.algorithm == "random":
         return PrioritySample(k, w, counting, seed=config.seed)
     raise ValueError(f"{config.algorithm!r} is not a streaming algorithm")
@@ -165,9 +165,6 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
     n = len(store)
     if n == 0:
         raise ValueError("dataset is empty")
-    params = KernelParams(config.kernel_h, config.sigma)
-    upper = estimate_upper_bound(config.objective, store, config.k, params)
-    bounds = Bounds(upper, config.epsilon)
     counting = CountingOracle(make_oracle(config, store))
     measure = counting.inner
     query_every = config.query_every or max(1, math.ceil(config.window / 10))
@@ -201,14 +198,14 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
                 solution = greedy_select(members, config.k, counting)[0]
                 peak = max(peak, len(members))
             else:
-                sieve = SieveStream(config.k, bounds, counting)
+                sieve = SieveStream(config.k, config.epsilon, counting)
                 for m in members:
                     sieve.step(Item(m))
                     peak = max(peak, sieve.retained_count())
                 solution, _ = sieve.query()
             record(t, solution, peak)
     else:
-        alg = _make_stream_algorithm(config, counting, bounds)
+        alg = _make_stream_algorithm(config, counting)
         peak = 0
         for t in range(1, n + 1):
             alg.step(Item(t))

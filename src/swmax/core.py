@@ -7,7 +7,12 @@ timesteps ``max(1, end - W + 1) .. end``.
 Objectives are accessed through an oracle: ``eval(ids)`` scores a set,
 ``empty()`` returns the oracle's root handle on the empty set and
 ``rebuild(ids)`` a fresh root on any set plus its value, for buffers that
-shrank. A handle is an immutable trie node for one set: ``gain(id)`` is the
+shrank, and ``max_singleton()`` the largest value of any one item. A
+monotone submodular objective is subadditive, so ``k * max_singleton()``
+bounds the value of every set of at most k items; that product is the
+upper end of every threshold grid.
+
+A handle is an immutable trie node for one set: ``gain(id)`` is the
 marginal gain of one more item and ``child(id)`` the node for the set plus
 that item, leaving the node itself unchanged. A node remembers its last
 gain and its last child, so buffers with equal contents grown from one root
@@ -23,9 +28,10 @@ benchmark reports: ``eval``, ``rebuild`` and ``gain`` cost one call each
 (both shipped objectives compute a gain directly, not by two evaluations),
 and a gain served from a node's memo is still charged, so the count is the
 algorithm's logical one; ``empty`` and ``child`` are free, since a node only
-records choices whose gains were already paid for. ``evaluations`` counts
-the calls that did compute: every ``eval`` and ``rebuild``, and each gain
-that missed its node's memo.
+records choices whose gains were already paid for. ``max_singleton`` is
+free too: the objective knows it from its construction, or in closed form.
+``evaluations`` counts the calls that did compute: every ``eval`` and
+``rebuild``, and each gain that missed its node's memo.
 """
 
 from __future__ import annotations
@@ -63,26 +69,6 @@ class Window:
         return max(1, self.end - self.size + 1)
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Optimum-value range assumed by the threshold-grid algorithms.
-
-    ``opt_upper`` bounds the best achievable utility of any feasible set
-    (every window included). Grids additionally assume the optimum is at
-    least 1; callers must arrange that (it holds for coverage whenever a
-    window contains a nonempty set, and estimated bounds are clamped to 1).
-    """
-
-    opt_upper: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.opt_upper >= 1.0:
-            raise ValueError(f"upper bound must be >= 1, got {self.opt_upper}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
 class OracleHandle(Protocol):
     """Objective state of one fixed set of item ids: an immutable trie node.
 
@@ -100,7 +86,8 @@ class OracleHandle(Protocol):
 
 
 class SubmodularOracle(Protocol):
-    """Set-function access: ``eval`` a set of item ids, or handles to grow sets."""
+    """Set-function access: ``eval`` a set of item ids, or handles to grow
+    sets; ``max_singleton`` is the largest value of any one item."""
 
     def eval(self, ids: Sequence[int]) -> float: ...
 
@@ -108,10 +95,13 @@ class SubmodularOracle(Protocol):
 
     def rebuild(self, ids: Sequence[int]) -> tuple[OracleHandle, float]: ...
 
+    def max_singleton(self) -> float: ...
+
 
 class CountingOracle:
     """Forwards to ``inner`` and counts calls (``eval``, ``rebuild``, ``gain``)
-    and evaluations (the calls not served from a node's memo).
+    and evaluations (the calls not served from a node's memo); ``empty`` and
+    ``max_singleton`` are forwarded uncounted.
 
     It owns one root node, minted by an uncounted ``inner.rebuild(())``, so
     its counter never reaches nodes that ``inner`` hands out directly.
@@ -139,9 +129,8 @@ class CountingOracle:
         handle.counter = self
         return handle, value
 
-    def reset(self) -> None:
-        self.calls = 0
-        self.evaluations = 0
+    def max_singleton(self) -> float:
+        return self.inner.max_singleton()
 
 
 def window_members(window: Window, history) -> list[int]:

@@ -53,10 +53,6 @@ class DatasetStore:
         return len(self._sets)
 
     @property
-    def n(self) -> int:
-        return len(self)
-
-    @property
     def dim(self) -> int:
         if self.kind != "dense":
             raise ValueError("set stores have no vector dimension")

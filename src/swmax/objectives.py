@@ -4,8 +4,9 @@ Coverage scores a collection of integer sets by the size of their union.
 The active-set objective (informative vector machine, IVM) scores a set S
 of vectors by ``0.5 * log det(I + K_S / sigma**2)`` under the squared
 exponential kernel ``K(x, y) = exp(-||x - y||^2 / h**2)``. Natural log is
-used throughout; the base only rescales utilities uniformly, but upper
-bounds must be computed in the same base, so one is fixed globally.
+used throughout; the base only rescales utilities uniformly, but
+``max_singleton``, which sets the threshold grids, must be computed in the
+same base, so one is fixed globally.
 
 Each objective hands out handles (see ``swmax.core``): immutable trie
 nodes, one per member set, all grown from the one root that ``empty()``
@@ -276,14 +277,18 @@ class CoverageOracle:
             raise ValueError(f"coverage needs a set stream, got {store.kind!r}")
         bit_of: dict[int, int] = {}
         masks: dict[int, int] = {}
+        biggest = 0
         for t in range(1, len(store) + 1):
+            payload = store.payload(t)
+            biggest = max(biggest, len(payload))
             m = 0
-            for el in store.payload(t):
+            for el in payload:
                 b = bit_of.setdefault(el, len(bit_of))
                 m |= 1 << b
             masks[t] = m
         self._masks = masks
         self._root = CoverageUnion(masks)
+        self._max_singleton = float(biggest)
 
     def _union(self, ids: Sequence[int]) -> int:
         acc = 0
@@ -305,6 +310,10 @@ class CoverageOracle:
 
     def eval(self, ids: Sequence[int]) -> float:
         return float(self._union(ids).bit_count())
+
+    def max_singleton(self) -> float:
+        """Size of the largest set in the store; 0 for an empty store."""
+        return self._max_singleton
 
 
 class IVMOracle:
@@ -335,24 +344,7 @@ class IVMOracle:
             self._last_eval = (key, self.rebuild(key)[1])
         return self._last_eval[1]
 
-
-def estimate_upper_bound(objective: str, store, k: int, params: KernelParams | None = None) -> float:
-    """Prescanned upper bound on the best utility of any set of size <= k.
-
-    Coverage: ``k * max |S_i|`` (no k sets can cover more). Log-det: by
-    Hadamard's inequality ``det(A) <= prod A_ii`` for positive-definite A,
-    so ``f(S) <= (k/2) * log(1 + K_max/sigma^2)`` with ``K_max = 1`` for the
-    squared exponential kernel. Both are clamped below at 1.
-    """
-    if len(store) == 0:
-        raise ValueError("cannot estimate a bound for an empty dataset")
-    if k < 1:
-        raise ValueError(f"cardinality bound must be >= 1, got {k}")
-    if objective == "coverage":
-        biggest = max(len(store.payload(t)) for t in range(1, len(store) + 1))
-        return max(1.0, float(k * biggest))
-    if objective == "ivm":
-        params = params or KernelParams()
-        k_max = 1.0  # SE kernel: K(x, x) = exp(0)
-        return max(1.0, 0.5 * k * math.log1p(k_max / params.sigma**2))
-    raise ValueError(f"unknown objective {objective!r}")
+    def max_singleton(self) -> float:
+        """``0.5 * log(1 + K(x, x)/sigma**2)`` with ``K(x, x) = 1``: every
+        point scores the same alone under the squared exponential kernel."""
+        return 0.5 * math.log1p(1.0 / self.params.sigma**2)

@@ -28,7 +28,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Bounds, Item, SubmodularOracle
+from .core import Item, SubmodularOracle
 from .streaming import SieveStream, ceil_log_ratio, greedy_select
 
 
@@ -59,7 +59,7 @@ class SlidingWindowReduction:
     def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
         if window < 1:
             raise ValueError(f"window size must be >= 1, got {window}")
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.window = window
         self.epsilon = epsilon
@@ -123,9 +123,10 @@ class ThresholdGreedy:
     ``handles[j]`` their oracle handle. On arrival, level 0 restarts at the
     current step, expired levels are deactivated (their sets are retained
     but unreported), and levels are scanned from high to low so each reads
-    its pre-step state: a literal low-to-high in-place scan would let the
-    fresh level-0 restart overwrite level 1 before it is read, destroying
-    valid longer solutions.
+    its pre-step state: the scan at j reads levels j and j+1 and writes only
+    j+1, which no earlier (higher) step wrote. A literal low-to-high in-place
+    scan would let the fresh level-0 restart overwrite level 1 before it is
+    read, destroying valid longer solutions.
     """
 
     def __init__(self, k: int, window: int, threshold: float, oracle: SubmodularOracle):
@@ -150,7 +151,6 @@ class ThresholdGreedy:
         for j in range(self.k + 1):
             if self.levels[j] <= i - self.window:
                 self.levels[j] = -1
-        passed: dict[int, float] = {}
         for j in range(self.k - 1, -1, -1):
             if self.levels[j] == -1:
                 continue
@@ -158,13 +158,11 @@ class ThresholdGreedy:
                 continue
             gain = self.handles[j].gain(i)
             if gain >= self.threshold:
-                passed[j] = gain
-        for j, gain in passed.items():
-            self.levels[j + 1] = self.levels[j]
-            self._retained += len(self.sets[j]) + 1 - len(self.sets[j + 1])
-            self.sets[j + 1] = self.sets[j] + [i]
-            self.vals[j + 1] = self.vals[j] + gain
-            self.handles[j + 1] = self.handles[j].child(i)
+                self.levels[j + 1] = self.levels[j]
+                self._retained += len(self.sets[j]) + 1 - len(self.sets[j + 1])
+                self.sets[j + 1] = self.sets[j] + [i]
+                self.vals[j + 1] = self.vals[j] + gain
+                self.handles[j + 1] = self.handles[j].child(i)
 
     def query(self) -> tuple[list[int], float]:
         for j in range(self.k, -1, -1):
@@ -179,16 +177,17 @@ class ThresholdGreedy:
 class SlidingWindowDP:
     """Best of a geometric grid of ThresholdGreedy instances.
 
-    Thresholds are (1+eps)**l / (2k) for l = 0 .. 1 + ceil(log_{1+eps} M),
-    which brackets opt/(2k) within a (1+eps) factor whenever the window
-    optimum lies in [1, M]; that instance's deepest level is within
-    (1-eps)/2 of the optimum.
+    Thresholds are (1+eps)**l / (2k) for l = 0 .. 1 + ceil(log_{1+eps} M)
+    with ``M = k * oracle.max_singleton()``, which bounds every window's
+    optimum. The grid brackets opt/(2k) within a (1+eps) factor whenever
+    the window optimum is at least 1; that instance's deepest level is
+    within (1-eps)/2 of the optimum.
     """
 
-    def __init__(self, k: int, window: int, bounds: Bounds, oracle: SubmodularOracle):
+    def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
         self.k = k
         self.window = window
-        self.thresholds = dp_threshold_grid(k, bounds)
+        self.thresholds = dp_threshold_grid(k, k * oracle.max_singleton(), epsilon)
         self.instances = [ThresholdGreedy(k, window, t, oracle) for t in self.thresholds]
 
     def step(self, item: Item) -> None:
@@ -207,12 +206,12 @@ class SlidingWindowDP:
         return sum(inst.retained_count() for inst in self.instances)
 
 
-def dp_threshold_grid(k: int, bounds: Bounds) -> list[float]:
-    """(1+eps)**l / (2k) for l = 0 .. 1 + ceil(log_{1+eps} opt_upper)."""
+def dp_threshold_grid(k: int, upper: float, epsilon: float) -> list[float]:
+    """(1+eps)**l / (2k) for l = 0 .. 1 + ceil(log_{1+eps} upper)."""
     if k < 1:
         raise ValueError(f"cardinality bound must be >= 1, got {k}")
-    base = 1.0 + bounds.epsilon
-    top = 1 + ceil_log_ratio(bounds.opt_upper, bounds.epsilon)
+    base = 1.0 + epsilon
+    top = 1 + ceil_log_ratio(upper, epsilon)
     return [base**level / (2.0 * k) for level in range(top + 1)]
 
 
@@ -225,10 +224,10 @@ class SieveNaive(SieveStream):
     the scan checks that defensively.
     """
 
-    def __init__(self, k: int, window: int, bounds: Bounds, oracle: SubmodularOracle):
+    def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
         if window < 1:
             raise ValueError(f"window size must be >= 1, got {window}")
-        super().__init__(k, bounds, oracle)
+        super().__init__(k, epsilon, oracle)
         self.window = window
 
     def step(self, item: Item) -> None:
@@ -265,7 +264,7 @@ class SieveGreedy(SieveStream):
         self,
         k: int,
         window: int,
-        bounds: Bounds,
+        epsilon: float,
         oracle: SubmodularOracle,
         sample_c: float,
         seed: int = 0,
@@ -274,7 +273,7 @@ class SieveGreedy(SieveStream):
             raise ValueError(f"window size must be >= 1, got {window}")
         if sample_c < 0:
             raise ValueError(f"sampling parameter must be >= 0, got {sample_c}")
-        super().__init__(k, bounds, oracle)
+        super().__init__(k, epsilon, oracle)
         self.window = window
         self.sample_rate = min(1.0, sample_c / window)
         self.samples: list[int] = []
@@ -359,9 +358,7 @@ class PrioritySample:
 
 
 def sieve_reduction(
-    k: int, window: int, bounds: Bounds, oracle: SubmodularOracle
+    k: int, window: int, epsilon: float, oracle: SubmodularOracle
 ) -> SlidingWindowReduction:
     """The standard configuration: the reduction over fresh sieve instances."""
-    return SlidingWindowReduction(
-        window, bounds.epsilon, lambda: SieveStream(k, bounds, oracle)
-    )
+    return SlidingWindowReduction(window, epsilon, lambda: SieveStream(k, epsilon, oracle))

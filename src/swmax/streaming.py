@@ -6,12 +6,12 @@ import math
 from itertools import combinations
 from typing import Sequence
 
-from .core import Bounds, Item, OracleHandle, SubmodularOracle
+from .core import Item, OracleHandle, SubmodularOracle
 
 
 def ceil_log_ratio(m: float, epsilon: float) -> int:
     """Smallest integer L >= 0 with (1 + epsilon)**L >= m."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if m <= 1:
         return 0
@@ -24,10 +24,10 @@ def ceil_log_ratio(m: float, epsilon: float) -> int:
     return level
 
 
-def threshold_grid(bounds: Bounds) -> list[float]:
-    """Geometric guesses (1+eps)**0 .. (1+eps)**L with the top one >= opt_upper."""
-    base = 1.0 + bounds.epsilon
-    top = ceil_log_ratio(bounds.opt_upper, bounds.epsilon)
+def threshold_grid(upper: float, epsilon: float) -> list[float]:
+    """Geometric guesses (1+eps)**0 .. (1+eps)**L with the top one >= ``upper``."""
+    base = 1.0 + epsilon
+    top = ceil_log_ratio(upper, epsilon)
     return [base**level for level in range(top + 1)]
 
 
@@ -37,8 +37,10 @@ class SieveStream:
     Runs one buffer per guessed optimum threshold T. An arriving element
     joins buffer S while |S| < k and its marginal gain exceeds
     ``(T/2 - f(S)) / (k - |S|)`` (strict, as the rule is usually stated);
-    queries return the best buffer. With the optimum inside [1, opt_upper]
-    the best buffer is within (1-eps)/2 of it. Each buffer holds the oracle
+    queries return the best buffer. The grid runs from 1 up to
+    ``k * oracle.max_singleton()``, which bounds every feasible value, so
+    the best buffer is within (1-eps)/2 of the optimum whenever the
+    optimum is at least 1. Each buffer holds the oracle
     handle of its contents, all grown from the oracle's root, so buffers with
     equal contents share a handle; buffer values are maintained as running
     sums of accepted gains, so queries cost no oracle calls, and the best
@@ -46,12 +48,12 @@ class SieveStream:
     number of retained item references is kept as a running count.
     """
 
-    def __init__(self, k: int, bounds: Bounds, oracle: SubmodularOracle):
+    def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
         if k < 1:
             raise ValueError(f"cardinality bound must be >= 1, got {k}")
         self.k = k
         self.oracle = oracle
-        self.thresholds = threshold_grid(bounds)
+        self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
         self.buffers: list[list[int]] = [[] for _ in self.thresholds]
         self.handles = [oracle.empty()] * len(self.thresholds)
         self.values: list[float] = [0.0] * len(self.thresholds)

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import chi2
 
 from swmax.bench import RunConfig, render_metrics_csv, run_benchmark
-from swmax.core import Bounds, CountingOracle, Item, Window, window_members
+from swmax.core import CountingOracle, Item, Window, window_members
 from swmax.ingest import (
     DatasetStore,
     gen_set_stream,
@@ -25,7 +25,6 @@ from swmax.objectives import (
     CholState,
     CoverageOracle,
     KernelParams,
-    estimate_upper_bound,
     ivm_value,
 )
 from swmax.sliding import (
@@ -83,12 +82,10 @@ def guarantee_runs():
         n, w, k = GUARANTEE_COMBOS[idx % 4]
         store = gen_set_stream(n, 30, 6, seed=1000 + idx)
         oracle = CoverageOracle(store)
-        m = estimate_upper_bound("coverage", store, k)
-        cap = 2 * (ceil_log_ratio(m, EPS) + 2)
-        bounds = Bounds(m, EPS)
-        swrd = sieve_reduction(k, w, bounds, oracle)
-        swdp = SlidingWindowDP(k, w, bounds, oracle)
-        sieve = SieveStream(k, bounds, oracle)
+        cap = 2 * (ceil_log_ratio(k * oracle.max_singleton(), EPS) + 2)
+        swrd = sieve_reduction(k, w, EPS, oracle)
+        swdp = SlidingWindowDP(k, w, EPS, oracle)
+        sieve = SieveStream(k, EPS, oracle)
         for t in range(1, n + 1):
             item = Item(t)
             swrd.step(item)
@@ -193,11 +190,9 @@ def test_criterion_4_level_and_expiry_invariants():
         store = gen_set_stream(60, 25, 5, seed=seed)
         oracle = CoverageOracle(store)
         k = 2 + seed % 3
-        m = estimate_upper_bound("coverage", store, k)
-        bounds = Bounds(m, EPS)
-        swdp = SlidingWindowDP(k, w, bounds, oracle)
-        naive = SieveNaive(k, w, bounds, oracle)
-        sgreedy = SieveGreedy(k, w, bounds, oracle, sample_c=4.0, seed=seed)
+        swdp = SlidingWindowDP(k, w, EPS, oracle)
+        naive = SieveNaive(k, w, EPS, oracle)
+        sgreedy = SieveGreedy(k, w, EPS, oracle, sample_c=4.0, seed=seed)
         for item in store.items():
             swdp.step(item)
             naive.step(item)
@@ -235,13 +230,11 @@ def test_criterion_5_qualitative_replication():
     for seed in range(20):
         store = drift_set_store(n, seed)
         oracle = CoverageOracle(store)
-        m = estimate_upper_bound("coverage", store, k)
-        bounds = Bounds(m, EPS)
         algs = {
-            "sw-rd": sieve_reduction(k, w, bounds, oracle),
-            "sw-dp": SlidingWindowDP(k, w, bounds, oracle),
-            "sieve-naive": SieveNaive(k, w, bounds, oracle),
-            "sieve-greedy": SieveGreedy(k, w, bounds, oracle, 20.0, seed=seed),
+            "sw-rd": sieve_reduction(k, w, EPS, oracle),
+            "sw-dp": SlidingWindowDP(k, w, EPS, oracle),
+            "sieve-naive": SieveNaive(k, w, EPS, oracle),
+            "sieve-greedy": SieveGreedy(k, w, EPS, oracle, 20.0, seed=seed),
             "random": PrioritySample(k, w, oracle, seed=seed),
         }
         sums = {name: 0.0 for name in algs}
@@ -257,7 +250,7 @@ def test_criterion_5_qualitative_replication():
                     sums[name] += oracle.eval(alg.query()[0])
                 members = window_members(Window(t, w), n)
                 sums["greedy"] += greedy_select(members, k, oracle)[1]
-                per_window_sieve = SieveStream(k, bounds, oracle)
+                per_window_sieve = SieveStream(k, EPS, oracle)
                 for mt in members:
                     per_window_sieve.step(Item(mt))
                 sieve_val = oracle.eval(per_window_sieve.query()[0])
@@ -313,17 +306,16 @@ def test_criterion_7_cost_accounting():
     n, w, k = 300, 60, 5
     store = gen_set_stream(n, 50, 8, seed=42)
     oracle = CoverageOracle(store)
-    m = estimate_upper_bound("coverage", store, k)
+    m = k * oracle.max_singleton()
 
     # space: continuous naive sieve vs per-window sieve restarts, same stream
-    bounds = Bounds(m, EPS)
-    naive = SieveNaive(k, w, bounds, oracle)
+    naive = SieveNaive(k, w, EPS, oracle)
     naive_peak = sieve_peak = 0
     for t in range(1, n + 1):
         naive.step(Item(t))
         naive_peak = max(naive_peak, naive.retained_count())
         if t % 10 == 0 or t == n:
-            per_window = SieveStream(k, bounds, oracle)
+            per_window = SieveStream(k, EPS, oracle)
             for mt in window_members(Window(t, w), n):
                 per_window.step(Item(mt))
                 sieve_peak = max(sieve_peak, per_window.retained_count())
@@ -336,11 +328,10 @@ def test_criterion_7_cost_accounting():
     accounting_ok = True
     detail = []
     for eps in (0.1, 0.2, 0.4):
-        bounds_e = Bounds(m, eps)
-        grid = len(threshold_grid(bounds_e))
+        grid = len(threshold_grid(m, eps))
         cap = 2 * (ceil_log_ratio(m, eps) + 2)
         counting = CountingOracle(oracle)
-        swrd = sieve_reduction(k, w, bounds_e, counting)
+        swrd = sieve_reduction(k, w, eps, counting)
         fed_total = 0
         previous_starts: list[int] = []
         for t in range(1, n + 1):

@@ -14,9 +14,8 @@ from swmax.bench import (
     run_benchmark,
     write_metrics_csv,
 )
-from swmax.core import Bounds, CountingOracle, Item
+from swmax.core import CountingOracle, Item
 from swmax.ingest import gen_set_stream, write_set_stream
-from swmax.objectives import KernelParams, estimate_upper_bound
 from swmax.sliding import SlidingWindowDP, sieve_reduction
 
 from test_golden import CONFIGS
@@ -133,12 +132,10 @@ class TestSharedEvaluations:
         config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
         store = load_store(config)
         counting = CountingOracle(bench.make_oracle(config, store))
-        params = KernelParams(config.kernel_h, config.sigma)
-        bounds = Bounds(estimate_upper_bound("ivm", store, config.k, params), config.epsilon)
         if algorithm == "sw-rd":
-            alg = sieve_reduction(config.k, config.window, bounds, counting)
+            alg = sieve_reduction(config.k, config.window, config.epsilon, counting)
         else:
-            alg = SlidingWindowDP(config.k, config.window, bounds, counting)
+            alg = SlidingWindowDP(config.k, config.window, config.epsilon, counting)
         for t in range(1, len(store) + 1):
             alg.step(Item(t))
         assert counting.calls == run_benchmark(config)[-1].oracle_calls

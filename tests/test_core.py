@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from swmax.core import (
     BestSoFar,
-    Bounds,
     CountingOracle,
     Item,
     Window,
@@ -33,12 +32,6 @@ class TestTypes:
             Window(0, 3)
         with pytest.raises(ValueError):
             Window(3, 0)
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            Bounds(0.5, 0.2)
-        with pytest.raises(ValueError):
-            Bounds(4.0, 0.0)
 
 
 class TestCountingOracle:
@@ -101,12 +94,20 @@ class TestCountingOracle:
                 handle, value = self.inner.rebuild(ids)
                 return SpyHandle(handle), value
 
+            def max_singleton(self):
+                return self.inner.max_singleton()
+
         counting = CountingOracle(CoverageOracle(store))
-        naive = SieveNaive(3, 8, Bounds(30.0, 0.2), Spy(counting))
+        naive = SieveNaive(3, 8, 0.2, Spy(counting))
         for item in store.items():
             naive.step(item)
         assert tally["n"] > 0
         assert counting.calls == tally["n"]
+
+    def test_max_singleton_forwarded_uncounted(self):
+        oracle = CountingOracle(CoverageOracle(set_store((1, 2, 3), (4,))))
+        assert oracle.max_singleton() == 3.0
+        assert (oracle.calls, oracle.evaluations) == (0, 0)
 
     def test_invalid_id_raises(self):
         oracle = CountingOracle(CoverageOracle(set_store((1, 2))))
@@ -186,9 +187,8 @@ class TestMonotoneWrap:
         for seed in range(100):
             store = gen_set_stream(25, 15, 4, seed=seed)
             oracle = CoverageOracle(store)
-            bounds = Bounds(12.0, 0.25)
-            plain = SieveStream(3, bounds, oracle)
-            wrapped = BestSoFar(SieveStream(3, bounds, oracle))
+            plain = SieveStream(3, 0.25, oracle)
+            wrapped = BestSoFar(SieveStream(3, 0.25, oracle))
             for item in store.items():
                 plain.step(item)
                 wrapped.step(item)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from swmax.core import Bounds, CountingOracle, Item
+from swmax.core import CountingOracle, Item
 from swmax.ingest import gen_set_stream
 from swmax.objectives import (
     DEGENERATE_PIVOT,
@@ -18,12 +18,11 @@ from swmax.objectives import (
     KernelParams,
     NumericDegeneracyError,
     coverage_value,
-    estimate_upper_bound,
     ivm_value,
     se_kernel,
 )
 from swmax.sliding import sieve_reduction
-from swmax.streaming import brute_force_opt
+from swmax.streaming import brute_force_opt, threshold_grid
 
 from conftest import UnionRecount, set_store, vec_store
 
@@ -457,9 +456,11 @@ class TestHandles:
             oracle = CoverageOracle(gen_set_stream(3 * window + 1, 20, 5, seed=2))
         else:
             oracle = IVMOracle(vec_store(np.random.default_rng(2).normal(size=(3 * window + 1, 4))), PARAMS)
-        swrd = sieve_reduction(3, window, Bounds(10.0, 0.2), oracle)
+        swrd = sieve_reduction(3, window, 0.2, oracle)
         swrd.step(Item(1))
         node = weakref.ref(oracle.empty().child(1))
+        # the node is shared: several levels of the first sieve hold it
+        assert swrd.instances[0].alg.handles.count(node()) > 1
         for t in range(2, 3 * window + 2):
             swrd.step(Item(t))
         gc.collect()
@@ -506,20 +507,23 @@ class TestHandles:
 
 
 class TestUpperBound:
+    """``k * max_singleton()`` bounds the value of every set of k items."""
+
     def test_coverage_product(self):
         store = set_store((1, 2, 3, 4, 5, 6, 7), (1, 2), ())
-        assert estimate_upper_bound("coverage", store, 3) == 21.0
+        assert 3 * CoverageOracle(store).max_singleton() == 21.0
 
     def test_coverage_tight_single_item(self):
-        store = set_store((4, 9))
-        assert estimate_upper_bound("coverage", store, 1) == 2.0
+        oracle = CoverageOracle(set_store((4, 9)))
+        assert oracle.max_singleton() == oracle.eval([1]) == 2.0
 
     def test_ivm_hadamard_bound(self):
         rng = np.random.default_rng(31)
         store = vec_store(rng.normal(size=(30, 5)))
-        bound = estimate_upper_bound("ivm", store, 5, PARAMS)
-        assert bound == pytest.approx(2.5 * math.log(2), abs=1e-12)
         oracle = IVMOracle(store, PARAMS)
+        assert oracle.max_singleton() == pytest.approx(oracle.eval([7]), abs=1e-12)
+        bound = 5 * oracle.max_singleton()
+        assert bound == pytest.approx(2.5 * math.log(2), abs=1e-12)
         picker = random.Random(31)
         for _ in range(100):
             ids = picker.sample(range(1, 31), 5)
@@ -529,9 +533,10 @@ class TestUpperBound:
         assert opt <= bound + 1e-9
 
     def test_clamped_at_one(self):
-        store = set_store((), ())
-        assert estimate_upper_bound("coverage", store, 4) == 1.0
+        # a zero bound still gets the one-level grid [1]
+        oracle = CoverageOracle(set_store((), ()))
+        assert oracle.max_singleton() == 0.0
+        assert threshold_grid(4 * oracle.max_singleton(), 0.2) == [1.0]
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_upper_bound("coverage", set_store(), 2)
+    def test_empty_store_has_zero_max_singleton(self):
+        assert CoverageOracle(set_store()).max_singleton() == 0.0

@@ -1,9 +1,12 @@
+import math
 import random
 
+import pytest
+
 from swmax.bench import RunConfig, run_benchmark
-from swmax.core import Bounds, CountingOracle, Item, Window, window_members
+from swmax.core import CountingOracle, Item, Window, window_members
 from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
-from swmax.objectives import CoverageOracle, IVMOracle, KernelParams, estimate_upper_bound
+from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import SieveStream, brute_force_opt, ceil_log_ratio
 from swmax.sliding import (
     PrioritySample,
@@ -61,13 +64,13 @@ def unique_tail_stream(n, seed, shared_universe=20, shared=3):
 class TestReduction:
     def test_first_item_single_instance(self):
         store = set_store((1,))
-        red = sieve_reduction(1, 3, Bounds(2.0, 0.5), CoverageOracle(store))
+        red = sieve_reduction(1, 3, 0.5, CoverageOracle(store))
         red.step(Item(1))
         assert red.instance_starts() == [1]
 
     def test_expired_instance_dropped(self):
         store = set_store((1,), (2,), (3,), (4,))
-        red = sieve_reduction(1, 3, Bounds(2.0, 0.5), CoverageOracle(store))
+        red = sieve_reduction(1, 3, 0.5, CoverageOracle(store))
         for item in store.items():
             red.step(item)
         assert all(s > 4 - 3 for s in red.instance_starts())
@@ -112,12 +115,12 @@ class TestReduction:
         assert len(red.instances) == 2  # equal values: all but the ends pruned
 
     def test_query_before_any_item(self):
-        red = sieve_reduction(1, 3, Bounds(2.0, 0.5), CoverageOracle(set_store((1,))))
+        red = sieve_reduction(1, 3, 0.5, CoverageOracle(set_store((1,))))
         assert red.query() == ([], 0.0)
 
     def test_newest_instance_survives_and_solution_in_window(self):
         store = gen_set_stream(60, 20, 5, seed=8)
-        red = sieve_reduction(3, 10, Bounds(15.0, 0.2), CoverageOracle(store))
+        red = sieve_reduction(3, 10, 0.2, CoverageOracle(store))
         for item in store.items():
             red.step(item)
             starts = red.instance_starts()
@@ -131,9 +134,9 @@ class TestReduction:
         for seed in range(100):
             store = gen_set_stream(50, 25, 5, seed=seed)
             k = 2 + seed % 2
-            m = estimate_upper_bound("coverage", store, k)
-            cap = 2 * (ceil_log_ratio(m, eps) + 2)
-            red = sieve_reduction(k, 15, Bounds(m, eps), CoverageOracle(store))
+            oracle = CoverageOracle(store)
+            cap = 2 * (ceil_log_ratio(k * oracle.max_singleton(), eps) + 2)
+            red = sieve_reduction(k, 15, eps, oracle)
             for item in store.items():
                 red.step(item)
                 values = red.instance_values()
@@ -148,14 +151,55 @@ class TestReduction:
         for seed in range(25):
             store = gen_set_stream(45, 25, 5, seed=seed)
             oracle = CoverageOracle(store)
-            m = estimate_upper_bound("coverage", store, k)
-            red = sieve_reduction(k, w, Bounds(m, eps), oracle)
+            red = sieve_reduction(k, w, eps, oracle)
             for item in store.items():
                 red.step(item)
                 if item.t % 9 == 0:
                     members = window_members(Window(item.t, w), len(store))
                     _, opt = brute_force_opt(members, k, oracle)
                     assert red.query()[1] >= factor * opt - 1e-9
+
+
+EPSILON_CONSTRUCTORS = {
+    "SieveStream": lambda eps, oracle: SieveStream(1, eps, oracle),
+    "SieveNaive": lambda eps, oracle: SieveNaive(1, 3, eps, oracle),
+    "SieveGreedy": lambda eps, oracle: SieveGreedy(1, 3, eps, oracle, sample_c=1.0),
+    "SlidingWindowDP": lambda eps, oracle: SlidingWindowDP(1, 3, eps, oracle),
+    "SlidingWindowReduction": lambda eps, oracle: SlidingWindowReduction(
+        3, eps, lambda: SieveStream(1, 0.2, oracle)
+    ),
+    "sieve_reduction": lambda eps, oracle: sieve_reduction(1, 3, eps, oracle),
+}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("name", sorted(EPSILON_CONSTRUCTORS))
+def test_epsilon_must_be_positive(name, epsilon):
+    # k * max singleton = 1 gives the one-level grid, built without
+    # dividing by log(1 + eps), so only the explicit check can refuse NaN
+    oracle = CoverageOracle(set_store((1,)))
+    with pytest.raises(ValueError):
+        EPSILON_CONSTRUCTORS[name](epsilon, oracle)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+@pytest.mark.parametrize("k,sigma", [(1, 1.0), (5, 3.0)])
+def test_small_ivm_optimum_is_not_lost(k, sigma):
+    # Every ivm window optimum here is below 1, the lowest grid threshold,
+    # so the sieves admit nothing and report utility 0 where greedy reaches
+    # about 0.35 (k=1) and 0.26 (k=5, sigma=3).
+    eps = 0.2
+
+    def final_utility(algorithm):
+        config = RunConfig(
+            objective="ivm", algorithm=algorithm, k=k, window=200, epsilon=eps, sigma=sigma,
+            format="synth-vec", synth_n=600, query_every=200, seed=0,
+        )
+        return run_benchmark(config)[-1].utility
+
+    greedy = final_utility("greedy")
+    for algorithm in ("sw-rd", "sw-dp", "sieve-naive"):
+        assert final_utility(algorithm) >= (1 - eps) / 2 * greedy, algorithm
 
 
 class TestThresholdGreedy:
@@ -197,14 +241,14 @@ class TestThresholdGreedy:
 
 class TestSlidingWindowDP:
     def test_grid_example(self):
-        assert dp_threshold_grid(2, Bounds(4.0, 1.0)) == [0.25, 0.5, 1.0, 2.0]
+        assert dp_threshold_grid(2, 4.0, 1.0) == [0.25, 0.5, 1.0, 2.0]
 
     def test_grid_minimal(self):
-        assert dp_threshold_grid(1, Bounds(1.0, 1.0)) == [0.5, 1.0]
+        assert dp_threshold_grid(1, 1.0, 1.0) == [0.5, 1.0]
 
     def test_grid_brackets_every_optimum(self):
         for m, eps, k in [(4.0, 1.0, 2), (50.0, 0.2, 3), (7.5, 0.1, 5)]:
-            grid = dp_threshold_grid(k, Bounds(m, eps))
+            grid = dp_threshold_grid(k, m, eps)
             samples = [1.0 + i * (m - 1.0) / 199 for i in range(200)]
             for opt in samples:
                 lo, hi = opt / (2 * k), (1 + eps) * opt / (2 * k)
@@ -212,8 +256,8 @@ class TestSlidingWindowDP:
 
     def test_query_trace(self):
         store = set_store((0,), (1,), (2,))
-        bounds = Bounds(2.0, 1.0)
-        dp = SlidingWindowDP(2, 2, bounds, CoverageOracle(store))
+        dp = SlidingWindowDP(2, 2, 1.0, CoverageOracle(store))
+        assert dp.thresholds == dp_threshold_grid(2, 2.0, 1.0)
         for item in store.items():
             dp.step(item)
         solution, value = dp.query()
@@ -221,7 +265,7 @@ class TestSlidingWindowDP:
         assert value == 2.0
 
     def test_query_before_any_item(self):
-        dp = SlidingWindowDP(2, 3, Bounds(2.0, 1.0), CoverageOracle(set_store((1,))))
+        dp = SlidingWindowDP(2, 3, 1.0, CoverageOracle(set_store((1,))))
         assert dp.query() == ([], 0.0)
 
     def test_query_with_only_level_zero_active(self):
@@ -240,8 +284,7 @@ class TestSlidingWindowDP:
         for seed in range(25):
             store = gen_set_stream(40, 25, 5, seed=seed)
             oracle = CoverageOracle(store)
-            m = estimate_upper_bound("coverage", store, k)
-            dp = SlidingWindowDP(k, w, Bounds(m, eps), oracle)
+            dp = SlidingWindowDP(k, w, eps, oracle)
             for item in store.items():
                 dp.step(item)
                 if item.t % 8 == 0:
@@ -255,9 +298,9 @@ class TestSieveNaive:
         for seed in range(30):
             store = gen_set_stream(30, 20, 5, seed=seed)
             oracle = CoverageOracle(store)
-            bounds = Bounds(12.0, 0.2)
-            naive = SieveNaive(3, 30, bounds, oracle)  # n <= W: nothing expires
-            plain = SieveStream(3, bounds, oracle)
+            naive = SieveNaive(3, 30, 0.2, oracle)  # n <= W: nothing expires
+            plain = SieveStream(3, 0.2, oracle)
+            assert naive.thresholds == plain.thresholds
             for item in store.items():
                 naive.step(item)
                 plain.step(item)
@@ -266,8 +309,8 @@ class TestSieveNaive:
 
     def test_expiry_happens_before_condition(self):
         store = set_store((0, 1), (5,), (0, 1))
-        bounds = Bounds(2.0, 1.0)
-        naive = SieveNaive(1, 2, bounds, CoverageOracle(store))
+        naive = SieveNaive(1, 2, 1.0, CoverageOracle(store))
+        assert naive.thresholds == [1.0, 2.0]
         naive.step(Item(1))
         assert naive.buffers[0] == [1]
         naive.step(Item(2))
@@ -278,7 +321,7 @@ class TestSieveNaive:
         w = 10
         for seed in range(40):
             store = gen_set_stream(50, 20, 5, seed=seed)
-            naive = SieveNaive(3, w, Bounds(14.0, 0.2), CoverageOracle(store))
+            naive = SieveNaive(3, w, 0.2, CoverageOracle(store))
             for item in store.items():
                 naive.step(item)
                 for buf in naive.buffers:
@@ -290,9 +333,8 @@ class TestSieveGreedy:
         for seed in range(20):
             store = unique_tail_stream(40, seed)
             oracle = CoverageOracle(store)
-            bounds = Bounds(estimate_upper_bound("coverage", store, 3), 0.2)
-            sg = SieveGreedy(3, 12, bounds, oracle, sample_c=0.0, seed=seed)
-            naive = SieveNaive(3, 12, bounds, oracle)
+            sg = SieveGreedy(3, 12, 0.2, oracle, sample_c=0.0, seed=seed)
+            naive = SieveNaive(3, 12, 0.2, oracle)
             for item in store.items():
                 sg.step(item)
                 naive.step(item)
@@ -303,16 +345,14 @@ class TestSieveGreedy:
     def test_full_sampling_keeps_whole_window(self):
         w = 6
         store = gen_set_stream(25, 15, 4, seed=2)
-        bounds = Bounds(10.0, 0.5)
-        sg = SieveGreedy(2, w, bounds, CoverageOracle(store), sample_c=float(w), seed=0)
+        sg = SieveGreedy(2, w, 0.5, CoverageOracle(store), sample_c=float(w), seed=0)
         for item in store.items():
             sg.step(item)
             assert sg.samples == list(range(max(1, item.t - w + 1), item.t + 1))
 
     def test_sampling_rate_concentrates(self):
         store = DatasetStore("sets", sets=[(t % 7,) for t in range(10**4)])
-        bounds = Bounds(7.0, 0.5)
-        sg = SieveGreedy(1, 2000, bounds, CoverageOracle(store), sample_c=20.0, seed=123)
+        sg = SieveGreedy(1, 2000, 0.5, CoverageOracle(store), sample_c=20.0, seed=123)
         for item in store.items():
             sg.step(item)
         fraction = sg.sampled_total / 10**4
@@ -321,7 +361,7 @@ class TestSieveGreedy:
     def test_repair_accepts_thin_sample_buffer(self):
         # one buffered item expires with an empty B: repair to size 0 succeeds
         store = set_store((0, 1), (5,), (6,))
-        sg = SieveGreedy(1, 2, Bounds(2.0, 1.0), CoverageOracle(store), sample_c=0.0, seed=0)
+        sg = SieveGreedy(1, 2, 1.0, CoverageOracle(store), sample_c=0.0, seed=0)
         for item in store.items():
             sg.step(item)
         for buf in sg.buffers:
@@ -331,8 +371,7 @@ class TestSieveGreedy:
         w = 9
         for seed in range(20):
             store = gen_set_stream(50, 20, 5, seed=seed)
-            bounds = Bounds(14.0, 0.2)
-            sg = SieveGreedy(3, w, bounds, CoverageOracle(store), sample_c=4.0, seed=seed)
+            sg = SieveGreedy(3, w, 0.2, CoverageOracle(store), sample_c=4.0, seed=seed)
             for item in store.items():
                 sg.step(item)
                 for buf in sg.buffers:
@@ -341,10 +380,9 @@ class TestSieveGreedy:
 
     def test_deterministic_given_seed(self):
         store = gen_set_stream(60, 20, 5, seed=4)
-        bounds = Bounds(14.0, 0.2)
 
         def trace(seed):
-            sg = SieveGreedy(3, 10, bounds, CoverageOracle(store), sample_c=5.0, seed=seed)
+            sg = SieveGreedy(3, 10, 0.2, CoverageOracle(store), sample_c=5.0, seed=seed)
             out = []
             for item in store.items():
                 sg.step(item)
@@ -420,10 +458,9 @@ def test_handles_track_their_sets():
     for seed in range(10):
         store = gen_set_stream(60, 25, 5, seed=seed)
         oracle = CoverageOracle(store)
-        bounds = Bounds(estimate_upper_bound("coverage", store, 3), 0.2)
-        naive = SieveNaive(3, 9, bounds, oracle)
-        greedy = SieveGreedy(3, 9, bounds, oracle, sample_c=4.0, seed=seed)
-        dp = SlidingWindowDP(3, 9, bounds, oracle)
+        naive = SieveNaive(3, 9, 0.2, oracle)
+        greedy = SieveGreedy(3, 9, 0.2, oracle, sample_c=4.0, seed=seed)
+        dp = SlidingWindowDP(3, 9, 0.2, oracle)
         for item in store.items():
             pairs = []
             for alg in (naive, greedy):
@@ -454,12 +491,11 @@ def test_running_retained_count_matches_recount():
     # naive expiry, greedy repair and sampling after every single step.
     store = gen_set_stream(80, 25, 5, seed=4)
     oracle = CoverageOracle(store)
-    bounds = Bounds(estimate_upper_bound("coverage", store, 3), 0.2)
     algs = {
-        "sw-rd": sieve_reduction(3, 9, bounds, oracle),
-        "sw-dp": SlidingWindowDP(3, 9, bounds, oracle),
-        "sieve-naive": SieveNaive(3, 9, bounds, oracle),
-        "sieve-greedy": SieveGreedy(3, 9, bounds, oracle, sample_c=4.0, seed=4),
+        "sw-rd": sieve_reduction(3, 9, 0.2, oracle),
+        "sw-dp": SlidingWindowDP(3, 9, 0.2, oracle),
+        "sieve-naive": SieveNaive(3, 9, 0.2, oracle),
+        "sieve-greedy": SieveGreedy(3, 9, 0.2, oracle, sample_c=4.0, seed=4),
         "random": PrioritySample(3, 9, oracle, seed=4),
     }
     for item in store.items():
@@ -475,12 +511,11 @@ def test_harness_peak_is_running_max_of_recount():
     n, k, w, seed = 60, 3, 9, 6
     store = gen_set_stream(n, 25, 5, seed=seed)
     oracle = CoverageOracle(store)
-    bounds = Bounds(estimate_upper_bound("coverage", store, k), 0.2)
     algs = {
-        "sw-rd": sieve_reduction(k, w, bounds, oracle),
-        "sw-dp": SlidingWindowDP(k, w, bounds, oracle),
-        "sieve-naive": SieveNaive(k, w, bounds, oracle),
-        "sieve-greedy": SieveGreedy(k, w, bounds, oracle, sample_c=4.0, seed=seed),
+        "sw-rd": sieve_reduction(k, w, 0.2, oracle),
+        "sw-dp": SlidingWindowDP(k, w, 0.2, oracle),
+        "sieve-naive": SieveNaive(k, w, 0.2, oracle),
+        "sieve-greedy": SieveGreedy(k, w, 0.2, oracle, sample_c=4.0, seed=seed),
         "random": PrioritySample(k, w, oracle, seed=seed),
     }
     expected = {name: [] for name in ("greedy", "sieve", *algs)}
@@ -491,7 +526,7 @@ def test_harness_peak_is_running_max_of_recount():
             peaks[name] = max(peaks[name], _recount(alg))
         members = window_members(Window(item.t, w), n)
         peaks["greedy"] = max(peaks["greedy"], len(members))
-        sieve = SieveStream(k, bounds, oracle)
+        sieve = SieveStream(k, 0.2, oracle)
         for m in members:
             sieve.step(Item(m))
             peaks["sieve"] = max(peaks["sieve"], _recount(sieve))
@@ -510,17 +545,20 @@ def test_running_best_level_matches_scan():
     # Queries must report the best level, the lowest one on ties, after
     # admissions, naive expiry and greedy repair at every single step. Sets
     # from a small universe give many equal values on different levels.
+    # The ivm sigma makes every singleton worth 1, so the ivm grid tops at
+    # k * 1 = 4 and has 9 levels; with sigma = 1 it would have only 3.
     coverage = gen_set_stream(80, 10, 3, seed=5)
     vectors = gen_drift_vectors(80, 3, 3, 20, seed=4)
     oracles = {
-        "coverage": (CoverageOracle(coverage), Bounds(estimate_upper_bound("coverage", coverage, 4), 0.2)),
-        "ivm": (IVMOracle(vectors, KernelParams()), Bounds(4.0, 0.2)),
+        "coverage": CoverageOracle(coverage),
+        "ivm": IVMOracle(vectors, KernelParams(sigma=(math.e**2 - 1) ** -0.5)),
     }
-    for objective, (oracle, bounds) in oracles.items():
+    assert len(SieveStream(4, 0.2, oracles["ivm"]).thresholds) == 9
+    for objective, oracle in oracles.items():
         algs = {
-            "sieve": SieveStream(4, bounds, oracle),
-            "sieve-naive": SieveNaive(4, 9, bounds, oracle),
-            "sieve-greedy": SieveGreedy(4, 9, bounds, oracle, sample_c=4.0, seed=5),
+            "sieve": SieveStream(4, 0.2, oracle),
+            "sieve-naive": SieveNaive(4, 9, 0.2, oracle),
+            "sieve-greedy": SieveGreedy(4, 9, 0.2, oracle, sample_c=4.0, seed=5),
         }
         for item in coverage.items():
             for name, alg in algs.items():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from swmax.core import Bounds, CountingOracle, Item
+from swmax.core import CountingOracle, Item
 from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle
 from swmax.streaming import (
@@ -19,13 +19,13 @@ from conftest import set_store
 
 class TestThresholdGrid:
     def test_powers_of_two(self):
-        assert threshold_grid(Bounds(4.0, 1.0)) == [1.0, 2.0, 4.0]
+        assert threshold_grid(4.0, 1.0) == [1.0, 2.0, 4.0]
 
     def test_single_threshold(self):
-        assert threshold_grid(Bounds(1.0, 0.2)) == [1.0]
+        assert threshold_grid(1.0, 0.2) == [1.0]
 
     def test_recomputed_level_count(self):
-        grid = threshold_grid(Bounds(100.0, 0.2))
+        grid = threshold_grid(100.0, 0.2)
         assert len(grid) == math.ceil(math.log(100) / math.log(1.2)) + 1 == 27
         assert grid[-1] >= 100.0
         assert grid[-2] < 100.0
@@ -36,7 +36,7 @@ class TestThresholdGrid:
 
     def test_grid_strictly_increasing_and_tops_bound(self):
         for m, eps in [(2.0, 0.1), (7.3, 0.2), (500.0, 0.4), (1.0, 0.5)]:
-            grid = threshold_grid(Bounds(m, eps))
+            grid = threshold_grid(m, eps)
             assert all(a < b for a, b in zip(grid, grid[1:]))
             assert grid[0] == 1.0
             assert grid[-1] >= m
@@ -45,9 +45,10 @@ class TestThresholdGrid:
 class TestSieveStream:
     def test_empty_buffer_condition(self):
         # with an empty buffer the add rule reduces to f(e) > T / (2k)
-        store = set_store((1,), (2, 3, 4))
+        store = set_store((1,), (2, 3))
         oracle = CoverageOracle(store)
-        sieve = SieveStream(2, Bounds(4.0, 1.0), oracle)
+        sieve = SieveStream(2, 1.0, oracle)
+        assert sieve.thresholds == [1.0, 2.0, 4.0]  # k * max singleton = 4
         sieve.step(Item(1))  # f=1: enters T=1 (1 > 0.25) and T=2 (1 > 0.5), not T=4 (1 == 1)
         assert sieve.buffers[0] == [1]
         assert sieve.buffers[1] == [1]
@@ -57,7 +58,8 @@ class TestSieveStream:
         # k=2, eps=1, M=4, e1={a,b}, e2={b,c}: every buffer reaches value 3
         store = set_store((0, 1), (1, 2))
         oracle = CoverageOracle(store)
-        sieve = SieveStream(2, Bounds(4.0, 1.0), oracle)
+        sieve = SieveStream(2, 1.0, oracle)
+        assert sieve.thresholds == [1.0, 2.0, 4.0]
         sieve.step(Item(1))
         sieve.step(Item(2))
         assert sieve.buffers[2] == [1, 2]
@@ -67,7 +69,8 @@ class TestSieveStream:
     def test_full_buffer_never_grows(self):
         store = set_store((1,), (2,), (1, 2, 3, 4, 5, 6, 7, 8))
         oracle = CoverageOracle(store)
-        sieve = SieveStream(2, Bounds(2.0, 1.0), oracle)
+        sieve = SieveStream(2, 1.0, oracle)
+        assert sieve.thresholds[0] == 1.0
         for item in store.items():
             sieve.step(item)
         assert all(len(buf) <= 2 for buf in sieve.buffers)
@@ -76,7 +79,8 @@ class TestSieveStream:
     def test_query_ties_break_to_smaller_threshold(self):
         store = set_store((5, 6))
         oracle = CoverageOracle(store)
-        sieve = SieveStream(1, Bounds(4.0, 1.0), oracle)
+        sieve = SieveStream(1, 1.0, oracle)
+        assert sieve.thresholds == [1.0, 2.0]
         sieve.step(Item(1))
         # both T=1 and T=2 buffers hold item 1 at value 2; smallest wins
         assert sieve.values[0] == sieve.values[1] == 2.0
@@ -86,7 +90,7 @@ class TestSieveStream:
         assert sieve.query() == (sieve.buffers[level], sieve.values[level])
 
     def test_empty_query(self):
-        sieve = SieveStream(2, Bounds(4.0, 1.0), CoverageOracle(set_store((1,))))
+        sieve = SieveStream(2, 1.0, CoverageOracle(set_store((1,))))
         assert sieve.query() == ([], 0.0)
 
     def test_guarantee_against_brute_force(self):
@@ -100,7 +104,8 @@ class TestSieveStream:
             _, opt = brute_force_opt(list(range(1, n + 1)), k, oracle)
             if opt < 1.0:
                 continue
-            sieve = SieveStream(k, Bounds(max(1.0, opt), eps), oracle)
+            sieve = SieveStream(k, eps, oracle)
+            assert sieve.thresholds[-1] >= opt
             for item in store.items():
                 sieve.step(item)
             assert sieve.query()[1] >= (1 - eps) / 2 * opt - 1e-9
@@ -109,7 +114,7 @@ class TestSieveStream:
         for seed in range(50):
             store = gen_set_stream(40, 20, 5, seed=seed)
             oracle = CoverageOracle(store)
-            sieve = SieveStream(3, Bounds(15.0, 0.2), oracle)
+            sieve = SieveStream(3, 0.2, oracle)
             last = 0.0
             for item in store.items():
                 sieve.step(item)
