@@ -44,10 +44,22 @@ GOLDEN_IVM_K12 = {
     "sieve-greedy": "0e99c85c6c2a1005ba543632871d1cfd38969026efe8cdddc39ddd8e15af6ccb",
 }
 
+# Coverage cells at the benchmark's coverage shape (universe 1000, mean set
+# size 20, k=5), on a shorter stream: the grid has about 30 levels and
+# buffers of different levels part and rejoin far more often than on the
+# universe-40 stream above.
+WIDE_COVERAGE = dict(format="synth-sets", synth_n=600, synth_universe=1000, synth_mean_size=20.0, seed=0)
+GOLDEN_WIDE_COVERAGE = {
+    "sieve-greedy": "f5be3b2a5f083e60d1c5868e7d397af9099734077645decc1232b3d4e9e2c7c8",
+    "sieve-naive": "81b3ad4d6becd74ffc2ebcb18c5562d6bbd95c48cb660cce37d620cc342005a8",
+    "sw-dp": "a82526ee581ddacde37dd4979f4be6b851fdbaf76139421ecd39982ea0fd902b",
+    "sw-rd": "9aff7b5ea30a137baec91f8025850cdf41cd4ecfec5365b6c9230c0062f0934f",
+}
 
-def metrics_without_wall(objective: str, algorithm: str, k: int = 4) -> str:
+
+def metrics_without_wall(objective: str, algorithm: str, k: int = 4, window: int = 50, data=None) -> str:
     config = RunConfig(
-        objective=objective, algorithm=algorithm, k=k, window=50, epsilon=0.2, **CONFIGS[objective]
+        objective=objective, algorithm=algorithm, k=k, window=window, epsilon=0.2, **(data or CONFIGS[objective])
     )
     csv = render_metrics_csv(run_benchmark(config))
     return "\n".join(line.rsplit(",", 1)[0] for line in csv.splitlines()) + "\n"
@@ -63,6 +75,12 @@ def test_metrics_csv_pinned(objective, algorithm):
 def test_ivm_k12_metrics_csv_pinned(algorithm):
     text = metrics_without_wall("ivm", algorithm, k=12)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_IVM_K12[algorithm], text
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_WIDE_COVERAGE))
+def test_wide_coverage_metrics_csv_pinned(algorithm):
+    text = metrics_without_wall("coverage", algorithm, k=5, window=200, data=WIDE_COVERAGE)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WIDE_COVERAGE[algorithm], text
 
 
 def test_every_cell_pinned():
