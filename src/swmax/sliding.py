@@ -7,12 +7,19 @@ constraint k:
   streaming algorithm, pruned so only geometrically separated values
   survive. The only one here with a worst-case guarantee relative to the
   window optimum (factor c/(2+eps) for a c-approximate inner algorithm).
-* ``SlidingWindowDP`` -- per-threshold dynamic program tracking, for each
-  solution size j, the latest window start from which j threshold-passing
-  picks were still possible; guarantees (1-eps)/2 of the window optimum.
+* ``SlidingWindowDP`` -- per-threshold dynamic program (``ThresholdGreedy``)
+  tracking, for each solution size j, the latest window start from which j
+  threshold-passing picks were still possible; guarantees (1-eps)/2 of the
+  window optimum.
 * ``SieveNaive`` / ``SieveGreedy`` -- sieve buffers patched for expiry:
   naive dropping, or greedy repair from a uniform sample buffer. Cheap,
   no guarantee.
+
+Each threshold grid is kept as runs, ranges of adjacent thresholds that
+hold one state: one sieve buffer, or one level table. An arrival, an
+expiry or a repair is worked out once per run, while oracle calls and
+retained references are still counted per threshold, so the reported
+metrics are those of one state per threshold.
 * ``PrioritySample`` -- the random baseline: a uniform k-subset of the
   window via smallest-priority sampling.
 
@@ -24,7 +31,7 @@ harness reports the peak of that count as the space metric.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,94 +123,123 @@ class SlidingWindowReduction:
 
 
 class ThresholdGreedy:
-    """Level table for one threshold T over a sliding window.
+    """Level tables for a grid of thresholds over a sliding window.
 
-    ``level[j]`` is the latest timestep from which j elements with marginal
-    gain >= T were still collectible; ``sets[j]`` holds those j elements and
-    ``handles[j]`` their oracle handle. On arrival, level 0 restarts at the
-    current step, expired levels are deactivated (their sets are retained
-    but unreported), and levels are scanned from high to low so each reads
-    its pre-step state: the scan at j reads levels j and j+1 and writes only
-    j+1, which no earlier (higher) step wrote. A literal low-to-high in-place
-    scan would let the fresh level-0 restart overwrite level 1 before it is
-    read, destroying valid longer solutions.
+    For one threshold T, ``levels[j]`` is the latest timestep from which j
+    elements with marginal gain >= T were still collectible; ``sets[j]``
+    holds those j elements, ``handles[j]`` their oracle handle and
+    ``vals[j]`` their value. On arrival, level 0 restarts at the current
+    step, expired levels are deactivated (their sets are retained but
+    unreported), and levels are scanned from high to low so each reads its
+    pre-step state: the scan at j reads levels j and j+1 and writes only
+    j+1, which no earlier (higher) step wrote. A literal low-to-high
+    in-place scan would let the fresh level-0 restart overwrite level 1
+    before it is read, destroying valid longer solutions. Queries return
+    the deepest active level of the best table, the lowest threshold's on
+    ties.
+
+    Adjacent thresholds with equal tables share one: ``runs`` holds
+    ``[lo, hi, levels, sets, handles, vals]`` for thresholds ``lo .. hi-1``.
+    Every threshold of a run makes the same expiry and takes the same gain
+    at each level j, and the pass test ``gain >= T`` holds for a prefix of
+    the run, so an arrival costs one gain per run and level and splits a run
+    at most at one cut per level. A run that does not split is updated in
+    place. Adjacent runs merge again when their ``levels`` and ``handles``
+    are equal: a handle is a trie node with one path from the root, so its
+    set and value are then equal too. Costs stay per threshold: a run of m
+    thresholds charges m oracle calls for its one gain, and
+    ``retained_count`` counts every set of every threshold.
     """
 
-    def __init__(self, k: int, window: int, threshold: float, oracle: SubmodularOracle):
+    def __init__(self, k: int, window: int, thresholds: list[float], oracle: SubmodularOracle):
         if k < 1:
             raise ValueError(f"cardinality bound must be >= 1, got {k}")
         if window < 1:
             raise ValueError(f"window size must be >= 1, got {window}")
         self.k = k
         self.window = window
-        self.threshold = threshold
-        self.levels: list[int] = [-1] * (k + 1)
-        self.sets: list[list[int]] = [[] for _ in range(k + 1)]
-        self.handles = [oracle.empty()] * (k + 1)
-        self.vals: list[float] = [0.0] * (k + 1)
+        self.thresholds = thresholds
+        table = [[-1] * (k + 1), [[] for _ in range(k + 1)], [oracle.empty()] * (k + 1), [0.0] * (k + 1)]
+        self.runs: list[list] = [[0, len(thresholds), *table]]
         self._retained = 0
 
     def step(self, item: Item) -> None:
         i = item.t
-        self.levels[0] = i
-        self.sets[0] = []
-        self.vals[0] = 0.0
-        for j in range(self.k + 1):
-            if self.levels[j] <= i - self.window:
-                self.levels[j] = -1
-        for j in range(self.k - 1, -1, -1):
-            if self.levels[j] == -1:
+        horizon = i - self.window
+        runs: list[list] = []
+        for run in self.runs:
+            levels = run[2]
+            levels[0] = i
+            for j in range(1, self.k + 1):
+                if levels[j] <= horizon:
+                    levels[j] = -1
+            self._scan(run, self.k - 1, i, runs)
+        self.runs = runs
+
+    def _scan(self, run: list, top: int, i: int, runs: list) -> None:
+        """Scan levels ``top`` .. 0 of ``run`` in place, then append it to
+        ``runs``, merged into the previous run if their tables are equal.
+
+        A hand-off that passes on a proper prefix of the run's thresholds
+        splits that prefix off as a copy, which takes the hand-off, is
+        scanned on from the next level down and goes first.
+        """
+        thresholds = self.thresholds
+        lo, hi, levels, sets, handles, vals = run
+        for j in range(top, -1, -1):
+            start = levels[j]
+            if start == -1 or start <= levels[j + 1]:
                 continue
-            if self.levels[j] <= self.levels[j + 1]:
+            handle = handles[j]
+            gain = handle.gain(i)
+            if hi - lo > 1 and handle.counter is not None:
+                handle.counter.calls += hi - lo - 1
+            if not gain >= thresholds[lo]:
                 continue
-            gain = self.handles[j].gain(i)
-            if gain >= self.threshold:
-                self.levels[j + 1] = self.levels[j]
-                self._retained += len(self.sets[j]) + 1 - len(self.sets[j + 1])
-                self.sets[j + 1] = self.sets[j] + [i]
-                self.vals[j + 1] = self.vals[j] + gain
-                self.handles[j + 1] = self.handles[j].child(i)
+            piece = run
+            if not gain >= thresholds[hi - 1]:  # thresholds lo .. cut-1 pass
+                cut = bisect_right(thresholds, gain, lo + 1, hi - 1)
+                piece = [lo, cut, levels[:], sets[:], handles[:], vals[:]]
+                run[0] = lo = cut
+            p_lo, p_hi, p_levels, p_sets, p_handles, p_vals = piece
+            p_levels[j + 1] = start
+            self._retained += (p_hi - p_lo) * (len(sets[j]) + 1 - len(p_sets[j + 1]))
+            p_sets[j + 1] = sets[j] + [i]
+            p_vals[j + 1] = vals[j] + gain
+            p_handles[j + 1] = handle.child(i)
+            if piece is not run:
+                self._scan(piece, j - 1, i, runs)
+        if runs and runs[-1][2] == levels and runs[-1][4] == handles:
+            runs[-1][1] = hi
+        else:
+            runs.append(run)
 
     def query(self) -> tuple[list[int], float]:
-        for j in range(self.k, -1, -1):
-            if self.levels[j] != -1:
-                return list(self.sets[j]), self.vals[j]
-        return [], 0.0
+        best: tuple[list[int], float] = [], 0.0
+        for _, _, levels, sets, _, vals in self.runs:
+            for j in range(self.k, -1, -1):
+                if levels[j] != -1:
+                    if vals[j] > best[1]:
+                        best = (list(sets[j]), vals[j])
+                    break
+        return best
 
     def retained_count(self) -> int:
         return self._retained
 
 
-class SlidingWindowDP:
-    """Best of a geometric grid of ThresholdGreedy instances.
+class SlidingWindowDP(ThresholdGreedy):
+    """ThresholdGreedy over a geometric grid, answering with its best table.
 
     Thresholds are (1+eps)**l / (2k) for l = 0 .. 1 + ceil(log_{1+eps} M)
     with ``M = k * oracle.max_singleton()``, which bounds every window's
     optimum. The grid brackets opt/(2k) within a (1+eps) factor whenever
-    the window optimum is at least 1; that instance's deepest level is
+    the window optimum is at least 1; that threshold's deepest level is
     within (1-eps)/2 of the optimum.
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
-        self.k = k
-        self.window = window
-        self.thresholds = dp_threshold_grid(k, k * oracle.max_singleton(), epsilon)
-        self.instances = [ThresholdGreedy(k, window, t, oracle) for t in self.thresholds]
-
-    def step(self, item: Item) -> None:
-        for inst in self.instances:
-            inst.step(item)
-
-    def query(self) -> tuple[list[int], float]:
-        best: tuple[list[int], float] = [], 0.0
-        for inst in self.instances:
-            sol, val = inst.query()
-            if val > best[1]:
-                best = (sol, val)
-        return best
-
-    def retained_count(self) -> int:
-        return sum(inst.retained_count() for inst in self.instances)
+        super().__init__(k, window, dp_threshold_grid(k, k * oracle.max_singleton(), epsilon), oracle)
 
 
 def dp_threshold_grid(k: int, upper: float, epsilon: float) -> list[float]:
@@ -218,10 +254,12 @@ def dp_threshold_grid(k: int, upper: float, epsilon: float) -> list[float]:
 class SieveNaive(SieveStream):
     """SieveStream with per-buffer expiry: drop the expired item, keep going.
 
-    After a drop the buffer's handle and value are rebuilt (one oracle call)
-    and the usual add condition applies against the reduced buffer. Buffer
-    ids are timesteps, so at most one item can expire per buffer per step;
-    the scan checks that defensively.
+    After a drop the buffer's handle and value are rebuilt (one oracle call
+    per level) and the usual add condition applies against the reduced
+    buffer. Every level of a run holds the same buffer, so a run drops and
+    rebuilds once; adjacent runs that then hold the same handle merge.
+    Buffer ids are timesteps, so at most one item can expire per buffer per
+    step; the scan checks that defensively.
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
@@ -231,33 +269,49 @@ class SieveNaive(SieveStream):
         self.window = window
 
     def step(self, item: Item) -> None:
-        for level in range(len(self.thresholds)):
-            self._expire(level, item.t)
-            self._consider(level, item)
+        self._expire(item.t - self.window)
+        self._admit(item.t)
 
-    def _expire(self, level: int, now: int) -> None:
-        buf = self.buffers[level]
-        expired = [t for t in buf if t <= now - self.window]
-        if not expired:
-            return
-        assert len(expired) == 1, f"multiple expiries in one step: {expired}"
-        buf.remove(expired[0])
-        self._retained -= 1
-        if buf:
-            self.handles[level], value = self.oracle.rebuild(buf)
-        else:
-            self.handles[level], value = self.oracle.empty(), 0.0
-        self.values[level] = value
+    def _expire(self, horizon: int) -> None:
+        """Repair each run whose buffer holds an item at or before ``horizon``,
+        charging each repair's calls once per level, and merge runs that
+        then hold the same handle."""
+        counter = self.oracle.empty().counter
+        runs: list[list] = []
+        for run in self.runs:
+            lo, hi, buf = run[0], run[1], run[2]
+            expired = [t for t in buf if t <= horizon]
+            if expired:
+                assert len(expired) == 1, f"multiple expiries in one step: {expired}"
+                before = counter.calls if counter is not None else 0
+                run[2], run[4], run[3] = self._repair(buf, expired[0])
+                if counter is not None:
+                    counter.calls += (hi - lo - 1) * (counter.calls - before)
+                self._retained += (hi - lo) * (len(run[2]) - len(buf))
+            if runs and runs[-1][3] is run[3]:
+                runs[-1][1] = hi
+            else:
+                runs.append(run)
+        self.runs = runs
+
+    def _repair(self, buf: list[int], expired: int):
+        """(buffer, value, handle) of ``buf`` once ``expired`` has left it."""
+        survivors = [t for t in buf if t != expired]
+        if not survivors:
+            return survivors, 0.0, self.oracle.empty()
+        handle, value = self.oracle.rebuild(survivors)
+        return survivors, value, handle
 
 
-class SieveGreedy(SieveStream):
+class SieveGreedy(SieveNaive):
     """Sieve buffers repaired from a uniform sample of the window.
 
     Each arrival is kept in a sample buffer B with probability c/W. When a
     buffer member expires, the buffer is rebuilt by greedy selection of one
     fewer element from B plus the surviving members; then the usual sieve
     add condition applies. The repair may return fewer elements than asked
-    when B is thin; the smaller set is accepted.
+    when B is thin; the smaller set is accepted. A run repairs once and is
+    charged its greedy's calls once per level.
     """
 
     def __init__(
@@ -269,12 +323,9 @@ class SieveGreedy(SieveStream):
         sample_c: float,
         seed: int = 0,
     ):
-        if window < 1:
-            raise ValueError(f"window size must be >= 1, got {window}")
         if sample_c < 0:
             raise ValueError(f"sampling parameter must be >= 0, got {sample_c}")
-        super().__init__(k, epsilon, oracle)
-        self.window = window
+        super().__init__(k, window, epsilon, oracle)
         self.sample_rate = min(1.0, sample_c / window)
         self.samples: list[int] = []
         self.sampled_total = 0
@@ -287,23 +338,13 @@ class SieveGreedy(SieveStream):
         cutoff = item.t - self.window
         while self.samples and self.samples[0] <= cutoff:
             self.samples.pop(0)
-        for level in range(len(self.thresholds)):
-            self._repair(level, item.t)
-            self._consider(level, item)
+        self._expire(cutoff)
+        self._admit(item.t)
 
-    def _repair(self, level: int, now: int) -> None:
-        buf = self.buffers[level]
-        expired = [t for t in buf if t <= now - self.window]
-        if not expired:
-            return
-        assert len(expired) == 1, f"multiple expiries in one step: {expired}"
-        target = len(buf) - 1
-        survivors = [t for t in buf if t != expired[0]]
+    def _repair(self, buf: list[int], expired: int):
+        survivors = [t for t in buf if t != expired]
         candidates = sorted(set(self.samples) | set(survivors))
-        self.buffers[level], self.values[level], self.handles[level] = greedy_select(
-            candidates, target, self.oracle
-        )
-        self._retained += len(self.buffers[level]) - len(buf)
+        return greedy_select(candidates, len(buf) - 1, self.oracle)
 
     def retained_count(self) -> int:
         return super().retained_count() + len(self.samples)

@@ -1,9 +1,18 @@
-"""Infinite-window building blocks: threshold sieve, greedy, exhaustive search."""
+"""Infinite-window building blocks: threshold sieve, greedy, exhaustive search.
+
+The sieve runs a geometric grid of threshold guesses, as SieveStreaming
+(Badanidiyuru et al., KDD 2014) does, but keeps adjacent guesses that hold
+the same buffer as one run, so an arrival costs one gain per distinct
+buffer while calls are still charged per guess.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .core import Item, OracleHandle, SubmodularOracle
@@ -24,28 +33,45 @@ def ceil_log_ratio(m: float, epsilon: float) -> int:
     return level
 
 
+@lru_cache(maxsize=64)
 def threshold_grid(upper: float, epsilon: float) -> list[float]:
-    """Geometric guesses (1+eps)**0 .. (1+eps)**L with the top one >= ``upper``."""
+    """Geometric guesses (1+eps)**0 .. (1+eps)**L with the top one >= ``upper``.
+
+    Memoized: equal arguments return the same list, which every sieve of a
+    reduction shares, so callers must not modify it.
+    """
     base = 1.0 + epsilon
     top = ceil_log_ratio(upper, epsilon)
     return [base**level for level in range(top + 1)]
 
 
+_VALUE = itemgetter(4)
+
+
 class SieveStream:
     """Threshold-sieving stream maximizer under a cardinality constraint.
 
-    Runs one buffer per guessed optimum threshold T. An arriving element
-    joins buffer S while |S| < k and its marginal gain exceeds
-    ``(T/2 - f(S)) / (k - |S|)`` (strict, as the rule is usually stated);
-    queries return the best buffer. The grid runs from 1 up to
+    Keeps one buffer per guessed optimum threshold T, a grid level. An
+    arriving element joins buffer S while |S| < k and its marginal gain
+    exceeds ``(T/2 - f(S)) / (k - |S|)`` (strict, as the rule is usually
+    stated); queries return the best buffer. The grid runs from 1 up to
     ``k * oracle.max_singleton()``, which bounds every feasible value, so
     the best buffer is within (1-eps)/2 of the optimum whenever the
-    optimum is at least 1. Each buffer holds the oracle
-    handle of its contents, all grown from the oracle's root, so buffers with
-    equal contents share a handle; buffer values are maintained as running
-    sums of accepted gains, so queries cost no oracle calls, and the best
-    level (the lowest one on ties) is found by a scan of those values. The
-    number of retained item references is kept as a running count.
+    optimum is at least 1.
+
+    Adjacent levels that hold the same buffer are kept as one run,
+    ``[lo, hi, buffer, handle, value]`` for levels ``lo .. hi-1`` in
+    ``runs``: one list of ids, the oracle handle of its contents (grown
+    from the oracle's root, so equal contents share a handle) and its value,
+    a running sum of accepted gains. An arrival costs one membership test
+    and one gain per run. The admission test is monotone in T even in
+    floats (``T/2`` is exact, and rounding keeps subtraction and division
+    by a positive number monotone), so the levels that admit it are a
+    prefix of the run, found by evaluating the same expression; that
+    prefix becomes a run of its own. Costs stay per level: a run of m
+    levels charges m oracle calls for its one gain, and ``retained_count``
+    counts one item reference per member per level. Queries cost no oracle
+    calls and return the best buffer, the lowest level's on ties.
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
@@ -54,34 +80,45 @@ class SieveStream:
         self.k = k
         self.oracle = oracle
         self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
-        self.buffers: list[list[int]] = [[] for _ in self.thresholds]
-        self.handles = [oracle.empty()] * len(self.thresholds)
-        self.values: list[float] = [0.0] * len(self.thresholds)
+        self.runs: list[list] = [[0, len(self.thresholds), [], oracle.empty(), 0.0]]
         self._retained = 0
 
     def step(self, item: Item) -> None:
-        for level in range(len(self.thresholds)):
-            self._consider(level, item)
+        self._admit(item.t)
 
-    def _consider(self, level: int, item: Item) -> None:
-        buf = self.buffers[level]
-        if len(buf) >= self.k or item.t in buf:
-            return
-        handle = self.handles[level]
-        gain = handle.gain(item.t)
-        threshold = self.thresholds[level]
-        if gain > (threshold / 2.0 - self.values[level]) / (self.k - len(buf)):
-            buf.append(item.t)
-            self.handles[level] = handle.child(item.t)
-            self.values[level] += gain
-            self._retained += 1
+    def _admit(self, t: int) -> None:
+        k = self.k
+        thresholds = self.thresholds
+        runs = []
+        for run in self.runs:
+            lo, hi, buf, handle, value = run
+            room = k - len(buf)
+            if room and t not in buf:
+                gain = handle.gain(t)
+                if hi - lo > 1 and handle.counter is not None:
+                    handle.counter.calls += hi - lo - 1
+                if gain > (thresholds[lo] / 2.0 - value) / room:
+                    if gain > (thresholds[hi - 1] / 2.0 - value) / room:
+                        cut = hi
+                    else:  # the first level that fails: lo passes and hi - 1 fails
+                        cut = bisect_left(thresholds, gain, lo + 1, hi - 1, key=lambda T: (T / 2.0 - value) / room)
+                    self._retained += cut - lo
+                    if cut == hi:
+                        buf.append(t)
+                        run[3] = handle.child(t)
+                        run[4] = value + gain
+                    else:
+                        runs.append([lo, cut, buf + [t], handle.child(t), value + gain])
+                        run[0] = cut
+            runs.append(run)
+        self.runs = runs
 
     def best_value(self) -> float:
-        return max(self.values)
+        return max(map(_VALUE, self.runs))
 
     def query(self) -> tuple[list[int], float]:
-        value = self.best_value()
-        return list(self.buffers[self.values.index(value)]), value
+        run = max(self.runs, key=_VALUE)
+        return list(run[2]), run[4]
 
     def retained_count(self) -> int:
         return self._retained

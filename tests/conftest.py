@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from swmax.ingest import DatasetStore
+from swmax.streaming import greedy_select, threshold_grid
 
 
 def set_store(*payloads) -> DatasetStore:
@@ -25,6 +28,102 @@ class UnionRecount:
 
     def marginal(self, item_id, ids):
         return self.eval(list(ids) + [item_id]) - self.eval(ids)
+
+
+def level_buffers(alg) -> list[list[int]]:
+    """Each grid level's buffer, read off a sieve's runs."""
+    return [run[2] for run in alg.runs for _ in range(run[0], run[1])]
+
+
+def level_values(alg) -> list[float]:
+    return [run[4] for run in alg.runs for _ in range(run[0], run[1])]
+
+
+class LevelSieve:
+    """Reference for the run-based sieves: one buffer, handle and value per
+    grid level, stepped level by level. With a ``window`` an expired member
+    is dropped and the buffer rebuilt (SieveNaive); with ``sample_c`` too,
+    it is repaired by greedy over the sample and the survivors (SieveGreedy).
+    """
+
+    def __init__(self, k, epsilon, oracle, window=None, sample_c=None, seed=0):
+        self.k, self.oracle, self.window, self.sample_c = k, oracle, window, sample_c
+        self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
+        self.buffers = [[] for _ in self.thresholds]
+        self.handles = [oracle.empty() for _ in self.thresholds]
+        self.values = [0.0 for _ in self.thresholds]
+        self.samples, self.rng = [], random.Random(seed)
+
+    def step(self, item):
+        t = item.t
+        if self.sample_c is not None:
+            if self.rng.random() < min(1.0, self.sample_c / self.window):
+                self.samples.append(t)
+            self.samples = [s for s in self.samples if s > t - self.window]
+        for level, threshold in enumerate(self.thresholds):
+            buf = self.buffers[level]
+            survivors = [s for s in buf if self.window is None or s > t - self.window]
+            if len(survivors) < len(buf):
+                if self.sample_c is not None:
+                    candidates = sorted(set(self.samples) | set(survivors))
+                    buf, self.values[level], self.handles[level] = greedy_select(candidates, len(buf) - 1, self.oracle)
+                elif survivors:
+                    buf = survivors
+                    self.handles[level], self.values[level] = self.oracle.rebuild(buf)
+                else:
+                    buf, self.handles[level], self.values[level] = [], self.oracle.empty(), 0.0
+                self.buffers[level] = buf
+            if len(buf) < self.k and t not in buf:
+                gain = self.handles[level].gain(t)
+                if gain > (threshold / 2.0 - self.values[level]) / (self.k - len(buf)):
+                    buf.append(t)
+                    self.handles[level] = self.handles[level].child(t)
+                    self.values[level] += gain
+
+    def best_value(self):
+        return max(self.values)
+
+    def query(self):
+        return list(self.buffers[self.values.index(self.best_value())]), self.best_value()
+
+    def retained_count(self):
+        return sum(map(len, self.buffers)) + len(self.samples)
+
+
+class ThresholdTables:
+    """Reference for the run-based ThresholdGreedy: one level table per
+    threshold, each scanned from high levels to low."""
+
+    def __init__(self, k, window, thresholds, oracle):
+        self.k, self.window, self.thresholds = k, window, thresholds
+        self.tables = [
+            ([-1] * (k + 1), [[] for _ in range(k + 1)], [oracle.empty()] * (k + 1), [0.0] * (k + 1))
+            for _ in thresholds
+        ]
+
+    def step(self, item):
+        i = item.t
+        for threshold, (levels, sets, handles, vals) in zip(self.thresholds, self.tables):
+            levels[0] = i
+            levels[:] = [-1 if lv <= i - self.window else lv for lv in levels]
+            for j in range(self.k - 1, -1, -1):
+                if levels[j] == -1 or levels[j] <= levels[j + 1]:
+                    continue
+                gain = handles[j].gain(i)
+                if gain >= threshold:
+                    levels[j + 1], sets[j + 1] = levels[j], sets[j] + [i]
+                    vals[j + 1], handles[j + 1] = vals[j] + gain, handles[j].child(i)
+
+    def query(self):
+        best = [], 0.0
+        for levels, sets, _, vals in self.tables:
+            j = max((j for j in range(self.k + 1) if levels[j] != -1), default=0)
+            if vals[j] > best[1]:
+                best = (list(sets[j]), vals[j])
+        return best
+
+    def retained_count(self):
+        return sum(len(s) for _, sets, _, _ in self.tables for s in sets)
 
 
 @pytest.fixture

@@ -198,16 +198,16 @@ def test_criterion_4_level_and_expiry_invariants():
             naive.step(item)
             sgreedy.step(item)
             steps += 1
-            for inst in swdp.instances:
-                active = [lv for lv in inst.levels if lv != -1]
+            for _, _, levels, sets, _, _ in swdp.runs:
+                active = [lv for lv in levels if lv != -1]
                 if active != sorted(active, reverse=True):
                     bad_levels += 1
                 for j in range(k + 1):
-                    if inst.levels[j] != -1 and len(inst.sets[j]) != j:
+                    if levels[j] != -1 and len(sets[j]) != j:
                         bad_sizes += 1
             horizon = item.t - w
             for alg in (naive, sgreedy):
-                if any(ts <= horizon for buf in alg.buffers for ts in buf):
+                if any(ts <= horizon for run in alg.runs for ts in run[2]):
                     expired_left += 1
             if any(ts <= horizon for ts in sgreedy.samples):
                 expired_left += 1

@@ -16,7 +16,7 @@ from swmax.bench import (
 )
 from swmax.core import CountingOracle, Item
 from swmax.ingest import gen_set_stream, write_set_stream
-from swmax.sliding import SlidingWindowDP, sieve_reduction
+from swmax.sliding import SieveNaive, SlidingWindowDP, sieve_reduction
 
 from test_golden import CONFIGS
 
@@ -127,15 +127,19 @@ class TestSharedEvaluations:
     arrival. The exact counts on the golden ivm configs catch a change that
     silently breaks sharing, which wall time alone would hide."""
 
-    @pytest.mark.parametrize("algorithm,evaluations", [("sw-rd", 915), ("sw-dp", 1380)])
+    @pytest.mark.parametrize("algorithm,evaluations", [("sw-rd", 915), ("sw-dp", 1380), ("sieve-naive", 36)])
     def test_ivm_evaluations_pinned(self, algorithm, evaluations):
+        # sieve-naive: every level of a run shares the one node its expiry
+        # rebuilds, where a rebuild per level made one node each.
         config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
         store = load_store(config)
         counting = CountingOracle(bench.make_oracle(config, store))
         if algorithm == "sw-rd":
             alg = sieve_reduction(config.k, config.window, config.epsilon, counting)
-        else:
+        elif algorithm == "sw-dp":
             alg = SlidingWindowDP(config.k, config.window, config.epsilon, counting)
+        else:
+            alg = SieveNaive(config.k, config.window, config.epsilon, counting)
         for t in range(1, len(store) + 1):
             alg.step(Item(t))
         assert counting.calls == run_benchmark(config)[-1].oracle_calls

@@ -15,7 +15,7 @@ from swmax.objectives import CoverageOracle
 from swmax.sliding import SieveNaive
 from swmax.streaming import SieveStream
 
-from conftest import set_store
+from conftest import LevelSieve, set_store
 
 
 class TestTypes:
@@ -63,7 +63,10 @@ class TestCountingOracle:
         assert wrapped.calls == 100
 
     def test_counter_matches_independent_tally(self):
-        # SieveNaive issues gains, children, rebuilds after expiry and empty handles
+        # The per-level SieveNaive issues gains, children, rebuilds after
+        # expiry and empty handles, each through the spy; the run-based one
+        # makes one call per run and charges the rest, so it must reach the
+        # same count.
         store = gen_set_stream(40, 20, 5, seed=3)
         tally = {"n": 0}
 
@@ -98,11 +101,15 @@ class TestCountingOracle:
                 return self.inner.max_singleton()
 
         counting = CountingOracle(CoverageOracle(store))
-        naive = SieveNaive(3, 8, 0.2, Spy(counting))
+        reference = LevelSieve(3, 0.2, Spy(counting), window=8)
+        runs = CountingOracle(CoverageOracle(store))
+        naive = SieveNaive(3, 8, 0.2, runs)
         for item in store.items():
+            reference.step(item)
             naive.step(item)
         assert tally["n"] > 0
         assert counting.calls == tally["n"]
+        assert runs.calls == tally["n"]
 
     def test_max_singleton_forwarded_uncounted(self):
         oracle = CountingOracle(CoverageOracle(set_store((1, 2, 3), (4,))))

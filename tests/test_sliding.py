@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swmax.bench import RunConfig, run_benchmark
 from swmax.core import CountingOracle, Item, Window, window_members
@@ -20,7 +22,7 @@ from swmax.sliding import (
     sieve_reduction,
 )
 
-from conftest import set_store
+from conftest import LevelSieve, ThresholdTables, level_buffers, level_values, set_store, vec_store
 
 
 class _StubAlg:
@@ -202,41 +204,71 @@ def test_small_ivm_optimum_is_not_lost(k, sigma):
         assert final_utility(algorithm) >= (1 - eps) / 2 * greedy, algorithm
 
 
+def table(tg):
+    """(levels, sets) of a one-threshold ThresholdGreedy, whose one run spans its grid."""
+    (run,) = tg.runs
+    return run[2], run[3]
+
+
 class TestThresholdGreedy:
     def test_hand_trace(self):
         store = set_store((0,), (1,), (2,))
-        tg = ThresholdGreedy(2, 2, 1.0, CoverageOracle(store))
+        tg = ThresholdGreedy(2, 2, [1.0], CoverageOracle(store))
         tg.step(Item(1))
         tg.step(Item(2))
-        assert tg.levels == [2, 2, 1]
-        assert tg.sets[2] == [1, 2]
+        assert table(tg)[0] == [2, 2, 1]
+        assert table(tg)[1][2] == [1, 2]
         tg.step(Item(3))  # level-2 start expired, rebuilt from level 1
-        assert tg.levels == [3, 3, 2]
-        assert tg.sets[2] == [2, 3]
+        assert table(tg)[0] == [3, 3, 2]
+        assert table(tg)[1][2] == [2, 3]
         assert tg.query() == ([2, 3], 2.0)
 
     def test_no_double_insertion(self):
         store = set_store((0, 1), (0, 1))
-        tg = ThresholdGreedy(2, 5, 1.0, CoverageOracle(store))
+        tg = ThresholdGreedy(2, 5, [1.0], CoverageOracle(store))
         tg.step(Item(1))
         tg.step(Item(2))  # duplicate payload: marginal 0 < T at level 1
-        assert tg.sets[1] in ([1], [2])
-        assert all(len(set(s)) == len(s) for s in tg.sets)
+        assert table(tg)[1][1] in ([1], [2])
+        assert all(len(set(s)) == len(s) for s in table(tg)[1])
 
     def test_level_invariants_random_streams(self):
         for seed in range(60):
             store = gen_set_stream(40, 20, 5, seed=seed)
             oracle = CoverageOracle(store)
             k = 3
-            tg = ThresholdGreedy(k, 8, 1.5, oracle)
+            tg = ThresholdGreedy(k, 8, [1.5], oracle)
             for item in store.items():
                 tg.step(item)
-                active = [lv for lv in tg.levels if lv != -1]
+                levels, sets = table(tg)
+                active = [lv for lv in levels if lv != -1]
                 assert active == sorted(active, reverse=True)
                 for j in range(k + 1):
-                    if tg.levels[j] != -1:
-                        assert len(tg.sets[j]) == j
-                        assert all(ts >= tg.levels[j] > item.t - 8 for ts in tg.sets[j])
+                    if levels[j] != -1:
+                        assert len(sets[j]) == j
+                        assert all(ts >= levels[j] > item.t - 8 for ts in sets[j])
+
+    def test_thresholds_share_tables_as_runs(self):
+        # Gains of 1, 2 and 3 pass a prefix of the grid, so the thresholds
+        # part into runs; the lower two runs rejoin at the third arrival,
+        # when their tables agree again, and part at the fourth.
+        store = set_store((0,), (1, 2), (3, 4, 5), (6,), (7,))
+        oracle = CoverageOracle(store)
+        tg = ThresholdGreedy(2, 2, [0.5, 1.0, 1.5, 2.5], oracle)
+        ref = ThresholdTables(2, 2, [0.5, 1.0, 1.5, 2.5], oracle)
+        spans = []
+        for item in store.items():
+            tg.step(item)
+            ref.step(item)
+            spans.append([run[:2] for run in tg.runs])
+            assert tg.query() == ref.query()
+            assert tg.retained_count() == ref.retained_count()
+        assert spans == [
+            [[0, 2], [2, 4]],
+            [[0, 2], [2, 3], [3, 4]],
+            [[0, 3], [3, 4]],
+            [[0, 2], [2, 3], [3, 4]],
+            [[0, 2], [2, 3], [3, 4]],
+        ]
 
 
 class TestSlidingWindowDP:
@@ -272,11 +304,12 @@ class TestSlidingWindowDP:
         # unreachable threshold: nothing ever passes, so only the empty
         # level-0 restart is active
         store = set_store((1,), (2,))
-        tg = ThresholdGreedy(2, 3, 5.0, CoverageOracle(store))
+        tg = ThresholdGreedy(2, 3, [5.0], CoverageOracle(store))
         for item in store.items():
             tg.step(item)
-        assert tg.levels[0] == 2
-        assert all(lv == -1 for lv in tg.levels[1:])
+        levels, _ = table(tg)
+        assert levels[0] == 2
+        assert all(lv == -1 for lv in levels[1:])
         assert tg.query() == ([], 0.0)
 
     def test_guarantee_mini(self):
@@ -305,17 +338,17 @@ class TestSieveNaive:
                 naive.step(item)
                 plain.step(item)
                 assert naive.query() == plain.query()
-            assert naive.buffers == plain.buffers
+            assert level_buffers(naive) == level_buffers(plain)
 
     def test_expiry_happens_before_condition(self):
         store = set_store((0, 1), (5,), (0, 1))
         naive = SieveNaive(1, 2, 1.0, CoverageOracle(store))
         assert naive.thresholds == [1.0, 2.0]
         naive.step(Item(1))
-        assert naive.buffers[0] == [1]
+        assert level_buffers(naive)[0] == [1]
         naive.step(Item(2))
         naive.step(Item(3))  # item 1 expires first, so the duplicate payload enters
-        assert 1 not in naive.buffers[0]
+        assert 1 not in level_buffers(naive)[0]
 
     def test_no_expired_items_after_any_step(self):
         w = 10
@@ -324,7 +357,7 @@ class TestSieveNaive:
             naive = SieveNaive(3, w, 0.2, CoverageOracle(store))
             for item in store.items():
                 naive.step(item)
-                for buf in naive.buffers:
+                for buf in level_buffers(naive):
                     assert all(ts > item.t - w for ts in buf)
 
 
@@ -339,7 +372,7 @@ class TestSieveGreedy:
                 sg.step(item)
                 naive.step(item)
                 assert not sg.samples
-                assert [set(b) for b in sg.buffers] == [set(b) for b in naive.buffers]
+                assert [set(b) for b in level_buffers(sg)] == [set(b) for b in level_buffers(naive)]
                 assert sg.query()[1] == naive.query()[1]
 
     def test_full_sampling_keeps_whole_window(self):
@@ -364,7 +397,7 @@ class TestSieveGreedy:
         sg = SieveGreedy(1, 2, 1.0, CoverageOracle(store), sample_c=0.0, seed=0)
         for item in store.items():
             sg.step(item)
-        for buf in sg.buffers:
+        for buf in level_buffers(sg):
             assert all(ts > 1 for ts in buf)
 
     def test_no_expired_items_after_any_step(self):
@@ -374,7 +407,7 @@ class TestSieveGreedy:
             sg = SieveGreedy(3, w, 0.2, CoverageOracle(store), sample_c=4.0, seed=seed)
             for item in store.items():
                 sg.step(item)
-                for buf in sg.buffers:
+                for buf in level_buffers(sg):
                     assert all(ts > item.t - w for ts in buf)
                 assert all(ts > item.t - w for ts in sg.samples)
 
@@ -465,10 +498,10 @@ def test_handles_track_their_sets():
             pairs = []
             for alg in (naive, greedy):
                 alg.step(item)
-                pairs += zip(alg.buffers, alg.handles)
+                pairs += [(run[2], run[3]) for run in alg.runs]
             dp.step(item)
-            for table in dp.instances:
-                pairs += zip(table.sets, table.handles)
+            for run in dp.runs:
+                pairs += zip(run[3], run[4])
             for ids, handle in pairs:
                 for probe in (1, item.t, 60):
                     assert handle.gain(probe) == oracle.eval(ids + [probe]) - oracle.eval(ids)
@@ -479,11 +512,11 @@ def _recount(alg) -> int:
     if isinstance(alg, SlidingWindowReduction):
         return sum(_recount(inst.alg) for inst in alg.instances)
     if isinstance(alg, SlidingWindowDP):
-        return sum(len(s) for table in alg.instances for s in table.sets)
+        return sum((run[1] - run[0]) * len(s) for run in alg.runs for s in run[3])
     if isinstance(alg, PrioritySample):
         return len(alg.candidates)
     samples = len(alg.samples) if isinstance(alg, SieveGreedy) else 0
-    return sum(len(buf) for buf in alg.buffers) + samples
+    return sum(len(buf) for buf in level_buffers(alg)) + samples
 
 
 def test_running_retained_count_matches_recount():
@@ -563,7 +596,63 @@ def test_running_best_level_matches_scan():
         for item in coverage.items():
             for name, alg in algs.items():
                 alg.step(item)
-                best = max(alg.values)
-                level = min(lv for lv, value in enumerate(alg.values) if value == best)
-                assert alg.query() == (alg.buffers[level], alg.values[level]), (objective, name, item.t)
-                assert alg.best_value() == alg.values[level], (objective, name, item.t)
+                values, buffers = level_values(alg), level_buffers(alg)
+                best = max(values)
+                level = min(lv for lv, value in enumerate(values) if value == best)
+                assert alg.query() == (buffers[level], values[level]), (objective, name, item.t)
+                assert alg.best_value() == values[level], (objective, name, item.t)
+
+
+@st.composite
+def reference_streams(draw):
+    """A small oracle and stream length: coverage, or ivm with repeated
+    points and a noise scale log-uniform in [1e-3, 1e3]."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        payloads = draw(st.lists(st.frozensets(st.integers(0, 24), max_size=8), min_size=n, max_size=n))
+        return CoverageOracle(set_store(*payloads)), n
+    pool = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(5, 3))
+    rows = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return IVMOracle(vec_store(pool[rows]), KernelParams(sigma=sigma)), n
+
+
+RUN_AND_REFERENCE = {
+    "sieve": lambda k, w, eps, c, o: (SieveStream(k, eps, o), LevelSieve(k, eps, o)),
+    "sieve-naive": lambda k, w, eps, c, o: (SieveNaive(k, w, eps, o), LevelSieve(k, eps, o, window=w)),
+    "sieve-greedy": lambda k, w, eps, c, o: (
+        SieveGreedy(k, w, eps, o, sample_c=c, seed=w),
+        LevelSieve(k, eps, o, window=w, sample_c=c, seed=w),
+    ),
+    "sw-dp": lambda k, w, eps, c, o: (
+        SlidingWindowDP(k, w, eps, o),
+        ThresholdTables(k, w, dp_threshold_grid(k, k * o.max_singleton(), eps), o),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_AND_REFERENCE))
+@settings(max_examples=60, deadline=None)
+@given(
+    stream=reference_streams(),
+    k=st.integers(1, 4),
+    window=st.integers(1, 12),
+    epsilon=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+    sample_c=st.sampled_from([0.0, 1.0, 4.0]),
+)
+def test_runs_match_per_level_reference(name, stream, k, window, epsilon, sample_c):
+    # Runs change no output and no logical count: after every arrival the
+    # run-based algorithm reports what the per-level loop reports, holds as
+    # many references and has been charged as many oracle calls.
+    oracle, n = stream
+    run_counter, ref_counter = CountingOracle(oracle), CountingOracle(oracle)
+    alg, _ = RUN_AND_REFERENCE[name](k, window, epsilon, sample_c, run_counter)
+    _, ref = RUN_AND_REFERENCE[name](k, window, epsilon, sample_c, ref_counter)
+    for t in range(1, n + 1):
+        alg.step(Item(t))
+        ref.step(Item(t))
+        assert alg.query() == ref.query(), t
+        if name != "sw-dp":
+            assert alg.best_value() == ref.best_value(), t
+        assert alg.retained_count() == ref.retained_count(), t
+        assert run_counter.calls == ref_counter.calls, t

@@ -14,7 +14,7 @@ from swmax.streaming import (
     threshold_grid,
 )
 
-from conftest import set_store
+from conftest import level_buffers, level_values, set_store
 
 
 class TestThresholdGrid:
@@ -50,9 +50,11 @@ class TestSieveStream:
         sieve = SieveStream(2, 1.0, oracle)
         assert sieve.thresholds == [1.0, 2.0, 4.0]  # k * max singleton = 4
         sieve.step(Item(1))  # f=1: enters T=1 (1 > 0.25) and T=2 (1 > 0.5), not T=4 (1 == 1)
-        assert sieve.buffers[0] == [1]
-        assert sieve.buffers[1] == [1]
-        assert sieve.buffers[2] == []
+        assert level_buffers(sieve)[0] == [1]
+        assert level_buffers(sieve)[1] == [1]
+        assert level_buffers(sieve)[2] == []
+        # the admitting levels are a prefix of the run, split off as one run
+        assert [run[:3] for run in sieve.runs] == [[0, 2, [1]], [2, 3, []]]
 
     def test_hand_trace(self):
         # k=2, eps=1, M=4, e1={a,b}, e2={b,c}: every buffer reaches value 3
@@ -62,9 +64,10 @@ class TestSieveStream:
         assert sieve.thresholds == [1.0, 2.0, 4.0]
         sieve.step(Item(1))
         sieve.step(Item(2))
-        assert sieve.buffers[2] == [1, 2]
-        assert sieve.values[2] == 3.0
+        assert level_buffers(sieve)[2] == [1, 2]
+        assert level_values(sieve)[2] == 3.0
         assert sieve.query() == ([1, 2], 3.0)
+        assert len(sieve.runs) == 1  # every level admitted both: one shared state
 
     def test_full_buffer_never_grows(self):
         store = set_store((1,), (2,), (1, 2, 3, 4, 5, 6, 7, 8))
@@ -73,8 +76,8 @@ class TestSieveStream:
         assert sieve.thresholds[0] == 1.0
         for item in store.items():
             sieve.step(item)
-        assert all(len(buf) <= 2 for buf in sieve.buffers)
-        assert 3 not in sieve.buffers[0]  # buffer was already full
+        assert all(len(buf) <= 2 for buf in level_buffers(sieve))
+        assert 3 not in level_buffers(sieve)[0]  # buffer was already full
 
     def test_query_ties_break_to_smaller_threshold(self):
         store = set_store((5, 6))
@@ -83,11 +86,12 @@ class TestSieveStream:
         assert sieve.thresholds == [1.0, 2.0]
         sieve.step(Item(1))
         # both T=1 and T=2 buffers hold item 1 at value 2; smallest wins
-        assert sieve.values[0] == sieve.values[1] == 2.0
-        best = max(sieve.values)
-        level = min(lv for lv, value in enumerate(sieve.values) if value == best)
+        values, buffers = level_values(sieve), level_buffers(sieve)
+        assert values[0] == values[1] == 2.0
+        best = max(values)
+        level = min(lv for lv, value in enumerate(values) if value == best)
         assert level == 0
-        assert sieve.query() == (sieve.buffers[level], sieve.values[level])
+        assert sieve.query() == (buffers[level], values[level])
 
     def test_empty_query(self):
         sieve = SieveStream(2, 1.0, CoverageOracle(set_store((1,))))
