@@ -8,7 +8,8 @@ file). Positions 1..n map to timesteps; stores are immutable after load.
 from __future__ import annotations
 
 import csv
-from typing import Iterator, Sequence
+import operator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ class ParseError(ValueError):
 class DatasetStore:
     """Immutable payload-per-timestep storage backing the oracles."""
 
-    def __init__(self, kind: str, vectors: np.ndarray | None = None, sets: Sequence[tuple[int, ...]] | None = None):
+    def __init__(self, kind: str, vectors: np.ndarray | None = None, sets: Sequence[Iterable[int]] | None = None):
         if kind == "dense":
             if vectors is None:
                 raise ValueError("dense store needs a vector matrix")
@@ -41,7 +42,7 @@ class DatasetStore:
         elif kind == "sets":
             if sets is None:
                 raise ValueError("set store needs a payload list")
-            self._sets = [tuple(sorted(set(int(e) for e in s))) for s in sets]
+            self._sets = tuple([tuple(sorted(set(map(operator.index, s)))) for s in sets])
             self._vectors = None
         else:
             raise ValueError(f"unknown store kind {kind!r}")
@@ -63,6 +64,17 @@ class DatasetStore:
         if self.kind != "dense":
             raise ValueError("set stores have no vector matrix")
         return self._vectors
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """Timestep ``t``'s set at index ``t - 1``, sorted and distinct.
+
+        Elements pass through ``operator.index`` when the store is built,
+        so a float or a string raises ``TypeError`` there.
+        """
+        if self.kind != "sets":
+            raise ValueError("dense stores have no set list")
+        return self._sets
 
     def payload(self, t: int):
         """Payload of the item that arrived at timestep ``t`` (1-based)."""
@@ -139,31 +151,34 @@ def normalize_columns_then_rows(store: DatasetStore) -> DatasetStore:
 def load_set_stream(path) -> DatasetStore:
     """One line of whitespace-separated non-negative integers -> one set.
 
-    Empty lines are empty sets; duplicates within a line collapse.
+    Empty lines are empty sets. A rejected line's error names its first bad
+    token in line order. The store sorts each set and drops duplicates.
     """
-    payloads: list[tuple[int, ...]] = []
+    payloads: list[list[int]] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            elements = []
-            for token in line.split():
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise ParseError(path, line_no, f"non-integer token {token!r}") from None
-                if value < 0:
-                    raise ParseError(path, line_no, f"negative element {value}")
-                elements.append(value)
-            payloads.append(tuple(sorted(set(elements))))
+            try:
+                values = list(map(int, line.split()))
+            except ValueError:
+                values = None
+            if values is None or min(values, default=0) < 0:
+                # Rejected: this pass raises, naming the first bad token.
+                for token in line.split():
+                    try:
+                        value = int(token)
+                    except ValueError:
+                        raise ParseError(path, line_no, f"non-integer token {token!r}") from None
+                    if value < 0:
+                        raise ParseError(path, line_no, f"negative element {value}")
+            payloads.append(values)
     return DatasetStore("sets", sets=payloads)
 
 
 def write_set_stream(store: DatasetStore, path) -> None:
     """Inverse of ``load_set_stream``: one space-separated set per line."""
-    if store.kind != "sets":
-        raise ValueError("only set stores can be written as set streams")
+    sets = store.sets  # raises for a dense store, before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        for t in range(1, len(store) + 1):
-            fh.write(" ".join(str(e) for e in store.payload(t)) + "\n")
+        fh.writelines(" ".join(map(str, s)) + "\n" for s in sets)
 
 
 def gen_drift_vectors(
@@ -210,5 +225,5 @@ def gen_set_stream(n: int, universe: int, mean_size: float, seed: int) -> Datase
     payloads = []
     for _ in range(n):
         mask = rng.random(universe) < p
-        payloads.append(tuple(int(e) for e in np.flatnonzero(mask)))
+        payloads.append(np.flatnonzero(mask).tolist())
     return DatasetStore("sets", sets=payloads)

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from itertools import chain
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -269,26 +271,18 @@ class CoverageOracle:
     """Union-size objective over a set-stream store.
 
     Universe ids are arbitrary non-negative integers; they are remapped to
-    bit positions once at construction so evaluation is an or/popcount.
+    bit positions once at construction, in order of first appearance, so
+    evaluation is an or/popcount.
     """
 
     def __init__(self, store):
         if store.kind != "sets":
             raise ValueError(f"coverage needs a set stream, got {store.kind!r}")
-        bit_of: dict[int, int] = {}
-        masks: dict[int, int] = {}
-        biggest = 0
-        for t in range(1, len(store) + 1):
-            payload = store.payload(t)
-            biggest = max(biggest, len(payload))
-            m = 0
-            for el in payload:
-                b = bit_of.setdefault(el, len(bit_of))
-                m |= 1 << b
-            masks[t] = m
-        self._masks = masks
-        self._root = CoverageUnion(masks)
-        self._max_singleton = float(biggest)
+        sets = store.sets
+        bit = {el: 1 << b for b, el in enumerate(dict.fromkeys(chain.from_iterable(sets)))}
+        self._masks = {t: reduce(or_, map(bit.__getitem__, s), 0) for t, s in enumerate(sets, start=1)}
+        self._root = CoverageUnion(self._masks)
+        self._max_singleton = float(max(map(len, sets), default=0))
 
     def _union(self, ids: Sequence[int]) -> int:
         acc = 0

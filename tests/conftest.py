@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from swmax.ingest import DatasetStore
+from swmax.ingest import DatasetStore, ParseError
 from swmax.streaming import greedy_select, threshold_grid
 
 
@@ -28,6 +28,42 @@ class UnionRecount:
 
     def marginal(self, item_id, ids):
         return self.eval(list(ids) + [item_id]) - self.eval(ids)
+
+
+def load_set_stream_per_token(path) -> list[tuple[int, ...]]:
+    """Reference for ``load_set_stream``: each line parsed token by token,
+    each set sorted and de-duplicated as it is read."""
+    payloads = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            elements = []
+            for token in line.split():
+                try:
+                    value = int(token)
+                except ValueError:
+                    raise ParseError(path, line_no, f"non-integer token {token!r}") from None
+                if value < 0:
+                    raise ParseError(path, line_no, f"negative element {value}")
+                elements.append(value)
+            payloads.append(tuple(sorted(set(elements))))
+    return payloads
+
+
+def coverage_masks_per_element(store) -> tuple[dict[int, int], float]:
+    """Reference for ``CoverageOracle``'s masks and ``max_singleton``: bits
+    handed out element by element in first-seen order, ORed in one by one."""
+    bit_of: dict[int, int] = {}
+    masks: dict[int, int] = {}
+    biggest = 0
+    for t in range(1, len(store) + 1):
+        payload = store.payload(t)
+        biggest = max(biggest, len(payload))
+        m = 0
+        for el in payload:
+            b = bit_of.setdefault(el, len(bit_of))
+            m |= 1 << b
+        masks[t] = m
+    return masks, float(biggest)
 
 
 def level_buffers(alg) -> list[list[int]]:

@@ -11,7 +11,8 @@ import hashlib
 
 import pytest
 
-from swmax.bench import ALGORITHMS, RunConfig, render_metrics_csv, run_benchmark
+from swmax.bench import ALGORITHMS, RunConfig, load_store, render_metrics_csv, run_benchmark
+from swmax.ingest import write_set_stream
 
 CONFIGS = {
     "coverage": dict(format="synth-sets", synth_n=300, synth_universe=40, synth_mean_size=6.0, seed=3),
@@ -80,6 +81,18 @@ def test_ivm_k12_metrics_csv_pinned(algorithm):
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_WIDE_COVERAGE))
 def test_wide_coverage_metrics_csv_pinned(algorithm):
     text = metrics_without_wall("coverage", algorithm, k=5, window=200, data=WIDE_COVERAGE)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WIDE_COVERAGE[algorithm], text
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_WIDE_COVERAGE))
+def test_wide_coverage_set_stream_file_pinned(algorithm, tmp_path):
+    # The same store, written out and read back through ``--format sets``,
+    # the path the benchmark's coverage workload reads.
+    path = tmp_path / "sets.txt"
+    synthetic = RunConfig(objective="coverage", algorithm=algorithm, k=5, window=200, **WIDE_COVERAGE)
+    write_set_stream(load_store(synthetic), path)
+    data = dict(format="sets", input=str(path), seed=WIDE_COVERAGE["seed"])
+    text = metrics_without_wall("coverage", algorithm, k=5, window=200, data=data)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WIDE_COVERAGE[algorithm], text
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from swmax.core import Window, window_members
 from swmax.ingest import (
@@ -14,8 +15,10 @@ from swmax.ingest import (
     normalize_columns_then_rows,
     write_set_stream,
 )
-from swmax.objectives import IVMOracle, KernelParams
+from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import greedy_select
+
+from conftest import coverage_masks_per_element, load_set_stream_per_token
 
 
 class TestDenseCsv:
@@ -138,6 +141,18 @@ class TestSetStream:
             load_set_stream(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [("-1 x", "negative element -1"), ("x -1", "non-integer token 'x'"), ("4 -5 -6", "negative element -5")],
+    )
+    def test_error_names_first_bad_token(self, tmp_path, line, message):
+        path = tmp_path / "s.txt"
+        path.write_text(f"1 2\n{line}\n3\n")
+        with pytest.raises(ParseError) as err:
+            load_set_stream(path)
+        assert err.value.line_no == 2
+        assert str(err.value) == f"{path}:2: {message}"
+
     def test_day_of_seconds_loads(self, tmp_path):
         path = tmp_path / "day.txt"
         with open(path, "w") as fh:
@@ -154,6 +169,47 @@ class TestSetStream:
         assert len(back) == len(store)
         for t in range(1, 51):
             assert back.payload(t) == store.payload(t)
+
+
+ELEMENT = st.one_of(st.integers(0, 6), st.integers(0, 10**12))
+TOKEN = st.one_of(ELEMENT.map(str), ELEMENT.map("+{}".format), ELEMENT.map("{:04d}".format))
+BAD_TOKEN = st.sampled_from(["-1", "-0x1", "x", "1.5", "+-2", "-12"])
+GAP = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def set_stream_text(draw, bad: bool) -> str:
+    lines = []
+    for tokens in draw(st.lists(st.lists(TOKEN, max_size=8), max_size=12)):
+        if bad and draw(st.integers(0, 5)) == 0:
+            for _ in range(draw(st.integers(1, 2))):
+                tokens.insert(draw(st.integers(0, len(tokens))), draw(BAD_TOKEN))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + draw(GAP).join(tokens) + draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.booleans().flatmap(set_stream_text))
+def test_set_path_matches_per_token_reference(tmp_path, text):
+    path = tmp_path / "s.txt"
+    path.write_text(text, encoding="utf-8")
+    expected = outcome(load_set_stream_per_token, path)
+    store = outcome(load_set_stream, path)
+    if isinstance(expected, tuple):
+        assert store == expected
+        return
+    assert list(store.sets) == expected
+    masks, biggest = coverage_masks_per_element(DatasetStore("sets", sets=expected))
+    oracle = CoverageOracle(store)
+    assert oracle._masks == masks
+    assert oracle.max_singleton() == biggest
 
 
 class TestDriftVectors:
@@ -227,6 +283,19 @@ class TestStore:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             DatasetStore("dense", vectors=np.array([[1.0, float("nan")]]))
+
+    @pytest.mark.parametrize("payload", [(1.5, 2.7, 2.2), ("3", True), (np.float64(2.0),)])
+    def test_non_integer_set_elements_rejected(self, payload):
+        # int() would truncate a float (2.7 and 2.2 both to 2) and parse a string
+        with pytest.raises(TypeError):
+            DatasetStore("sets", sets=[(1,), payload])
+
+    def test_set_elements_normalized(self):
+        store = DatasetStore("sets", sets=[np.array([7, 3, 7]), (np.int32(2), True, 2), []])
+        assert store.sets == ((3, 7), (1, 2), ())
+        assert all(type(e) is int for s in store.sets for e in s)
+        with pytest.raises(ValueError):
+            DatasetStore("dense", vectors=np.ones((1, 1))).sets
 
     def test_items_iterates_timesteps(self):
         store = gen_set_stream(4, 5, 2, seed=0)
