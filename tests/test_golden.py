@@ -48,9 +48,11 @@ GOLDEN_IVM_K12 = {
 # Coverage cells at the benchmark's coverage shape (universe 1000, mean set
 # size 20, k=5), on a shorter stream: the grid has about 30 levels and
 # buffers of different levels part and rejoin far more often than on the
-# universe-40 stream above.
+# universe-40 stream above. At W=200 the random baseline keeps about 30
+# priority-sample candidates, against a handful at W=50.
 WIDE_COVERAGE = dict(format="synth-sets", synth_n=600, synth_universe=1000, synth_mean_size=20.0, seed=0)
 GOLDEN_WIDE_COVERAGE = {
+    "random": "6bfa80aef57a3a7c17e5a4818446288be4519fc2835357a63c8572cfb0f2822d",
     "sieve-greedy": "f5be3b2a5f083e60d1c5868e7d397af9099734077645decc1232b3d4e9e2c7c8",
     "sieve-naive": "81b3ad4d6becd74ffc2ebcb18c5562d6bbd95c48cb660cce37d620cc342005a8",
     "sw-dp": "a82526ee581ddacde37dd4979f4be6b851fdbaf76139421ecd39982ea0fd902b",
