@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import operator
+from functools import cached_property, reduce
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ class ParseError(ValueError):
 
 
 class DatasetStore:
-    """Immutable payload-per-timestep storage backing the oracles."""
+    """Immutable payload-per-timestep storage backing the oracles, and the coverage encoding of a set store."""
 
     def __init__(self, kind: str, vectors: np.ndarray | None = None, sets: Sequence[Iterable[int]] | None = None):
         if kind == "dense":
@@ -75,6 +77,12 @@ class DatasetStore:
         if self.kind != "sets":
             raise ValueError("dense stores have no set list")
         return self._sets
+
+    @cached_property
+    def coverage_masks(self) -> dict[int, int]:
+        """Timestep ``t``'s set as a bitmask, bits in first-seen order; built once, on first access."""
+        bit = {el: 1 << b for b, el in enumerate(dict.fromkeys(chain.from_iterable(self.sets)))}
+        return {t: reduce(operator.or_, map(bit.__getitem__, s), 0) for t, s in enumerate(self.sets, start=1)}
 
     def payload(self, t: int):
         """Payload of the item that arrived at timestep ``t`` (1-based)."""

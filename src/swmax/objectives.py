@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
-from operator import mul, or_
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -270,19 +268,14 @@ class CoverageUnion:
 class CoverageOracle:
     """Union-size objective over a set-stream store.
 
-    Universe ids are arbitrary non-negative integers; they are remapped to
-    bit positions once at construction, in order of first appearance, so
-    evaluation is an or/popcount.
+    Evaluation is an or/popcount over the store's ``coverage_masks``, whatever
+    the universe ids; each oracle grows its handles from a root of its own.
     """
 
     def __init__(self, store):
-        if store.kind != "sets":
-            raise ValueError(f"coverage needs a set stream, got {store.kind!r}")
-        sets = store.sets
-        bit = {el: 1 << b for b, el in enumerate(dict.fromkeys(chain.from_iterable(sets)))}
-        self._masks = {t: reduce(or_, map(bit.__getitem__, s), 0) for t, s in enumerate(sets, start=1)}
+        self._masks = store.coverage_masks  # a dense store raises ValueError
         self._root = CoverageUnion(self._masks)
-        self._max_singleton = float(max(map(len, sets), default=0))
+        self._max_singleton = float(max(map(len, store.sets), default=0))
 
     def _union(self, ids: Sequence[int]) -> int:
         acc = 0

@@ -31,7 +31,7 @@ harness reports the peak of that count as the space metric.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -323,7 +323,7 @@ class SieveGreedy(SieveNaive):
         sample_c: float,
         seed: int = 0,
     ):
-        if sample_c < 0:
+        if not sample_c >= 0:
             raise ValueError(f"sampling parameter must be >= 0, got {sample_c}")
         super().__init__(k, window, epsilon, oracle)
         self.sample_rate = min(1.0, sample_c / window)
@@ -354,10 +354,10 @@ class PrioritySample:
     """Uniform k-subset of the window via smallest-priority sampling.
 
     Every arrival gets an independent Uniform(0,1) priority; the query
-    sample is the k smallest-priority in-window items, which is a uniformly
-    random k-subset. An item can be discarded as soon as k later in-window
-    items beat its priority (they outlive it, so it can never re-enter the
-    sample), keeping the expected buffer at O(k log(W/k)).
+    sample, the k smallest-priority in-window items, is a uniformly random
+    k-subset. ``candidates`` holds ``[t, priority, beaten]`` in arrival
+    order; a candidate beaten by k later arrivals (which outlive it, so it can
+    never re-enter the sample) is dropped: the expected buffer is O(k log(W/k)).
     """
 
     def __init__(self, k: int, window: int, oracle: SubmodularOracle, seed: int = 0):
@@ -368,28 +368,25 @@ class PrioritySample:
         self.k = k
         self.window = window
         self.oracle = oracle
-        self.candidates: list[tuple[int, float]] = []
+        self.candidates: list[list] = []
         self._rng = random.Random(seed)
 
     def step(self, item: Item) -> None:
-        cutoff = item.t - self.window
-        while self.candidates and self.candidates[0][0] <= cutoff:
+        while self.candidates and self.candidates[0][0] <= item.t - self.window:
             self.candidates.pop(0)
-        self.candidates.append((item.t, self._rng.random()))
-        self._evict_dominated()
-
-    def _evict_dominated(self) -> None:
-        kept_rev: list[tuple[int, float]] = []
-        later: list[float] = []  # priorities of kept later arrivals, sorted
-        for cand in reversed(self.candidates):
-            if bisect_left(later, cand[1]) < self.k:
-                kept_rev.append(cand)
-            insort(later, cand[1])
-        self.candidates = kept_rev[::-1]
+        priority = self._rng.random()
+        kept = []
+        for cand in self.candidates:
+            if cand[1] > priority:
+                cand[2] += 1
+                if cand[2] == self.k:
+                    continue
+            kept.append(cand)
+        kept.append([item.t, priority, 0])
+        self.candidates = kept
 
     def query(self) -> tuple[list[int], float]:
-        pool = sorted(self.candidates, key=lambda c: c[1])
-        ids = sorted(t for t, _ in pool[: self.k])
+        ids = sorted(c[0] for c in sorted(self.candidates, key=lambda c: c[1])[: self.k])
         if not ids:
             return [], 0.0
         return ids, self.oracle.eval(ids)
@@ -402,4 +399,6 @@ def sieve_reduction(
     k: int, window: int, epsilon: float, oracle: SubmodularOracle
 ) -> SlidingWindowReduction:
     """The standard configuration: the reduction over fresh sieve instances."""
+    if k < 1:
+        raise ValueError(f"cardinality bound must be >= 1, got {k}")
     return SlidingWindowReduction(window, epsilon, lambda: SieveStream(k, epsilon, oracle))

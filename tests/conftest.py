@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, insort
 
 import numpy as np
 import pytest
@@ -160,6 +161,42 @@ class ThresholdTables:
 
     def retained_count(self):
         return sum(len(s) for _, sets, _, _ in self.tables for s in sets)
+
+
+class RebuildPrioritySample:
+    """Reference for ``PrioritySample``: after every arrival each candidate's
+    fate is worked out afresh, from the sorted priorities of all later ones."""
+
+    def __init__(self, k, window, oracle, seed=0):
+        self.k, self.window, self.oracle = k, window, oracle
+        self.candidates: list[tuple[int, float]] = []
+        self._rng = random.Random(seed)
+
+    def step(self, item):
+        cutoff = item.t - self.window
+        while self.candidates and self.candidates[0][0] <= cutoff:
+            self.candidates.pop(0)
+        self.candidates.append((item.t, self._rng.random()))
+        self._evict_dominated()
+
+    def _evict_dominated(self):
+        kept_rev: list[tuple[int, float]] = []
+        later: list[float] = []  # priorities of kept later arrivals, sorted
+        for cand in reversed(self.candidates):
+            if bisect_left(later, cand[1]) < self.k:
+                kept_rev.append(cand)
+            insort(later, cand[1])
+        self.candidates = kept_rev[::-1]
+
+    def query(self):
+        pool = sorted(self.candidates, key=lambda c: c[1])
+        ids = sorted(t for t, _ in pool[: self.k])
+        if not ids:
+            return [], 0.0
+        return ids, self.oracle.eval(ids)
+
+    def retained_count(self):
+        return len(self.candidates)
 
 
 @pytest.fixture

@@ -122,6 +122,27 @@ class TestRunBenchmark:
         assert built == ["coverage"]
 
 
+@pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
+def test_runs_on_one_store_match_a_fresh_store(monkeypatch, algorithm):
+    # The store keeps its coverage encoding from run to run; no node, memo
+    # or count of one run may reach the next.
+    counters = []
+
+    class Recorded(CountingOracle):
+        def __init__(self, inner):
+            super().__init__(inner)
+            counters.append(self)
+
+    monkeypatch.setattr(bench, "CountingOracle", Recorded)
+    config = RunConfig(objective="coverage", algorithm=algorithm, k=4, window=50, sample_c=4.0, **CONFIGS["coverage"])
+    fresh = _strip_wall(render_metrics_csv(run_benchmark(config, load_store(config))))
+    shared = load_store(config)
+    for _ in range(2):
+        assert _strip_wall(render_metrics_csv(run_benchmark(config, shared))) == fresh
+    assert len(counters) == 3
+    assert counters[1].evaluations == counters[2].evaluations == counters[0].evaluations > 0
+
+
 class TestSharedEvaluations:
     """Buffers with equal contents share one node and so one evaluation per
     arrival. The exact counts on the golden ivm configs catch a change that

@@ -297,6 +297,23 @@ class TestStore:
         with pytest.raises(ValueError):
             DatasetStore("dense", vectors=np.ones((1, 1))).sets
 
+    def test_coverage_masks_built_once_per_store(self):
+        # oracles on one store share its encoding but grow their own nodes
+        store = gen_set_stream(30, 20, 5, seed=1)
+        a, b = CoverageOracle(store), CoverageOracle(store)
+        assert a._masks is b._masks is store.coverage_masks
+        assert a.empty() is not b.empty()
+        a.empty().gain(1)
+        assert b.empty()._gain is None
+        again = gen_set_stream(30, 20, 5, seed=1)
+        assert again.coverage_masks == store.coverage_masks
+        assert again.coverage_masks is not store.coverage_masks
+        dense = DatasetStore("dense", vectors=np.ones((1, 1)))
+        with pytest.raises(ValueError):
+            dense.coverage_masks
+        with pytest.raises(ValueError):
+            CoverageOracle(dense)
+
     def test_items_iterates_timesteps(self):
         store = gen_set_stream(4, 5, 2, seed=0)
         items = list(store.items())

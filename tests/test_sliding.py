@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swmax.bench import RunConfig, run_benchmark
 from swmax.core import CountingOracle, Item, Window, window_members
@@ -22,7 +22,15 @@ from swmax.sliding import (
     sieve_reduction,
 )
 
-from conftest import LevelSieve, ThresholdTables, level_buffers, level_values, set_store, vec_store
+from conftest import (
+    LevelSieve,
+    RebuildPrioritySample,
+    ThresholdTables,
+    level_buffers,
+    level_values,
+    set_store,
+    vec_store,
+)
 
 
 class _StubAlg:
@@ -182,6 +190,33 @@ def test_epsilon_must_be_positive(name, epsilon):
     oracle = CoverageOracle(set_store((1,)))
     with pytest.raises(ValueError):
         EPSILON_CONSTRUCTORS[name](epsilon, oracle)
+
+
+@pytest.mark.parametrize("sample_c", [-1.0, math.nan])
+def test_sample_c_must_be_non_negative(sample_c):
+    # min(1, nan / W) is 1, so a NaN that got past the check would sample
+    # every arrival
+    with pytest.raises(ValueError):
+        SieveGreedy(1, 3, 0.2, CoverageOracle(set_store((1,))), sample_c=sample_c)
+
+
+K_CONSTRUCTORS = {
+    "SieveStream": lambda k, oracle: SieveStream(k, 0.2, oracle),
+    "SieveNaive": lambda k, oracle: SieveNaive(k, 3, 0.2, oracle),
+    "SieveGreedy": lambda k, oracle: SieveGreedy(k, 3, 0.2, oracle, sample_c=1.0),
+    "ThresholdGreedy": lambda k, oracle: ThresholdGreedy(k, 3, [1.0], oracle),
+    "SlidingWindowDP": lambda k, oracle: SlidingWindowDP(k, 3, 0.2, oracle),
+    "PrioritySample": lambda k, oracle: PrioritySample(k, 3, oracle),
+    "sieve_reduction": lambda k, oracle: sieve_reduction(k, 3, 0.2, oracle),
+}
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("name", sorted(K_CONSTRUCTORS))
+def test_k_must_be_positive(name, k):
+    # refused when built, not at the first step
+    with pytest.raises(ValueError):
+        K_CONSTRUCTORS[name](k, CoverageOracle(set_store((1,))))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
@@ -441,8 +476,8 @@ class TestPrioritySample:
         ps = PrioritySample(1, 15, CoverageOracle(store), seed=5)
         for item in store.items():
             ps.step(item)
-            priorities = dict(ps.candidates)
-            chain = [p for _, p in ps.candidates]
+            priorities = {t: p for t, p, _ in ps.candidates}
+            chain = [p for _, p, _ in ps.candidates]
             assert chain == sorted(chain)  # suffix minima decrease toward the front
             ids, _ = ps.query()
             assert len(ids) == 1
@@ -464,10 +499,36 @@ class TestPrioritySample:
                 for t in window_ids
                 if sum(1 for u in window_ids if u > t and priorities[u] < priorities[t]) < k
             ]
-            assert [t for t, _ in ps.candidates] == expected
+            assert [t for t, _, _ in ps.candidates] == expected
             ids, _ = ps.query()
             want = sorted(sorted(window_ids, key=priorities.get)[:k])
             assert ids == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        k=st.integers(1, 8),
+        window=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=60, k=1, window=15, seed=5)  # k = 1
+    @example(n=60, k=8, window=6, seed=1)  # k >= W: nothing is ever evicted
+    @example(n=20, k=3, window=40, seed=2)  # W >= n: nothing ever expires
+    def test_incremental_eviction_matches_rebuild(self, n, k, window, seed):
+        # Counting beaters as they arrive keeps exactly the candidates that
+        # re-deriving every candidate's fate after each arrival keeps.
+        oracle = CoverageOracle(gen_set_stream(n, 30, 4, seed=seed % 1000))
+        ps = PrioritySample(k, window, oracle, seed=seed)
+        ref = RebuildPrioritySample(k, window, oracle, seed=seed)
+        for item in map(Item, range(1, n + 1)):
+            ps.step(item)
+            ref.step(item)
+            assert [(t, p) for t, p, _ in ps.candidates] == ref.candidates, item.t
+            # every arrival that beat a survivor is a survivor too
+            for i, (_, p, beaten) in enumerate(ps.candidates):
+                assert beaten == sum(q < p for _, q, _ in ps.candidates[i + 1 :]) < k, item.t
+            assert ps.query() == ref.query(), item.t
+            assert ps.retained_count() == ref.retained_count(), item.t
 
     def test_query_value_uses_oracle(self):
         store = set_store((1, 2), (2, 3))
