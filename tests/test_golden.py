@@ -59,10 +59,22 @@ GOLDEN_WIDE_COVERAGE = {
     "sw-rd": "9aff7b5ea30a137baec91f8025850cdf41cd4ecfec5365b6c9230c0062f0934f",
 }
 
+# The reduction at a small epsilon on the wide coverage stream: it keeps up
+# to 11 live instances (8 at epsilon 0.2) and its sieves have about 100
+# grid levels, so pruning decides between more, closer values.
+GOLDEN_WIDE_COVERAGE_SW_RD_EPS005 = "abfda6e09e34c70d5037b36dad066ef941f1bb8b02868a71cb8c34b019396e7e"
 
-def metrics_without_wall(objective: str, algorithm: str, k: int = 4, window: int = 50, data=None) -> str:
+# The ivm reduction queried after every arrival, as the benchmark's live ivm
+# workload reads it: each row pins the oldest surviving instance's utility.
+GOLDEN_IVM_SW_RD_EVERY_ARRIVAL = "87c1d883afabcbd1bf5db025ac2a2c23857a702629750ac7292b62fb4d7109bd"
+
+
+def metrics_without_wall(
+    objective: str, algorithm: str, k: int = 4, window: int = 50, data=None, epsilon: float = 0.2, query_every=None
+) -> str:
     config = RunConfig(
-        objective=objective, algorithm=algorithm, k=k, window=window, epsilon=0.2, **(data or CONFIGS[objective])
+        objective=objective, algorithm=algorithm, k=k, window=window, epsilon=epsilon,
+        query_every=query_every, **(data or CONFIGS[objective]),
     )
     csv = render_metrics_csv(run_benchmark(config))
     return "\n".join(line.rsplit(",", 1)[0] for line in csv.splitlines()) + "\n"
@@ -96,6 +108,16 @@ def test_wide_coverage_set_stream_file_pinned(algorithm, tmp_path):
     data = dict(format="sets", input=str(path), seed=WIDE_COVERAGE["seed"])
     text = metrics_without_wall("coverage", algorithm, k=5, window=200, data=data)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WIDE_COVERAGE[algorithm], text
+
+
+def test_wide_coverage_sw_rd_small_epsilon_pinned():
+    text = metrics_without_wall("coverage", "sw-rd", k=5, window=200, data=WIDE_COVERAGE, epsilon=0.05)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WIDE_COVERAGE_SW_RD_EPS005, text
+
+
+def test_ivm_sw_rd_every_arrival_pinned():
+    text = metrics_without_wall("ivm", "sw-rd", query_every=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_IVM_SW_RD_EVERY_ARRIVAL, text
 
 
 def test_every_cell_pinned():
