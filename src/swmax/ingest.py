@@ -28,7 +28,7 @@ class ParseError(ValueError):
 
 
 class DatasetStore:
-    """Immutable payload-per-timestep storage backing the oracles, and the coverage encoding of a set store."""
+    """Immutable payload-per-timestep storage backing the oracles, and their encodings of it, each built once."""
 
     def __init__(self, kind: str, vectors: np.ndarray | None = None, sets: Sequence[Iterable[int]] | None = None):
         if kind == "dense":
@@ -77,6 +77,16 @@ class DatasetStore:
         if self.kind != "sets":
             raise ValueError("dense stores have no set list")
         return self._sets
+
+    @cached_property
+    def vector_rows(self) -> list[list[float]]:
+        """Timestep ``t``'s vector as a list of Python floats at index ``t - 1``; built once, on first access."""
+        return self.vectors.tolist()
+
+    @cached_property
+    def max_set_size(self) -> int:
+        """Size of the largest set, 0 for an empty store; computed once, on first access."""
+        return max(map(len, self.sets), default=0)
 
     @cached_property
     def coverage_masks(self) -> dict[int, int]:

@@ -84,8 +84,8 @@ class CholState:
     The factor is kept as Python lists of floats, row ``i`` being
     ``[L_i0, ..., L_ii]``, next to the members' points, also as lists: on
     factors of a few rows a numpy call costs more in overhead than the
-    arithmetic it does. Only an arrival's point is converted, when it is
-    probed.
+    arithmetic it does. A probe converts nothing: nodes share their root's
+    point rows, which an ``IVMOracle`` takes from its store (``vector_rows``).
 
     A node's set and factor never change, only its two memo slots do.
     ``child(id)`` returns the node for S + [id], whose factor is this one
@@ -98,9 +98,11 @@ class CholState:
     Children inherit the counter.
     """
 
+    __slots__ = ("_kernel", "counter", "ids", "skipped_ids", "_members", "_rows", "_logdiag", "_gain", "_child",
+                 "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
+
     def __init__(self, points: np.ndarray, params: KernelParams):
-        self.points = points
-        self.params = params
+        self._kernel: list = [None, params.sigma**-2, params.h**2, points]
         self.counter = None
         self.ids: list[int] = []
         self.skipped_ids: list[int] = []
@@ -152,7 +154,7 @@ class CholState:
         return state
 
     def _row(self, item_id: int) -> int:
-        if not 1 <= item_id <= len(self.points):
+        if not 1 <= item_id <= len(self._kernel[3]):
             raise ValueError(f"unknown item id {item_id}")
         return item_id - 1
 
@@ -164,9 +166,10 @@ class CholState:
         ``w`` comes by forward substitution, one kernel entry and one
         ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member.
         """
-        x = self.points[self._row(item_id)].tolist()
-        inv_s2 = self.params.sigma**-2
-        h2 = self.params.h**2
+        rows, inv_s2, h2, points = self._kernel
+        if rows is None:  # a root built outside an oracle converts its points once
+            rows = self._kernel[0] = points.tolist()
+        x = rows[self._row(item_id)]
         w: list[float] = []
         for s, row in zip(self._members, self._rows):
             c = inv_s2 * math.exp(-math.dist(s, x) ** 2 / h2)
@@ -196,8 +199,8 @@ class CholState:
             return memo[1]
         gained = self._gain
         x, w, d = gained[2] if gained is not None and gained[0] == item_id else self._probe(item_id)
-        node = CholState(self.points, self.params)
-        node.counter = self.counter
+        node = object.__new__(CholState)
+        node._kernel, node.counter, node._gain, node._child = self._kernel, self.counter, None, None
         if d <= DEGENERATE_PIVOT:
             node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
             node.skipped_ids = self.skipped_ids + [item_id]
@@ -275,7 +278,7 @@ class CoverageOracle:
     def __init__(self, store):
         self._masks = store.coverage_masks  # a dense store raises ValueError
         self._root = CoverageUnion(self._masks)
-        self._max_singleton = float(max(map(len, store.sets), default=0))
+        self._max_singleton = float(store.max_set_size)
 
     def _union(self, ids: Sequence[int]) -> int:
         acc = 0
@@ -312,6 +315,7 @@ class IVMOracle:
         self.params = params
         self._points = store.vectors
         self._root = CholState(self._points, params)
+        self._root._kernel[0] = store.vector_rows
         # The last set evaluated and its value: the harness re-scores, and
         # the random baseline re-evaluates, an unchanged set after most
         # arrivals, and a fresh factorization costs far more than the query.
@@ -323,6 +327,7 @@ class IVMOracle:
 
     def rebuild(self, ids: Sequence[int]) -> tuple[CholState, float]:
         state = CholState.from_vectors(self._points, ids, self.params)
+        state._kernel = self._root._kernel
         return state, state.value
 
     def eval(self, ids: Sequence[int]) -> float:

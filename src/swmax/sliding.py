@@ -85,25 +85,23 @@ class SlidingWindowReduction:
     def prune(self) -> None:
         """Drop instances strictly between pairs with values within (1+eps).
 
-        Values are computed once per pass. Afterwards every other surviving
-        value decays by more than (1+eps), so at most O(log(upper)/eps)
-        instances remain; zero values can survive only in the last two
-        positions.
+        Values are computed once per pass. After a kept index j the next is
+        the largest x > j with ``(1+eps) * v[x] >= v[j]``, or j+1. Then every
+        other survivor's value decays by more than (1+eps), so O(log(upper)/eps)
+        instances remain; zero values survive only in the last two positions.
         """
-        vals = self.instance_values()
-        u = len(vals)
-        keep = [True] * u
+        instances, vals = self.instances, self.instance_values()
+        last = len(vals) - 1
         grow = 1.0 + self.epsilon
+        kept = []
         j = 0
-        while j < u - 1:
-            x = u - 1
-            while x > j and grow * vals[x] < vals[j]:
+        while j < last:
+            kept.append(instances[j])
+            x = last
+            while x > j + 1 and grow * vals[x] < vals[j]:
                 x -= 1
-            for v in range(j + 1, x):
-                keep[v] = False
-            j = x if x > j else j + 1
-        if not all(keep):
-            self.instances = [inst for inst, kept in zip(self.instances, keep) if kept]
+            j = x
+        self.instances = kept + instances[last:]  # the newest always survives
 
     def query(self) -> tuple[list[int], float]:
         """Solution of the oldest instance; ``step`` has dropped every
@@ -285,6 +283,7 @@ class SieveNaive(SieveStream):
                 assert len(expired) == 1, f"multiple expiries in one step: {expired}"
                 before = counter.calls if counter is not None else 0
                 run[2], run[4], run[3] = self._repair(buf, expired[0])
+                self._best = None  # a repaired value can fall; ``_admit`` rescans
                 if counter is not None:
                     counter.calls += (hi - lo - 1) * (counter.calls - before)
                 self._retained += (hi - lo) * (len(run[2]) - len(buf))

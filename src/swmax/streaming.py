@@ -71,7 +71,8 @@ class SieveStream:
     prefix becomes a run of its own. Costs stay per level: a run of m
     levels charges m oracle calls for its one gain, and ``retained_count``
     counts one item reference per member per level. Queries cost no oracle
-    calls and return the best buffer, the lowest level's on ties.
+    calls and return the best buffer, the lowest level's on ties, whose value
+    ``_best`` keeps as buffers grow (None while a fallen value needs a rescan).
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
@@ -82,6 +83,7 @@ class SieveStream:
         self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
         self.runs: list[list] = [[0, len(self.thresholds), [], oracle.empty(), 0.0]]
         self._retained = 0
+        self._best = 0.0
 
     def step(self, item: Item) -> None:
         self._admit(item.t)
@@ -89,6 +91,7 @@ class SieveStream:
     def _admit(self, t: int) -> None:
         k = self.k
         thresholds = self.thresholds
+        best = self._best
         runs = []
         for run in self.runs:
             lo, hi, buf, handle, value = run
@@ -110,11 +113,14 @@ class SieveStream:
                     else:
                         runs.append([lo, cut, buf + [t], handle.child(t), value + gain])
                         run[0] = cut
+                    if (best is not None and value + gain > best) or gain < 0.0:  # None: rescan
+                        best = value + gain if gain >= 0.0 else None
             runs.append(run)
         self.runs = runs
+        self._best = max(map(_VALUE, runs)) if best is None else best
 
     def best_value(self) -> float:
-        return max(map(_VALUE, self.runs))
+        return self._best
 
     def query(self) -> tuple[list[int], float]:
         run = max(self.runs, key=_VALUE)

@@ -67,6 +67,25 @@ def coverage_masks_per_element(store) -> tuple[dict[int, int], float]:
     return masks, float(biggest)
 
 
+def prune_by_mask(reduction) -> None:
+    """Reference for ``SlidingWindowReduction.prune``: a keep mask over the
+    instances, each gap between kept ones marked in it, then the list rebuilt."""
+    vals = reduction.instance_values()
+    u = len(vals)
+    keep = [True] * u
+    grow = 1.0 + reduction.epsilon
+    j = 0
+    while j < u - 1:
+        x = u - 1
+        while x > j and grow * vals[x] < vals[j]:
+            x -= 1
+        for v in range(j + 1, x):
+            keep[v] = False
+        j = x if x > j else j + 1
+    if not all(keep):
+        reduction.instances = [inst for inst, kept in zip(reduction.instances, keep) if kept]
+
+
 def level_buffers(alg) -> list[list[int]]:
     """Each grid level's buffer, read off a sieve's runs."""
     return [run[2] for run in alg.runs for _ in range(run[0], run[1])]

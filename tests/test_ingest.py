@@ -302,6 +302,7 @@ class TestStore:
         store = gen_set_stream(30, 20, 5, seed=1)
         a, b = CoverageOracle(store), CoverageOracle(store)
         assert a._masks is b._masks is store.coverage_masks
+        assert a.max_singleton() == b.max_singleton() == store.max_set_size == max(map(len, store.sets))
         assert a.empty() is not b.empty()
         a.empty().gain(1)
         assert b.empty()._gain is None
@@ -313,6 +314,25 @@ class TestStore:
             dense.coverage_masks
         with pytest.raises(ValueError):
             CoverageOracle(dense)
+
+    def test_vector_rows_built_once_per_store(self):
+        # ivm oracles on one store probe from its one list of float rows,
+        # through their own roots and the roots ``rebuild`` factors
+        store = gen_drift_vectors(30, 3, 2, 10, seed=1)
+        a, b = IVMOracle(store, KernelParams()), IVMOracle(store, KernelParams(sigma=0.5))
+        assert a.empty()._kernel[0] is b.empty()._kernel[0] is store.vector_rows
+        assert a.empty() is not b.empty()
+        assert store.vector_rows == store.vectors.tolist()
+        rebuilt, _ = a.rebuild([2, 5])
+        assert rebuilt._kernel is a.empty()._kernel
+        assert rebuilt.child(7)._kernel[0] is store.vector_rows
+        again = gen_drift_vectors(30, 3, 2, 10, seed=1)
+        assert again.vector_rows == store.vector_rows
+        assert again.vector_rows is not store.vector_rows
+        with pytest.raises(ValueError):
+            gen_set_stream(4, 5, 2, seed=0).vector_rows
+        with pytest.raises(ValueError):
+            DatasetStore("dense", vectors=np.ones((1, 1))).max_set_size
 
     def test_items_iterates_timesteps(self):
         store = gen_set_stream(4, 5, 2, seed=0)

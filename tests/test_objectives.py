@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,25 @@ def _fresh(X, ids, params):
         return None
 
 
+def _logdet_tol(n, sigma):
+    """How far two float factorizations of ``I + K/sigma**2`` (order n) may
+    put its log-det apart: its condition number is at most 1 + n/sigma**2,
+    and each may err by about roundoff (1.1e-16) times that, so 1e-15 per
+    unit leaves a margin of about ten; never below 1e-9."""
+    return 1e-9 + 1e-15 * n / sigma**2
+
+
+# 15 copies of one point and 8 of another, at a small sigma: the matrix's
+# condition number is about 1.6e7, and the grown and the fresh value differ
+# by 1.04e-9. Its closed form is checked in ``test_two_point_closed_form``.
+TWO_POINTS_PATTERN = "11100110001100111111110"
+TWO_POINTS_A = 0.6016981491794418
+TWO_POINTS = (
+    np.array([[0.0, 0.0, 0.0, TWO_POINTS_A if c == "1" else 0.0] for c in TWO_POINTS_PATTERN]),
+    KernelParams(h=0.75, sigma=0.0011807913250333254),
+)
+
+
 class TestNumericalEdges:
     """Handles grown one child at a time on duplicate points, constant
     columns and extreme ``sigma``, against fresh factorizations."""
@@ -226,6 +246,7 @@ class TestNumericalEdges:
     @settings(max_examples=60, deadline=None)
     @given(case=edge_points())
     @example(case=COLLAPSE)
+    @example(case=TWO_POINTS)
     def test_grown_handle_matches_fresh_factorization(self, case):
         X, params = case
         state = CholState(X, params)
@@ -244,10 +265,26 @@ class TestNumericalEdges:
                 continue
             L, ref = state.L, fresh.L
             assert np.linalg.norm(L - ref) <= 1e-8 * np.linalg.norm(ref)
-            assert abs(state.value - fresh.value) <= 1e-9
+            tol = _logdet_tol(state.n, params.sigma)
+            assert abs(state.value - fresh.value) <= tol
             before = _fresh(X, state.ids[:-1], params)
             if before is not None:
-                assert abs(gain - (fresh.value - before.value)) <= 1e-9
+                assert abs(gain - (fresh.value - before.value)) <= tol
+
+    def test_two_point_closed_form(self):
+        # With a copies of x != 0 and b of 0, det(I + K/sigma^2) is
+        # (1 + a s)(1 + b s) - kappa^2 a b s^2, s = sigma^-2 and
+        # kappa = K(x, 0), evaluated here in exact rationals. The grown value
+        # is within 1.6e-11 of it relative (2.4e-10 absolute); numpy's fresh
+        # factor is 8.0e-10 off, which is why the two differ by 1.04e-9.
+        X, params = TWO_POINTS
+        a, b = TWO_POINTS_PATTERN.count("1"), TWO_POINTS_PATTERN.count("0")
+        s = Fraction(params.sigma) ** -2
+        kappa = Fraction(math.exp(-(TWO_POINTS_A**2) / params.h**2))
+        exact = 0.5 * math.log((1 + a * s) * (1 + b * s) - kappa**2 * a * b * s**2)
+        state = _grown(IVMOracle(vec_store(X), params), range(1, len(X) + 1))
+        assert state.n == len(X) and not state.skipped_ids
+        assert abs(state.value - exact) <= 1e-10 * exact
 
     @settings(max_examples=60, deadline=None)
     @given(case=edge_points())

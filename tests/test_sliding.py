@@ -28,6 +28,7 @@ from conftest import (
     ThresholdTables,
     level_buffers,
     level_values,
+    prune_by_mask,
     set_store,
     vec_store,
 )
@@ -111,6 +112,24 @@ class TestReduction:
             kept = red.instance_values()
             for j in range(len(kept) - 2):
                 assert kept[j] > (1 + eps) * kept[j + 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1.0, 1.05, 1.1025, 1.2, 1.44, 2.0, 4.0, 9.5]), max_size=15),
+        order=st.sampled_from(["mixed", "increasing", "decreasing"]),
+        eps=st.sampled_from([0.05, 0.2, 1.0]),
+    )
+    def test_one_pass_prune_matches_mask_reference(self, values, order, eps):
+        # The pool holds zeros, ties and exact (1+eps) ratios for every eps
+        # drawn (1.05 * 1.0 == 1.05, 1.2 * 1.0 == 1.2, 2.0 * 2.0 == 4.0), so
+        # the boundary ``(1+eps) * v[x] == v[j]`` is hit.
+        if order != "mixed":
+            values = sorted(values, reverse=order == "decreasing")
+        pairs = list(zip(range(1, len(values) + 1), values))
+        red, ref = _stub_reduction(1000, eps, pairs), _stub_reduction(1000, eps, pairs)
+        red.prune()
+        prune_by_mask(ref)
+        assert red.instance_starts() == ref.instance_starts()
 
     def test_query_picks_oldest_in_window(self):
         red = _stub_reduction(8, 0.2, [(1, 9.0), (2, 5.0), (5, 4.0)])

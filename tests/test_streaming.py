@@ -42,7 +42,51 @@ class TestThresholdGrid:
             assert grid[-1] >= m
 
 
+class _ScriptedNode:
+    """Handle whose gains are read from a script, negative ones included."""
+
+    counter = None
+
+    def __init__(self, script):
+        self.script = script
+
+    def gain(self, t):
+        return self.script[t]
+
+    def child(self, t):
+        return _ScriptedNode(self.script)
+
+
+class _ScriptedOracle:
+    def __init__(self, script):
+        self.root = _ScriptedNode(script)
+
+    def empty(self):
+        return self.root
+
+    def max_singleton(self):
+        return 4.0
+
+
 class TestSieveStream:
+    @pytest.mark.parametrize(
+        "second,values,solution", [(-0.5, [4.5] * 4, [1, 2]), (-2.0, [3.0, 3.0, 3.0, 5.0], [1])]
+    )
+    def test_best_value_follows_a_falling_value(self, second, values, solution):
+        # Rounding can make a log-det gain slightly negative, and a buffer
+        # whose value exceeds T/2 admits it. Here item 1 (gain 5) enters
+        # every level of the grid [1, 2, 4, 8]; item 2 enters the levels
+        # with T/2 - 5 < gain. A gain of -0.5 lowers the one run, the best,
+        # in place; a gain of -2 splits off the levels below 8.
+        sieve = SieveStream(2, 1.0, _ScriptedOracle({1: 5.0, 2: second}))
+        assert sieve.thresholds == [1.0, 2.0, 4.0, 8.0]
+        sieve.step(Item(1))
+        assert sieve.best_value() == 5.0
+        sieve.step(Item(2))
+        assert level_values(sieve) == values
+        assert sieve.best_value() == max(values)
+        assert sieve.query() == (solution, max(values))
+
     def test_empty_buffer_condition(self):
         # with an empty buffer the add rule reduces to f(e) > T / (2k)
         store = set_store((1,), (2, 3))
