@@ -38,8 +38,10 @@ GOLDEN = {
 
 # ivm cells at a larger k: their Cholesky factors reach order 12, where the
 # rounding of the factor differs most between ways of growing it, so a
-# changed admission or greedy choice on a deep factor shows here.
+# changed admission or greedy choice on a deep factor shows here. Greedy
+# grows each candidate's solve over 11 rounds against one growing factor.
 GOLDEN_IVM_K12 = {
+    "greedy": "6401cfb7d17755533b61c78e424823fdc407b32d8d6cfc433af1d63de8d9180f",
     "sw-rd": "d1276450a9f774da3d6e6209521526b6dbde8f60d7f8147d741dfdb15e50910e",
     "sw-dp": "b1e2ae981278c5a5367e788848102ae132be83293809a9f34ca3319b9f2bebc5",
     "sieve-greedy": "0e99c85c6c2a1005ba543632871d1cfd38969026efe8cdddc39ddd8e15af6ccb",
@@ -49,9 +51,11 @@ GOLDEN_IVM_K12 = {
 # size 20, k=5), on a shorter stream: the grid has about 30 levels and
 # buffers of different levels part and rejoin far more often than on the
 # universe-40 stream above. At W=200 the random baseline keeps about 30
-# priority-sample candidates, against a handful at W=50.
+# priority-sample candidates, against a handful at W=50, and greedy scores
+# up to 200 candidates a round.
 WIDE_COVERAGE = dict(format="synth-sets", synth_n=600, synth_universe=1000, synth_mean_size=20.0, seed=0)
 GOLDEN_WIDE_COVERAGE = {
+    "greedy": "dab0ec69fe2104df77230c3d090dc63ac42a3632d2bcc8fa104aab2ed4f6c7e8",
     "random": "6bfa80aef57a3a7c17e5a4818446288be4519fc2835357a63c8572cfb0f2822d",
     "sieve-greedy": "f5be3b2a5f083e60d1c5868e7d397af9099734077645decc1232b3d4e9e2c7c8",
     "sieve-naive": "81b3ad4d6becd74ffc2ebcb18c5562d6bbd95c48cb660cce37d620cc342005a8",
