@@ -13,8 +13,9 @@ bounds the value of every set of at most k items; that product is the
 upper end of every threshold grid.
 
 A handle is an immutable trie node for one set: ``gain(id)`` is the
-marginal gain of one more item and ``child(id)`` the node for the set plus
-that item, leaving the node itself unchanged. A node remembers its last
+marginal gain of one more item, ``gains(ids)`` the gains of many items in
+one batch, as greedy scores its candidates in a round, and ``child(id)``
+the node for the set plus that item, leaving the node itself unchanged. A node remembers its last
 gain and its last child, so buffers with equal contents grown from one root
 hold one node, compute the gain of an arrival once and converge on one
 child. One slot of each is enough because every buffer at a node asks about
@@ -26,12 +27,14 @@ parent has made another child.
 ``CountingOracle`` wraps any oracle and counts calls, the cost metric every
 benchmark reports: ``eval``, ``rebuild`` and ``gain`` cost one call each
 (both shipped objectives compute a gain directly, not by two evaluations),
-and a gain served from a node's memo is still charged, so the count is the
+``gains(ids)`` costs one call per id, as many ``gain`` calls would, and a
+gain served from a node's memo is still charged, so the count is the
 algorithm's logical one; ``empty`` and ``child`` are free, since a node only
 records choices whose gains were already paid for. ``max_singleton`` is
 free too: the objective knows it from its construction, or in closed form.
 ``evaluations`` counts the calls that did compute: every ``eval`` and
-``rebuild``, and each gain that missed its node's memo.
+``rebuild``, each gain that missed its node's memo, and every id of a
+batch.
 """
 
 from __future__ import annotations
@@ -74,13 +77,18 @@ class OracleHandle(Protocol):
 
     While ``counter`` is set, each gain adds one to ``counter.calls`` and
     each gain not served from the node's memo also adds one to
-    ``counter.evaluations``; children inherit the counter. That is how
-    ``CountingOracle`` counts gains without a wrapper around every node.
+    ``counter.evaluations``; ``gains(ids)`` adds ``len(ids)`` to both.
+    Children inherit the counter. That is how ``CountingOracle`` counts
+    gains without a wrapper around every node.
     """
 
     counter: object | None
 
     def gain(self, item_id: int) -> float: ...
+
+    def gains(self, ids: Sequence[int]) -> list[float]:
+        """``[self.gain(i) for i in ids]``, bit for bit, one call per id."""
+        ...
 
     def child(self, item_id: int) -> "OracleHandle": ...
 

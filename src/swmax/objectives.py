@@ -19,6 +19,15 @@ hold it. Factors are only ever extended; a buffer that shrinks (expiry)
 gets a fresh root from ``rebuild``, factored from scratch with numpy, since
 downdating is numerically risky and shrinks are rare relative to gain
 queries.
+
+A batch of gains (``gains``, one greedy round) keeps each candidate's
+probe, its forward substitution against the node's factor. The child that
+greedy takes inherits the batch, and its own batch extends each probe by
+the one row the factor grew by, so a greedy round costs one kernel entry
+and one solve entry per candidate, not a kernel row and a whole solve. A
+batch lives until it is handed on or used: a node hands it to the child
+grown from one of its ids and drops it, and the child drops it once
+extended, so a finished greedy leaves at most one batch, on its last node.
 """
 
 from __future__ import annotations
@@ -87,7 +96,8 @@ class CholState:
     arithmetic it does. A probe converts nothing: nodes share their root's
     point rows, which an ``IVMOracle`` takes from its store (``vector_rows``).
 
-    A node's set and factor never change, only its two memo slots do.
+    A node's set and factor never change, only its two memo slots and its
+    batch probes (see ``gains``) do.
     ``child(id)`` returns the node for S + [id], whose factor is this one
     grown by one row; rows and lists are shared between nodes, never
     written in place. The node keeps its last gain with the probe behind
@@ -99,6 +109,7 @@ class CholState:
     """
 
     __slots__ = ("_kernel", "counter", "ids", "skipped_ids", "_members", "_rows", "_logdiag", "_gain", "_child",
+                 "_batch", "_base",
                  "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
 
     def __init__(self, points: np.ndarray, params: KernelParams):
@@ -111,6 +122,8 @@ class CholState:
         self._logdiag: list[float] = []
         self._gain: tuple[int, float, tuple[list[float], list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
+        self._batch: dict[int, tuple[list[float], list[float], float]] | None = None
+        self._base: dict[int, tuple[list[float], list[float], float]] | None = None
 
     @property
     def n(self) -> int:
@@ -192,26 +205,85 @@ class CholState:
             counter.evaluations += 1
         return gain
 
+    def gains(self, ids: Sequence[int]) -> list[float]:
+        """``[self.gain(i) for i in ids]``, bit for bit, each id charged and
+        evaluated once; the probes are kept as this node's batch.
+
+        A node grown by ``child`` from a batch id inherits the batch as its
+        base, and its own ``gains`` extends each base probe by the one new
+        row: one kernel entry ``c`` and ``(c - sum(map(mul, row, w))) /
+        row[-1]``, the step ``_probe`` would take last, so ``w`` and ``d``
+        come out as ``_probe`` computes them. An id outside the base is
+        probed from scratch. The base is dropped once used.
+        """
+        counter = self.counter
+        if counter is not None:
+            counter.calls += len(ids)
+            counter.evaluations += len(ids)
+        base = self._base or {}
+        if base:
+            inv_s2, h2 = self._kernel[1], self._kernel[2]
+            s, row = self._members[-1], self._rows[-1]
+            pivot = row[-1]
+            self._base = None
+        probes: dict[int, tuple[list[float], list[float], float]] = {}
+        gains: list[float] = []
+        for i in ids:
+            probe = base.get(i)
+            if probe is None:
+                probe = probes[i] = self._probe(i)
+                d = probe[2]
+            else:
+                x, w, _ = probe
+                c = inv_s2 * math.exp(-math.dist(s, x) ** 2 / h2)
+                w = w + [(c - sum(map(mul, row, w))) / pivot]
+                d = 1.0 + inv_s2 - sum(map(mul, w, w))
+                probes[i] = (x, w, d)
+            gains.append(0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0)
+        self._batch = probes
+        return gains
+
     def child(self, item_id: int) -> "CholState":
-        """The node with the item appended, or added to ``skipped_ids`` on a collapsed pivot."""
+        """The node with the item appended, or added to ``skipped_ids`` on a collapsed pivot.
+
+        If the item is in this node's batch, the child takes its probe from
+        there and the batch moves to the child: as the base it extends, or,
+        after a collapsed pivot, unchanged as its own batch.
+        """
+        batch = self._batch
+        if batch is not None and item_id not in batch:
+            batch = None
         memo = self._child
         if memo is not None and memo[0] == item_id:
-            return memo[1]
-        gained = self._gain
-        x, w, d = gained[2] if gained is not None and gained[0] == item_id else self._probe(item_id)
-        node = object.__new__(CholState)
-        node._kernel, node.counter, node._gain, node._child = self._kernel, self.counter, None, None
-        if d <= DEGENERATE_PIVOT:
-            node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
-            node.skipped_ids = self.skipped_ids + [item_id]
+            node = memo[1]
         else:
-            root = math.sqrt(d)
-            node.ids = self.ids + [item_id]
-            node.skipped_ids = self.skipped_ids
-            node._members = self._members + [x]
-            node._rows = self._rows + [w + [root]]
-            node._logdiag = self._logdiag + [math.log(root)]
-        self._child = (item_id, node)
+            gained = self._gain
+            if batch is not None:
+                x, w, d = batch[item_id]
+            elif gained is not None and gained[0] == item_id:
+                x, w, d = gained[2]
+            else:
+                x, w, d = self._probe(item_id)
+            node = object.__new__(CholState)
+            node._kernel, node.counter, node._gain, node._child = self._kernel, self.counter, None, None
+            node._batch = node._base = None
+            if d <= DEGENERATE_PIVOT:
+                node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
+                node.skipped_ids = self.skipped_ids + [item_id]
+            else:
+                root = math.sqrt(d)
+                node.ids = self.ids + [item_id]
+                node.skipped_ids = self.skipped_ids
+                node._members = self._members + [x]
+                node._rows = self._rows + [w + [root]]
+                node._logdiag = self._logdiag + [math.log(root)]
+            self._child = (item_id, node)
+        if batch is not None:
+            self._batch = None
+            if node._rows is self._rows:
+                node._batch = batch
+            else:
+                node._base = batch
         return node
 
 
@@ -227,7 +299,8 @@ class CoverageUnion:
     """Coverage handle: an immutable node holding its members' union bitmask.
 
     It keeps the same two memo slots as ``CholState``: the last gain and the
-    last child, each keyed by item id.
+    last child, each keyed by item id. A batch of gains keeps nothing: a
+    gain is one and/popcount against the node's mask.
     """
 
     # ``__weakref__`` lets a test check that a node no buffer holds is freed.
@@ -255,6 +328,19 @@ class CoverageUnion:
         if counter is not None:
             counter.evaluations += 1
         return gain
+
+    def gains(self, ids: Sequence[int]) -> list[float]:
+        """``[self.gain(i) for i in ids]``, each id charged and evaluated once,
+        in one pass over the masks that neither reads nor sets the memo."""
+        counter = self.counter
+        if counter is not None:
+            counter.calls += len(ids)
+            counter.evaluations += len(ids)
+        masks, free = self._masks, ~self.mask
+        try:
+            return [float((masks[i] & free).bit_count()) for i in ids]
+        except KeyError as exc:
+            raise ValueError(f"unknown item id {exc.args[0]}") from None
 
     def child(self, item_id: int) -> "CoverageUnion":
         memo = self._child

@@ -72,14 +72,19 @@ class SlidingWindowReduction:
         self.epsilon = epsilon
         self.inner_factory = inner_factory
         self.instances: list[ReductionInstance] = []
+        self._retained = 0
 
     def step(self, item: Item) -> None:
         self.instances.append(ReductionInstance(item.t, self.inner_factory()))
         cutoff = item.t - self.window
         while self.instances and self.instances[0].start <= cutoff:
             self.instances.pop(0)
+        retained = 0
         for inst in self.instances:
-            inst.alg.step(item)
+            alg = inst.alg
+            alg.step(item)
+            retained += alg.retained_count()
+        self._retained = retained
         self.prune()
 
     def prune(self) -> None:
@@ -89,6 +94,7 @@ class SlidingWindowReduction:
         the largest x > j with ``(1+eps) * v[x] >= v[j]``, or j+1. Then every
         other survivor's value decays by more than (1+eps), so O(log(upper)/eps)
         instances remain; zero values survive only in the last two positions.
+        The dropped instances' references leave the running retained total.
         """
         instances, vals = self.instances, self.instance_values()
         last = len(vals) - 1
@@ -100,6 +106,8 @@ class SlidingWindowReduction:
             x = last
             while x > j + 1 and grow * vals[x] < vals[j]:
                 x -= 1
+            if x > j + 1:
+                self._retained -= sum(inst.alg.retained_count() for inst in instances[j + 1 : x])
             j = x
         self.instances = kept + instances[last:]  # the newest always survives
 
@@ -117,7 +125,9 @@ class SlidingWindowReduction:
         return [inst.alg.best_value() for inst in self.instances]
 
     def retained_count(self) -> int:
-        return sum(inst.alg.retained_count() for inst in self.instances)
+        """The live instances' references: summed in ``step`` as it feeds
+        them, less what ``prune`` drops."""
+        return self._retained
 
 
 class ThresholdGreedy:

@@ -135,31 +135,29 @@ def greedy_select(
 ) -> tuple[list[int], float, OracleHandle]:
     """Classic greedy: k rounds of best marginal gain, smallest id on ties.
 
-    Returns the selection, its value and the handle grown with it. Stops
-    early once the best gain is <= 0 (it cannot help a monotone objective
-    and skipping it saves oracle calls). The id tie-break makes the result
-    invariant to candidate order.
+    Returns the selection, its value and the handle grown with it. Each
+    round scores the remaining candidates with one ``gains`` call on the
+    handle grown so far, so a log-det handle extends the last round's
+    probes instead of probing afresh. Stops early once the best gain is
+    <= 0 (it cannot help a monotone objective and skipping it saves oracle
+    calls). The id tie-break makes the result invariant to candidate order.
     """
     selected: list[int] = []
-    chosen: set[int] = set()
     handle = oracle.empty()
     value = 0.0
+    candidates = list(items)
     for _ in range(k):
-        best_id = None
-        best_gain = 0.0
-        for cand in items:
-            if cand in chosen:
-                continue
-            gain = handle.gain(cand)
-            if best_id is None or gain > best_gain or (gain == best_gain and cand < best_id):
-                best_id = cand
-                best_gain = gain
-        if best_id is None or best_gain <= 0.0:
+        if not candidates:
             break
+        gains = handle.gains(candidates)
+        best_gain = max(gains)
+        if best_gain <= 0.0:
+            break
+        best_id = min(c for c, g in zip(candidates, gains) if g == best_gain)
         selected.append(best_id)
-        chosen.add(best_id)
         handle = handle.child(best_id)
         value += best_gain
+        candidates = [c for c in candidates if c != best_id]
     return selected, value, handle
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swmax.ingest import DatasetStore, ParseError
-from swmax.streaming import greedy_select, threshold_grid
+from swmax.streaming import threshold_grid
 
 
 def set_store(*payloads) -> DatasetStore:
@@ -86,6 +86,37 @@ def prune_by_mask(reduction) -> None:
         reduction.instances = [inst for inst, kept in zip(reduction.instances, keep) if kept]
 
 
+def greedy_by_gain(items, k, oracle):
+    """Reference for ``greedy_select``: k rounds that score each candidate
+    with its own ``gain`` call, best gain first, smallest id on ties."""
+    selected, chosen = [], set()
+    handle = oracle.empty()
+    value = 0.0
+    for _ in range(k):
+        best_id, best_gain = None, 0.0
+        for cand in items:
+            if cand in chosen:
+                continue
+            gain = handle.gain(cand)
+            if best_id is None or gain > best_gain or (gain == best_gain and cand < best_id):
+                best_id, best_gain = cand, gain
+        if best_id is None or best_gain <= 0.0:
+            break
+        selected.append(best_id)
+        chosen.add(best_id)
+        handle = handle.child(best_id)
+        value += best_gain
+    return selected, value, handle
+
+
+def node_state(handle):
+    """What a handle holds: a coverage node's union mask, or a log-det
+    node's members, skipped ids and factor rows (compared bit for bit)."""
+    if hasattr(handle, "mask"):
+        return handle.mask
+    return handle.ids, handle.skipped_ids, handle._rows
+
+
 def level_buffers(alg) -> list[list[int]]:
     """Each grid level's buffer, read off a sieve's runs."""
     return [run[2] for run in alg.runs for _ in range(run[0], run[1])]
@@ -122,7 +153,7 @@ class LevelSieve:
             if len(survivors) < len(buf):
                 if self.sample_c is not None:
                     candidates = sorted(set(self.samples) | set(survivors))
-                    buf, self.values[level], self.handles[level] = greedy_select(candidates, len(buf) - 1, self.oracle)
+                    buf, self.values[level], self.handles[level] = greedy_by_gain(candidates, len(buf) - 1, self.oracle)
                 elif survivors:
                     buf = survivors
                     self.handles[level], self.values[level] = self.oracle.rebuild(buf)

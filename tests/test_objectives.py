@@ -23,11 +23,33 @@ from swmax.objectives import (
     se_kernel,
 )
 from swmax.sliding import sieve_reduction
-from swmax.streaming import brute_force_opt, threshold_grid
+from swmax.streaming import brute_force_opt, greedy_select, threshold_grid
 
-from conftest import UnionRecount, set_store, vec_store
+from conftest import UnionRecount, node_state, set_store, vec_store
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
+
+
+def _grow_with_batches(oracle, reference, ids, steps):
+    """Grow a node from a counted root of ``oracle`` by ``steps``, each
+    ``(item, batch)``. With ``batch`` set the node first scores ``ids`` in
+    one ``gains`` call, which must charge one call per id and equal the
+    node's single gains bit for bit. Every grown node must hold what
+    ``reference`` grows by ``child`` alone, and a batch, once handed on or
+    used, must be let go."""
+    counting = CountingOracle(oracle)
+    node, plain = counting.empty(), reference.empty()
+    for item, batch in steps:
+        if batch:
+            before = counting.calls
+            got = node.gains(ids)
+            assert counting.calls == before + len(ids)
+            assert getattr(node, "_base", None) is None
+            assert got == [node.gain(i) for i in ids]
+        parent, node, plain = node, node.child(item), plain.child(item)
+        assert node_state(node) == node_state(plain)
+        if batch and item in ids:
+            assert getattr(parent, "_batch", None) is None
 
 
 def _grown(oracle, ids):
@@ -271,6 +293,32 @@ class TestNumericalEdges:
             if before is not None:
                 assert abs(gain - (fresh.value - before.value)) <= tol
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=edge_points(), data=st.data())
+    def test_batch_gains_match_single_gains(self, case, data):
+        X, params = case
+        n = len(X)
+        ids = data.draw(st.lists(st.integers(1, n), max_size=12))
+        item = st.sampled_from(ids) | st.integers(1, n) if ids else st.integers(1, n)
+        steps = data.draw(st.lists(st.tuples(item, st.booleans()), max_size=12))
+        _grow_with_batches(IVMOracle(vec_store(X), params), IVMOracle(vec_store(X), params), ids, steps)
+
+    def test_batch_passes_through_a_skipped_pivot(self):
+        # Point 2 repeats point 1 and collapses its pivot: the skipping child
+        # keeps the factor, so it takes the batch as its own, and the child
+        # it grows without a batch call of its own extends that batch.
+        X, params = self.COLLAPSE
+        oracle = IVMOracle(vec_store(X), params)
+        first = oracle.empty().child(1)
+        first.gains([2, 3, 4])
+        batch = first._batch
+        skipped = first.child(2)
+        assert skipped.skipped_ids == [2] and skipped._batch is batch and skipped._base is None
+        grown = skipped.child(3)
+        assert grown.ids == [1, 3] and grown._base is batch
+        _grow_with_batches(oracle, IVMOracle(vec_store(X), params), [2, 3, 4],
+                           [(1, True), (2, True), (3, False), (4, True)])
+
     def test_two_point_closed_form(self):
         # With a copies of x != 0 and b of 0, det(I + K/sigma^2) is
         # (1 + a s)(1 + b s) - kappa^2 a b s^2, s = sigma^-2 and
@@ -408,10 +456,10 @@ class TestHandles:
     empty/child."""
 
     N = 30
-    COVERAGE = CoverageOracle(
-        set_store(*[tuple(random.Random(t).sample(range(50), t % 9)) for t in range(N)])
-    )
-    IVM = IVMOracle(vec_store(np.random.default_rng(41).normal(size=(N, 4))), PARAMS)
+    COVERAGE_STORE = set_store(*[tuple(random.Random(t).sample(range(50), t % 9)) for t in range(N)])
+    COVERAGE = CoverageOracle(COVERAGE_STORE)
+    IVM_STORE = vec_store(np.random.default_rng(41).normal(size=(N, 4)))
+    IVM = IVMOracle(IVM_STORE, PARAMS)
     ORACLES = {"coverage": (COVERAGE, 0.0), "ivm": (IVM, 1e-9)}
     ids = st.lists(st.integers(1, N), max_size=8, unique=True)
 
@@ -482,6 +530,8 @@ class TestHandles:
             with pytest.raises(ValueError):
                 handle.gain(bad)
             with pytest.raises(ValueError):
+                handle.gains([3, bad])
+            with pytest.raises(ValueError):
                 handle.child(bad)
         with pytest.raises(ValueError):
             oracle.rebuild([1, bad])
@@ -502,6 +552,38 @@ class TestHandles:
             swrd.step(Item(t))
         gc.collect()
         assert node() is None
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.integers(1, N), max_size=12), data=st.data())
+    def test_batch_gains_match_single_gains(self, objective, ids, data):
+        oracle, _ = self.ORACLES[objective]
+        item = st.sampled_from(ids) | st.integers(1, self.N) if ids else st.integers(1, self.N)
+        steps = data.draw(st.lists(st.tuples(item, st.booleans()), max_size=10))
+        reference = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
+        _grow_with_batches(oracle, reference, ids, steps)
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_finished_greedy_frees_nodes_and_probes(self, objective):
+        # Only nodes hold batch probes, and the root hands its batch on to
+        # the child greedy takes. So once the greedy's handle is dropped and
+        # the root has grown another child, as the next admission does, no
+        # node of the greedy and none of its probes is left.
+        oracle = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
+        selection, _, handle = greedy_select(range(1, self.N), 5, oracle)
+        assert len(selection) == 5
+        nodes, node = [], oracle.empty()
+        for i in selection:
+            node = node.child(i)
+            nodes.append(weakref.ref(node))
+        assert node is handle
+        del node, handle
+        root = oracle.empty()
+        assert getattr(root, "_batch", None) is None
+        root.child(self.N)
+        gc.collect()
+        assert [ref() for ref in nodes] == [None] * 5
+        assert getattr(root, "_batch", None) is None and getattr(root, "_base", None) is None
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_counting_charges_gain_eval_rebuild_only(self, objective):

@@ -617,6 +617,28 @@ def test_running_retained_count_matches_recount():
             assert alg.retained_count() == _recount(alg), (name, item.t)
 
 
+@pytest.mark.parametrize("objective", ["coverage", "ivm"])
+@pytest.mark.parametrize("epsilon", [0.05, 0.5])
+def test_reduction_running_total_matches_recount(objective, epsilon):
+    # ``step`` sums the instances' counts as it feeds them and ``prune``
+    # takes off the ones it drops; a recount from the buffers and from the
+    # instances agrees after every arrival, while prunes drop instances.
+    if objective == "coverage":
+        store = gen_set_stream(150, 25, 5, seed=8)
+        oracle = CoverageOracle(store)
+    else:
+        store = gen_drift_vectors(150, 3, 3, 20, seed=8)
+        oracle = IVMOracle(store, KernelParams(sigma=0.3))
+    window = 40
+    red = sieve_reduction(3, window, epsilon, oracle)
+    pruned = 0
+    for item in store.items():
+        red.step(item)
+        assert red.retained_count() == _recount(red) == sum(i.alg.retained_count() for i in red.instances), item.t
+        pruned += len(red.instances) < min(item.t, window)
+    assert pruned > 0
+
+
 def test_harness_peak_is_running_max_of_recount():
     # Each record's peak_items is the maximum retained count over every
     # arrival so far, not only over the recorded ones; the rerun baselines

@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swmax.core import CountingOracle, Item
 from swmax.ingest import gen_set_stream
-from swmax.objectives import CoverageOracle
+from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import (
     SieveStream,
     brute_force_opt,
@@ -14,7 +16,7 @@ from swmax.streaming import (
     threshold_grid,
 )
 
-from conftest import level_buffers, level_values, set_store
+from conftest import greedy_by_gain, level_buffers, level_values, node_state, set_store, vec_store
 
 
 class TestThresholdGrid:
@@ -219,6 +221,35 @@ class TestGreedy:
             _, opt = brute_force_opt(ids, 3, oracle)
             got = greedy_select(ids, 3, oracle)[1]
             assert got >= ratio * opt - 1e-9
+
+
+@st.composite
+def greedy_instances(draw):
+    """An oracle and a candidate list with repeats: coverage over small
+    sets, or ivm on repeated points with a noise scale log-uniform in
+    [1e-3, 1e3], so ties and collapsed pivots both occur."""
+    n = draw(st.integers(1, 25))
+    if draw(st.booleans()):
+        payloads = draw(st.lists(st.frozensets(st.integers(0, 15), max_size=6), min_size=n, max_size=n))
+        oracle = CoverageOracle(set_store(*payloads))
+    else:
+        pool = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(6, 3))
+        rows = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        oracle = IVMOracle(vec_store(pool[rows]), KernelParams(sigma=10.0 ** draw(st.floats(-3.0, 3.0))))
+    return oracle, draw(st.lists(st.integers(1, n), max_size=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=greedy_instances(), k=st.integers(0, 8))
+def test_greedy_select_matches_per_gain_reference(instance, k):
+    # One ``gains`` call per round picks, scores and charges exactly as a
+    # ``gain`` call per candidate does, and grows the same handle.
+    oracle, items = instance
+    batched, single = CountingOracle(oracle), CountingOracle(oracle)
+    selection, value, handle = greedy_select(items, k, batched)
+    ref_selection, ref_value, ref_handle = greedy_by_gain(items, k, single)
+    assert (selection, value, batched.calls) == (ref_selection, ref_value, single.calls)
+    assert node_state(handle) == node_state(ref_handle)
 
 
 class TestBruteForce:
