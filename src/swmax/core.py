@@ -15,10 +15,10 @@ upper end of every threshold grid.
 A handle is an immutable trie node for one set: ``gain(id)`` is the
 marginal gain of one more item, ``gains(ids)`` the gains of many items in
 one batch, as greedy scores its candidates in a round, and ``child(id)``
-the node for the set plus that item, leaving the node itself unchanged. A node remembers its last
-gain and its last child, so buffers with equal contents grown from one root
-hold one node, compute the gain of an arrival once and converge on one
-child. One slot of each is enough because every buffer at a node asks about
+the node for the set plus that item, leaving the node itself unchanged. A
+node remembers its last gain and its last child, so buffers with equal
+contents grown from one root hold one node, compute the gain of an arrival
+once and converge on one child. One slot of each is enough because every buffer at a node asks about
 an arrival, and takes it, during that arrival's step; a query that misses
 the memo only loses sharing, never correctness. A node holds at most one
 child and no parent, so a node is freed once no buffer holds it and its

@@ -109,8 +109,7 @@ class CholState:
     """
 
     __slots__ = ("_kernel", "counter", "ids", "skipped_ids", "_members", "_rows", "_logdiag", "_gain", "_child",
-                 "_batch", "_base",
-                 "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
+                 "_batch", "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
 
     def __init__(self, points: np.ndarray, params: KernelParams):
         self._kernel: list = [None, params.sigma**-2, params.h**2, points]
@@ -123,7 +122,6 @@ class CholState:
         self._gain: tuple[int, float, tuple[list[float], list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
         self._batch: dict[int, tuple[list[float], list[float], float]] | None = None
-        self._base: dict[int, tuple[list[float], list[float], float]] | None = None
 
     @property
     def n(self) -> int:
@@ -209,36 +207,38 @@ class CholState:
         """``[self.gain(i) for i in ids]``, bit for bit, each id charged and
         evaluated once; the probes are kept as this node's batch.
 
-        A node grown by ``child`` from a batch id inherits the batch as its
-        base, and its own ``gains`` extends each base probe by the one new
-        row: one kernel entry ``c`` and ``(c - sum(map(mul, row, w))) /
-        row[-1]``, the step ``_probe`` would take last, so ``w`` and ``d``
-        come out as ``_probe`` computes them. An id outside the base is
-        probed from scratch. The base is dropped once used.
+        A node grown by ``child`` from an id of a batch takes the batch
+        with it, so its probes are against the factor one row short. Its own
+        ``gains`` extends each of them by that row: one kernel entry ``c``
+        and ``(c - sum(map(mul, row, w))) / row[-1]``, the last step
+        ``_probe`` would take, so ``w`` and ``d`` come out as ``_probe``
+        computes them. After a collapsed pivot the factor, and so each
+        probe, is unchanged. An id outside the batch is probed afresh, and
+        the new batch replaces the one taken.
         """
         counter = self.counter
         if counter is not None:
             counter.calls += len(ids)
             counter.evaluations += len(ids)
-        base = self._base or {}
-        if base:
+        taken = self._batch or {}
+        n = len(self._rows)
+        if n:
             inv_s2, h2 = self._kernel[1], self._kernel[2]
             s, row = self._members[-1], self._rows[-1]
             pivot = row[-1]
-            self._base = None
         probes: dict[int, tuple[list[float], list[float], float]] = {}
         gains: list[float] = []
         for i in ids:
-            probe = base.get(i)
+            probe = taken.get(i)
             if probe is None:
-                probe = probes[i] = self._probe(i)
-                d = probe[2]
-            else:
+                probe = self._probe(i)
+            elif len(probe[1]) < n:
                 x, w, _ = probe
                 c = inv_s2 * math.exp(-math.dist(s, x) ** 2 / h2)
                 w = w + [(c - sum(map(mul, row, w))) / pivot]
-                d = 1.0 + inv_s2 - sum(map(mul, w, w))
-                probes[i] = (x, w, d)
+                probe = (x, w, 1.0 + inv_s2 - sum(map(mul, w, w)))
+            probes[i] = probe
+            d = probe[2]
             gains.append(0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0)
         self._batch = probes
         return gains
@@ -246,44 +246,37 @@ class CholState:
     def child(self, item_id: int) -> "CholState":
         """The node with the item appended, or added to ``skipped_ids`` on a collapsed pivot.
 
-        If the item is in this node's batch, the child takes its probe from
-        there and the batch moves to the child: as the base it extends, or,
-        after a collapsed pivot, unchanged as its own batch.
+        For an id of the node's own batch, the batch probe serves as the
+        gain memo, and the batch moves on to the child, which extends it in
+        its own ``gains``.
         """
         batch = self._batch
-        if batch is not None and item_id not in batch:
-            batch = None
+        if batch is not None and item_id in batch and len(batch[item_id][1]) == len(self._rows):
+            self._batch = None
+            probe = batch[item_id]
+            d = probe[2]
+            self._gain = (item_id, 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0, probe)
+            node = self.child(item_id)
+            node._batch = batch
+            return node
         memo = self._child
         if memo is not None and memo[0] == item_id:
-            node = memo[1]
+            return memo[1]
+        gained = self._gain
+        x, w, d = gained[2] if gained is not None and gained[0] == item_id else self._probe(item_id)
+        node = object.__new__(CholState)
+        node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, None
+        if d <= DEGENERATE_PIVOT:
+            node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
+            node.skipped_ids = self.skipped_ids + [item_id]
         else:
-            gained = self._gain
-            if batch is not None:
-                x, w, d = batch[item_id]
-            elif gained is not None and gained[0] == item_id:
-                x, w, d = gained[2]
-            else:
-                x, w, d = self._probe(item_id)
-            node = object.__new__(CholState)
-            node._kernel, node.counter, node._gain, node._child = self._kernel, self.counter, None, None
-            node._batch = node._base = None
-            if d <= DEGENERATE_PIVOT:
-                node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
-                node.skipped_ids = self.skipped_ids + [item_id]
-            else:
-                root = math.sqrt(d)
-                node.ids = self.ids + [item_id]
-                node.skipped_ids = self.skipped_ids
-                node._members = self._members + [x]
-                node._rows = self._rows + [w + [root]]
-                node._logdiag = self._logdiag + [math.log(root)]
-            self._child = (item_id, node)
-        if batch is not None:
-            self._batch = None
-            if node._rows is self._rows:
-                node._batch = batch
-            else:
-                node._base = batch
+            root = math.sqrt(d)
+            node.ids = self.ids + [item_id]
+            node.skipped_ids = self.skipped_ids
+            node._members = self._members + [x]
+            node._rows = self._rows + [w + [root]]
+            node._logdiag = self._logdiag + [math.log(root)]
+        self._child = (item_id, node)
         return node
 
 

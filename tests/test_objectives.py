@@ -44,7 +44,8 @@ def _grow_with_batches(oracle, reference, ids, steps):
             before = counting.calls
             got = node.gains(ids)
             assert counting.calls == before + len(ids)
-            assert getattr(node, "_base", None) is None
+            # the node's batch is its own now: no probe of its parent's is kept
+            assert all(len(w) == node.n for _, w, _ in getattr(node, "_batch", {}).values())
             assert got == [node.gain(i) for i in ids]
         parent, node, plain = node, node.child(item), plain.child(item)
         assert node_state(node) == node_state(plain)
@@ -313,9 +314,9 @@ class TestNumericalEdges:
         first.gains([2, 3, 4])
         batch = first._batch
         skipped = first.child(2)
-        assert skipped.skipped_ids == [2] and skipped._batch is batch and skipped._base is None
+        assert skipped.skipped_ids == [2] and skipped._batch is batch and first._batch is None
         grown = skipped.child(3)
-        assert grown.ids == [1, 3] and grown._base is batch
+        assert grown.ids == [1, 3] and grown._batch is batch and skipped._batch is None
         _grow_with_batches(oracle, IVMOracle(vec_store(X), params), [2, 3, 4],
                            [(1, True), (2, True), (3, False), (4, True)])
 
@@ -583,7 +584,7 @@ class TestHandles:
         root.child(self.N)
         gc.collect()
         assert [ref() for ref in nodes] == [None] * 5
-        assert getattr(root, "_batch", None) is None and getattr(root, "_base", None) is None
+        assert getattr(root, "_batch", None) is None
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_counting_charges_gain_eval_rebuild_only(self, objective):
