@@ -246,24 +246,26 @@ class CholState:
     def child(self, item_id: int) -> "CholState":
         """The node with the item appended, or added to ``skipped_ids`` on a collapsed pivot.
 
-        For an id of the node's own batch, the batch probe serves as the
-        gain memo, and the batch moves on to the child, which extends it in
-        its own ``gains``.
+        Unless a memo serves it, the child of an id of the node's own batch
+        takes its probe from the batch, which then moves on to the child, to
+        be extended in the child's own ``gains``.
         """
-        batch = self._batch
-        if batch is not None and item_id in batch and len(batch[item_id][1]) == len(self._rows):
-            self._batch = None
-            probe = batch[item_id]
-            d = probe[2]
-            self._gain = (item_id, 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0, probe)
-            node = self.child(item_id)
-            node._batch = batch
-            return node
         memo = self._child
         if memo is not None and memo[0] == item_id:
             return memo[1]
         gained = self._gain
-        x, w, d = gained[2] if gained is not None and gained[0] == item_id else self._probe(item_id)
+        if gained is not None and gained[0] == item_id:
+            x, w, d = gained[2]
+        else:
+            batch = self._batch
+            if batch is not None and item_id in batch and len(batch[item_id][1]) == len(self._rows):
+                probe = batch[item_id]  # serves as the gain memo for the one child built from it
+                self._gain = (item_id, 0.5 * math.log(probe[2]) if probe[2] > DEGENERATE_PIVOT else 0.0, probe)
+                self._batch = None
+                node = self.child(item_id)
+                node._batch = batch
+                return node
+            x, w, d = self._probe(item_id)
         node = object.__new__(CholState)
         node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, None
         if d <= DEGENERATE_PIVOT:

@@ -106,8 +106,8 @@ class SlidingWindowReduction:
             x = last
             while x > j + 1 and grow * vals[x] < vals[j]:
                 x -= 1
-            if x > j + 1:
-                self._retained -= sum(inst.alg.retained_count() for inst in instances[j + 1 : x])
+            for inst in instances[j + 1 : x]:
+                self._retained -= inst.alg.retained_count()
             j = x
         self.instances = kept + instances[last:]  # the newest always survives
 

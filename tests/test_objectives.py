@@ -34,9 +34,9 @@ def _grow_with_batches(oracle, reference, ids, steps):
     """Grow a node from a counted root of ``oracle`` by ``steps``, each
     ``(item, batch)``. With ``batch`` set the node first scores ``ids`` in
     one ``gains`` call, which must charge one call per id and equal the
-    node's single gains bit for bit. Every grown node must hold what
-    ``reference`` grows by ``child`` alone, and a batch, once handed on or
-    used, must be let go."""
+    single gains of the node ``reference`` grows by ``child`` alone, bit for
+    bit. Every grown node must hold what that node holds, and a batch, once
+    handed on or used, must be let go."""
     counting = CountingOracle(oracle)
     node, plain = counting.empty(), reference.empty()
     for item, batch in steps:
@@ -46,7 +46,7 @@ def _grow_with_batches(oracle, reference, ids, steps):
             assert counting.calls == before + len(ids)
             # the node's batch is its own now: no probe of its parent's is kept
             assert all(len(w) == node.n for _, w, _ in getattr(node, "_batch", {}).values())
-            assert got == [node.gain(i) for i in ids]
+            assert got == [plain.gain(i) for i in ids]
         parent, node, plain = node, node.child(item), plain.child(item)
         assert node_state(node) == node_state(plain)
         if batch and item in ids:
