@@ -254,20 +254,18 @@ class CholState:
         if memo is not None and memo[0] == item_id:
             return memo[1]
         gained = self._gain
+        taken = None
         if gained is not None and gained[0] == item_id:
             x, w, d = gained[2]
         else:
             batch = self._batch
             if batch is not None and item_id in batch and len(batch[item_id][1]) == len(self._rows):
-                probe = batch[item_id]  # serves as the gain memo for the one child built from it
-                self._gain = (item_id, 0.5 * math.log(probe[2]) if probe[2] > DEGENERATE_PIVOT else 0.0, probe)
-                self._batch = None
-                node = self.child(item_id)
-                node._batch = batch
-                return node
-            x, w, d = self._probe(item_id)
+                x, w, d = batch[item_id]
+                taken, self._batch = batch, None
+            else:
+                x, w, d = self._probe(item_id)
         node = object.__new__(CholState)
-        node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, None
+        node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, taken
         if d <= DEGENERATE_PIVOT:
             node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
             node.skipped_ids = self.skipped_ids + [item_id]

@@ -79,12 +79,8 @@ class SlidingWindowReduction:
         cutoff = item.t - self.window
         while self.instances and self.instances[0].start <= cutoff:
             self.instances.pop(0)
-        retained = 0
         for inst in self.instances:
-            alg = inst.alg
-            alg.step(item)
-            retained += alg.retained_count()
-        self._retained = retained
+            inst.alg.step(item)
         self.prune()
 
     def prune(self) -> None:
@@ -94,22 +90,27 @@ class SlidingWindowReduction:
         the largest x > j with ``(1+eps) * v[x] >= v[j]``, or j+1. Then every
         other survivor's value decays by more than (1+eps), so O(log(upper)/eps)
         instances remain; zero values survive only in the last two positions.
-        The dropped instances' references leave the running retained total.
+        The pass also sums the survivors' retained references.
         """
         instances, vals = self.instances, self.instance_values()
         last = len(vals) - 1
         grow = 1.0 + self.epsilon
         kept = []
+        retained = 0
         j = 0
         while j < last:
-            kept.append(instances[j])
+            inst = instances[j]
+            kept.append(inst)
+            retained += inst.alg.retained_count()
             x = last
             while x > j + 1 and grow * vals[x] < vals[j]:
                 x -= 1
-            for inst in instances[j + 1 : x]:
-                self._retained -= inst.alg.retained_count()
             j = x
-        self.instances = kept + instances[last:]  # the newest always survives
+        if instances:  # the newest always survives
+            kept.append(instances[last])
+            retained += instances[last].alg.retained_count()
+        self.instances = kept
+        self._retained = retained
 
     def query(self) -> tuple[list[int], float]:
         """Solution of the oldest instance; ``step`` has dropped every
@@ -125,8 +126,7 @@ class SlidingWindowReduction:
         return [inst.alg.best_value() for inst in self.instances]
 
     def retained_count(self) -> int:
-        """The live instances' references: summed in ``step`` as it feeds
-        them, less what ``prune`` drops."""
+        """The live instances' references, as the last ``prune`` summed them."""
         return self._retained
 
 

@@ -619,10 +619,10 @@ def test_running_retained_count_matches_recount():
 
 @pytest.mark.parametrize("objective", ["coverage", "ivm"])
 @pytest.mark.parametrize("epsilon", [0.05, 0.5])
-def test_reduction_running_total_matches_recount(objective, epsilon):
-    # ``step`` sums the instances' counts as it feeds them and ``prune``
-    # takes off the ones it drops; a recount from the buffers and from the
-    # instances agrees after every arrival, while prunes drop instances.
+def test_reduction_retained_total_matches_recount(objective, epsilon):
+    # ``prune`` sums the survivors' counts as it keeps them, and ``step``
+    # ends with a prune; a recount from the buffers and from the instances
+    # agrees after every arrival, while prunes drop instances.
     if objective == "coverage":
         store = gen_set_stream(150, 25, 5, seed=8)
         oracle = CoverageOracle(store)
