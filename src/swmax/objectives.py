@@ -26,8 +26,8 @@ greedy takes inherits the batch, and its own batch extends each probe by
 the one row the factor grew by, so a greedy round costs one kernel entry
 and one solve entry per candidate, not a kernel row and a whole solve. A
 batch lives until it is handed on or used: a node hands it to the child
-grown from one of its ids and drops it, and the child drops it once
-extended, so a finished greedy leaves at most one batch, on its last node.
+grown from one of its ids and drops it, and the child's own batch replaces
+it, so a finished greedy leaves at most one batch, on its last node.
 """
 
 from __future__ import annotations
@@ -246,24 +246,26 @@ class CholState:
     def child(self, item_id: int) -> "CholState":
         """The node with the item appended, or added to ``skipped_ids`` on a collapsed pivot.
 
-        Unless a memo serves it, the child of an id of the node's own batch
-        takes its probe from the batch, which then moves on to the child, to
-        be extended in the child's own ``gains``.
+        If the node's own batch holds a probe of the item, the batch moves on
+        to the child, new or from the memo, to be extended in the child's own
+        ``gains``, and a new child takes its probe from it.
         """
+        taken = None
+        batch = self._batch
+        if batch is not None and item_id in batch and len(batch[item_id][1]) == len(self._rows):
+            taken, self._batch = batch, None
         memo = self._child
         if memo is not None and memo[0] == item_id:
+            if taken is not None:
+                memo[1]._batch = taken
             return memo[1]
         gained = self._gain
-        taken = None
-        if gained is not None and gained[0] == item_id:
+        if taken is not None:
+            x, w, d = taken[item_id]
+        elif gained is not None and gained[0] == item_id:
             x, w, d = gained[2]
         else:
-            batch = self._batch
-            if batch is not None and item_id in batch and len(batch[item_id][1]) == len(self._rows):
-                x, w, d = batch[item_id]
-                taken, self._batch = batch, None
-            else:
-                x, w, d = self._probe(item_id)
+            x, w, d = self._probe(item_id)
         node = object.__new__(CholState)
         node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, taken
         if d <= DEGENERATE_PIVOT:

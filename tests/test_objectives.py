@@ -564,6 +564,18 @@ class TestHandles:
         reference = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
         _grow_with_batches(oracle, reference, ids, steps)
 
+    def test_batch_follows_a_child_from_the_memo(self):
+        # A greedy round that picks the item of the node's last child, as
+        # consecutive windows of the greedy baseline often do, still hands
+        # its batch on, so the next round extends it.
+        root = IVMOracle(self.IVM_STORE, PARAMS).empty()
+        first = root.child(3)
+        root.gains([3, 4, 5])
+        batch = root._batch
+        assert root.child(3) is first and first._batch is batch and root._batch is None
+        assert first.gains([4, 5]) == [_grown(self.IVM, [3]).gain(i) for i in (4, 5)]
+        assert all(len(w) == 1 for _, w, _ in first._batch.values())
+
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_finished_greedy_frees_nodes_and_probes(self, objective):
         # Only nodes hold batch probes, and the root hands its batch on to
