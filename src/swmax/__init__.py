@@ -7,7 +7,6 @@ from .core import (
     CountingOracle,
     Item,
     OracleHandle,
-    StreamAlgorithm,
     SubmodularOracle,
     Window,
     window_members,
@@ -17,10 +16,7 @@ from .objectives import (
     CoverageOracle,
     IVMOracle,
     KernelParams,
-    NumericDegeneracyError,
     coverage_value,
-    ivm_value,
-    se_kernel,
 )
 from .streaming import SieveStream, brute_force_opt, greedy_select, threshold_grid
 from .sliding import (
@@ -61,7 +57,6 @@ __all__ = [
     "Item",
     "KernelParams",
     "MetricsRecord",
-    "NumericDegeneracyError",
     "OracleHandle",
     "ParseError",
     "PrioritySample",
@@ -71,7 +66,6 @@ __all__ = [
     "SieveStream",
     "SlidingWindowDP",
     "SlidingWindowReduction",
-    "StreamAlgorithm",
     "SubmodularOracle",
     "ThresholdGreedy",
     "Window",
@@ -81,13 +75,11 @@ __all__ = [
     "gen_drift_vectors",
     "gen_set_stream",
     "greedy_select",
-    "ivm_value",
     "load_dense_csv",
     "load_set_stream",
     "normalize_columns_then_rows",
     "parse_cli",
     "run_benchmark",
-    "se_kernel",
     "sieve_reduction",
     "threshold_grid",
     "window_members",

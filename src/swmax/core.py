@@ -153,18 +153,6 @@ def window_members(window: Window, history) -> list[int]:
     return list(range(window.start, window.end + 1))
 
 
-class StreamAlgorithm(Protocol):
-    """One-pass algorithm: feed items, query the current (solution, value),
-    and count the item references it holds; the harness takes the peak of
-    that count over the run."""
-
-    def step(self, item: Item) -> None: ...
-
-    def query(self) -> tuple[list[int], float]: ...
-
-    def retained_count(self) -> int: ...
-
-
 class BestSoFar:
     """Makes a streaming algorithm's reported value non-decreasing.
 

@@ -130,8 +130,9 @@ def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ())
                 raise ParseError(path, line_no, f"non-numeric field in {row!r}") from None
             if width is None:
                 width = len(values)
-                if drop and max(drop) >= width:
-                    raise ValueError(f"drop column {max(drop)} outside 0..{width - 1}")
+                for i in drop:
+                    if not 0 <= i < width:
+                        raise ValueError(f"drop column {i} outside 0..{width - 1}")
             elif len(values) != width:
                 raise ParseError(
                     path, line_no, f"expected {width} columns, got {len(values)}"

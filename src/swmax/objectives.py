@@ -9,16 +9,17 @@ used throughout; the base only rescales utilities uniformly, but
 same base, so one is fixed globally.
 
 Each objective hands out handles (see ``swmax.core``): immutable trie
-nodes, one per member set, all grown from the one root that ``empty()``
+nodes, one per member set, grown from the one root that ``empty()``
 returns. A coverage node is the union bitmask of its members. A log-det
 node is a Cholesky factor of ``I + K_S / sigma**2`` in Python floats; its
 children grow it by one row, so a marginal gain costs one kernel row and one
 forward substitution against the factor instead of a fresh factorization,
 and each node computes the gain of an arrival once however many buffers
-hold it. Factors are only ever extended; a buffer that shrinks (expiry)
-gets a fresh root from ``rebuild``, factored from scratch with numpy, since
-downdating is numerically risky and shrinks are rare relative to gain
-queries.
+hold it. Factors are only ever extended, since downdating is numerically
+risky: a buffer that shrinks (expiry) gets the node that ``rebuild`` grows
+from a fresh root of its own, one ``child`` per member. So every factor
+comes from the one row step of ``child``, and a collapsed pivot is skipped
+alike on every path.
 
 A batch of gains (``gains``, one greedy round) keeps each candidate's
 probe, its forward substitution against the node's factor. The child that
@@ -37,15 +38,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
-import numpy as np
-
 # Schur complements of I + K/sigma^2 are >= 1 in exact arithmetic; a pivot
 # at or below this threshold means rounding has destroyed the factor.
 DEGENERATE_PIVOT = 1e-12
-
-
-class NumericDegeneracyError(RuntimeError):
-    """A Cholesky pivot collapsed; the kernel matrix is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -70,21 +65,11 @@ def coverage_value(payloads: Iterable[Iterable[int]]) -> int:
     return len(union)
 
 
-def se_kernel(x, y, params: KernelParams) -> float:
-    """exp(-||x - y||^2 / h^2); symmetric, in (0, 1], and 1 iff x == y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x - y) ** 2))
-    return math.exp(-d2 / params.h**2)
-
-
 class CholState:
     """Log-det handle: one immutable trie node with lower-triangular L,
     ``L @ L.T == I + K_S / sigma**2`` for its member set S.
 
-    Members are rows of ``points``, where item id ``t`` is row ``t - 1``.
+    Members are points of ``rows``, where item id ``t`` is ``rows[t - 1]``.
     The value ``sum(log diag L)`` equals ``0.5 * log det`` of the factored
     matrix. Members enter in insertion order; a degenerate pivot
     (<= DEGENERATE_PIVOT) is recorded in ``skipped_ids`` and the factor is
@@ -93,8 +78,9 @@ class CholState:
     The factor is kept as Python lists of floats, row ``i`` being
     ``[L_i0, ..., L_ii]``, next to the members' points, also as lists: on
     factors of a few rows a numpy call costs more in overhead than the
-    arithmetic it does. A probe converts nothing: nodes share their root's
-    point rows, which an ``IVMOracle`` takes from its store (``vector_rows``).
+    arithmetic it does. A probe converts nothing: a root takes the points
+    as float rows, which an ``IVMOracle`` reads from its store
+    (``vector_rows``), and its nodes share them.
 
     A node's set and factor never change, only its two memo slots and its
     batch probes (see ``gains``) do.
@@ -111,8 +97,8 @@ class CholState:
     __slots__ = ("_kernel", "counter", "ids", "skipped_ids", "_members", "_rows", "_logdiag", "_gain", "_child",
                  "_batch", "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
 
-    def __init__(self, points: np.ndarray, params: KernelParams):
-        self._kernel: list = [None, params.sigma**-2, params.h**2, points]
+    def __init__(self, rows: Sequence[list[float]], params: KernelParams):
+        self._kernel = (rows, params.sigma**-2, params.h**2)
         self.counter = None
         self.ids: list[int] = []
         self.skipped_ids: list[int] = []
@@ -133,39 +119,8 @@ class CholState:
         """0.5 * log det(I + K_S / sigma**2)."""
         return math.fsum(self._logdiag)
 
-    @property
-    def L(self) -> np.ndarray:
-        """The factor as a new ``n x n`` array."""
-        L = np.zeros((self.n, self.n))
-        for i, row in enumerate(self._rows):
-            L[i, : i + 1] = row
-        return L
-
-    @classmethod
-    def from_vectors(cls, points: np.ndarray, ids: Sequence[int], params: KernelParams) -> "CholState":
-        """A fresh root node: I + K/sigma^2 for the members ``ids``, factored in one shot."""
-        state = cls(points, params)
-        if not len(ids):
-            return state
-        X = points[[state._row(i) for i in ids]]
-        diff = X[:, None, :] - X[None, :, :]
-        K = np.exp(-np.sum(diff**2, axis=2) / params.h**2)
-        A = np.eye(len(ids)) + K / params.sigma**2
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericDegeneracyError(f"factorization failed: {exc}") from exc
-        diag = L.diagonal().tolist()
-        if min(diag) ** 2 <= DEGENERATE_PIVOT:
-            raise NumericDegeneracyError("factorization pivot collapsed")
-        state.ids = list(ids)
-        state._members = X.tolist()
-        state._rows = [row[: i + 1] for i, row in enumerate(L.tolist())]
-        state._logdiag = [math.log(v) for v in diag]
-        return state
-
     def _row(self, item_id: int) -> int:
-        if not 1 <= item_id <= len(self._kernel[3]):
+        if not 1 <= item_id <= len(self._kernel[0]):
             raise ValueError(f"unknown item id {item_id}")
         return item_id - 1
 
@@ -177,9 +132,7 @@ class CholState:
         ``w`` comes by forward substitution, one kernel entry and one
         ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member.
         """
-        rows, inv_s2, h2, points = self._kernel
-        if rows is None:  # a root built outside an oracle converts its points once
-            rows = self._kernel[0] = points.tolist()
+        rows, inv_s2, h2 = self._kernel
         x = rows[self._row(item_id)]
         w: list[float] = []
         for s, row in zip(self._members, self._rows):
@@ -282,14 +235,6 @@ class CholState:
         return node
 
 
-def ivm_value(X, params: KernelParams) -> float:
-    """0.5 * log det(I + K/sigma^2) for the given points, freshly factorized."""
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        return 0.0
-    return CholState.from_vectors(X, range(1, X.shape[0] + 1), params).value
-
-
 class CoverageUnion:
     """Coverage handle: an immutable node holding its members' union bitmask.
 
@@ -388,18 +333,18 @@ class CoverageOracle:
 
 
 class IVMOracle:
-    """Log-det objective over a dense-vector store; handles are ``CholState`` nodes."""
+    """Log-det objective over a dense-vector store; handles are ``CholState``
+    nodes on the store's float rows, each grown by ``child`` from a root."""
 
     def __init__(self, store, params: KernelParams):
         if store.kind != "dense":
             raise ValueError(f"log-det objective needs dense vectors, got {store.kind!r}")
         self.params = params
-        self._points = store.vectors
-        self._root = CholState(self._points, params)
-        self._root._kernel[0] = store.vector_rows
+        self._rows = store.vector_rows
+        self._root = CholState(self._rows, params)
         # The last set evaluated and its value: the harness re-scores, and
         # the random baseline re-evaluates, an unchanged set after most
-        # arrivals, and a fresh factorization costs far more than the query.
+        # arrivals, and growing a factor costs far more than the query.
         self._last_eval: tuple[tuple[int, ...], float] = ((), 0.0)
 
     def empty(self) -> CholState:
@@ -407,9 +352,13 @@ class IVMOracle:
         return self._root
 
     def rebuild(self, ids: Sequence[int]) -> tuple[CholState, float]:
-        state = CholState.from_vectors(self._points, ids, self.params)
-        state._kernel = self._root._kernel
-        return state, state.value
+        """The node grown by ``child`` from a fresh root, one member at a
+        time in order, and its value. The root is not the shared one, so the
+        memo slots of the nodes that buffers hold are left alone."""
+        node = CholState(self._rows, self.params)
+        for i in ids:
+            node = node.child(i)
+        return node, node.value
 
     def eval(self, ids: Sequence[int]) -> float:
         key = tuple(ids)

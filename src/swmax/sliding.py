@@ -337,13 +337,11 @@ class SieveGreedy(SieveNaive):
         super().__init__(k, window, epsilon, oracle)
         self.sample_rate = min(1.0, sample_c / window)
         self.samples: list[int] = []
-        self.sampled_total = 0
         self._rng = random.Random(seed)
 
     def step(self, item: Item) -> None:
         if self._rng.random() < self.sample_rate:
             self.samples.append(item.t)
-            self.sampled_total += 1
         cutoff = item.t - self.window
         while self.samples and self.samples[0] <= cutoff:
             self.samples.pop(0)

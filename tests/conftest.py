@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_left, insort
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from swmax.ingest import DatasetStore, ParseError
+from swmax.objectives import DEGENERATE_PIVOT
 from swmax.streaming import threshold_grid
 
 
@@ -29,6 +31,45 @@ class UnionRecount:
 
     def marginal(self, item_id, ids):
         return self.eval(list(ids) + [item_id]) - self.eval(ids)
+
+
+def se_kernel(x, y, params) -> float:
+    """exp(-||x - y||^2 / h^2); symmetric, in (0, 1], and 1 iff x == y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    d2 = float(np.sum((x - y) ** 2))
+    return math.exp(-d2 / params.h**2)
+
+
+def fresh_factor(X, params):
+    """Reference for a log-det node's factor: ``np.linalg.cholesky`` of
+    ``I + K/sigma**2`` over the rows of ``X``, in one shot, or None where
+    numpy finds the matrix singular or a pivot is at or below
+    ``DEGENERATE_PIVOT``."""
+    X = np.asarray(X, dtype=float)
+    diff = X[:, None, :] - X[None, :, :]
+    K = np.exp(-np.sum(diff**2, axis=2) / params.h**2)
+    try:
+        L = np.linalg.cholesky(np.eye(len(X)) + K / params.sigma**2)
+    except np.linalg.LinAlgError:
+        return None
+    return L if np.all(np.diag(L) ** 2 > DEGENERATE_PIVOT) else None
+
+
+def ivm_value(X, params) -> float:
+    """Reference value ``0.5 * log det(I + K/sigma**2)`` of the rows of
+    ``X``: the log diagonal of ``fresh_factor``, which must not be None."""
+    return math.fsum(math.log(v) for v in np.diag(fresh_factor(X, params)).tolist())
+
+
+def factor_matrix(handle) -> np.ndarray:
+    """A log-det node's factor rows as an ``n x n`` lower-triangular array."""
+    L = np.zeros((handle.n, handle.n))
+    for i, row in enumerate(handle._rows):
+        L[i, : i + 1] = row
+    return L
 
 
 def load_set_stream_per_token(path) -> list[tuple[int, ...]]:

@@ -25,7 +25,6 @@ from swmax.objectives import (
     CholState,
     CoverageOracle,
     KernelParams,
-    ivm_value,
 )
 from swmax.sliding import (
     PrioritySample,
@@ -41,6 +40,8 @@ from swmax.streaming import (
     greedy_select,
     threshold_grid,
 )
+
+from conftest import ivm_value
 
 EPS = 0.2
 GUARANTEE_COMBOS = ((120, 40, 2), (120, 20, 2), (60, 20, 3), (60, 40, 3))
@@ -152,7 +153,7 @@ def test_criterion_3_logdet_numerics():
     for _ in range(200):
         size = int(rng.integers(1, 26))
         X = rng.normal(size=(size, 5))
-        state = CholState(X, params)
+        state = CholState(X.tolist(), params)
         running = 0.0
         for i in range(size):
             base_ids = list(state.ids)

@@ -57,6 +57,13 @@ class TestDenseCsv:
         assert store.dim == 2
         assert list(store.payload(1)) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_drop_column_outside_row_rejected(self, tmp_path, bad):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,9\n3,4,9\n")
+        with pytest.raises(ValueError, match=f"drop column {bad} outside 0..2"):
+            load_dense_csv(path, drop_columns=(0, bad))
+
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1;2\n3;4\n")
@@ -324,7 +331,7 @@ class TestStore:
         assert a.empty() is not b.empty()
         assert store.vector_rows == store.vectors.tolist()
         rebuilt, _ = a.rebuild([2, 5])
-        assert rebuilt._kernel is a.empty()._kernel
+        assert rebuilt._kernel[0] is store.vector_rows
         assert rebuilt.child(7)._kernel[0] is store.vector_rows
         again = gen_drift_vectors(30, 3, 2, 10, seed=1)
         assert again.vector_rows == store.vector_rows

@@ -17,15 +17,21 @@ from swmax.objectives import (
     CoverageOracle,
     IVMOracle,
     KernelParams,
-    NumericDegeneracyError,
     coverage_value,
-    ivm_value,
-    se_kernel,
 )
 from swmax.sliding import sieve_reduction
 from swmax.streaming import brute_force_opt, greedy_select, threshold_grid
 
-from conftest import UnionRecount, node_state, set_store, vec_store
+from conftest import (
+    UnionRecount,
+    factor_matrix,
+    fresh_factor,
+    ivm_value,
+    node_state,
+    se_kernel,
+    set_store,
+    vec_store,
+)
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
 
@@ -130,13 +136,13 @@ class TestIvmValue:
 
 class TestIvmMarginal:
     def test_empty_base(self):
-        state = CholState(np.array([[0.4, 0.4]]), PARAMS)
+        state = CholState([[0.4, 0.4]], PARAMS)
         gain = state.gain(1)
         assert gain == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
     def test_duplicate_of_single_member(self):
         x = np.array([[0.2, 0.5], [0.2, 0.5]])
-        state = CholState.from_vectors(x, [1], PARAMS)
+        state = IVMOracle(vec_store(x), PARAMS).rebuild([1])[0]
         gain = state.gain(2)
         assert gain == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
         state = state.child(2)
@@ -149,7 +155,7 @@ class TestIvmMarginal:
         for _ in range(200):
             base = rng.normal(size=(rng.integers(0, 8), 5))
             points = np.vstack([base, rng.normal(size=(1, 5))])
-            state = CholState.from_vectors(points, range(1, len(base) + 1), PARAMS)
+            state = IVMOracle(vec_store(points), PARAMS).rebuild(range(1, len(base) + 1))[0]
             gain = state.gain(len(points))
             fresh = ivm_value(points, PARAMS) - ivm_value(base, PARAMS)
             assert gain == pytest.approx(fresh, abs=1e-9)
@@ -158,31 +164,31 @@ class TestIvmMarginal:
 
 class TestCholState:
     def test_extend_from_empty(self):
-        state = CholState(np.array([[0.5]]), PARAMS)
+        state = CholState([[0.5]], PARAMS)
         state = state.child(1)
         assert state.n == 1
-        assert state.L[0, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert factor_matrix(state)[0, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_sequential_extensions_match_fresh_factorization(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 5))
-        state = CholState(X, PARAMS)
+        state = CholState(X.tolist(), PARAMS)
         for i in range(20):
             state = state.child(i + 1)
-        fresh = CholState.from_vectors(X, range(1, 21), PARAMS)
-        scale = max(1.0, np.linalg.norm(fresh.L))
-        assert np.linalg.norm(state.L - fresh.L) / scale <= 1e-8
-        assert state.value == pytest.approx(fresh.value, rel=1e-8, abs=1e-10)
+        fresh = fresh_factor(X, PARAMS)
+        scale = max(1.0, np.linalg.norm(fresh))
+        assert np.linalg.norm(factor_matrix(state) - fresh) / scale <= 1e-8
+        assert state.value == pytest.approx(ivm_value(X, PARAMS), rel=1e-8, abs=1e-10)
 
     def test_factor_reconstructs_matrix(self):
         # L L^T == I + K/sigma^2 within 1e-8 relative Frobenius error,
         # with strictly positive diagonal
         rng = np.random.default_rng(6)
         X = rng.normal(size=(15, 3))
-        state = CholState(X, PARAMS)
+        state = CholState(X.tolist(), PARAMS)
         for i in range(15):
             state = state.child(i + 1)
-        L = state.L
+        L = factor_matrix(state)
         assert np.all(np.diag(L) > 0)
         diff = X[:, None, :] - X[None, :, :]
         K = np.exp(-np.sum(diff**2, axis=2) / PARAMS.h**2)
@@ -193,7 +199,7 @@ class TestCholState:
         rng = np.random.default_rng(9)
         for trial in range(30):
             X = rng.normal(size=(rng.integers(1, 31), 4))
-            state = CholState(X, PARAMS)
+            state = CholState(X.tolist(), PARAMS)
             total = 0.0
             for i in range(X.shape[0]):
                 total += state.gain(i + 1)
@@ -207,7 +213,7 @@ class TestCholState:
         # Schur complement of a duplicate point collapses to zero.
         params = KernelParams(h=0.75, sigma=1e-9)
         points = np.array([[0.1, 0.2], [0.1, 0.2], [2.0, -1.0]])
-        state = CholState.from_vectors(points, [1], params)
+        state = IVMOracle(vec_store(points), params).rebuild([1])[0]
         before_value = state.value
         assert state.gain(2) == 0.0
         state = state.child(2)
@@ -233,11 +239,11 @@ def edge_points(draw):
 
 
 def _fresh(X, ids, params):
-    """``from_vectors`` on the members, or None where it finds the matrix singular."""
-    try:
-        return CholState.from_vectors(X, ids, params)
-    except NumericDegeneracyError:
-        return None
+    """``fresh_factor`` of the members and their reference value, or None
+    where it finds the matrix singular."""
+    members = X[[i - 1 for i in ids]]
+    L = fresh_factor(members, params)
+    return None if L is None else (L, ivm_value(members, params))
 
 
 def _logdet_tol(n, sigma):
@@ -272,27 +278,28 @@ class TestNumericalEdges:
     @example(case=TWO_POINTS)
     def test_grown_handle_matches_fresh_factorization(self, case):
         X, params = case
-        state = CholState(X, params)
+        state = CholState(X.tolist(), params)
         for i in range(1, len(X) + 1):
             gain = state.gain(i)
             assert math.isfinite(gain)
             state = state.child(i)
             assert (i in state.skipped_ids) != (i in state.ids)
-            assert np.all(np.isfinite(state.L)) and math.isfinite(state.value)
-            assert np.all(np.diag(state.L) ** 2 > DEGENERATE_PIVOT)
+            L = factor_matrix(state)
+            assert np.all(np.isfinite(L)) and math.isfinite(state.value)
+            assert np.all(np.diag(L) ** 2 > DEGENERATE_PIVOT)
             if i in state.skipped_ids:
                 assert gain == 0.0
                 continue
             fresh = _fresh(X, state.ids, params)
             if fresh is None:
                 continue
-            L, ref = state.L, fresh.L
+            ref, fresh_value = fresh
             assert np.linalg.norm(L - ref) <= 1e-8 * np.linalg.norm(ref)
             tol = _logdet_tol(state.n, params.sigma)
-            assert abs(state.value - fresh.value) <= tol
+            assert abs(state.value - fresh_value) <= tol
             before = _fresh(X, state.ids[:-1], params)
             if before is not None:
-                assert abs(gain - (fresh.value - before.value)) <= tol
+                assert abs(gain - (fresh_value - before[1])) <= tol
 
     @settings(max_examples=60, deadline=None)
     @given(case=edge_points(), data=st.data())
@@ -320,6 +327,32 @@ class TestNumericalEdges:
         _grow_with_batches(oracle, IVMOracle(vec_store(X), params), [2, 3, 4],
                            [(1, True), (2, True), (3, False), (4, True)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=edge_points(), data=st.data())
+    @example(case=COLLAPSE, data=None)
+    @example(case=TWO_POINTS, data=None)
+    def test_rebuild_is_the_grown_node(self, case, data):
+        X, params = case
+        n = len(X)
+        ids = list(range(1, n + 1)) if data is None else data.draw(st.lists(st.integers(1, n), max_size=12))
+        oracle = IVMOracle(vec_store(X), params)
+        rebuilt, value = oracle.rebuild(ids)
+        grown = CholState(X.tolist(), params)
+        for i in ids:
+            grown = grown.child(i)
+        assert node_state(rebuilt) == node_state(grown)
+        assert value == rebuilt.value == grown.value
+        assert oracle.eval(ids) == value
+        assert oracle.empty()._child is None
+
+    def test_rebuild_skips_a_collapsed_pivot(self):
+        # A fresh factorization of all four points fails on the duplicates;
+        # the rebuilt node skips them as the grown node does.
+        X, params = self.COLLAPSE
+        rebuilt, value = IVMOracle(vec_store(X), params).rebuild([1, 2, 3, 4])
+        assert rebuilt.ids == [1, 3] and rebuilt.skipped_ids == [2, 4]
+        assert value == rebuilt.value > 0.0
+
     def test_two_point_closed_form(self):
         # With a copies of x != 0 and b of 0, det(I + K/sigma^2) is
         # (1 + a s)(1 + b s) - kappa^2 a b s^2, s = sigma^-2 and
@@ -340,14 +373,14 @@ class TestNumericalEdges:
     @example(case=COLLAPSE)
     def test_new_row_is_the_triangular_solve(self, case):
         X, params = case
-        state = CholState(X, params)
+        state = CholState(X.tolist(), params)
         for i in range(1, len(X) + 1):
             grown = state.child(i)
             if grown.n > state.n:
                 S = X[[j - 1 for j in state.ids]]
                 c = np.exp(-np.sum((S - X[i - 1]) ** 2, axis=1) / params.h**2) / params.sigma**2
-                ref = solve_triangular(state.L, c, lower=True)
-                w = grown.L[-1, :-1]
+                ref = solve_triangular(factor_matrix(state), c, lower=True)
+                w = factor_matrix(grown)[-1, :-1]
                 assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
             state = grown
 

@@ -440,9 +440,11 @@ class TestSieveGreedy:
     def test_sampling_rate_concentrates(self):
         store = DatasetStore("sets", sets=[(t % 7,) for t in range(10**4)])
         sg = SieveGreedy(1, 2000, 0.5, CoverageOracle(store), sample_c=20.0, seed=123)
+        sampled = 0
         for item in store.items():
             sg.step(item)
-        fraction = sg.sampled_total / 10**4
+            sampled += sg.samples[-1:] == [item.t]
+        fraction = sampled / 10**4
         assert 0.008 <= fraction <= 0.012
 
     def test_repair_accepts_thin_sample_buffer(self):
