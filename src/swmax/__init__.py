@@ -5,20 +5,16 @@ __version__ = "0.1.0"
 from .core import (
     BestSoFar,
     CountingOracle,
-    Item,
     OracleHandle,
     SubmodularOracle,
-    Window,
-    window_members,
 )
 from .objectives import (
     CholState,
     CoverageOracle,
     IVMOracle,
     KernelParams,
-    coverage_value,
 )
-from .streaming import SieveStream, brute_force_opt, greedy_select, threshold_grid
+from .streaming import SieveStream, greedy_select, threshold_grid
 from .sliding import (
     PrioritySample,
     SieveGreedy,
@@ -37,7 +33,6 @@ from .ingest import (
     load_dense_csv,
     load_set_stream,
     normalize_columns_then_rows,
-    write_set_stream,
 )
 from .bench import (
     MetricsRecord,
@@ -54,7 +49,6 @@ __all__ = [
     "CoverageOracle",
     "DatasetStore",
     "IVMOracle",
-    "Item",
     "KernelParams",
     "MetricsRecord",
     "OracleHandle",
@@ -68,9 +62,6 @@ __all__ = [
     "SlidingWindowReduction",
     "SubmodularOracle",
     "ThresholdGreedy",
-    "Window",
-    "brute_force_opt",
-    "coverage_value",
     "dp_threshold_grid",
     "gen_drift_vectors",
     "gen_set_stream",
@@ -82,7 +73,5 @@ __all__ = [
     "run_benchmark",
     "sieve_reduction",
     "threshold_grid",
-    "window_members",
     "write_metrics_csv",
-    "write_set_stream",
 ]

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CountingOracle, Item, Window, window_members
+from .core import CountingOracle
 from .ingest import (
     DatasetStore,
     gen_drift_vectors,
@@ -82,7 +82,7 @@ class RunConfig:
             raise ValueError("--epsilon must be > 0")
         if self.algorithm == "sieve-greedy" and not self.sample_c > 0:
             raise ValueError("--sample-c must be > 0 for sieve-greedy")
-        if self.kernel_h <= 0 or self.sigma <= 0:
+        if not (self.kernel_h > 0 and self.sigma > 0):
             raise ValueError("--kernel-h and --sigma must be > 0")
         if self.query_every is not None and self.query_every < 1:
             raise ValueError("--query-every must be >= 1")
@@ -193,14 +193,14 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
         for t in range(1, n + 1):
             if t % query_every and t != n:
                 continue
-            members = window_members(Window(t, config.window), n)
+            members = range(max(1, t - config.window + 1), t + 1)
             if config.algorithm == "greedy":
                 solution = greedy_select(members, config.k, counting)[0]
                 peak = max(peak, len(members))
             else:
                 sieve = SieveStream(config.k, config.epsilon, counting)
                 for m in members:
-                    sieve.step(Item(m))
+                    sieve.step(m)
                     peak = max(peak, sieve.retained_count())
                 solution, _ = sieve.query()
             record(t, solution, peak)
@@ -208,7 +208,7 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
         alg = _make_stream_algorithm(config, counting)
         peak = 0
         for t in range(1, n + 1):
-            alg.step(Item(t))
+            alg.step(t)
             peak = max(peak, alg.retained_count())
             if t % query_every == 0 or t == n:
                 solution, _ = alg.query()
@@ -293,29 +293,9 @@ def parse_cli(argv: Sequence[str]) -> RunConfig:
         except ValueError:
             parser.error(f"--drop-columns expects integers, got {args.drop_columns!r}")
 
-    config = RunConfig(
-        objective=args.objective,
-        algorithm=args.algorithm,
-        k=args.k,
-        window=args.window,
-        epsilon=args.epsilon,
-        sample_c=args.sample_c if args.sample_c is not None else 20.0,
-        kernel_h=args.kernel_h,
-        sigma=args.sigma,
-        query_every=args.query_every,
-        seed=args.seed,
-        input=args.input,
-        format=args.format,
-        drop_columns=drop,
-        normalize=args.normalize,
-        output=args.output,
-        synth_n=args.synth_n,
-        synth_d=args.synth_d,
-        synth_clusters=args.synth_clusters,
-        synth_drift_period=args.synth_drift_period,
-        synth_universe=args.synth_universe,
-        synth_mean_size=args.synth_mean_size,
-    )
+    # Every flag's dest is a RunConfig field of the same name.
+    sample_c = args.sample_c if args.sample_c is not None else 20.0
+    config = RunConfig(**{**vars(args), "drop_columns": drop, "sample_c": sample_c})
     try:
         config.validate()
     except ValueError as exc:

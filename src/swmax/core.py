@@ -1,7 +1,8 @@
-"""Stream, window, and oracle primitives shared by all algorithms.
+"""Oracle primitives shared by all algorithms, and the ``BestSoFar`` wrapper.
 
 Streams are 1-based and dense in time: the t-th arrival is item t, and the
-item id doubles as its timestep. A window of size W ending at ``end`` covers
+item id doubles as its timestep, so every algorithm's ``step(t)`` takes the
+integer timestep itself. A window of size W ending at ``end`` covers
 timesteps ``max(1, end - W + 1) .. end``.
 
 Objectives are accessed through an oracle: ``eval(ids)`` scores a set,
@@ -39,37 +40,7 @@ batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, Sequence
-
-
-@dataclass(frozen=True)
-class Item:
-    """A stream element; its timestep ``t`` is also its id in the store."""
-
-    t: int
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError(f"timestep must be positive, got {self.t}")
-
-
-@dataclass(frozen=True)
-class Window:
-    """The ``size`` most recent timesteps ending at ``end``, inclusive."""
-
-    end: int
-    size: int
-
-    def __post_init__(self):
-        if self.end < 1:
-            raise ValueError(f"window end must be positive, got {self.end}")
-        if self.size < 1:
-            raise ValueError(f"window size must be positive, got {self.size}")
-
-    @property
-    def start(self) -> int:
-        return max(1, self.end - self.size + 1)
 
 
 class OracleHandle(Protocol):
@@ -141,18 +112,6 @@ class CountingOracle:
         return self.inner.max_singleton()
 
 
-def window_members(window: Window, history) -> list[int]:
-    """Item ids covered by ``window``, ascending by timestep.
-
-    ``history`` is the arrived stream so far: either the arrival count or
-    any sized sequence of items.
-    """
-    n = history if isinstance(history, int) else len(history)
-    if window.end > n:
-        raise ValueError(f"window ends at {window.end} but only {n} items arrived")
-    return list(range(window.start, window.end + 1))
-
-
 class BestSoFar:
     """Makes a streaming algorithm's reported value non-decreasing.
 
@@ -167,8 +126,8 @@ class BestSoFar:
         self.inner = inner
         self._best: tuple[list[int], float] = ([], 0.0)
 
-    def step(self, item: Item) -> None:
-        self.inner.step(item)
+    def step(self, t: int) -> None:
+        self.inner.step(t)
         sol, val = self.inner.query()
         if val > self._best[1]:
             self._best = (list(sol), val)

@@ -11,11 +11,9 @@ import csv
 import operator
 from functools import cached_property, reduce
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .core import Item
 
 
 class ParseError(ValueError):
@@ -102,10 +100,6 @@ class DatasetStore:
             return self._vectors[t - 1]
         return self._sets[t - 1]
 
-    def items(self) -> Iterator[Item]:
-        for t in range(1, len(self) + 1):
-            yield Item(t)
-
 
 def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ()) -> DatasetStore:
     """One CSV row -> one vector, in file order.
@@ -191,13 +185,6 @@ def load_set_stream(path) -> DatasetStore:
                         raise ParseError(path, line_no, f"negative element {value}")
             payloads.append(values)
     return DatasetStore("sets", sets=payloads)
-
-
-def write_set_stream(store: DatasetStore, path) -> None:
-    """Inverse of ``load_set_stream``: one space-separated set per line."""
-    sets = store.sets  # raises for a dense store, before the file is opened
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(" ".join(map(str, s)) + "\n" for s in sets)
 
 
 def gen_drift_vectors(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Schur complements of I + K/sigma^2 are >= 1 in exact arithmetic; a pivot
 # at or below this threshold means rounding has destroyed the factor.
@@ -55,14 +55,6 @@ class KernelParams:
             raise ValueError(f"kernel bandwidth must be positive, got {self.h}")
         if not self.sigma > 0:
             raise ValueError(f"noise scale must be positive, got {self.sigma}")
-
-
-def coverage_value(payloads: Iterable[Iterable[int]]) -> int:
-    """Size of the union of the given element sets."""
-    union: set[int] = set()
-    for p in payloads:
-        union.update(p)
-    return len(union)
 
 
 class CholState:

@@ -1,7 +1,8 @@
 """Sliding-window maximization algorithms.
 
 Four approaches over the most recent W items, all under a cardinality
-constraint k:
+constraint k. Each is fed one arrival at a time by ``step(t)``, with ``t``
+the arrival's timestep, which is also its item id:
 
 * ``SlidingWindowReduction`` -- staggered restarts of any prefix-monotone
   streaming algorithm, pruned so only geometrically separated values
@@ -14,14 +15,14 @@ constraint k:
 * ``SieveNaive`` / ``SieveGreedy`` -- sieve buffers patched for expiry:
   naive dropping, or greedy repair from a uniform sample buffer. Cheap,
   no guarantee.
+* ``PrioritySample`` -- the random baseline: a uniform k-subset of the
+  window via smallest-priority sampling.
 
 Each threshold grid is kept as runs, ranges of adjacent thresholds that
 hold one state: one sieve buffer, or one level table. An arrival, an
 expiry or a repair is worked out once per run, while oracle calls and
 retained references are still counted per threshold, so the reported
 metrics are those of one state per threshold.
-* ``PrioritySample`` -- the random baseline: a uniform k-subset of the
-  window via smallest-priority sampling.
 
 All algorithms are deterministic functions of (stream, config, seed) and
 count the item references they hold (``retained_count``); the benchmark
@@ -35,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Item, SubmodularOracle
+from .core import SubmodularOracle
 from .streaming import SieveStream, ceil_log_ratio, greedy_select
 
 
@@ -57,7 +58,7 @@ class SlidingWindowReduction:
     c/(2+eps) factor for a prefix-monotone, c-approximate inner algorithm.
 
     ``inner_factory`` builds one fresh inner instance. The reduction calls
-    only four of its methods: ``step(item)``, ``best_value()`` (the value
+    only four of its methods: ``step(t)``, ``best_value()`` (the value
     ``query`` would report, read on every prune without building the
     solution), ``query()`` and ``retained_count()``. An inner algorithm that
     is not naturally prefix-monotone can be wrapped in ``core.BestSoFar``.
@@ -74,13 +75,13 @@ class SlidingWindowReduction:
         self.instances: list[ReductionInstance] = []
         self._retained = 0
 
-    def step(self, item: Item) -> None:
-        self.instances.append(ReductionInstance(item.t, self.inner_factory()))
-        cutoff = item.t - self.window
+    def step(self, t: int) -> None:
+        self.instances.append(ReductionInstance(t, self.inner_factory()))
+        cutoff = t - self.window
         while self.instances and self.instances[0].start <= cutoff:
             self.instances.pop(0)
         for inst in self.instances:
-            inst.alg.step(item)
+            inst.alg.step(t)
         self.prune()
 
     def prune(self) -> None:
@@ -92,7 +93,8 @@ class SlidingWindowReduction:
         instances remain; zero values survive only in the last two positions.
         The pass also sums the survivors' retained references.
         """
-        instances, vals = self.instances, self.instance_values()
+        instances = self.instances
+        vals = [inst.alg.best_value() for inst in instances]
         last = len(vals) - 1
         grow = 1.0 + self.epsilon
         kept = []
@@ -118,12 +120,6 @@ class SlidingWindowReduction:
         if not self.instances:
             return [], 0.0
         return self.instances[0].alg.query()
-
-    def instance_starts(self) -> list[int]:
-        return [inst.start for inst in self.instances]
-
-    def instance_values(self) -> list[float]:
-        return [inst.alg.best_value() for inst in self.instances]
 
     def retained_count(self) -> int:
         """The live instances' references, as the last ``prune`` summed them."""
@@ -171,17 +167,18 @@ class ThresholdGreedy:
         self.runs: list[list] = [[0, len(thresholds), *table]]
         self._retained = 0
 
-    def step(self, item: Item) -> None:
-        i = item.t
-        horizon = i - self.window
+    def step(self, t: int) -> None:
+        if t < 1:  # -1 marks an inactive level, so it must not be a start
+            raise ValueError(f"timestep must be positive, got {t}")
+        horizon = t - self.window
         runs: list[list] = []
         for run in self.runs:
             levels = run[2]
-            levels[0] = i
+            levels[0] = t
             for j in range(1, self.k + 1):
                 if levels[j] <= horizon:
                     levels[j] = -1
-            self._scan(run, self.k - 1, i, runs)
+            self._scan(run, self.k - 1, t, runs)
         self.runs = runs
 
     def _scan(self, run: list, top: int, i: int, runs: list) -> None:
@@ -276,9 +273,9 @@ class SieveNaive(SieveStream):
         super().__init__(k, epsilon, oracle)
         self.window = window
 
-    def step(self, item: Item) -> None:
-        self._expire(item.t - self.window)
-        self._admit(item.t)
+    def step(self, t: int) -> None:
+        self._expire(t - self.window)
+        self._admit(t)
 
     def _expire(self, horizon: int) -> None:
         """Repair each run whose buffer holds an item at or before ``horizon``,
@@ -339,14 +336,12 @@ class SieveGreedy(SieveNaive):
         self.samples: list[int] = []
         self._rng = random.Random(seed)
 
-    def step(self, item: Item) -> None:
+    def step(self, t: int) -> None:
         if self._rng.random() < self.sample_rate:
-            self.samples.append(item.t)
-        cutoff = item.t - self.window
-        while self.samples and self.samples[0] <= cutoff:
+            self.samples.append(t)
+        while self.samples and self.samples[0] <= t - self.window:
             self.samples.pop(0)
-        self._expire(cutoff)
-        self._admit(item.t)
+        super().step(t)
 
     def _repair(self, buf: list[int], expired: int):
         survivors = [t for t in buf if t != expired]
@@ -378,8 +373,8 @@ class PrioritySample:
         self.candidates: list[list] = []
         self._rng = random.Random(seed)
 
-    def step(self, item: Item) -> None:
-        while self.candidates and self.candidates[0][0] <= item.t - self.window:
+    def step(self, t: int) -> None:
+        while self.candidates and self.candidates[0][0] <= t - self.window:
             self.candidates.pop(0)
         priority = self._rng.random()
         kept = []
@@ -389,7 +384,7 @@ class PrioritySample:
                 if cand[2] == self.k:
                     continue
             kept.append(cand)
-        kept.append([item.t, priority, 0])
+        kept.append([t, priority, 0])
         self.candidates = kept
 
     def query(self) -> tuple[list[int], float]:

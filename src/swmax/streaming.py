@@ -1,4 +1,4 @@
-"""Infinite-window building blocks: threshold sieve, greedy, exhaustive search.
+"""Infinite-window building blocks: threshold sieve and greedy.
 
 The sieve runs a geometric grid of threshold guesses, as SieveStreaming
 (Badanidiyuru et al., KDD 2014) does, but keeps adjacent guesses that hold
@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations
 from operator import itemgetter
 from typing import Sequence
 
-from .core import Item, OracleHandle, SubmodularOracle
+from .core import OracleHandle, SubmodularOracle
 
 
 def ceil_log_ratio(m: float, epsilon: float) -> int:
@@ -85,8 +84,8 @@ class SieveStream:
         self._retained = 0
         self._best = 0.0
 
-    def step(self, item: Item) -> None:
-        self._admit(item.t)
+    def step(self, t: int) -> None:
+        self._admit(t)
 
     def _admit(self, t: int) -> None:
         k = self.k
@@ -160,28 +159,3 @@ def greedy_select(
         candidates = [c for c in candidates if c != best_id]
     return selected, value, handle
 
-
-def brute_force_opt(
-    items: Sequence[int],
-    k: int,
-    oracle: SubmodularOracle,
-    max_subsets: int = 10**6,
-) -> tuple[list[int], float]:
-    """Exact optimum over all subsets of size <= k, by enumeration.
-
-    Test oracle only; refuses instances with more than ``max_subsets``
-    candidate subsets.
-    """
-    n = len(items)
-    top = min(k, n)
-    total = sum(math.comb(n, size) for size in range(top + 1))
-    if total > max_subsets:
-        raise ValueError(f"{total} subsets exceed the enumeration guard {max_subsets}")
-    best: tuple[list[int], float] = ([], 0.0)
-    evaluate = oracle.eval
-    for size in range(1, top + 1):
-        for combo in combinations(items, size):
-            value = evaluate(combo)
-            if value > best[1]:
-                best = (list(combo), value)
-    return best

@@ -9,6 +9,8 @@ from swmax.ingest import DatasetStore, ParseError
 from swmax.objectives import DEGENERATE_PIVOT
 from swmax.streaming import threshold_grid
 
+from reference import instance_values
+
 
 def set_store(*payloads) -> DatasetStore:
     """Build a set-stream store from literal element collections."""
@@ -111,7 +113,7 @@ def coverage_masks_per_element(store) -> tuple[dict[int, int], float]:
 def prune_by_mask(reduction) -> None:
     """Reference for ``SlidingWindowReduction.prune``: a keep mask over the
     instances, each gap between kept ones marked in it, then the list rebuilt."""
-    vals = reduction.instance_values()
+    vals = instance_values(reduction)
     u = len(vals)
     keep = [True] * u
     grow = 1.0 + reduction.epsilon
@@ -182,8 +184,7 @@ class LevelSieve:
         self.values = [0.0 for _ in self.thresholds]
         self.samples, self.rng = [], random.Random(seed)
 
-    def step(self, item):
-        t = item.t
+    def step(self, t):
         if self.sample_c is not None:
             if self.rng.random() < min(1.0, self.sample_c / self.window):
                 self.samples.append(t)
@@ -229,8 +230,7 @@ class ThresholdTables:
             for _ in thresholds
         ]
 
-    def step(self, item):
-        i = item.t
+    def step(self, i):
         for threshold, (levels, sets, handles, vals) in zip(self.thresholds, self.tables):
             levels[0] = i
             levels[:] = [-1 if lv <= i - self.window else lv for lv in levels]
@@ -263,11 +263,11 @@ class RebuildPrioritySample:
         self.candidates: list[tuple[int, float]] = []
         self._rng = random.Random(seed)
 
-    def step(self, item):
-        cutoff = item.t - self.window
+    def step(self, t):
+        cutoff = t - self.window
         while self.candidates and self.candidates[0][0] <= cutoff:
             self.candidates.pop(0)
-        self.candidates.append((item.t, self._rng.random()))
+        self.candidates.append((t, self._rng.random()))
         self._evict_dominated()
 
     def _evict_dominated(self):

@@ -1,0 +1,55 @@
+"""Test-only references: exact optima, plain coverage, a set-stream writer,
+window members and the reduction's live instances."""
+
+import math
+from itertools import combinations
+
+
+def coverage_value(payloads) -> int:
+    """Size of the union of the given element sets."""
+    union: set[int] = set()
+    for p in payloads:
+        union.update(p)
+    return len(union)
+
+
+def brute_force_opt(items, k, oracle, max_subsets=10**6) -> tuple[list[int], float]:
+    """Exact optimum over all subsets of size <= k, by enumeration.
+
+    Refuses instances with more than ``max_subsets`` candidate subsets.
+    """
+    n = len(items)
+    top = min(k, n)
+    total = sum(math.comb(n, size) for size in range(top + 1))
+    if total > max_subsets:
+        raise ValueError(f"{total} subsets exceed the enumeration guard {max_subsets}")
+    best: tuple[list[int], float] = ([], 0.0)
+    evaluate = oracle.eval
+    for size in range(1, top + 1):
+        for combo in combinations(items, size):
+            value = evaluate(combo)
+            if value > best[1]:
+                best = (list(combo), value)
+    return best
+
+
+def write_set_stream(store, path) -> None:
+    """Inverse of ``load_set_stream``: one space-separated set per line."""
+    sets = store.sets  # raises for a dense store, before the file is opened
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(" ".join(map(str, s)) + "\n" for s in sets)
+
+
+def window_ids(end, size) -> list[int]:
+    """Item ids of the window of ``size`` timesteps ending at ``end``, ascending."""
+    return list(range(max(1, end - size + 1), end + 1))
+
+
+def instance_starts(reduction) -> list[int]:
+    """Start timesteps of a ``SlidingWindowReduction``'s live instances, oldest first."""
+    return [inst.start for inst in reduction.instances]
+
+
+def instance_values(reduction) -> list[float]:
+    """Values of a ``SlidingWindowReduction``'s live instances, as its prune reads them."""
+    return [inst.alg.best_value() for inst in reduction.instances]

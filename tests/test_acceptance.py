@@ -13,13 +13,12 @@ import pytest
 from scipy.stats import chi2
 
 from swmax.bench import RunConfig, render_metrics_csv, run_benchmark
-from swmax.core import CountingOracle, Item, Window, window_members
+from swmax.core import CountingOracle
 from swmax.ingest import (
     DatasetStore,
     gen_set_stream,
     load_dense_csv,
     load_set_stream,
-    write_set_stream,
 )
 from swmax.objectives import (
     CholState,
@@ -35,13 +34,13 @@ from swmax.sliding import (
 )
 from swmax.streaming import (
     SieveStream,
-    brute_force_opt,
     ceil_log_ratio,
     greedy_select,
     threshold_grid,
 )
 
 from conftest import ivm_value
+from reference import brute_force_opt, instance_starts, instance_values, window_ids, write_set_stream
 
 EPS = 0.2
 GUARANTEE_COMBOS = ((120, 40, 2), (120, 20, 2), (60, 20, 3), (60, 40, 3))
@@ -88,13 +87,12 @@ def guarantee_runs():
         swdp = SlidingWindowDP(k, w, EPS, oracle)
         sieve = SieveStream(k, EPS, oracle)
         for t in range(1, n + 1):
-            item = Item(t)
-            swrd.step(item)
-            swdp.step(item)
-            sieve.step(item)
+            swrd.step(t)
+            swdp.step(t)
+            sieve.step(t)
 
             results["steps"] += 1
-            values = swrd.instance_values()
+            values = instance_values(swrd)
             if len(values) > cap:
                 results["count_viol"] += 1
             for j in range(len(values) - 2):
@@ -104,7 +102,7 @@ def guarantee_runs():
                     results["zero_viol"] += 1
 
             if t % 20 == 0 or t == n:
-                members = window_members(Window(t, w), n)
+                members = window_ids(t, w)
                 _, window_opt = brute_force_opt(members, k, oracle)
                 _, prefix_opt = brute_force_opt(list(range(1, t + 1)), k, oracle)
                 results["checks"] += 1
@@ -194,10 +192,10 @@ def test_criterion_4_level_and_expiry_invariants():
         swdp = SlidingWindowDP(k, w, EPS, oracle)
         naive = SieveNaive(k, w, EPS, oracle)
         sgreedy = SieveGreedy(k, w, EPS, oracle, sample_c=4.0, seed=seed)
-        for item in store.items():
-            swdp.step(item)
-            naive.step(item)
-            sgreedy.step(item)
+        for t in range(1, len(store) + 1):
+            swdp.step(t)
+            naive.step(t)
+            sgreedy.step(t)
             steps += 1
             for _, _, levels, sets, _, _ in swdp.runs:
                 active = [lv for lv in levels if lv != -1]
@@ -206,7 +204,7 @@ def test_criterion_4_level_and_expiry_invariants():
                 for j in range(k + 1):
                     if levels[j] != -1 and len(sets[j]) != j:
                         bad_sizes += 1
-            horizon = item.t - w
+            horizon = t - w
             for alg in (naive, sgreedy):
                 if any(ts <= horizon for run in alg.runs for ts in run[2]):
                     expired_left += 1
@@ -242,18 +240,17 @@ def test_criterion_5_qualitative_replication():
         sums["greedy"] = 0.0
         queries = 0
         for t in range(1, n + 1):
-            item = Item(t)
             for alg in algs.values():
-                alg.step(item)
+                alg.step(t)
             if t % 10 == 0:
                 queries += 1
                 for name, alg in algs.items():
                     sums[name] += oracle.eval(alg.query()[0])
-                members = window_members(Window(t, w), n)
+                members = window_ids(t, w)
                 sums["greedy"] += greedy_select(members, k, oracle)[1]
                 per_window_sieve = SieveStream(k, EPS, oracle)
                 for mt in members:
-                    per_window_sieve.step(Item(mt))
+                    per_window_sieve.step(mt)
                 sieve_val = oracle.eval(per_window_sieve.query()[0])
                 swrd_val = oracle.eval(algs["sw-rd"].query()[0])
                 windows += 1
@@ -289,7 +286,7 @@ def test_criterion_6_sampler_uniformity():
     for trial in range(trials):
         sampler = PrioritySample(k, w, oracle, seed=900000 + trial)
         for t in range(1, w + 1):
-            sampler.step(Item(t))
+            sampler.step(t)
         ids, _ = sampler.query()
         counts[tuple(ids)] += 1
     expected = trials / len(counts)
@@ -313,12 +310,12 @@ def test_criterion_7_cost_accounting():
     naive = SieveNaive(k, w, EPS, oracle)
     naive_peak = sieve_peak = 0
     for t in range(1, n + 1):
-        naive.step(Item(t))
+        naive.step(t)
         naive_peak = max(naive_peak, naive.retained_count())
         if t % 10 == 0 or t == n:
             per_window = SieveStream(k, EPS, oracle)
-            for mt in window_members(Window(t, w), n):
-                per_window.step(Item(mt))
+            for mt in window_ids(t, w):
+                per_window.step(mt)
                 sieve_peak = max(sieve_peak, per_window.retained_count())
     ratio = naive_peak / sieve_peak
 
@@ -338,13 +335,13 @@ def test_criterion_7_cost_accounting():
         for t in range(1, n + 1):
             fed = sum(1 for s in previous_starts if s > t - w) + 1
             before = counting.calls
-            swrd.step(Item(t))
+            swrd.step(t)
             if counting.calls - before > fed * grid:
                 accounting_ok = False
             if len(swrd.instances) > cap:
                 accounting_ok = False
             fed_total += fed
-            previous_starts = swrd.instance_starts()
+            previous_starts = instance_starts(swrd)
         per_unit = counting.calls / fed_total
         if per_unit > grid:
             accounting_ok = False

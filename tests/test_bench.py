@@ -14,10 +14,11 @@ from swmax.bench import (
     run_benchmark,
     write_metrics_csv,
 )
-from swmax.core import CountingOracle, Item
-from swmax.ingest import gen_set_stream, write_set_stream
+from swmax.core import CountingOracle
+from swmax.ingest import gen_set_stream
 from swmax.sliding import SieveNaive, SlidingWindowDP, sieve_reduction
 
+from reference import write_set_stream
 from test_golden import CONFIGS
 
 
@@ -162,7 +163,7 @@ class TestSharedEvaluations:
         else:
             alg = SieveNaive(config.k, config.window, config.epsilon, counting)
         for t in range(1, len(store) + 1):
-            alg.step(Item(t))
+            alg.step(t)
         assert counting.calls == run_benchmark(config)[-1].oracle_calls
         assert counting.evaluations == evaluations
         assert counting.evaluations < counting.calls
@@ -254,6 +255,17 @@ class TestCli:
             parse_cli(
                 ["--objective", "coverage", "--algorithm", "sw-dp", "--k", "2",
                  "--window", "10", "--epsilon", "0", "--format", "synth-sets"]
+            )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--kernel-h", "--sigma"])
+    def test_nan_parameter_exits_two(self, flag):
+        from swmax.bench import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["--objective", "ivm", "--algorithm", "sw-dp", "--k", "2",
+                 "--window", "10", "--format", "synth-vec", flag, "nan"]
             )
         assert exc.value.code == 2
 

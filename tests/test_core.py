@@ -3,35 +3,59 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from swmax.core import (
-    BestSoFar,
-    CountingOracle,
-    Item,
-    Window,
-    window_members,
-)
+import swmax
+from swmax.core import BestSoFar, CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle
 from swmax.sliding import SieveNaive
 from swmax.streaming import SieveStream
 
 from conftest import LevelSieve, set_store
+from reference import window_ids
+
+
+def test_public_names_pinned():
+    assert sorted(swmax.__all__) == [
+        "BestSoFar",
+        "CholState",
+        "CountingOracle",
+        "CoverageOracle",
+        "DatasetStore",
+        "IVMOracle",
+        "KernelParams",
+        "MetricsRecord",
+        "OracleHandle",
+        "ParseError",
+        "PrioritySample",
+        "RunConfig",
+        "SieveGreedy",
+        "SieveNaive",
+        "SieveStream",
+        "SlidingWindowDP",
+        "SlidingWindowReduction",
+        "SubmodularOracle",
+        "ThresholdGreedy",
+        "dp_threshold_grid",
+        "gen_drift_vectors",
+        "gen_set_stream",
+        "greedy_select",
+        "load_dense_csv",
+        "load_set_stream",
+        "normalize_columns_then_rows",
+        "parse_cli",
+        "run_benchmark",
+        "sieve_reduction",
+        "threshold_grid",
+        "write_metrics_csv",
+    ]
 
 
 class TestTypes:
-    def test_item_rejects_nonpositive_timestep(self):
-        with pytest.raises(ValueError):
-            Item(0)
+    """``window_ids``, the reference window every guarantee test checks against."""
 
     def test_window_start_clamps_at_one(self):
-        assert Window(2, 10).start == 1
-        assert Window(5, 3).start == 3
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            Window(0, 3)
-        with pytest.raises(ValueError):
-            Window(3, 0)
+        assert window_ids(2, 10)[0] == 1
+        assert window_ids(5, 3)[0] == 3
 
 
 class TestCountingOracle:
@@ -104,9 +128,9 @@ class TestCountingOracle:
         reference = LevelSieve(3, 0.2, Spy(counting), window=8)
         runs = CountingOracle(CoverageOracle(store))
         naive = SieveNaive(3, 8, 0.2, runs)
-        for item in store.items():
-            reference.step(item)
-            naive.step(item)
+        for t in range(1, len(store) + 1):
+            reference.step(t)
+            naive.step(t)
         assert tally["n"] > 0
         assert counting.calls == tally["n"]
         assert runs.calls == tally["n"]
@@ -123,27 +147,21 @@ class TestCountingOracle:
 
 
 class TestWindowMembers:
+    """``window_ids``: the ``size`` latest timesteps up to ``end``."""
+
     def test_basic_interval(self):
-        assert window_members(Window(5, 3), 10) == [3, 4, 5]
+        assert window_ids(5, 3) == [3, 4, 5]
 
     def test_partial_first_window(self):
-        assert window_members(Window(2, 10), 5) == [1, 2]
+        assert window_ids(2, 10) == [1, 2]
 
     def test_exact_boundary(self):
         w = 7
-        assert window_members(Window(w, w), w) == list(range(1, w + 1))
-
-    def test_end_beyond_stream_rejected(self):
-        with pytest.raises(ValueError):
-            window_members(Window(6, 3), 5)
-
-    def test_accepts_sized_history(self):
-        history = [Item(t) for t in range(1, 9)]
-        assert window_members(Window(8, 4), history) == [5, 6, 7, 8]
+        assert window_ids(w, w) == list(range(1, w + 1))
 
     @given(end=st.integers(1, 500), size=st.integers(1, 500))
     def test_member_count(self, end, size):
-        assert len(window_members(Window(end, size), end)) == min(size, end)
+        assert len(window_ids(end, size)) == min(size, end)
 
 
 class _ScriptedAlg:
@@ -153,7 +171,7 @@ class _ScriptedAlg:
         self.values = list(values)
         self.i = 0
 
-    def step(self, item):
+    def step(self, t):
         self.i += 1
 
     def query(self):
@@ -168,7 +186,7 @@ class TestMonotoneWrap:
         wrapped = BestSoFar(_ScriptedAlg([1.0, 3.0, 2.0]))
         seen = []
         for t in range(1, 4):
-            wrapped.step(Item(t))
+            wrapped.step(t)
             seen.append(wrapped.query()[1])
         assert seen == [1.0, 3.0, 3.0]
         assert wrapped.query()[0] == [2]  # the step that scored 3
@@ -176,7 +194,7 @@ class TestMonotoneWrap:
     def test_constant_sequence_unchanged(self):
         wrapped = BestSoFar(_ScriptedAlg([2.0, 2.0, 2.0]))
         for t in range(1, 4):
-            wrapped.step(Item(t))
+            wrapped.step(t)
             assert wrapped.query()[1] == 2.0
 
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=30))
@@ -184,7 +202,7 @@ class TestMonotoneWrap:
         wrapped = BestSoFar(_ScriptedAlg(values))
         previous = 0.0
         for t in range(1, len(values) + 1):
-            wrapped.step(Item(t))
+            wrapped.step(t)
             current = wrapped.query()[1]
             assert current >= previous
             previous = current
@@ -196,7 +214,7 @@ class TestMonotoneWrap:
             oracle = CoverageOracle(store)
             plain = SieveStream(3, 0.25, oracle)
             wrapped = BestSoFar(SieveStream(3, 0.25, oracle))
-            for item in store.items():
-                plain.step(item)
-                wrapped.step(item)
+            for t in range(1, len(store) + 1):
+                plain.step(t)
+                wrapped.step(t)
                 assert plain.query()[1] == wrapped.query()[1]

@@ -12,7 +12,8 @@ import hashlib
 import pytest
 
 from swmax.bench import ALGORITHMS, RunConfig, load_store, render_metrics_csv, run_benchmark
-from swmax.ingest import write_set_stream
+
+from reference import write_set_stream
 
 CONFIGS = {
     "coverage": dict(format="synth-sets", synth_n=300, synth_universe=40, synth_mean_size=6.0, seed=3),

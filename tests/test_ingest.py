@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from swmax.core import Window, window_members
 from swmax.ingest import (
     DatasetStore,
     ParseError,
@@ -13,12 +12,12 @@ from swmax.ingest import (
     load_dense_csv,
     load_set_stream,
     normalize_columns_then_rows,
-    write_set_stream,
 )
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import greedy_select
 
 from conftest import coverage_masks_per_element, load_set_stream_per_token
+from reference import window_ids, write_set_stream
 
 
 class TestDenseCsv:
@@ -237,8 +236,8 @@ class TestDriftVectors:
         for seed in range(20):
             store = gen_drift_vectors(1000, 4, 4, period, seed=seed, spread=0.15)
             oracle = IVMOracle(store, params)
-            before = window_members(Window(period, w), len(store))
-            after = window_members(Window(period + w, w), len(store))
+            before = window_ids(period, w)
+            after = window_ids(period + w, w)
             v_before = greedy_select(before, k, oracle)[1]
             v_after = greedy_select(after, k, oracle)[1]
             if abs(v_before - v_after) > 1e-6:
@@ -340,8 +339,3 @@ class TestStore:
             gen_set_stream(4, 5, 2, seed=0).vector_rows
         with pytest.raises(ValueError):
             DatasetStore("dense", vectors=np.ones((1, 1))).max_set_size
-
-    def test_items_iterates_timesteps(self):
-        store = gen_set_stream(4, 5, 2, seed=0)
-        items = list(store.items())
-        assert [i.t for i in items] == [1, 2, 3, 4]

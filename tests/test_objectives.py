@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from swmax.core import CountingOracle, Item
+from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.objectives import (
     DEGENERATE_PIVOT,
@@ -17,10 +17,9 @@ from swmax.objectives import (
     CoverageOracle,
     IVMOracle,
     KernelParams,
-    coverage_value,
 )
 from swmax.sliding import sieve_reduction
-from swmax.streaming import brute_force_opt, greedy_select, threshold_grid
+from swmax.streaming import greedy_select, threshold_grid
 
 from conftest import (
     UnionRecount,
@@ -32,6 +31,7 @@ from conftest import (
     set_store,
     vec_store,
 )
+from reference import brute_force_opt, coverage_value
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
 
@@ -578,12 +578,12 @@ class TestHandles:
         else:
             oracle = IVMOracle(vec_store(np.random.default_rng(2).normal(size=(3 * window + 1, 4))), PARAMS)
         swrd = sieve_reduction(3, window, 0.2, oracle)
-        swrd.step(Item(1))
+        swrd.step(1)
         node = weakref.ref(oracle.empty().child(1))
         # the node is shared: a run of several levels of the first sieve holds it
         assert any(run[3] is node() and run[1] - run[0] > 1 for run in swrd.instances[0].alg.runs)
         for t in range(2, 3 * window + 2):
-            swrd.step(Item(t))
+            swrd.step(t)
         gc.collect()
         assert node() is None
 

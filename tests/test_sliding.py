@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swmax.bench import RunConfig, run_benchmark
-from swmax.core import CountingOracle, Item, Window, window_members
+from swmax.core import BestSoFar, CountingOracle
 from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
-from swmax.streaming import SieveStream, brute_force_opt, ceil_log_ratio
+from swmax.streaming import SieveStream, ceil_log_ratio
 from swmax.sliding import (
     PrioritySample,
     ReductionInstance,
@@ -32,6 +32,7 @@ from conftest import (
     set_store,
     vec_store,
 )
+from reference import brute_force_opt, instance_starts, instance_values, window_ids
 
 
 class _StubAlg:
@@ -76,22 +77,22 @@ class TestReduction:
     def test_first_item_single_instance(self):
         store = set_store((1,))
         red = sieve_reduction(1, 3, 0.5, CoverageOracle(store))
-        red.step(Item(1))
-        assert red.instance_starts() == [1]
+        red.step(1)
+        assert instance_starts(red) == [1]
 
     def test_expired_instance_dropped(self):
         store = set_store((1,), (2,), (3,), (4,))
         red = sieve_reduction(1, 3, 0.5, CoverageOracle(store))
-        for item in store.items():
-            red.step(item)
-        assert all(s > 4 - 3 for s in red.instance_starts())
-        assert 1 not in red.instance_starts()
+        for t in range(1, len(store) + 1):
+            red.step(t)
+        assert all(s > 4 - 3 for s in instance_starts(red))
+        assert 1 not in instance_starts(red)
 
     def test_prune_trace(self):
         red = _stub_reduction(100, 1.0, list(zip([1, 2, 3, 4, 5], [10, 9, 5, 4, 1])))
         red.prune()
-        assert red.instance_values() == [10, 5, 4, 1]
-        assert red.instance_starts() == [1, 3, 4, 5]
+        assert instance_values(red) == [10, 5, 4, 1]
+        assert instance_starts(red) == [1, 3, 4, 5]
 
     def test_two_instances_never_pruned(self):
         for values in ([5, 1], [1, 5], [0, 0], [7, 7]):
@@ -109,7 +110,7 @@ class TestReduction:
             eps = rng.choice([0.1, 0.2, 1.0])
             red = _stub_reduction(1000, eps, list(zip(range(1, u + 1), values)))
             red.prune()
-            kept = red.instance_values()
+            kept = instance_values(red)
             for j in range(len(kept) - 2):
                 assert kept[j] > (1 + eps) * kept[j + 2]
 
@@ -129,18 +130,18 @@ class TestReduction:
         red, ref = _stub_reduction(1000, eps, pairs), _stub_reduction(1000, eps, pairs)
         red.prune()
         prune_by_mask(ref)
-        assert red.instance_starts() == ref.instance_starts()
+        assert instance_starts(red) == instance_starts(ref)
 
     def test_query_picks_oldest_in_window(self):
         red = _stub_reduction(8, 0.2, [(1, 9.0), (2, 5.0), (5, 4.0)])
-        red.step(Item(9))  # start 1 leaves the window [2, 9]
-        assert red.instance_starts() == [2, 5, 9]
+        red.step(9)  # start 1 leaves the window [2, 9]
+        assert instance_starts(red) == [2, 5, 9]
         assert red.query() == ([], 5.0)
 
     def test_prune_reads_values_without_solutions(self):
         red = SlidingWindowReduction(5, 0.2, lambda: _ValueOnlyAlg(1.0))
         for t in range(1, 21):
-            red.step(Item(t))
+            red.step(t)
         assert len(red.instances) == 2  # equal values: all but the ends pruned
 
     def test_query_before_any_item(self):
@@ -150,13 +151,13 @@ class TestReduction:
     def test_newest_instance_survives_and_solution_in_window(self):
         store = gen_set_stream(60, 20, 5, seed=8)
         red = sieve_reduction(3, 10, 0.2, CoverageOracle(store))
-        for item in store.items():
-            red.step(item)
-            starts = red.instance_starts()
-            assert starts[-1] == item.t
+        for t in range(1, len(store) + 1):
+            red.step(t)
+            starts = instance_starts(red)
+            assert starts[-1] == t
             assert all(a < b for a, b in zip(starts, starts[1:]))
             solution, _ = red.query()
-            assert all(item.t - 10 < s <= item.t for s in solution)
+            assert all(t - 10 < s <= t for s in solution)
 
     def test_structure_invariants_random_streams(self):
         eps = 0.2
@@ -166,9 +167,9 @@ class TestReduction:
             oracle = CoverageOracle(store)
             cap = 2 * (ceil_log_ratio(k * oracle.max_singleton(), eps) + 2)
             red = sieve_reduction(k, 15, eps, oracle)
-            for item in store.items():
-                red.step(item)
-                values = red.instance_values()
+            for t in range(1, len(store) + 1):
+                red.step(t)
+                values = instance_values(red)
                 assert len(values) <= cap
                 for j in range(len(values) - 2):
                     assert values[j] > (1 + eps) * values[j + 2]
@@ -181,10 +182,10 @@ class TestReduction:
             store = gen_set_stream(45, 25, 5, seed=seed)
             oracle = CoverageOracle(store)
             red = sieve_reduction(k, w, eps, oracle)
-            for item in store.items():
-                red.step(item)
-                if item.t % 9 == 0:
-                    members = window_members(Window(item.t, w), len(store))
+            for t in range(1, len(store) + 1):
+                red.step(t)
+                if t % 9 == 0:
+                    members = window_ids(t, w)
                     _, opt = brute_force_opt(members, k, oracle)
                     assert red.query()[1] >= factor * opt - 1e-9
 
@@ -238,6 +239,25 @@ def test_k_must_be_positive(name, k):
         K_CONSTRUCTORS[name](k, CoverageOracle(set_store((1,))))
 
 
+STEP_CONSTRUCTORS = {**K_CONSTRUCTORS, "BestSoFar": lambda k, oracle: BestSoFar(SieveStream(k, 0.2, oracle))}
+
+
+@pytest.mark.parametrize("objective", ["coverage", "ivm"])
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("name", sorted(STEP_CONSTRUCTORS))
+def test_step_rejects_nonpositive_timestep(name, t, objective):
+    # the id is the timestep, so nothing arrives before t = 1; an algorithm
+    # that calls no oracle in ``step`` (PrioritySample) refuses it at the query
+    if objective == "coverage":
+        oracle = CoverageOracle(set_store((1,), (2,)))
+    else:
+        oracle = IVMOracle(vec_store([[0.0], [1.0]]), KernelParams(0.75, 1.0))
+    alg = STEP_CONSTRUCTORS[name](2, oracle)
+    with pytest.raises(ValueError):
+        alg.step(t)
+        alg.query()
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
 @pytest.mark.parametrize("k,sigma", [(1, 1.0), (5, 3.0)])
 def test_small_ivm_optimum_is_not_lost(k, sigma):
@@ -268,11 +288,11 @@ class TestThresholdGreedy:
     def test_hand_trace(self):
         store = set_store((0,), (1,), (2,))
         tg = ThresholdGreedy(2, 2, [1.0], CoverageOracle(store))
-        tg.step(Item(1))
-        tg.step(Item(2))
+        tg.step(1)
+        tg.step(2)
         assert table(tg)[0] == [2, 2, 1]
         assert table(tg)[1][2] == [1, 2]
-        tg.step(Item(3))  # level-2 start expired, rebuilt from level 1
+        tg.step(3)  # level-2 start expired, rebuilt from level 1
         assert table(tg)[0] == [3, 3, 2]
         assert table(tg)[1][2] == [2, 3]
         assert tg.query() == ([2, 3], 2.0)
@@ -280,8 +300,8 @@ class TestThresholdGreedy:
     def test_no_double_insertion(self):
         store = set_store((0, 1), (0, 1))
         tg = ThresholdGreedy(2, 5, [1.0], CoverageOracle(store))
-        tg.step(Item(1))
-        tg.step(Item(2))  # duplicate payload: marginal 0 < T at level 1
+        tg.step(1)
+        tg.step(2)  # duplicate payload: marginal 0 < T at level 1
         assert table(tg)[1][1] in ([1], [2])
         assert all(len(set(s)) == len(s) for s in table(tg)[1])
 
@@ -291,15 +311,15 @@ class TestThresholdGreedy:
             oracle = CoverageOracle(store)
             k = 3
             tg = ThresholdGreedy(k, 8, [1.5], oracle)
-            for item in store.items():
-                tg.step(item)
+            for t in range(1, len(store) + 1):
+                tg.step(t)
                 levels, sets = table(tg)
                 active = [lv for lv in levels if lv != -1]
                 assert active == sorted(active, reverse=True)
                 for j in range(k + 1):
                     if levels[j] != -1:
                         assert len(sets[j]) == j
-                        assert all(ts >= levels[j] > item.t - 8 for ts in sets[j])
+                        assert all(ts >= levels[j] > t - 8 for ts in sets[j])
 
     def test_thresholds_share_tables_as_runs(self):
         # Gains of 1, 2 and 3 pass a prefix of the grid, so the thresholds
@@ -310,9 +330,9 @@ class TestThresholdGreedy:
         tg = ThresholdGreedy(2, 2, [0.5, 1.0, 1.5, 2.5], oracle)
         ref = ThresholdTables(2, 2, [0.5, 1.0, 1.5, 2.5], oracle)
         spans = []
-        for item in store.items():
-            tg.step(item)
-            ref.step(item)
+        for t in range(1, len(store) + 1):
+            tg.step(t)
+            ref.step(t)
             spans.append([run[:2] for run in tg.runs])
             assert tg.query() == ref.query()
             assert tg.retained_count() == ref.retained_count()
@@ -344,8 +364,8 @@ class TestSlidingWindowDP:
         store = set_store((0,), (1,), (2,))
         dp = SlidingWindowDP(2, 2, 1.0, CoverageOracle(store))
         assert dp.thresholds == dp_threshold_grid(2, 2.0, 1.0)
-        for item in store.items():
-            dp.step(item)
+        for t in range(1, len(store) + 1):
+            dp.step(t)
         solution, value = dp.query()
         assert solution == [2, 3]
         assert value == 2.0
@@ -359,8 +379,8 @@ class TestSlidingWindowDP:
         # level-0 restart is active
         store = set_store((1,), (2,))
         tg = ThresholdGreedy(2, 3, [5.0], CoverageOracle(store))
-        for item in store.items():
-            tg.step(item)
+        for t in range(1, len(store) + 1):
+            tg.step(t)
         levels, _ = table(tg)
         assert levels[0] == 2
         assert all(lv == -1 for lv in levels[1:])
@@ -372,10 +392,10 @@ class TestSlidingWindowDP:
             store = gen_set_stream(40, 25, 5, seed=seed)
             oracle = CoverageOracle(store)
             dp = SlidingWindowDP(k, w, eps, oracle)
-            for item in store.items():
-                dp.step(item)
-                if item.t % 8 == 0:
-                    members = window_members(Window(item.t, w), len(store))
+            for t in range(1, len(store) + 1):
+                dp.step(t)
+                if t % 8 == 0:
+                    members = window_ids(t, w)
                     _, opt = brute_force_opt(members, k, oracle)
                     assert dp.query()[1] >= (1 - eps) / 2 * opt - 1e-9
 
@@ -388,9 +408,9 @@ class TestSieveNaive:
             naive = SieveNaive(3, 30, 0.2, oracle)  # n <= W: nothing expires
             plain = SieveStream(3, 0.2, oracle)
             assert naive.thresholds == plain.thresholds
-            for item in store.items():
-                naive.step(item)
-                plain.step(item)
+            for t in range(1, len(store) + 1):
+                naive.step(t)
+                plain.step(t)
                 assert naive.query() == plain.query()
             assert level_buffers(naive) == level_buffers(plain)
 
@@ -398,10 +418,10 @@ class TestSieveNaive:
         store = set_store((0, 1), (5,), (0, 1))
         naive = SieveNaive(1, 2, 1.0, CoverageOracle(store))
         assert naive.thresholds == [1.0, 2.0]
-        naive.step(Item(1))
+        naive.step(1)
         assert level_buffers(naive)[0] == [1]
-        naive.step(Item(2))
-        naive.step(Item(3))  # item 1 expires first, so the duplicate payload enters
+        naive.step(2)
+        naive.step(3)  # item 1 expires first, so the duplicate payload enters
         assert 1 not in level_buffers(naive)[0]
 
     def test_no_expired_items_after_any_step(self):
@@ -409,10 +429,10 @@ class TestSieveNaive:
         for seed in range(40):
             store = gen_set_stream(50, 20, 5, seed=seed)
             naive = SieveNaive(3, w, 0.2, CoverageOracle(store))
-            for item in store.items():
-                naive.step(item)
+            for t in range(1, len(store) + 1):
+                naive.step(t)
                 for buf in level_buffers(naive):
-                    assert all(ts > item.t - w for ts in buf)
+                    assert all(ts > t - w for ts in buf)
 
 
 class TestSieveGreedy:
@@ -422,9 +442,9 @@ class TestSieveGreedy:
             oracle = CoverageOracle(store)
             sg = SieveGreedy(3, 12, 0.2, oracle, sample_c=0.0, seed=seed)
             naive = SieveNaive(3, 12, 0.2, oracle)
-            for item in store.items():
-                sg.step(item)
-                naive.step(item)
+            for t in range(1, len(store) + 1):
+                sg.step(t)
+                naive.step(t)
                 assert not sg.samples
                 assert [set(b) for b in level_buffers(sg)] == [set(b) for b in level_buffers(naive)]
                 assert sg.query()[1] == naive.query()[1]
@@ -433,17 +453,17 @@ class TestSieveGreedy:
         w = 6
         store = gen_set_stream(25, 15, 4, seed=2)
         sg = SieveGreedy(2, w, 0.5, CoverageOracle(store), sample_c=float(w), seed=0)
-        for item in store.items():
-            sg.step(item)
-            assert sg.samples == list(range(max(1, item.t - w + 1), item.t + 1))
+        for t in range(1, len(store) + 1):
+            sg.step(t)
+            assert sg.samples == list(range(max(1, t - w + 1), t + 1))
 
     def test_sampling_rate_concentrates(self):
         store = DatasetStore("sets", sets=[(t % 7,) for t in range(10**4)])
         sg = SieveGreedy(1, 2000, 0.5, CoverageOracle(store), sample_c=20.0, seed=123)
         sampled = 0
-        for item in store.items():
-            sg.step(item)
-            sampled += sg.samples[-1:] == [item.t]
+        for t in range(1, len(store) + 1):
+            sg.step(t)
+            sampled += sg.samples[-1:] == [t]
         fraction = sampled / 10**4
         assert 0.008 <= fraction <= 0.012
 
@@ -451,8 +471,8 @@ class TestSieveGreedy:
         # one buffered item expires with an empty B: repair to size 0 succeeds
         store = set_store((0, 1), (5,), (6,))
         sg = SieveGreedy(1, 2, 1.0, CoverageOracle(store), sample_c=0.0, seed=0)
-        for item in store.items():
-            sg.step(item)
+        for t in range(1, len(store) + 1):
+            sg.step(t)
         for buf in level_buffers(sg):
             assert all(ts > 1 for ts in buf)
 
@@ -461,11 +481,11 @@ class TestSieveGreedy:
         for seed in range(20):
             store = gen_set_stream(50, 20, 5, seed=seed)
             sg = SieveGreedy(3, w, 0.2, CoverageOracle(store), sample_c=4.0, seed=seed)
-            for item in store.items():
-                sg.step(item)
+            for t in range(1, len(store) + 1):
+                sg.step(t)
                 for buf in level_buffers(sg):
-                    assert all(ts > item.t - w for ts in buf)
-                assert all(ts > item.t - w for ts in sg.samples)
+                    assert all(ts > t - w for ts in buf)
+                assert all(ts > t - w for ts in sg.samples)
 
     def test_deterministic_given_seed(self):
         store = gen_set_stream(60, 20, 5, seed=4)
@@ -473,8 +493,8 @@ class TestSieveGreedy:
         def trace(seed):
             sg = SieveGreedy(3, 10, 0.2, CoverageOracle(store), sample_c=5.0, seed=seed)
             out = []
-            for item in store.items():
-                sg.step(item)
+            for t in range(1, len(store) + 1):
+                sg.step(t)
                 out.append(sg.query())
             return out
 
@@ -486,17 +506,17 @@ class TestPrioritySample:
     def test_small_window_keeps_everything(self):
         store = gen_set_stream(20, 10, 3, seed=1)
         ps = PrioritySample(6, 6, CoverageOracle(store), seed=0)
-        for item in store.items():
-            ps.step(item)
-            lo = max(1, item.t - 5)
+        for t in range(1, len(store) + 1):
+            ps.step(t)
+            lo = max(1, t - 5)
             ids, _ = ps.query()
-            assert ids == list(range(lo, item.t + 1))
+            assert ids == list(range(lo, t + 1))
 
     def test_k1_retains_suffix_minima(self):
         store = gen_set_stream(40, 10, 3, seed=2)
         ps = PrioritySample(1, 15, CoverageOracle(store), seed=5)
-        for item in store.items():
-            ps.step(item)
+        for t in range(1, len(store) + 1):
+            ps.step(t)
             priorities = {t: p for t, p, _ in ps.candidates}
             chain = [p for _, p, _ in ps.candidates]
             assert chain == sorted(chain)  # suffix minima decrease toward the front
@@ -511,18 +531,17 @@ class TestPrioritySample:
         rng = random.Random(seed)
         priorities = {t: rng.random() for t in range(1, 61)}
         ps = PrioritySample(k, w, CoverageOracle(store), seed=seed)
-        for item in store.items():
-            ps.step(item)
-            now = item.t
-            window_ids = [t for t in range(max(1, now - w + 1), now + 1)]
+        for t in range(1, len(store) + 1):
+            ps.step(t)
+            members = window_ids(t, w)
             expected = [
-                t
-                for t in window_ids
-                if sum(1 for u in window_ids if u > t and priorities[u] < priorities[t]) < k
+                s
+                for s in members
+                if sum(1 for u in members if u > s and priorities[u] < priorities[s]) < k
             ]
-            assert [t for t, _, _ in ps.candidates] == expected
+            assert [s for s, _, _ in ps.candidates] == expected
             ids, _ = ps.query()
-            want = sorted(sorted(window_ids, key=priorities.get)[:k])
+            want = sorted(sorted(members, key=priorities.get)[:k])
             assert ids == want
 
     @settings(max_examples=150, deadline=None)
@@ -541,22 +560,22 @@ class TestPrioritySample:
         oracle = CoverageOracle(gen_set_stream(n, 30, 4, seed=seed % 1000))
         ps = PrioritySample(k, window, oracle, seed=seed)
         ref = RebuildPrioritySample(k, window, oracle, seed=seed)
-        for item in map(Item, range(1, n + 1)):
-            ps.step(item)
-            ref.step(item)
-            assert [(t, p) for t, p, _ in ps.candidates] == ref.candidates, item.t
+        for t in range(1, n + 1):
+            ps.step(t)
+            ref.step(t)
+            assert [(t, p) for t, p, _ in ps.candidates] == ref.candidates, t
             # every arrival that beat a survivor is a survivor too
             for i, (_, p, beaten) in enumerate(ps.candidates):
-                assert beaten == sum(q < p for _, q, _ in ps.candidates[i + 1 :]) < k, item.t
-            assert ps.query() == ref.query(), item.t
-            assert ps.retained_count() == ref.retained_count(), item.t
+                assert beaten == sum(q < p for _, q, _ in ps.candidates[i + 1 :]) < k, t
+            assert ps.query() == ref.query(), t
+            assert ps.retained_count() == ref.retained_count(), t
 
     def test_query_value_uses_oracle(self):
         store = set_store((1, 2), (2, 3))
         oracle = CountingOracle(CoverageOracle(store))
         ps = PrioritySample(2, 5, oracle, seed=0)
-        for item in store.items():
-            ps.step(item)
+        for t in range(1, len(store) + 1):
+            ps.step(t)
         ids, value = ps.query()
         assert ids == [1, 2]
         assert value == 3.0
@@ -576,16 +595,16 @@ def test_handles_track_their_sets():
         naive = SieveNaive(3, 9, 0.2, oracle)
         greedy = SieveGreedy(3, 9, 0.2, oracle, sample_c=4.0, seed=seed)
         dp = SlidingWindowDP(3, 9, 0.2, oracle)
-        for item in store.items():
+        for t in range(1, len(store) + 1):
             pairs = []
             for alg in (naive, greedy):
-                alg.step(item)
+                alg.step(t)
                 pairs += [(run[2], run[3]) for run in alg.runs]
-            dp.step(item)
+            dp.step(t)
             for run in dp.runs:
                 pairs += zip(run[3], run[4])
             for ids, handle in pairs:
-                for probe in (1, item.t, 60):
+                for probe in (1, t, 60):
                     assert handle.gain(probe) == oracle.eval(ids + [probe]) - oracle.eval(ids)
 
 
@@ -613,10 +632,10 @@ def test_running_retained_count_matches_recount():
         "sieve-greedy": SieveGreedy(3, 9, 0.2, oracle, sample_c=4.0, seed=4),
         "random": PrioritySample(3, 9, oracle, seed=4),
     }
-    for item in store.items():
+    for t in range(1, len(store) + 1):
         for name, alg in algs.items():
-            alg.step(item)
-            assert alg.retained_count() == _recount(alg), (name, item.t)
+            alg.step(t)
+            assert alg.retained_count() == _recount(alg), (name, t)
 
 
 @pytest.mark.parametrize("objective", ["coverage", "ivm"])
@@ -634,10 +653,10 @@ def test_reduction_retained_total_matches_recount(objective, epsilon):
     window = 40
     red = sieve_reduction(3, window, epsilon, oracle)
     pruned = 0
-    for item in store.items():
-        red.step(item)
-        assert red.retained_count() == _recount(red) == sum(i.alg.retained_count() for i in red.instances), item.t
-        pruned += len(red.instances) < min(item.t, window)
+    for t in range(1, len(store) + 1):
+        red.step(t)
+        assert red.retained_count() == _recount(red) == sum(i.alg.retained_count() for i in red.instances), t
+        pruned += len(red.instances) < min(t, window)
     assert pruned > 0
 
 
@@ -657,15 +676,15 @@ def test_harness_peak_is_running_max_of_recount():
     }
     expected = {name: [] for name in ("greedy", "sieve", *algs)}
     peaks = dict.fromkeys(expected, 0)
-    for item in store.items():
+    for t in range(1, len(store) + 1):
         for name, alg in algs.items():
-            alg.step(item)
+            alg.step(t)
             peaks[name] = max(peaks[name], _recount(alg))
-        members = window_members(Window(item.t, w), n)
+        members = window_ids(t, w)
         peaks["greedy"] = max(peaks["greedy"], len(members))
         sieve = SieveStream(k, 0.2, oracle)
         for m in members:
-            sieve.step(Item(m))
+            sieve.step(m)
             peaks["sieve"] = max(peaks["sieve"], _recount(sieve))
         for name, peak in peaks.items():
             expected[name].append(peak)
@@ -697,14 +716,14 @@ def test_running_best_level_matches_scan():
             "sieve-naive": SieveNaive(4, 9, 0.2, oracle),
             "sieve-greedy": SieveGreedy(4, 9, 0.2, oracle, sample_c=4.0, seed=5),
         }
-        for item in coverage.items():
+        for t in range(1, len(coverage) + 1):
             for name, alg in algs.items():
-                alg.step(item)
+                alg.step(t)
                 values, buffers = level_values(alg), level_buffers(alg)
                 best = max(values)
                 level = min(lv for lv, value in enumerate(values) if value == best)
-                assert alg.query() == (buffers[level], values[level]), (objective, name, item.t)
-                assert alg.best_value() == values[level], (objective, name, item.t)
+                assert alg.query() == (buffers[level], values[level]), (objective, name, t)
+                assert alg.best_value() == values[level], (objective, name, t)
 
 
 @st.composite
@@ -753,8 +772,8 @@ def test_runs_match_per_level_reference(name, stream, k, window, epsilon, sample
     alg, _ = RUN_AND_REFERENCE[name](k, window, epsilon, sample_c, run_counter)
     _, ref = RUN_AND_REFERENCE[name](k, window, epsilon, sample_c, ref_counter)
     for t in range(1, n + 1):
-        alg.step(Item(t))
-        ref.step(Item(t))
+        alg.step(t)
+        ref.step(t)
         assert alg.query() == ref.query(), t
         if name != "sw-dp":
             assert alg.best_value() == ref.best_value(), t

@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmax.core import CountingOracle, Item
+from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import (
     SieveStream,
-    brute_force_opt,
     ceil_log_ratio,
     greedy_select,
     threshold_grid,
 )
 
 from conftest import greedy_by_gain, level_buffers, level_values, node_state, set_store, vec_store
+from reference import brute_force_opt
 
 
 class TestThresholdGrid:
@@ -82,9 +82,9 @@ class TestSieveStream:
         # in place; a gain of -2 splits off the levels below 8.
         sieve = SieveStream(2, 1.0, _ScriptedOracle({1: 5.0, 2: second}))
         assert sieve.thresholds == [1.0, 2.0, 4.0, 8.0]
-        sieve.step(Item(1))
+        sieve.step(1)
         assert sieve.best_value() == 5.0
-        sieve.step(Item(2))
+        sieve.step(2)
         assert level_values(sieve) == values
         assert sieve.best_value() == max(values)
         assert sieve.query() == (solution, max(values))
@@ -95,7 +95,7 @@ class TestSieveStream:
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, 1.0, oracle)
         assert sieve.thresholds == [1.0, 2.0, 4.0]  # k * max singleton = 4
-        sieve.step(Item(1))  # f=1: enters T=1 (1 > 0.25) and T=2 (1 > 0.5), not T=4 (1 == 1)
+        sieve.step(1)  # f=1: enters T=1 (1 > 0.25) and T=2 (1 > 0.5), not T=4 (1 == 1)
         assert level_buffers(sieve)[0] == [1]
         assert level_buffers(sieve)[1] == [1]
         assert level_buffers(sieve)[2] == []
@@ -108,8 +108,8 @@ class TestSieveStream:
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, 1.0, oracle)
         assert sieve.thresholds == [1.0, 2.0, 4.0]
-        sieve.step(Item(1))
-        sieve.step(Item(2))
+        sieve.step(1)
+        sieve.step(2)
         assert level_buffers(sieve)[2] == [1, 2]
         assert level_values(sieve)[2] == 3.0
         assert sieve.query() == ([1, 2], 3.0)
@@ -120,8 +120,8 @@ class TestSieveStream:
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, 1.0, oracle)
         assert sieve.thresholds[0] == 1.0
-        for item in store.items():
-            sieve.step(item)
+        for t in range(1, len(store) + 1):
+            sieve.step(t)
         assert all(len(buf) <= 2 for buf in level_buffers(sieve))
         assert 3 not in level_buffers(sieve)[0]  # buffer was already full
 
@@ -130,7 +130,7 @@ class TestSieveStream:
         oracle = CoverageOracle(store)
         sieve = SieveStream(1, 1.0, oracle)
         assert sieve.thresholds == [1.0, 2.0]
-        sieve.step(Item(1))
+        sieve.step(1)
         # both T=1 and T=2 buffers hold item 1 at value 2; smallest wins
         values, buffers = level_values(sieve), level_buffers(sieve)
         assert values[0] == values[1] == 2.0
@@ -156,8 +156,8 @@ class TestSieveStream:
                 continue
             sieve = SieveStream(k, eps, oracle)
             assert sieve.thresholds[-1] >= opt
-            for item in store.items():
-                sieve.step(item)
+            for t in range(1, len(store) + 1):
+                sieve.step(t)
             assert sieve.query()[1] >= (1 - eps) / 2 * opt - 1e-9
 
     def test_prefix_value_non_decreasing(self):
@@ -166,8 +166,8 @@ class TestSieveStream:
             oracle = CoverageOracle(store)
             sieve = SieveStream(3, 0.2, oracle)
             last = 0.0
-            for item in store.items():
-                sieve.step(item)
+            for t in range(1, len(store) + 1):
+                sieve.step(t)
                 value = sieve.query()[1]
                 assert value >= last
                 last = value
