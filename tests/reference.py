@@ -1,8 +1,11 @@
-"""Test-only references: exact optima, plain coverage, a set-stream writer,
-window members and the reduction's live instances."""
+"""Test-only references: exact optima, plain coverage, set-stream and
+dense-CSV writers, window members, the reduction's live instances and the
+handles an algorithm's buffers hold."""
 
 import math
 from itertools import combinations
+
+from swmax.sliding import SlidingWindowReduction, ThresholdGreedy
 
 
 def coverage_value(payloads) -> int:
@@ -40,6 +43,13 @@ def write_set_stream(store, path) -> None:
         fh.writelines(" ".join(map(str, s)) + "\n" for s in sets)
 
 
+def write_dense_csv(rows, path) -> None:
+    """Inverse of ``load_dense_csv``: one comma-separated row per line, each
+    float written by ``repr``, so it reads back bit for bit."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def window_ids(end, size) -> list[int]:
     """Item ids of the window of ``size`` timesteps ending at ``end``, ascending."""
     return list(range(max(1, end - size + 1), end + 1))
@@ -53,3 +63,14 @@ def instance_starts(reduction) -> list[int]:
 def instance_values(reduction) -> list[float]:
     """Values of a ``SlidingWindowReduction``'s live instances, as its prune reads them."""
     return [inst.alg.best_value() for inst in reduction.instances]
+
+
+def buffer_handles(alg) -> list:
+    """The handle of every buffer an algorithm holds: one per sieve run, one
+    per level of each ``ThresholdGreedy`` run, and those of every live
+    instance of a reduction."""
+    if isinstance(alg, SlidingWindowReduction):
+        return [h for inst in alg.instances for h in buffer_handles(inst.alg)]
+    if isinstance(alg, ThresholdGreedy):
+        return [h for run in alg.runs for h in run[4]]
+    return [run[3] for run in alg.runs]

@@ -11,9 +11,11 @@ import hashlib
 
 import pytest
 
-from swmax.bench import ALGORITHMS, RunConfig, load_store, render_metrics_csv, run_benchmark
+from swmax.bench import ALGORITHMS, RunConfig, load_store, make_oracle, render_metrics_csv, run_benchmark
+from swmax.core import CountingOracle
+from swmax.sliding import SieveGreedy, SieveNaive, SlidingWindowDP, sieve_reduction
 
-from reference import write_set_stream
+from reference import buffer_handles, write_dense_csv, write_set_stream
 
 CONFIGS = {
     "coverage": dict(format="synth-sets", synth_n=300, synth_universe=40, synth_mean_size=6.0, seed=3),
@@ -74,6 +76,26 @@ GOLDEN_WIDE_COVERAGE_SW_RD_EPS005 = "abfda6e09e34c70d5037b36dad066ef941f1bb8b028
 GOLDEN_IVM_SW_RD_EVERY_ARRIVAL = "87c1d883afabcbd1bf5db025ac2a2c23857a702629750ac7292b62fb4d7109bd"
 
 
+# The golden ivm stream with every row written twice, read back through
+# ``--format csv`` at sigma 1e-8, queried after every arrival. An item's
+# twin makes its Schur complement vanish to rounding, so the pivot
+# collapses and buffers hold skipped ids (``CholState.skipped_ids``).
+GOLDEN_IVM_COLLAPSED_PIVOTS = {
+    "sieve-naive": "3bae7d1a2fa4111805b70ade1e9cedf81857a7d9c4467733a6385a86fe1b837d",
+    "sieve-greedy": "ff43696e38ec9cb32fa6d1e86d8a37b1c68eacd30da27200266c9a7ff6876d17",
+    "sw-rd": "fa5c547c628cd07d1c05c84c625ae2e473473c079316f6d4ee94a49e2f212875",
+    "sw-dp": "009af9368e84b675381f729f2045c10c9fe88d945be845fd38df833e2543e703",
+}
+
+
+def doubled_ivm_stream(path) -> dict:
+    """Write the golden ivm stream with each row twice to ``path``; returns
+    the run settings that read it back at sigma 1e-8."""
+    store = load_store(RunConfig(objective="ivm", algorithm="sw-rd", k=4, window=50, **CONFIGS["ivm"]))
+    write_dense_csv([row for row in store.vectors.tolist() for _ in range(2)], path)
+    return dict(format="csv", input=str(path), sigma=1e-8)
+
+
 def metrics_without_wall(
     objective: str, algorithm: str, k: int = 4, window: int = 50, data=None, epsilon: float = 0.2, query_every=None
 ) -> str:
@@ -123,6 +145,38 @@ def test_wide_coverage_sw_rd_small_epsilon_pinned():
 def test_ivm_sw_rd_every_arrival_pinned():
     text = metrics_without_wall("ivm", "sw-rd", query_every=1)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_IVM_SW_RD_EVERY_ARRIVAL, text
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_IVM_COLLAPSED_PIVOTS))
+def test_ivm_collapsed_pivots_pinned(algorithm, tmp_path):
+    data = doubled_ivm_stream(tmp_path / "doubled.csv")
+    text = metrics_without_wall("ivm", algorithm, data=data, query_every=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_IVM_COLLAPSED_PIVOTS[algorithm], text
+
+
+COLLAPSED_PIVOT_ALGORITHMS = {
+    "sieve-naive": lambda oracle: SieveNaive(4, 50, 0.2, oracle),
+    "sieve-greedy": lambda oracle: SieveGreedy(4, 50, 0.2, oracle, sample_c=20.0),
+    "sw-rd": lambda oracle: sieve_reduction(4, 50, 0.2, oracle),
+    "sw-dp": lambda oracle: SlidingWindowDP(4, 50, 0.2, oracle),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(COLLAPSED_PIVOT_ALGORITHMS))
+def test_collapsed_pivot_goldens_reach_skipped_ids(algorithm, tmp_path):
+    # The pinned cells above only guard the skipped-id path if some buffer
+    # takes an item whose pivot collapsed. The sieves do; sw-dp never can,
+    # as its pass test needs a gain of at least a positive threshold, and a
+    # collapsed pivot gains 0.
+    config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50,
+                       **doubled_ivm_stream(tmp_path / "doubled.csv"))
+    store = load_store(config)
+    alg = COLLAPSED_PIVOT_ALGORITHMS[algorithm](CountingOracle(make_oracle(config, store)))
+    steps = 0
+    for t in range(1, len(store) + 1):
+        alg.step(t)
+        steps += any(h.skipped_ids for h in buffer_handles(alg))
+    assert (steps > 0) == (algorithm != "sw-dp"), steps
 
 
 def test_every_cell_pinned():
