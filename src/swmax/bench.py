@@ -195,7 +195,7 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
                 continue
             members = range(max(1, t - config.window + 1), t + 1)
             if config.algorithm == "greedy":
-                solution = greedy_select(members, config.k, counting)[0]
+                solution = greedy_select(members, config.k, counting).ids
                 peak = max(peak, len(members))
             else:
                 sieve = SieveStream(config.k, config.epsilon, counting)

@@ -1,29 +1,31 @@
 """Oracle primitives shared by all algorithms, and the ``BestSoFar`` wrapper.
 
-Streams are 1-based and dense in time: the t-th arrival is item t, and the
-item id doubles as its timestep, so every algorithm's ``step(t)`` takes the
-integer timestep itself. A window of size W ending at ``end`` covers
-timesteps ``max(1, end - W + 1) .. end``.
+An item id is the timestep of its arrival, so every algorithm's ``step(t)``
+takes the integer timestep itself, and refuses one that is not above the
+last (``next_timestep``); timesteps start at 1 and may skip some. A window
+of size W ending at ``end`` covers timesteps ``max(1, end - W + 1) .. end``.
 
 Objectives are accessed through an oracle: ``eval(ids)`` scores a set,
 ``empty()`` returns the oracle's root handle on the empty set and
-``rebuild(ids)`` a fresh root on any set plus its value, for buffers that
-shrank, and ``max_singleton()`` the largest value of any one item. A
+``rebuild(ids)`` a handle on any set grown from a fresh root, for buffers
+that shrank, and ``max_singleton()`` the largest value of any one item. A
 monotone submodular objective is subadditive, so ``k * max_singleton()``
 bounds the value of every set of at most k items; that product is the
 upper end of every threshold grid.
 
-A handle is an immutable trie node for one set: ``gain(id)`` is the
-marginal gain of one more item, ``gains(ids)`` the gains of many items in
-one batch, as greedy scores its candidates in a round, and ``child(id)``
+A handle is an immutable trie node for one set, and all a buffer holds:
+``ids`` lists the members in insertion order, and ``value`` is 0.0 at a
+root and a parent's value plus the item's gain at a child. ``gain(id)`` is
+the marginal gain of one more item, ``gains(ids)`` the gains of many items
+in one batch, as greedy scores its candidates in a round, and ``child(id)``
 the node for the set plus that item, leaving the node itself unchanged. A
 node remembers its last gain and its last child, so buffers with equal
 contents grown from one root hold one node, compute the gain of an arrival
-once and converge on one child. One slot of each is enough because every buffer at a node asks about
-an arrival, and takes it, during that arrival's step; a query that misses
-the memo only loses sharing, never correctness. A node holds at most one
-child and no parent, so a node is freed once no buffer holds it and its
-parent has made another child.
+once and converge on one child. One slot of each is enough because every
+buffer at a node asks about an arrival, and takes it, during that
+arrival's step; a query that misses the memo only loses sharing, never
+correctness. A node holds at most one child and no parent, so a node is
+freed once no buffer holds it and its parent has made another child.
 
 ``CountingOracle`` wraps any oracle and counts calls, the cost metric every
 benchmark reports: ``eval``, ``rebuild`` and ``gain`` cost one call each
@@ -54,6 +56,8 @@ class OracleHandle(Protocol):
     """
 
     counter: object | None
+    ids: list[int]
+    value: float
 
     def gain(self, item_id: int) -> float: ...
 
@@ -72,7 +76,7 @@ class SubmodularOracle(Protocol):
 
     def empty(self) -> OracleHandle: ...
 
-    def rebuild(self, ids: Sequence[int]) -> tuple[OracleHandle, float]: ...
+    def rebuild(self, ids: Sequence[int]) -> OracleHandle: ...
 
     def max_singleton(self) -> float: ...
 
@@ -90,7 +94,7 @@ class CountingOracle:
         self.inner = inner
         self.calls = 0
         self.evaluations = 0
-        self._root, _ = inner.rebuild(())
+        self._root = inner.rebuild(())
         self._root.counter = self
 
     def eval(self, ids: Sequence[int]) -> float:
@@ -101,15 +105,22 @@ class CountingOracle:
     def empty(self) -> OracleHandle:
         return self._root
 
-    def rebuild(self, ids: Sequence[int]) -> tuple[OracleHandle, float]:
+    def rebuild(self, ids: Sequence[int]) -> OracleHandle:
         self.calls += 1
         self.evaluations += 1
-        handle, value = self.inner.rebuild(ids)
+        handle = self.inner.rebuild(ids)
         handle.counter = self
-        return handle, value
+        return handle
 
     def max_singleton(self) -> float:
         return self.inner.max_singleton()
+
+
+def next_timestep(last: int, t: int) -> int:
+    """``t`` if it is above ``last``, the previous timestep or 0; else ``ValueError``."""
+    if t <= last:
+        raise ValueError(f"timestep {t} after {last}: timesteps start at 1 and increase")
+    return t
 
 
 class BestSoFar:

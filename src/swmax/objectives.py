@@ -62,10 +62,11 @@ class CholState:
     ``L @ L.T == I + K_S / sigma**2`` for its member set S.
 
     Members are points of ``rows``, where item id ``t`` is ``rows[t - 1]``.
-    The value ``sum(log diag L)`` equals ``0.5 * log det`` of the factored
-    matrix. Members enter in insertion order; a degenerate pivot
-    (<= DEGENERATE_PIVOT) is recorded in ``skipped_ids`` and the factor is
-    kept as it was, so its invariant survives.
+    ``ids`` lists every item taken, in insertion order, and ``value``, the
+    sum of their gains, is ``0.5 * log det`` of the factored matrix. A
+    degenerate pivot (<= DEGENERATE_PIVOT) gains 0: its item is listed in
+    ``skipped_ids`` too, and the factor is kept as it was, so its invariant
+    survives.
 
     The factor is kept as Python lists of floats, row ``i`` being
     ``[L_i0, ..., L_ii]``, next to the members' points, also as lists: on
@@ -74,29 +75,28 @@ class CholState:
     as float rows, which an ``IVMOracle`` reads from its store
     (``vector_rows``), and its nodes share them.
 
-    A node's set and factor never change, only its two memo slots and its
-    batch probes (see ``gains``) do.
-    ``child(id)`` returns the node for S + [id], whose factor is this one
-    grown by one row; rows and lists are shared between nodes, never
-    written in place. The node keeps its last gain with the probe behind
-    it, so a repeated gain is a memo hit and a child of the same item grows
-    from that probe, and its last child, so a repeated ``child`` returns
-    the same object. Gains count into ``counter.calls`` while a counter is
-    set, memo hits included; only misses count into ``counter.evaluations``.
-    Children inherit the counter.
+    A node's set, value and factor never change, only its two memo slots
+    and its batch probes (see ``gains``) do. ``child(id)`` returns the node
+    for S + [id], whose factor is this one grown by one row; rows and lists
+    are shared between nodes, never written in place. The node keeps its
+    last gain with the probe behind it, so a repeated gain is a memo hit and
+    a child of the same item grows from that probe, and its last child, so
+    a repeated ``child`` returns the same object. Gains count into
+    ``counter.calls`` while a counter is set, memo hits included; only
+    misses count into ``counter.evaluations``. Children inherit the counter.
     """
 
-    __slots__ = ("_kernel", "counter", "ids", "skipped_ids", "_members", "_rows", "_logdiag", "_gain", "_child",
+    __slots__ = ("_kernel", "counter", "ids", "value", "skipped_ids", "_members", "_rows", "_gain", "_child",
                  "_batch", "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
 
     def __init__(self, rows: Sequence[list[float]], params: KernelParams):
         self._kernel = (rows, params.sigma**-2, params.h**2)
         self.counter = None
         self.ids: list[int] = []
+        self.value = 0.0
         self.skipped_ids: list[int] = []
         self._members: list[list[float]] = []
         self._rows: list[list[float]] = []
-        self._logdiag: list[float] = []
         self._gain: tuple[int, float, tuple[list[float], list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
         self._batch: dict[int, tuple[list[float], list[float], float]] | None = None
@@ -104,12 +104,7 @@ class CholState:
     @property
     def n(self) -> int:
         """Order of the factor (degenerate members excluded)."""
-        return len(self.ids)
-
-    @property
-    def value(self) -> float:
-        """0.5 * log det(I + K_S / sigma**2)."""
-        return math.fsum(self._logdiag)
+        return len(self._rows)
 
     def _row(self, item_id: int) -> int:
         if not 1 <= item_id <= len(self._kernel[0]):
@@ -189,7 +184,8 @@ class CholState:
         return gains
 
     def child(self, item_id: int) -> "CholState":
-        """The node with the item appended, or added to ``skipped_ids`` on a collapsed pivot.
+        """The node with the item appended to ``ids``; on a collapsed pivot it
+        is added to ``skipped_ids`` too, and the factor is kept.
 
         If the node's own batch holds a probe of the item, the batch moves on
         to the child, new or from the memo, to be extended in the child's own
@@ -213,22 +209,20 @@ class CholState:
             x, w, d = self._probe(item_id)
         node = object.__new__(CholState)
         node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, taken
+        node.ids = self.ids + [item_id]
         if d <= DEGENERATE_PIVOT:
-            node.ids, node._members, node._rows, node._logdiag = self.ids, self._members, self._rows, self._logdiag
-            node.skipped_ids = self.skipped_ids + [item_id]
+            node.value, node.skipped_ids = self.value, self.skipped_ids + [item_id]
+            node._members, node._rows = self._members, self._rows
         else:
-            root = math.sqrt(d)
-            node.ids = self.ids + [item_id]
-            node.skipped_ids = self.skipped_ids
-            node._members = self._members + [x]
-            node._rows = self._rows + [w + [root]]
-            node._logdiag = self._logdiag + [math.log(root)]
+            node.value, node.skipped_ids = self.value + 0.5 * math.log(d), self.skipped_ids
+            node._members, node._rows = self._members + [x], self._rows + [w + [math.sqrt(d)]]
         self._child = (item_id, node)
         return node
 
 
 class CoverageUnion:
-    """Coverage handle: an immutable node holding its members' union bitmask.
+    """Coverage handle: an immutable node holding its members' ``ids`` in
+    insertion order, their union bitmask and its popcount as ``value``.
 
     It keeps the same two memo slots as ``CholState``: the last gain and the
     last child, each keyed by item id. A batch of gains keeps nothing: a
@@ -236,11 +230,13 @@ class CoverageUnion:
     """
 
     # ``__weakref__`` lets a test check that a node no buffer holds is freed.
-    __slots__ = ("_masks", "mask", "counter", "_gain", "_child", "__weakref__")
+    __slots__ = ("_masks", "ids", "mask", "value", "counter", "_gain", "_child", "__weakref__")
 
-    def __init__(self, masks: dict[int, int], mask: int = 0, counter=None):
+    def __init__(self, masks: dict[int, int], ids: list[int], mask: int, value: float, counter=None):
         self._masks = masks
+        self.ids = ids
         self.mask = mask
+        self.value = value
         self.counter = counter
         self._gain: tuple[int, float] | None = None
         self._child: tuple[int, CoverageUnion] | None = None
@@ -275,13 +271,17 @@ class CoverageUnion:
             raise ValueError(f"unknown item id {exc.args[0]}") from None
 
     def child(self, item_id: int) -> "CoverageUnion":
+        """The node with the item appended; its value adds the item's gain
+        to this node's, taken from the gain memo when it holds the item."""
         memo = self._child
         if memo is not None and memo[0] == item_id:
             return memo[1]
         mask = self._masks.get(item_id)
         if mask is None:
             raise ValueError(f"unknown item id {item_id}")
-        node = CoverageUnion(self._masks, self.mask | mask, self.counter)
+        union, gained = self.mask | mask, self._gain
+        value = self.value + gained[1] if gained is not None and gained[0] == item_id else float(union.bit_count())
+        node = CoverageUnion(self._masks, self.ids + [item_id], union, value, self.counter)
         self._child = (item_id, node)
         return node
 
@@ -295,7 +295,7 @@ class CoverageOracle:
 
     def __init__(self, store):
         self._masks = store.coverage_masks  # a dense store raises ValueError
-        self._root = CoverageUnion(self._masks)
+        self._root = CoverageUnion(self._masks, [], 0, 0.0)
         self._max_singleton = float(store.max_set_size)
 
     def _union(self, ids: Sequence[int]) -> int:
@@ -312,9 +312,10 @@ class CoverageOracle:
         """The oracle's one root node, the same object on every call."""
         return self._root
 
-    def rebuild(self, ids: Sequence[int]) -> tuple[CoverageUnion, float]:
+    def rebuild(self, ids: Sequence[int]) -> CoverageUnion:
+        """A fresh root's node on ``ids``, not linked to the shared root."""
         union = self._union(ids)
-        return CoverageUnion(self._masks, union), float(union.bit_count())
+        return CoverageUnion(self._masks, list(ids), union, float(union.bit_count()))
 
     def eval(self, ids: Sequence[int]) -> float:
         return float(self._union(ids).bit_count())
@@ -343,19 +344,19 @@ class IVMOracle:
         """The oracle's one root node, the same object on every call."""
         return self._root
 
-    def rebuild(self, ids: Sequence[int]) -> tuple[CholState, float]:
+    def rebuild(self, ids: Sequence[int]) -> CholState:
         """The node grown by ``child`` from a fresh root, one member at a
-        time in order, and its value. The root is not the shared one, so the
-        memo slots of the nodes that buffers hold are left alone."""
+        time in order. The root is not the shared one, so the memo slots of
+        the nodes that buffers hold are left alone."""
         node = CholState(self._rows, self.params)
         for i in ids:
             node = node.child(i)
-        return node, node.value
+        return node
 
     def eval(self, ids: Sequence[int]) -> float:
         key = tuple(ids)
         if key != self._last_eval[0]:
-            self._last_eval = (key, self.rebuild(key)[1])
+            self._last_eval = (key, self.rebuild(key).value)
         return self._last_eval[1]
 
     def max_singleton(self) -> float:

@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import SubmodularOracle
+from .core import OracleHandle, SubmodularOracle, next_timestep
 from .streaming import SieveStream, ceil_log_ratio, greedy_select
 
 
@@ -74,8 +74,10 @@ class SlidingWindowReduction:
         self.inner_factory = inner_factory
         self.instances: list[ReductionInstance] = []
         self._retained = 0
+        self._t = 0
 
     def step(self, t: int) -> None:
+        self._t = next_timestep(self._t, t)
         self.instances.append(ReductionInstance(t, self.inner_factory()))
         cutoff = t - self.window
         while self.instances and self.instances[0].start <= cutoff:
@@ -130,29 +132,27 @@ class ThresholdGreedy:
     """Level tables for a grid of thresholds over a sliding window.
 
     For one threshold T, ``levels[j]`` is the latest timestep from which j
-    elements with marginal gain >= T were still collectible; ``sets[j]``
-    holds those j elements, ``handles[j]`` their oracle handle and
-    ``vals[j]`` their value. On arrival, level 0 restarts at the current
-    step, expired levels are deactivated (their sets are retained but
-    unreported), and levels are scanned from high to low so each reads its
-    pre-step state: the scan at j reads levels j and j+1 and writes only
-    j+1, which no earlier (higher) step wrote. A literal low-to-high
+    elements with marginal gain >= T were still collectible, and
+    ``handles[j]`` is the handle of those j elements. On arrival, level 0
+    restarts at the current step, expired levels are deactivated (their
+    sets are retained but unreported), and levels are scanned from high to
+    low so each reads its pre-step state: the scan at j reads levels j and
+    j+1 and writes only j+1, which no earlier (higher) step wrote. A literal low-to-high
     in-place scan would let the fresh level-0 restart overwrite level 1
     before it is read, destroying valid longer solutions. Queries return
     the deepest active level of the best table, the lowest threshold's on
     ties.
 
     Adjacent thresholds with equal tables share one: ``runs`` holds
-    ``[lo, hi, levels, sets, handles, vals]`` for thresholds ``lo .. hi-1``.
+    ``[lo, hi, levels, handles]`` for thresholds ``lo .. hi-1``.
     Every threshold of a run makes the same expiry and takes the same gain
     at each level j, and the pass test ``gain >= T`` holds for a prefix of
     the run, so an arrival costs one gain per run and level and splits a run
     at most at one cut per level. A run that does not split is updated in
     place. Adjacent runs merge again when their ``levels`` and ``handles``
-    are equal: a handle is a trie node with one path from the root, so its
-    set and value are then equal too. Costs stay per threshold: a run of m
-    thresholds charges m oracle calls for its one gain, and
-    ``retained_count`` counts every set of every threshold.
+    are equal. Costs stay per threshold: a run of m thresholds charges m
+    oracle calls for its one gain, and ``retained_count`` counts every set
+    of every threshold.
     """
 
     def __init__(self, k: int, window: int, thresholds: list[float], oracle: SubmodularOracle):
@@ -163,13 +163,12 @@ class ThresholdGreedy:
         self.k = k
         self.window = window
         self.thresholds = thresholds
-        table = [[-1] * (k + 1), [[] for _ in range(k + 1)], [oracle.empty()] * (k + 1), [0.0] * (k + 1)]
-        self.runs: list[list] = [[0, len(thresholds), *table]]
+        self.runs: list[list] = [[0, len(thresholds), [-1] * (k + 1), [oracle.empty()] * (k + 1)]]
         self._retained = 0
+        self._t = 0
 
     def step(self, t: int) -> None:
-        if t < 1:  # -1 marks an inactive level, so it must not be a start
-            raise ValueError(f"timestep must be positive, got {t}")
+        self._t = next_timestep(self._t, t)  # so no start is -1, the mark of an inactive level
         horizon = t - self.window
         runs: list[list] = []
         for run in self.runs:
@@ -190,7 +189,7 @@ class ThresholdGreedy:
         scanned on from the next level down and goes first.
         """
         thresholds = self.thresholds
-        lo, hi, levels, sets, handles, vals = run
+        lo, hi, levels, handles = run
         for j in range(top, -1, -1):
             start = levels[j]
             if start == -1 or start <= levels[j + 1]:
@@ -204,30 +203,28 @@ class ThresholdGreedy:
             piece = run
             if not gain >= thresholds[hi - 1]:  # thresholds lo .. cut-1 pass
                 cut = bisect_right(thresholds, gain, lo + 1, hi - 1)
-                piece = [lo, cut, levels[:], sets[:], handles[:], vals[:]]
+                piece = [lo, cut, levels[:], handles[:]]
                 run[0] = lo = cut
-            p_lo, p_hi, p_levels, p_sets, p_handles, p_vals = piece
+            p_lo, p_hi, p_levels, p_handles = piece
             p_levels[j + 1] = start
-            self._retained += (p_hi - p_lo) * (len(sets[j]) + 1 - len(p_sets[j + 1]))
-            p_sets[j + 1] = sets[j] + [i]
-            p_vals[j + 1] = vals[j] + gain
+            self._retained += (p_hi - p_lo) * (len(handle.ids) + 1 - len(p_handles[j + 1].ids))
             p_handles[j + 1] = handle.child(i)
             if piece is not run:
                 self._scan(piece, j - 1, i, runs)
-        if runs and runs[-1][2] == levels and runs[-1][4] == handles:
+        if runs and runs[-1][2] == levels and runs[-1][3] == handles:
             runs[-1][1] = hi
         else:
             runs.append(run)
 
     def query(self) -> tuple[list[int], float]:
-        best: tuple[list[int], float] = [], 0.0
-        for _, _, levels, sets, _, vals in self.runs:
+        best = self.runs[0][3][0]  # level 0 never changes: the root, empty and of value 0
+        for _, _, levels, handles in self.runs:
             for j in range(self.k, -1, -1):
                 if levels[j] != -1:
-                    if vals[j] > best[1]:
-                        best = (list(sets[j]), vals[j])
+                    if handles[j].value > best.value:
+                        best = handles[j]
                     break
-        return best
+        return list(best.ids), best.value
 
     def retained_count(self) -> int:
         return self._retained
@@ -257,14 +254,13 @@ def dp_threshold_grid(k: int, upper: float, epsilon: float) -> list[float]:
 
 
 class SieveNaive(SieveStream):
-    """SieveStream with per-buffer expiry: drop the expired item, keep going.
+    """SieveStream with per-buffer expiry: drop the expired items, keep going.
 
-    After a drop the buffer's handle and value are rebuilt (one oracle call
-    per level) and the usual add condition applies against the reduced
-    buffer. Every level of a run holds the same buffer, so a run drops and
-    rebuilds once; adjacent runs that then hold the same handle merge.
-    Buffer ids are timesteps, so at most one item can expire per buffer per
-    step; the scan checks that defensively.
+    After a drop the buffer's handle is rebuilt from the survivors (one
+    oracle call per level) and the usual add condition applies against the
+    reduced buffer. Every level of a run holds the same buffer, so a run
+    drops and rebuilds once; adjacent runs that then hold the same handle
+    merge.
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
@@ -274,6 +270,7 @@ class SieveNaive(SieveStream):
         self.window = window
 
     def step(self, t: int) -> None:
+        self._t = next_timestep(self._t, t)
         self._expire(t - self.window)
         self._admit(t)
 
@@ -284,51 +281,38 @@ class SieveNaive(SieveStream):
         counter = self.oracle.empty().counter
         runs: list[list] = []
         for run in self.runs:
-            lo, hi, buf = run[0], run[1], run[2]
-            expired = [t for t in buf if t <= horizon]
-            if expired:
-                assert len(expired) == 1, f"multiple expiries in one step: {expired}"
+            lo, hi, handle = run
+            if handle.ids and min(handle.ids) <= horizon:
                 before = counter.calls if counter is not None else 0
-                run[2], run[4], run[3] = self._repair(buf, expired[0])
+                run[2] = self._repair(handle, horizon)
                 self._best = None  # a repaired value can fall; ``_admit`` rescans
                 if counter is not None:
                     counter.calls += (hi - lo - 1) * (counter.calls - before)
-                self._retained += (hi - lo) * (len(run[2]) - len(buf))
-            if runs and runs[-1][3] is run[3]:
+                self._retained += (hi - lo) * (len(run[2].ids) - len(handle.ids))
+            if runs and runs[-1][2] is run[2]:
                 runs[-1][1] = hi
             else:
                 runs.append(run)
         self.runs = runs
 
-    def _repair(self, buf: list[int], expired: int):
-        """(buffer, value, handle) of ``buf`` once ``expired`` has left it."""
-        survivors = [t for t in buf if t != expired]
-        if not survivors:
-            return survivors, 0.0, self.oracle.empty()
-        handle, value = self.oracle.rebuild(survivors)
-        return survivors, value, handle
+    def _repair(self, handle: OracleHandle, horizon: int) -> OracleHandle:
+        """The handle of ``handle``'s members after ``horizon``."""
+        survivors = [s for s in handle.ids if s > horizon]
+        return self.oracle.rebuild(survivors) if survivors else self.oracle.empty()
 
 
 class SieveGreedy(SieveNaive):
     """Sieve buffers repaired from a uniform sample of the window.
 
-    Each arrival is kept in a sample buffer B with probability c/W. When a
-    buffer member expires, the buffer is rebuilt by greedy selection of one
-    fewer element from B plus the surviving members; then the usual sieve
-    add condition applies. The repair may return fewer elements than asked
-    when B is thin; the smaller set is accepted. A run repairs once and is
-    charged its greedy's calls once per level.
+    Each arrival is kept in a sample buffer B with probability c/W. When
+    buffer members expire, the buffer is rebuilt by greedy selection of as
+    many elements as survive from B plus the surviving members; then the
+    usual sieve add condition applies. The repair may return fewer elements
+    than asked when B is thin; the smaller set is accepted. A run repairs
+    once and is charged its greedy's calls once per level.
     """
 
-    def __init__(
-        self,
-        k: int,
-        window: int,
-        epsilon: float,
-        oracle: SubmodularOracle,
-        sample_c: float,
-        seed: int = 0,
-    ):
+    def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle, sample_c: float, seed: int = 0):
         if not sample_c >= 0:
             raise ValueError(f"sampling parameter must be >= 0, got {sample_c}")
         super().__init__(k, window, epsilon, oracle)
@@ -337,16 +321,19 @@ class SieveGreedy(SieveNaive):
         self._rng = random.Random(seed)
 
     def step(self, t: int) -> None:
+        self._t = next_timestep(self._t, t)
         if self._rng.random() < self.sample_rate:
             self.samples.append(t)
         while self.samples and self.samples[0] <= t - self.window:
             self.samples.pop(0)
-        super().step(t)
+        self._expire(t - self.window)
+        self._admit(t)
 
-    def _repair(self, buf: list[int], expired: int):
-        survivors = [t for t in buf if t != expired]
-        candidates = sorted(set(self.samples) | set(survivors))
-        return greedy_select(candidates, len(buf) - 1, self.oracle)
+    def _repair(self, handle: OracleHandle, horizon: int) -> OracleHandle:
+        """Greedy's pick, from the sample and ``handle``'s members after
+        ``horizon``, of as many items as those members."""
+        survivors = [s for s in handle.ids if s > horizon]
+        return greedy_select(sorted(set(self.samples) | set(survivors)), len(survivors), self.oracle)
 
     def retained_count(self) -> int:
         return super().retained_count() + len(self.samples)
@@ -372,8 +359,10 @@ class PrioritySample:
         self.oracle = oracle
         self.candidates: list[list] = []
         self._rng = random.Random(seed)
+        self._t = 0
 
     def step(self, t: int) -> None:
+        self._t = next_timestep(self._t, t)
         while self.candidates and self.candidates[0][0] <= t - self.window:
             self.candidates.pop(0)
         priority = self._rng.random()
@@ -397,9 +386,7 @@ class PrioritySample:
         return len(self.candidates)
 
 
-def sieve_reduction(
-    k: int, window: int, epsilon: float, oracle: SubmodularOracle
-) -> SlidingWindowReduction:
+def sieve_reduction(k: int, window: int, epsilon: float, oracle: SubmodularOracle) -> SlidingWindowReduction:
     """The standard configuration: the reduction over fresh sieve instances."""
     if k < 1:
         raise ValueError(f"cardinality bound must be >= 1, got {k}")

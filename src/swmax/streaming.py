@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from operator import itemgetter
 from typing import Sequence
 
-from .core import OracleHandle, SubmodularOracle
+from .core import OracleHandle, SubmodularOracle, next_timestep
 
 
 def ceil_log_ratio(m: float, epsilon: float) -> int:
@@ -44,9 +43,6 @@ def threshold_grid(upper: float, epsilon: float) -> list[float]:
     return [base**level for level in range(top + 1)]
 
 
-_VALUE = itemgetter(4)
-
-
 class SieveStream:
     """Threshold-sieving stream maximizer under a cardinality constraint.
 
@@ -59,19 +55,20 @@ class SieveStream:
     optimum is at least 1.
 
     Adjacent levels that hold the same buffer are kept as one run,
-    ``[lo, hi, buffer, handle, value]`` for levels ``lo .. hi-1`` in
-    ``runs``: one list of ids, the oracle handle of its contents (grown
-    from the oracle's root, so equal contents share a handle) and its value,
-    a running sum of accepted gains. An arrival costs one membership test
-    and one gain per run. The admission test is monotone in T even in
-    floats (``T/2`` is exact, and rounding keeps subtraction and division
-    by a positive number monotone), so the levels that admit it are a
-    prefix of the run, found by evaluating the same expression; that
-    prefix becomes a run of its own. Costs stay per level: a run of m
-    levels charges m oracle calls for its one gain, and ``retained_count``
-    counts one item reference per member per level. Queries cost no oracle
-    calls and return the best buffer, the lowest level's on ties, whose value
-    ``_best`` keeps as buffers grow (None while a fallen value needs a rescan).
+    ``[lo, hi, handle]`` for levels ``lo .. hi-1`` in ``runs``. The buffer
+    is its handle, grown from the oracle's root, so equal contents share
+    one; its ``ids`` are the members and its ``value`` the running sum of
+    accepted gains. An arrival costs one membership test and one gain per
+    run. The admission test is monotone in T even in floats (``T/2`` is
+    exact, and rounding keeps subtraction and division by a positive number
+    monotone), so the levels that admit it are a prefix of the run, found
+    by evaluating the same expression; that prefix becomes a run of its
+    own. Costs stay per level: a run of m levels charges m oracle calls for
+    its one gain, and ``retained_count`` counts one item reference per
+    member per level. Queries cost no oracle calls and return the best
+    buffer, the lowest level's on ties, whose value ``_best`` keeps as
+    buffers grow (None while a fallen value needs a rescan). ``step``
+    refuses a timestep that does not follow the last one.
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
@@ -80,11 +77,13 @@ class SieveStream:
         self.k = k
         self.oracle = oracle
         self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
-        self.runs: list[list] = [[0, len(self.thresholds), [], oracle.empty(), 0.0]]
+        self.runs: list[list] = [[0, len(self.thresholds), oracle.empty()]]
         self._retained = 0
         self._best = 0.0
+        self._t = 0
 
     def step(self, t: int) -> None:
+        self._t = next_timestep(self._t, t)
         self._admit(t)
 
     def _admit(self, t: int) -> None:
@@ -93,9 +92,11 @@ class SieveStream:
         best = self._best
         runs = []
         for run in self.runs:
-            lo, hi, buf, handle, value = run
-            room = k - len(buf)
-            if room and t not in buf:
+            lo, hi, handle = run
+            ids = handle.ids
+            room = k - len(ids)
+            if room and t not in ids:
+                value = handle.value
                 gain = handle.gain(t)
                 if hi - lo > 1 and handle.counter is not None:
                     handle.counter.calls += hi - lo - 1
@@ -105,45 +106,41 @@ class SieveStream:
                     else:  # the first level that fails: lo passes and hi - 1 fails
                         cut = bisect_left(thresholds, gain, lo + 1, hi - 1, key=lambda T: (T / 2.0 - value) / room)
                     self._retained += cut - lo
+                    child = handle.child(t)
                     if cut == hi:
-                        buf.append(t)
-                        run[3] = handle.child(t)
-                        run[4] = value + gain
+                        run[2] = child
                     else:
-                        runs.append([lo, cut, buf + [t], handle.child(t), value + gain])
+                        runs.append([lo, cut, child])
                         run[0] = cut
-                    if (best is not None and value + gain > best) or gain < 0.0:  # None: rescan
-                        best = value + gain if gain >= 0.0 else None
+                    if (best is not None and child.value > best) or gain < 0.0:  # None: rescan
+                        best = child.value if gain >= 0.0 else None
             runs.append(run)
         self.runs = runs
-        self._best = max(map(_VALUE, runs)) if best is None else best
+        self._best = max(run[2].value for run in runs) if best is None else best
 
     def best_value(self) -> float:
         return self._best
 
     def query(self) -> tuple[list[int], float]:
-        run = max(self.runs, key=_VALUE)
-        return list(run[2]), run[4]
+        handle = max((run[2] for run in self.runs), key=lambda h: h.value)
+        return list(handle.ids), handle.value
 
     def retained_count(self) -> int:
         return self._retained
 
 
-def greedy_select(
-    items: Sequence[int], k: int, oracle: SubmodularOracle
-) -> tuple[list[int], float, OracleHandle]:
+def greedy_select(items: Sequence[int], k: int, oracle: SubmodularOracle) -> OracleHandle:
     """Classic greedy: k rounds of best marginal gain, smallest id on ties.
 
-    Returns the selection, its value and the handle grown with it. Each
-    round scores the remaining candidates with one ``gains`` call on the
-    handle grown so far, so a log-det handle extends the last round's
-    probes instead of probing afresh. Stops early once the best gain is
-    <= 0 (it cannot help a monotone objective and skipping it saves oracle
-    calls). The id tie-break makes the result invariant to candidate order.
+    Returns the handle grown with the selection, its ``ids`` in the order
+    chosen. Each round scores the remaining candidates with one ``gains``
+    call on the handle grown so far, so a log-det handle extends the last
+    round's probes instead of probing afresh. Stops early once the best gain
+    is <= 0 (it cannot help a monotone objective and skipping it saves
+    oracle calls). The id tie-break makes the result invariant to candidate
+    order.
     """
-    selected: list[int] = []
     handle = oracle.empty()
-    value = 0.0
     candidates = list(items)
     for _ in range(k):
         if not candidates:
@@ -153,9 +150,7 @@ def greedy_select(
         if best_gain <= 0.0:
             break
         best_id = min(c for c, g in zip(candidates, gains) if g == best_gain)
-        selected.append(best_id)
         handle = handle.child(best_id)
-        value += best_gain
         candidates = [c for c in candidates if c != best_id]
-    return selected, value, handle
+    return handle
 

@@ -9,7 +9,7 @@ from swmax.ingest import DatasetStore, ParseError
 from swmax.objectives import DEGENERATE_PIVOT
 from swmax.streaming import threshold_grid
 
-from reference import instance_values
+from reference import instance_values, runs
 
 
 def set_store(*payloads) -> DatasetStore:
@@ -72,6 +72,13 @@ def factor_matrix(handle) -> np.ndarray:
     for i, row in enumerate(handle._rows):
         L[i, : i + 1] = row
     return L
+
+
+def factor_ids(handle) -> list[int]:
+    """A log-det node's members that hold a factor row, in order: its ids
+    bar the skipped ones (the ids of these tests do not repeat)."""
+    skipped = set(handle.skipped_ids)
+    return [i for i in handle.ids if i not in skipped]
 
 
 def load_set_stream_per_token(path) -> list[tuple[int, ...]]:
@@ -162,18 +169,19 @@ def node_state(handle):
 
 def level_buffers(alg) -> list[list[int]]:
     """Each grid level's buffer, read off a sieve's runs."""
-    return [run[2] for run in alg.runs for _ in range(run[0], run[1])]
+    return [run.handle.ids for run in runs(alg) for _ in range(run.lo, run.hi)]
 
 
 def level_values(alg) -> list[float]:
-    return [run[4] for run in alg.runs for _ in range(run[0], run[1])]
+    return [run.handle.value for run in runs(alg) for _ in range(run.lo, run.hi)]
 
 
 class LevelSieve:
     """Reference for the run-based sieves: one buffer, handle and value per
-    grid level, stepped level by level. With a ``window`` an expired member
-    is dropped and the buffer rebuilt (SieveNaive); with ``sample_c`` too,
-    it is repaired by greedy over the sample and the survivors (SieveGreedy).
+    grid level, stepped level by level. With a ``window`` the expired
+    members are dropped and the buffer rebuilt (SieveNaive); with
+    ``sample_c`` too, it is repaired by greedy over the sample and the
+    survivors, picking as many items as survive (SieveGreedy).
     """
 
     def __init__(self, k, epsilon, oracle, window=None, sample_c=None, seed=0):
@@ -195,10 +203,11 @@ class LevelSieve:
             if len(survivors) < len(buf):
                 if self.sample_c is not None:
                     candidates = sorted(set(self.samples) | set(survivors))
-                    buf, self.values[level], self.handles[level] = greedy_by_gain(candidates, len(buf) - 1, self.oracle)
+                    buf, self.values[level], self.handles[level] = greedy_by_gain(candidates, len(survivors), self.oracle)
                 elif survivors:
                     buf = survivors
-                    self.handles[level], self.values[level] = self.oracle.rebuild(buf)
+                    self.handles[level] = self.oracle.rebuild(buf)
+                    self.values[level] = self.handles[level].value
                 else:
                     buf, self.handles[level], self.values[level] = [], self.oracle.empty(), 0.0
                 self.buffers[level] = buf

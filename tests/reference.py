@@ -1,9 +1,11 @@
 """Test-only references: exact optima, plain coverage, set-stream and
-dense-CSV writers, window members, the reduction's live instances and the
-handles an algorithm's buffers hold."""
+dense-CSV writers, window members, the reduction's live instances, and the
+run layout of the sieves and level tables with the handles their buffers
+hold."""
 
 import math
 from itertools import combinations
+from typing import NamedTuple
 
 from swmax.sliding import SlidingWindowReduction, ThresholdGreedy
 
@@ -65,6 +67,32 @@ def instance_values(reduction) -> list[float]:
     return [inst.alg.best_value() for inst in reduction.instances]
 
 
+class SieveRun(NamedTuple):
+    """A sieve's run: grid levels ``lo .. hi-1`` share the buffer ``handle``."""
+
+    lo: int
+    hi: int
+    handle: object
+
+
+class TableRun(NamedTuple):
+    """A ``ThresholdGreedy`` run: thresholds ``lo .. hi-1`` share the level
+    starts ``levels`` and the level buffers ``handles``."""
+
+    lo: int
+    hi: int
+    levels: list[int]
+    handles: list
+
+
+def runs(alg) -> list:
+    """A sieve's or a ``ThresholdGreedy``'s runs, lowest threshold first: the
+    one place the tests read the run layout."""
+    if isinstance(alg, ThresholdGreedy):
+        return [TableRun(*run) for run in alg.runs]
+    return [SieveRun(*run) for run in alg.runs]
+
+
 def buffer_handles(alg) -> list:
     """The handle of every buffer an algorithm holds: one per sieve run, one
     per level of each ``ThresholdGreedy`` run, and those of every live
@@ -72,5 +100,5 @@ def buffer_handles(alg) -> list:
     if isinstance(alg, SlidingWindowReduction):
         return [h for inst in alg.instances for h in buffer_handles(inst.alg)]
     if isinstance(alg, ThresholdGreedy):
-        return [h for run in alg.runs for h in run[4]]
-    return [run[3] for run in alg.runs]
+        return [h for run in runs(alg) for h in run.handles]
+    return [run.handle for run in runs(alg)]

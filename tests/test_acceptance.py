@@ -40,7 +40,7 @@ from swmax.streaming import (
 )
 
 from conftest import ivm_value
-from reference import brute_force_opt, instance_starts, instance_values, window_ids, write_set_stream
+from reference import brute_force_opt, instance_starts, instance_values, runs, window_ids, write_set_stream
 
 EPS = 0.2
 GUARANTEE_COMBOS = ((120, 40, 2), (120, 20, 2), (60, 20, 3), (60, 40, 3))
@@ -112,7 +112,7 @@ def guarantee_runs():
                     results["swrd_viol"] += 1
                 if sieve.query()[1] < (1 - EPS) / 2 * prefix_opt - 1e-9:
                     results["sieve_viol"] += 1
-                if greedy_select(members, k, oracle)[1] < greedy_factor * window_opt - 1e-9:
+                if greedy_select(members, k, oracle).value < greedy_factor * window_opt - 1e-9:
                     results["greedy_viol"] += 1
     return results
 
@@ -197,16 +197,17 @@ def test_criterion_4_level_and_expiry_invariants():
             naive.step(t)
             sgreedy.step(t)
             steps += 1
-            for _, _, levels, sets, _, _ in swdp.runs:
+            for run in runs(swdp):
+                levels = run.levels
                 active = [lv for lv in levels if lv != -1]
                 if active != sorted(active, reverse=True):
                     bad_levels += 1
                 for j in range(k + 1):
-                    if levels[j] != -1 and len(sets[j]) != j:
+                    if levels[j] != -1 and len(run.handles[j].ids) != j:
                         bad_sizes += 1
             horizon = t - w
             for alg in (naive, sgreedy):
-                if any(ts <= horizon for run in alg.runs for ts in run[2]):
+                if any(ts <= horizon for run in runs(alg) for ts in run.handle.ids):
                     expired_left += 1
             if any(ts <= horizon for ts in sgreedy.samples):
                 expired_left += 1
@@ -247,7 +248,7 @@ def test_criterion_5_qualitative_replication():
                 for name, alg in algs.items():
                     sums[name] += oracle.eval(alg.query()[0])
                 members = window_ids(t, w)
-                sums["greedy"] += greedy_select(members, k, oracle)[1]
+                sums["greedy"] += greedy_select(members, k, oracle).value
                 per_window_sieve = SieveStream(k, EPS, oracle)
                 for mt in members:
                     per_window_sieve.step(mt)

@@ -97,6 +97,7 @@ class TestCountingOracle:
         class SpyHandle:
             def __init__(self, inner):
                 self.inner = inner
+                self.value = inner.value
 
             def gain(self, item_id):
                 tally["n"] += 1
@@ -118,8 +119,7 @@ class TestCountingOracle:
 
             def rebuild(self, ids):
                 tally["n"] += 1
-                handle, value = self.inner.rebuild(ids)
-                return SpyHandle(handle), value
+                return SpyHandle(self.inner.rebuild(ids))
 
             def max_singleton(self):
                 return self.inner.max_singleton()

@@ -238,8 +238,8 @@ class TestDriftVectors:
             oracle = IVMOracle(store, params)
             before = window_ids(period, w)
             after = window_ids(period + w, w)
-            v_before = greedy_select(before, k, oracle)[1]
-            v_after = greedy_select(after, k, oracle)[1]
+            v_before = greedy_select(before, k, oracle).value
+            v_after = greedy_select(after, k, oracle).value
             if abs(v_before - v_after) > 1e-6:
                 changed += 1
         assert changed >= 19
@@ -329,7 +329,7 @@ class TestStore:
         assert a.empty()._kernel[0] is b.empty()._kernel[0] is store.vector_rows
         assert a.empty() is not b.empty()
         assert store.vector_rows == store.vectors.tolist()
-        rebuilt, _ = a.rebuild([2, 5])
+        rebuilt = a.rebuild([2, 5])
         assert rebuilt._kernel[0] is store.vector_rows
         assert rebuilt.child(7)._kernel[0] is store.vector_rows
         again = gen_drift_vectors(30, 3, 2, 10, seed=1)

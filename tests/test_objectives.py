@@ -23,6 +23,7 @@ from swmax.streaming import greedy_select, threshold_grid
 
 from conftest import (
     UnionRecount,
+    factor_ids,
     factor_matrix,
     fresh_factor,
     ivm_value,
@@ -31,7 +32,7 @@ from conftest import (
     set_store,
     vec_store,
 )
-from reference import brute_force_opt, coverage_value
+from reference import brute_force_opt, coverage_value, runs
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
 
@@ -88,7 +89,7 @@ class TestCoverage:
             if ids:
                 extra = rng.randint(1, 50)
                 if extra not in ids:
-                    handle, _ = fast.rebuild(ids)
+                    handle = fast.rebuild(ids)
                     assert handle.gain(extra) == slow.marginal(extra, ids)
 
     def test_sparse_universe_ids(self):
@@ -142,7 +143,7 @@ class TestIvmMarginal:
 
     def test_duplicate_of_single_member(self):
         x = np.array([[0.2, 0.5], [0.2, 0.5]])
-        state = IVMOracle(vec_store(x), PARAMS).rebuild([1])[0]
+        state = IVMOracle(vec_store(x), PARAMS).rebuild([1])
         gain = state.gain(2)
         assert gain == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
         state = state.child(2)
@@ -155,7 +156,7 @@ class TestIvmMarginal:
         for _ in range(200):
             base = rng.normal(size=(rng.integers(0, 8), 5))
             points = np.vstack([base, rng.normal(size=(1, 5))])
-            state = IVMOracle(vec_store(points), PARAMS).rebuild(range(1, len(base) + 1))[0]
+            state = IVMOracle(vec_store(points), PARAMS).rebuild(range(1, len(base) + 1))
             gain = state.gain(len(points))
             fresh = ivm_value(points, PARAMS) - ivm_value(base, PARAMS)
             assert gain == pytest.approx(fresh, abs=1e-9)
@@ -213,7 +214,7 @@ class TestCholState:
         # Schur complement of a duplicate point collapses to zero.
         params = KernelParams(h=0.75, sigma=1e-9)
         points = np.array([[0.1, 0.2], [0.1, 0.2], [2.0, -1.0]])
-        state = IVMOracle(vec_store(points), params).rebuild([1])[0]
+        state = IVMOracle(vec_store(points), params).rebuild([1])
         before_value = state.value
         assert state.gain(2) == 0.0
         state = state.child(2)
@@ -283,21 +284,22 @@ class TestNumericalEdges:
             gain = state.gain(i)
             assert math.isfinite(gain)
             state = state.child(i)
-            assert (i in state.skipped_ids) != (i in state.ids)
+            assert state.ids[-1] == i
+            assert (i in state.skipped_ids) != (i in factor_ids(state))
             L = factor_matrix(state)
             assert np.all(np.isfinite(L)) and math.isfinite(state.value)
             assert np.all(np.diag(L) ** 2 > DEGENERATE_PIVOT)
             if i in state.skipped_ids:
                 assert gain == 0.0
                 continue
-            fresh = _fresh(X, state.ids, params)
+            fresh = _fresh(X, factor_ids(state), params)
             if fresh is None:
                 continue
             ref, fresh_value = fresh
             assert np.linalg.norm(L - ref) <= 1e-8 * np.linalg.norm(ref)
             tol = _logdet_tol(state.n, params.sigma)
             assert abs(state.value - fresh_value) <= tol
-            before = _fresh(X, state.ids[:-1], params)
+            before = _fresh(X, factor_ids(state)[:-1], params)
             if before is not None:
                 assert abs(gain - (fresh_value - before[1])) <= tol
 
@@ -323,7 +325,7 @@ class TestNumericalEdges:
         skipped = first.child(2)
         assert skipped.skipped_ids == [2] and skipped._batch is batch and first._batch is None
         grown = skipped.child(3)
-        assert grown.ids == [1, 3] and grown._batch is batch and skipped._batch is None
+        assert grown.ids == [1, 2, 3] and grown.n == 2 and grown._batch is batch and skipped._batch is None
         _grow_with_batches(oracle, IVMOracle(vec_store(X), params), [2, 3, 4],
                            [(1, True), (2, True), (3, False), (4, True)])
 
@@ -336,22 +338,28 @@ class TestNumericalEdges:
         n = len(X)
         ids = list(range(1, n + 1)) if data is None else data.draw(st.lists(st.integers(1, n), max_size=12))
         oracle = IVMOracle(vec_store(X), params)
-        rebuilt, value = oracle.rebuild(ids)
-        grown = CholState(X.tolist(), params)
+        rebuilt = oracle.rebuild(ids)
+        grown, charged = CholState(X.tolist(), params), 0.0
         for i in ids:
+            charged += grown.gain(i)
             grown = grown.child(i)
         assert node_state(rebuilt) == node_state(grown)
-        assert value == rebuilt.value == grown.value
-        assert oracle.eval(ids) == value
+        # a node carries the ids taken, collapsed pivots too, and the sum
+        # of the gains charged, left to right and bit for bit
+        assert grown.ids == ids
+        assert rebuilt.value == grown.value == charged
+        again = oracle.rebuild(grown.ids)
+        assert (again.ids, again.value) == (grown.ids, grown.value)
+        assert oracle.eval(ids) == rebuilt.value
         assert oracle.empty()._child is None
 
     def test_rebuild_skips_a_collapsed_pivot(self):
         # A fresh factorization of all four points fails on the duplicates;
         # the rebuilt node skips them as the grown node does.
         X, params = self.COLLAPSE
-        rebuilt, value = IVMOracle(vec_store(X), params).rebuild([1, 2, 3, 4])
-        assert rebuilt.ids == [1, 3] and rebuilt.skipped_ids == [2, 4]
-        assert value == rebuilt.value > 0.0
+        rebuilt = IVMOracle(vec_store(X), params).rebuild([1, 2, 3, 4])
+        assert rebuilt.ids == [1, 2, 3, 4] and rebuilt.skipped_ids == [2, 4] and rebuilt.n == 2
+        assert rebuilt.value > 0.0
 
     def test_two_point_closed_form(self):
         # With a copies of x != 0 and b of 0, det(I + K/sigma^2) is
@@ -377,7 +385,7 @@ class TestNumericalEdges:
         for i in range(1, len(X) + 1):
             grown = state.child(i)
             if grown.n > state.n:
-                S = X[[j - 1 for j in state.ids]]
+                S = X[[j - 1 for j in factor_ids(state)]]
                 c = np.exp(-np.sum((S - X[i - 1]) ** 2, axis=1) / params.h**2) / params.sigma**2
                 ref = solve_triangular(factor_matrix(state), c, lower=True)
                 w = factor_matrix(grown)[-1, :-1]
@@ -431,7 +439,7 @@ class TestIvmOracle:
             if extra in ids:
                 continue
             diff = oracle.eval(list(ids) + [extra]) - oracle.eval(ids)
-            assert oracle.rebuild(ids)[0].gain(extra) == pytest.approx(diff, abs=1e-9)
+            assert oracle.rebuild(ids).gain(extra) == pytest.approx(diff, abs=1e-9)
 
     def test_shrink_rebuilds_consistently(self):
         oracle, store = self._oracle(seed=5)
@@ -439,7 +447,8 @@ class TestIvmOracle:
         v_grown = oracle.eval(grown)
         shrunk = [1, 2, 4, 5]  # middle member expired
         expected = ivm_value(np.asarray([store.payload(i) for i in shrunk]), PARAMS)
-        handle, value = oracle.rebuild(shrunk)
+        handle = oracle.rebuild(shrunk)
+        value = handle.value
         assert value == oracle.eval(shrunk)
         assert value == pytest.approx(expected, abs=1e-8)
         assert handle.ids == shrunk
@@ -531,7 +540,7 @@ class TestHandles:
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_child_is_shared(self, objective):
         oracle, _ = self.ORACLES[objective]
-        node = oracle.rebuild([2])[0]
+        node = oracle.rebuild([2])
         first = node.child(5)
         node.gain(9)  # a gain between two requests does not unshare them
         assert node.child(5) is first
@@ -542,7 +551,7 @@ class TestHandles:
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_gain_memo_not_served_to_a_child(self, objective):
         oracle, tol = self.ORACLES[objective]
-        handle = oracle.rebuild([3])[0]
+        handle = oracle.rebuild([3])
         handle.gain(5)  # taken against {3}
         grown = handle.child(7)
         assert abs(grown.gain(5) - self._diff(oracle, [3, 7], 5)) <= tol
@@ -555,7 +564,7 @@ class TestHandles:
     @pytest.mark.parametrize("bad", [0, -1, N + 1])
     def test_unknown_id_rejected(self, objective, bad):
         oracle, _ = self.ORACLES[objective]
-        fresh = oracle.rebuild([1, 2])[0]
+        fresh = oracle.rebuild([1, 2])
         used = _grown(oracle, [1, 2])
         for _ in range(2):  # the second round is served from the memo
             used.gain(3)
@@ -581,7 +590,7 @@ class TestHandles:
         swrd.step(1)
         node = weakref.ref(oracle.empty().child(1))
         # the node is shared: a run of several levels of the first sieve holds it
-        assert any(run[3] is node() and run[1] - run[0] > 1 for run in swrd.instances[0].alg.runs)
+        assert any(run.handle is node() and run.hi - run.lo > 1 for run in runs(swrd.instances[0].alg))
         for t in range(2, 3 * window + 2):
             swrd.step(t)
         gc.collect()
@@ -616,7 +625,8 @@ class TestHandles:
         # the root has grown another child, as the next admission does, no
         # node of the greedy and none of its probes is left.
         oracle = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
-        selection, _, handle = greedy_select(range(1, self.N), 5, oracle)
+        handle = greedy_select(range(1, self.N), 5, oracle)
+        selection = handle.ids
         assert len(selection) == 5
         nodes, node = [], oracle.empty()
         for i in selection:
@@ -642,7 +652,7 @@ class TestHandles:
         assert counting.calls == 2
         counting.eval([1, 2])
         assert counting.calls == 3
-        rebuilt, _ = counting.rebuild([2, 3])
+        rebuilt = counting.rebuild([2, 3])
         assert counting.calls == 4
         rebuilt.child(1).gain(4)
         assert counting.calls == 5
@@ -663,12 +673,31 @@ class TestHandles:
     def test_rebuild_matches_grown_handle(self, objective):
         oracle, tol = self.ORACLES[objective]
         members = [4, 9, 2, 17]
-        rebuilt, value = oracle.rebuild(members)
-        assert value == oracle.eval(members)
+        rebuilt = oracle.rebuild(members)
+        assert rebuilt.value == oracle.eval(members)
         grown = _grown(oracle, members)
         for i in range(1, self.N + 1):
             if i not in members:
                 assert abs(rebuilt.gain(i) - grown.gain(i)) <= tol
+        # Item N + 1 repeats item 4: it gains no coverage, and at sigma 1e-9
+        # its log-det pivot collapses. A node still lists it among the ids
+        # taken, in order, and its value is the sum of the gains charged,
+        # left to right and bit for bit, as a rebuild of those ids has.
+        if objective == "coverage":
+            twin = CoverageOracle(set_store(*self.COVERAGE_STORE.sets, self.COVERAGE_STORE.payload(4)))
+        else:
+            vectors = self.IVM_STORE.vectors
+            twin = IVMOracle(vec_store(np.vstack([vectors, vectors[3]])), KernelParams(sigma=1e-9))
+        taken = [4, 9, self.N + 1, 2]
+        handle, charged = twin.empty(), 0.0
+        for i in taken:
+            charged += handle.gain(i)
+            handle = handle.child(i)
+        assert handle.ids == taken
+        assert handle.value == charged
+        assert getattr(handle, "skipped_ids", [self.N + 1]) == [self.N + 1]
+        again = twin.rebuild(handle.ids)
+        assert (again.ids, again.value) == (handle.ids, handle.value)
 
 
 class TestUpperBound:

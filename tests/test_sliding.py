@@ -32,7 +32,7 @@ from conftest import (
     set_store,
     vec_store,
 )
-from reference import brute_force_opt, instance_starts, instance_values, window_ids
+from reference import brute_force_opt, instance_starts, instance_values, runs, window_ids
 
 
 class _StubAlg:
@@ -243,19 +243,24 @@ STEP_CONSTRUCTORS = {**K_CONSTRUCTORS, "BestSoFar": lambda k, oracle: BestSoFar(
 
 
 @pytest.mark.parametrize("objective", ["coverage", "ivm"])
-@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("t", [0, -1, pytest.param(2, id="repeated"), pytest.param(1, id="decreasing")])
 @pytest.mark.parametrize("name", sorted(STEP_CONSTRUCTORS))
 def test_step_rejects_nonpositive_timestep(name, t, objective):
-    # the id is the timestep, so nothing arrives before t = 1; an algorithm
-    # that calls no oracle in ``step`` (PrioritySample) refuses it at the query
+    # the id is the timestep, so nothing arrives before t = 1, and each
+    # arrival comes after the last: after 1 and 2, a second 2 or a 1 is
+    # refused. ``step`` refuses it itself, before it changes any state, even
+    # where it calls no oracle (PrioritySample).
     if objective == "coverage":
         oracle = CoverageOracle(set_store((1,), (2,)))
     else:
         oracle = IVMOracle(vec_store([[0.0], [1.0]]), KernelParams(0.75, 1.0))
     alg = STEP_CONSTRUCTORS[name](2, oracle)
+    for s in range(1, 3) if t > 0 else ():
+        alg.step(s)
+    before = alg.query(), alg.retained_count()
     with pytest.raises(ValueError):
         alg.step(t)
-        alg.query()
+    assert (alg.query(), alg.retained_count()) == before
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
@@ -280,8 +285,8 @@ def test_small_ivm_optimum_is_not_lost(k, sigma):
 
 def table(tg):
     """(levels, sets) of a one-threshold ThresholdGreedy, whose one run spans its grid."""
-    (run,) = tg.runs
-    return run[2], run[3]
+    (run,) = runs(tg)
+    return run.levels, [h.ids for h in run.handles]
 
 
 class TestThresholdGreedy:
@@ -333,7 +338,7 @@ class TestThresholdGreedy:
         for t in range(1, len(store) + 1):
             tg.step(t)
             ref.step(t)
-            spans.append([run[:2] for run in tg.runs])
+            spans.append([[run.lo, run.hi] for run in runs(tg)])
             assert tg.query() == ref.query()
             assert tg.retained_count() == ref.retained_count()
         assert spans == [
@@ -599,10 +604,10 @@ def test_handles_track_their_sets():
             pairs = []
             for alg in (naive, greedy):
                 alg.step(t)
-                pairs += [(run[2], run[3]) for run in alg.runs]
+                pairs += [(run.handle.ids, run.handle) for run in runs(alg)]
             dp.step(t)
-            for run in dp.runs:
-                pairs += zip(run[3], run[4])
+            for run in runs(dp):
+                pairs += [(handle.ids, handle) for handle in run.handles]
             for ids, handle in pairs:
                 for probe in (1, t, 60):
                     assert handle.gain(probe) == oracle.eval(ids + [probe]) - oracle.eval(ids)
@@ -613,7 +618,7 @@ def _recount(alg) -> int:
     if isinstance(alg, SlidingWindowReduction):
         return sum(_recount(inst.alg) for inst in alg.instances)
     if isinstance(alg, SlidingWindowDP):
-        return sum((run[1] - run[0]) * len(s) for run in alg.runs for s in run[3])
+        return sum((run.hi - run.lo) * len(h.ids) for run in runs(alg) for h in run.handles)
     if isinstance(alg, PrioritySample):
         return len(alg.candidates)
     samples = len(alg.samples) if isinstance(alg, SieveGreedy) else 0
@@ -752,6 +757,27 @@ RUN_AND_REFERENCE = {
         ThresholdTables(k, w, dp_threshold_grid(k, k * o.max_singleton(), eps), o),
     ),
 }
+
+
+@pytest.mark.parametrize("objective", ["coverage", "ivm"])
+@pytest.mark.parametrize("name", sorted(RUN_AND_REFERENCE))
+def test_gapped_timesteps_match_per_level_reference(name, objective):
+    # Timesteps may skip some, and then one step can expire several members
+    # of a buffer: at W=4, arrival 10 expires 1, 2 and 3 at once.
+    n = 40
+    if objective == "coverage":
+        oracle = CoverageOracle(gen_set_stream(n, 12, 4, seed=9))
+    else:
+        oracle = IVMOracle(gen_drift_vectors(n, 3, 3, 10, seed=9), KernelParams(sigma=0.3))
+    run_counter, ref_counter = CountingOracle(oracle), CountingOracle(oracle)
+    alg, _ = RUN_AND_REFERENCE[name](3, 4, 0.2, 4.0, run_counter)
+    _, ref = RUN_AND_REFERENCE[name](3, 4, 0.2, 4.0, ref_counter)
+    for t in (1, 2, 3, 10, 11, 12, 13, 20, 22, 24, 31, 32, 33, 34, 40):
+        alg.step(t)
+        ref.step(t)
+        assert alg.query() == ref.query(), t
+        assert alg.retained_count() == ref.retained_count(), t
+        assert run_counter.calls == ref_counter.calls, t
 
 
 @pytest.mark.parametrize("name", sorted(RUN_AND_REFERENCE))

@@ -16,7 +16,7 @@ from swmax.streaming import (
 )
 
 from conftest import greedy_by_gain, level_buffers, level_values, node_state, set_store, vec_store
-from reference import brute_force_opt
+from reference import brute_force_opt, runs
 
 
 class TestThresholdGrid:
@@ -49,14 +49,14 @@ class _ScriptedNode:
 
     counter = None
 
-    def __init__(self, script):
-        self.script = script
+    def __init__(self, script, ids=(), value=0.0):
+        self.script, self.ids, self.value = script, list(ids), value
 
     def gain(self, t):
         return self.script[t]
 
     def child(self, t):
-        return _ScriptedNode(self.script)
+        return _ScriptedNode(self.script, self.ids + [t], self.value + self.script[t])
 
 
 class _ScriptedOracle:
@@ -100,7 +100,7 @@ class TestSieveStream:
         assert level_buffers(sieve)[1] == [1]
         assert level_buffers(sieve)[2] == []
         # the admitting levels are a prefix of the run, split off as one run
-        assert [run[:3] for run in sieve.runs] == [[0, 2, [1]], [2, 3, []]]
+        assert [[run.lo, run.hi, run.handle.ids] for run in runs(sieve)] == [[0, 2, [1]], [2, 3, []]]
 
     def test_hand_trace(self):
         # k=2, eps=1, M=4, e1={a,b}, e2={b,c}: every buffer reaches value 3
@@ -113,7 +113,7 @@ class TestSieveStream:
         assert level_buffers(sieve)[2] == [1, 2]
         assert level_values(sieve)[2] == 3.0
         assert sieve.query() == ([1, 2], 3.0)
-        assert len(sieve.runs) == 1  # every level admitted both: one shared state
+        assert len(runs(sieve)) == 1  # every level admitted both: one shared state
 
     def test_full_buffer_never_grows(self):
         store = set_store((1,), (2,), (1, 2, 3, 4, 5, 6, 7, 8))
@@ -176,41 +176,42 @@ class TestSieveStream:
 class TestGreedy:
     def test_picks_unique_maxima(self, abc_store):
         oracle = CoverageOracle(abc_store)
-        solution, value, _ = greedy_select([1, 2, 3], 2, oracle)
-        assert solution == [1, 2]
-        assert value == 5.0
+        chosen = greedy_select([1, 2, 3], 2, oracle)
+        assert chosen.ids == [1, 2]
+        assert chosen.value == 5.0
 
     def test_k_beyond_candidates(self, abc_store):
         # with k >= |items|, everything with positive cumulative gain is taken;
         # C = {3,4} is fully covered by A and B and is correctly left out
         oracle = CoverageOracle(abc_store)
-        solution, value, _ = greedy_select([1, 2, 3], 10, oracle)
-        assert solution == [1, 2]
-        assert value == 5.0
+        chosen = greedy_select([1, 2, 3], 10, oracle)
+        assert chosen.ids == [1, 2]
+        assert chosen.value == 5.0
 
     def test_k_beyond_candidates_all_positive(self):
         store = set_store((1,), (2,), (3,))
-        solution, value, _ = greedy_select([1, 2, 3], 10, CoverageOracle(store))
-        assert sorted(solution) == [1, 2, 3]
-        assert value == 3.0
+        chosen = greedy_select([1, 2, 3], 10, CoverageOracle(store))
+        assert sorted(chosen.ids) == [1, 2, 3]
+        assert chosen.value == 3.0
 
     def test_zero_gain_early_stop(self):
         store = set_store((1, 2), (1,), (2,))
         oracle = CountingOracle(CoverageOracle(store))
-        solution, value, _ = greedy_select([1, 2, 3], 3, oracle)
-        assert solution == [1]
-        assert value == 2.0
+        chosen = greedy_select([1, 2, 3], 3, oracle)
+        assert chosen.ids == [1]
+        assert chosen.value == 2.0
 
     def test_permutation_invariant(self):
         rng = random.Random(13)
         store = gen_set_stream(12, 20, 6, seed=13)
         oracle = CoverageOracle(store)
         ids = list(range(1, 13))
-        baseline = greedy_select(ids, 4, oracle)[:2]
+        baseline = greedy_select(ids, 4, oracle)
         for _ in range(10):
             shuffled = ids[:]
             rng.shuffle(shuffled)
-            assert greedy_select(shuffled, 4, oracle)[:2] == baseline
+            chosen = greedy_select(shuffled, 4, oracle)
+            assert (chosen.ids, chosen.value) == (baseline.ids, baseline.value)
 
     def test_classical_bound_against_brute_force(self):
         ratio = 1 - 1 / math.e
@@ -219,7 +220,7 @@ class TestGreedy:
             oracle = CoverageOracle(store)
             ids = list(range(1, 17))
             _, opt = brute_force_opt(ids, 3, oracle)
-            got = greedy_select(ids, 3, oracle)[1]
+            got = greedy_select(ids, 3, oracle).value
             assert got >= ratio * opt - 1e-9
 
 
@@ -246,9 +247,9 @@ def test_greedy_select_matches_per_gain_reference(instance, k):
     # ``gain`` call per candidate does, and grows the same handle.
     oracle, items = instance
     batched, single = CountingOracle(oracle), CountingOracle(oracle)
-    selection, value, handle = greedy_select(items, k, batched)
+    handle = greedy_select(items, k, batched)
     ref_selection, ref_value, ref_handle = greedy_by_gain(items, k, single)
-    assert (selection, value, batched.calls) == (ref_selection, ref_value, single.calls)
+    assert (handle.ids, handle.value, batched.calls) == (ref_selection, ref_value, single.calls)
     assert node_state(handle) == node_state(ref_handle)
 
 
@@ -278,4 +279,4 @@ class TestBruteForce:
             oracle = CoverageOracle(set_store(*payloads))
             ids = list(range(1, 9))
             k = rng.randint(1, 4)
-            assert greedy_select(ids, k, oracle)[1] == brute_force_opt(ids, k, oracle)[1]
+            assert greedy_select(ids, k, oracle).value == brute_force_opt(ids, k, oracle)[1]
