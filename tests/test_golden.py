@@ -15,7 +15,7 @@ from swmax.bench import ALGORITHMS, RunConfig, load_store, make_oracle, render_m
 from swmax.core import CountingOracle
 from swmax.sliding import SieveGreedy, SieveNaive, SlidingWindowDP, sieve_reduction
 
-from reference import buffer_handles, write_dense_csv, write_set_stream
+from reference import buffer_handles, runs, write_dense_csv, write_set_stream
 
 CONFIGS = {
     "coverage": dict(format="synth-sets", synth_n=300, synth_universe=40, synth_mean_size=6.0, seed=3),
@@ -88,6 +88,18 @@ GOLDEN_IVM_COLLAPSED_PIVOTS = {
 }
 
 
+# The golden coverage stream queried after every arrival. Its universe of 40
+# gives buffers of different sizes equal values, so these cells pin which
+# buffer a query reports on a tie (the lowest level's: its size is in the
+# CSV), and the random baseline's answer at every arrival.
+GOLDEN_COVERAGE_EVERY_ARRIVAL = {
+    "random": "14c15be4338a8c68a3ac751e9a8d4e04314e200931dd27384a12d47c475e6853",
+    "sieve-greedy": "6f85f7f3b928ffec3e6927263fea63dacec391eb6dff1b22d4cc1014d1149e8c",
+    "sieve-naive": "4fe5eecb3976a6143a055bf29be01abe8878543ab82cd8de4c552417458a0638",
+    "sw-rd": "0add1ef9ae78abc1d199fca5e16cbd80c09b89c6feeee6f0be305a228b223a05",
+}
+
+
 def doubled_ivm_stream(path) -> dict:
     """Write the golden ivm stream with each row twice to ``path``; returns
     the run settings that read it back at sigma 1e-8."""
@@ -147,6 +159,12 @@ def test_ivm_sw_rd_every_arrival_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_IVM_SW_RD_EVERY_ARRIVAL, text
 
 
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_COVERAGE_EVERY_ARRIVAL))
+def test_coverage_every_arrival_pinned(algorithm):
+    text = metrics_without_wall("coverage", algorithm, query_every=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COVERAGE_EVERY_ARRIVAL[algorithm], text
+
+
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_IVM_COLLAPSED_PIVOTS))
 def test_ivm_collapsed_pivots_pinned(algorithm, tmp_path):
     data = doubled_ivm_stream(tmp_path / "doubled.csv")
@@ -181,3 +199,28 @@ def test_collapsed_pivot_goldens_reach_skipped_ids(algorithm, tmp_path):
 
 def test_every_cell_pinned():
     assert set(GOLDEN) == {(o, a) for o in CONFIGS for a in ALGORITHMS}
+
+
+TIED_SIEVE_ALGORITHMS = {
+    "sieve-naive": lambda oracle: SieveNaive(4, 50, 0.2, oracle),
+    "sieve-greedy": lambda oracle: SieveGreedy(4, 50, 0.2, oracle, sample_c=20.0, seed=CONFIGS["coverage"]["seed"]),
+    "sw-rd": lambda oracle: sieve_reduction(4, 50, 0.2, oracle),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(TIED_SIEVE_ALGORITHMS))
+def test_every_arrival_goldens_reach_size_ties(algorithm):
+    # The every-arrival coverage cells only guard the sieves' tie rule if
+    # some query finds buffers of different sizes at the best value. For
+    # sw-rd the query reads the oldest instance's sieve.
+    config = RunConfig(objective="coverage", algorithm=algorithm, k=4, window=50, **CONFIGS["coverage"])
+    store = load_store(config)
+    alg = TIED_SIEVE_ALGORITHMS[algorithm](CountingOracle(make_oracle(config, store)))
+    ties = 0
+    for t in range(1, len(store) + 1):
+        alg.step(t)
+        sieve = alg.instances[0].alg if algorithm == "sw-rd" else alg
+        handles = [run.handle for run in runs(sieve)]
+        best = max(h.value for h in handles)
+        ties += len({len(h.ids) for h in handles if h.value == best}) > 1
+    assert ties > 0, ties
