@@ -31,9 +31,11 @@ harness reports the peak of that count as the space metric.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .core import OracleHandle, SubmodularOracle, next_timestep
@@ -143,6 +145,13 @@ class ThresholdGreedy:
     the deepest active level of the best table, the lowest threshold's on
     ties.
 
+    Invariant: a table's active levels form a prefix 0 .. d, and their
+    starts do not increase with j. Level 0 starts at the current step; a
+    hand-off gives level j+1 the start of level j, which it exceeded; and
+    expiry deactivates the levels that start at or before the horizon, a
+    suffix of the active ones. So the query reads the deepest active level
+    as the one before the first inactive level, or k if none is inactive.
+
     Adjacent thresholds with equal tables share one: ``runs`` holds
     ``[lo, hi, levels, handles]`` for thresholds ``lo .. hi-1``.
     Every threshold of a run makes the same expiry and takes the same gain
@@ -217,13 +226,12 @@ class ThresholdGreedy:
             runs.append(run)
 
     def query(self) -> tuple[list[int], float]:
+        k = self.k
         best = self.runs[0][3][0]  # level 0 never changes: the root, empty and of value 0
         for _, _, levels, handles in self.runs:
-            for j in range(self.k, -1, -1):
-                if levels[j] != -1:
-                    if handles[j].value > best.value:
-                        best = handles[j]
-                    break
+            handle = handles[k if levels[k] != -1 else levels.index(-1) - 1]
+            if handle.value > best.value:
+                best = handle
         return list(best.ids), best.value
 
     def retained_count(self) -> int:
@@ -347,6 +355,15 @@ class PrioritySample:
     k-subset. ``candidates`` holds ``[t, priority, beaten]`` in arrival
     order; a candidate beaten by k later arrivals (which outlive it, so it can
     never re-enter the sample) is dropped: the expected buffer is O(k log(W/k)).
+
+    The sample changes only when one of its members expires or an arrival
+    enters it, so ``query`` keeps its last answer, the sorted ids, and the
+    k-th smallest priority behind it (``inf`` with fewer than k candidates).
+    ``step`` drops the answer when an expiring candidate's priority is at
+    most that k-th priority, or the arrival's is below it; ties go to the
+    earlier arrival, as in a stable sort by priority. A beaten candidate is
+    never a member. ``query`` sorts the candidates again only after a drop,
+    and evaluates the sample with one oracle call each time.
     """
 
     def __init__(self, k: int, window: int, oracle: SubmodularOracle, seed: int = 0):
@@ -360,12 +377,18 @@ class PrioritySample:
         self.candidates: list[list] = []
         self._rng = random.Random(seed)
         self._t = 0
+        self._answer: list[int] | None = None
+        self._kth = math.inf
 
     def step(self, t: int) -> None:
         self._t = next_timestep(self._t, t)
+        kth = self._kth
         while self.candidates and self.candidates[0][0] <= t - self.window:
-            self.candidates.pop(0)
+            if self.candidates.pop(0)[1] <= kth:
+                self._answer = None
         priority = self._rng.random()
+        if priority < kth:
+            self._answer = None
         kept = []
         for cand in self.candidates:
             if cand[1] > priority:
@@ -377,10 +400,14 @@ class PrioritySample:
         self.candidates = kept
 
     def query(self) -> tuple[list[int], float]:
-        ids = sorted(c[0] for c in sorted(self.candidates, key=lambda c: c[1])[: self.k])
+        if self._answer is None:
+            sample = sorted(self.candidates, key=itemgetter(1))[: self.k]
+            self._answer = sorted(c[0] for c in sample)
+            self._kth = sample[-1][1] if len(sample) == self.k else math.inf
+        ids = self._answer
         if not ids:
             return [], 0.0
-        return ids, self.oracle.eval(ids)
+        return list(ids), self.oracle.eval(ids)
 
     def retained_count(self) -> int:
         return len(self.candidates)

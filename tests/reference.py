@@ -1,13 +1,14 @@
 """Test-only references: exact optima, plain coverage, set-stream and
-dense-CSV writers, window members, the reduction's live instances, and the
+dense-CSV writers, window members, the reduction's live instances, the
 run layout of the sieves and level tables with the handles their buffers
-hold."""
+hold, and the answers a full scan of their state gives."""
 
 import math
 from itertools import combinations
 from typing import NamedTuple
 
 from swmax.sliding import SlidingWindowReduction, ThresholdGreedy
+from swmax.streaming import SieveStream
 
 
 def coverage_value(payloads) -> int:
@@ -102,3 +103,31 @@ def buffer_handles(alg) -> list:
     if isinstance(alg, ThresholdGreedy):
         return [h for run in runs(alg) for h in run.handles]
     return [run.handle for run in runs(alg)]
+
+
+def scan_answer(alg) -> tuple[list[int], float]:
+    """The answer a full scan of an algorithm's state gives, for checking the
+    answer it keeps:
+
+    * a sieve's (``SieveStream`` and its subclasses): its best buffer, the
+      lowest level's on ties;
+    * a ``ThresholdGreedy``'s: each run's deepest active level, found by
+      walking down from level k, the best of them, the lowest threshold's
+      on ties, or the empty root;
+    * a ``PrioritySample``'s (or any sampler with ``candidates`` of
+      ``(t, priority, ...)``, ``k`` and ``oracle``): the sorted ids of the k
+      smallest priorities, the earlier arrival's on ties, and their value by
+      one ``oracle.eval``.
+    """
+    if isinstance(alg, ThresholdGreedy):
+        best = runs(alg)[0].handles[0]
+        for run in runs(alg):
+            deepest = run.handles[max(j for j, start in enumerate(run.levels) if start != -1)]
+            if deepest.value > best.value:
+                best = deepest
+    elif isinstance(alg, SieveStream):
+        best = max((run.handle for run in runs(alg)), key=lambda h: h.value)
+    else:
+        ids = sorted(c[0] for c in sorted(alg.candidates, key=lambda c: c[1])[: alg.k])
+        return (ids, alg.oracle.eval(ids)) if ids else ([], 0.0)
+    return list(best.ids), best.value

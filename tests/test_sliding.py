@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -27,12 +28,11 @@ from conftest import (
     RebuildPrioritySample,
     ThresholdTables,
     level_buffers,
-    level_values,
     prune_by_mask,
     set_store,
     vec_store,
 )
-from reference import brute_force_opt, instance_starts, instance_values, runs, window_ids
+from reference import brute_force_opt, instance_starts, instance_values, runs, scan_answer, window_ids
 
 
 class _StubAlg:
@@ -507,6 +507,12 @@ class TestSieveGreedy:
         assert trace(11) != trace(12)  # sampling actually depends on the seed
 
 
+def _tie_priorities(rng: random.Random, grain: int) -> None:
+    """Round ``rng``'s draws down to multiples of 1/grain, so priorities tie."""
+    draw = rng.random
+    rng.random = lambda: math.floor(draw() * grain) / grain
+
+
 class TestPrioritySample:
     def test_small_window_keeps_everything(self):
         store = gen_set_stream(20, 10, 3, seed=1)
@@ -551,28 +557,43 @@ class TestPrioritySample:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        n=st.integers(1, 60),
+        steps=st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=60),
         k=st.integers(1, 8),
         window=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
+        grain=st.sampled_from([None, 2, 5]),
     )
-    @example(n=60, k=1, window=15, seed=5)  # k = 1
-    @example(n=60, k=8, window=6, seed=1)  # k >= W: nothing is ever evicted
-    @example(n=20, k=3, window=40, seed=2)  # W >= n: nothing ever expires
-    def test_incremental_eviction_matches_rebuild(self, n, k, window, seed):
+    @example(steps=[(1, True)] * 60, k=1, window=15, seed=5, grain=None)  # k = 1
+    @example(steps=[(1, True)] * 60, k=8, window=6, seed=1, grain=None)  # k >= W: nothing is ever evicted
+    @example(steps=[(1, True)] * 20, k=3, window=40, seed=2, grain=None)  # W >= n: nothing ever expires
+    def test_incremental_eviction_matches_rebuild(self, steps, k, window, seed, grain):
         # Counting beaters as they arrive keeps exactly the candidates that
-        # re-deriving every candidate's fate after each arrival keeps.
-        oracle = CoverageOracle(gen_set_stream(n, 30, 4, seed=seed % 1000))
+        # re-deriving every candidate's fate after each arrival keeps. Each
+        # step is a gap to the next timestep (a gap can expire several
+        # candidates at once) and whether it is queried, so the kept answer
+        # must last through runs of arrivals with no query. With a grain,
+        # priorities are rounded down to multiples of 1/grain, so they tie.
+        timesteps = list(itertools.accumulate(gap for gap, _ in steps))
+        oracle = CoverageOracle(gen_set_stream(timesteps[-1], 30, 4, seed=seed % 1000))
         ps = PrioritySample(k, window, oracle, seed=seed)
         ref = RebuildPrioritySample(k, window, oracle, seed=seed)
-        for t in range(1, n + 1):
+        if grain:
+            _tie_priorities(ps._rng, grain)
+            _tie_priorities(ref._rng, grain)
+        answered = None  # the ids the last query returned
+        for t, (_, queried) in zip(timesteps, steps):
             ps.step(t)
             ref.step(t)
             assert [(t, p) for t, p, _ in ps.candidates] == ref.candidates, t
             # every arrival that beat a survivor is a survivor too
             for i, (_, p, beaten) in enumerate(ps.candidates):
                 assert beaten == sum(q < p for _, q, _ in ps.candidates[i + 1 :]) < k, t
-            assert ps.query() == ref.query(), t
+            # the answer is kept exactly while the k smallest priorities stay
+            sample = ref.query()
+            assert (ps._answer is not None) == (sample[0] == answered), t
+            if queried:
+                assert ps.query() == sample, t
+                answered = sample[0]
             assert ps.retained_count() == ref.retained_count(), t
 
     def test_query_value_uses_oracle(self):
@@ -724,11 +745,9 @@ def test_running_best_level_matches_scan():
         for t in range(1, len(coverage) + 1):
             for name, alg in algs.items():
                 alg.step(t)
-                values, buffers = level_values(alg), level_buffers(alg)
-                best = max(values)
-                level = min(lv for lv, value in enumerate(values) if value == best)
-                assert alg.query() == (buffers[level], values[level]), (objective, name, t)
-                assert alg.best_value() == values[level], (objective, name, t)
+                answer = scan_answer(alg)
+                assert alg.query() == answer, (objective, name, t)
+                assert alg.best_value() == answer[1], (objective, name, t)
 
 
 @st.composite
@@ -805,3 +824,27 @@ def test_runs_match_per_level_reference(name, stream, k, window, epsilon, sample
             assert alg.best_value() == ref.best_value(), t
         assert alg.retained_count() == ref.retained_count(), t
         assert run_counter.calls == ref_counter.calls, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stream=reference_streams(),
+    k=st.integers(1, 4),
+    window=st.integers(1, 12),
+    epsilon=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+    gaps=st.lists(st.integers(1, 3), min_size=1, max_size=40),
+)
+def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon, gaps):
+    # ThresholdGreedy's query reads each run's deepest active level as the
+    # one before the first inactive level. That holds while a run's active
+    # levels form a prefix whose starts do not increase with j, after every
+    # arrival and through gaps that expire several levels at once.
+    oracle, n = stream
+    dp = SlidingWindowDP(k, window, epsilon, oracle)
+    for t in itertools.takewhile(lambda t: t <= n, itertools.accumulate(gaps)):
+        dp.step(t)
+        for run in runs(dp):
+            active = [start for start in run.levels if start != -1]
+            assert run.levels == active + [-1] * (k + 1 - len(active)), t
+            assert active == sorted(active, reverse=True), t
+        assert dp.query() == scan_answer(dp), t
