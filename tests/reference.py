@@ -122,7 +122,7 @@ def scan_answer(alg) -> tuple[list[int], float]:
     if isinstance(alg, ThresholdGreedy):
         best = runs(alg)[0].handles[0]
         for run in runs(alg):
-            deepest = run.handles[max(j for j, start in enumerate(run.levels) if start != -1)]
+            deepest = run.handles[max((j for j, start in enumerate(run.levels) if start != -1), default=0)]
             if deepest.value > best.value:
                 best = deepest
     elif isinstance(alg, SieveStream):
