@@ -37,7 +37,8 @@ records choices whose gains were already paid for. ``max_singleton`` is
 free too: the objective knows it from its construction, or in closed form.
 ``evaluations`` counts the calls that did compute: every ``eval`` and
 ``rebuild``, each gain that missed its node's memo, and every id of a
-batch.
+batch. A ``random`` query that keeps its last sample (``PrioritySample``)
+is charged as a memo hit is: one call and no evaluation.
 """
 
 from __future__ import annotations

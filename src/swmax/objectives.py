@@ -335,9 +335,11 @@ class IVMOracle:
         self.params = params
         self._rows = store.vector_rows
         self._root = CholState(self._rows, params)
-        # The last set evaluated and its value: the harness re-scores, and
-        # the random baseline re-evaluates, an unchanged set after most
-        # arrivals, and growing a factor costs far more than the query.
+        # The last set evaluated and its value: the harness re-scores a
+        # sample that the random baseline has just evaluated, and any answer
+        # unchanged since the last record, and growing a factor costs far
+        # more than the query. The random baseline keeps its sample's value
+        # itself and does not re-evaluate an unchanged set.
         self._last_eval: tuple[tuple[int, ...], float] = ((), 0.0)
 
     def empty(self) -> CholState:

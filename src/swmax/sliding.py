@@ -362,8 +362,11 @@ class PrioritySample:
     ``step`` drops the answer when an expiring candidate's priority is at
     most that k-th priority, or the arrival's is below it; ties go to the
     earlier arrival, as in a stable sort by priority. A beaten candidate is
-    never a member. ``query`` sorts the candidates again only after a drop,
-    and evaluates the sample with one oracle call each time.
+    never a member. ``query`` sorts the candidates again only after a drop
+    and evaluates the new sample with one oracle call, then keeps its value
+    beside the ids. A kept answer is charged as a memo hit is: one call on
+    the oracle's counter and no evaluation, so call counts do not depend on
+    whether the sample changed.
     """
 
     def __init__(self, k: int, window: int, oracle: SubmodularOracle, seed: int = 0):
@@ -378,6 +381,7 @@ class PrioritySample:
         self._rng = random.Random(seed)
         self._t = 0
         self._answer: list[int] | None = None
+        self._value = 0.0
         self._kth = math.inf
 
     def step(self, t: int) -> None:
@@ -400,14 +404,17 @@ class PrioritySample:
         self.candidates = kept
 
     def query(self) -> tuple[list[int], float]:
-        if self._answer is None:
-            sample = sorted(self.candidates, key=itemgetter(1))[: self.k]
-            self._answer = sorted(c[0] for c in sample)
-            self._kth = sample[-1][1] if len(sample) == self.k else math.inf
         ids = self._answer
-        if not ids:
-            return [], 0.0
-        return list(ids), self.oracle.eval(ids)
+        if ids is None:
+            sample = sorted(self.candidates, key=itemgetter(1))[: self.k]
+            self._answer = ids = sorted(c[0] for c in sample)
+            self._kth = sample[-1][1] if len(sample) == self.k else math.inf
+            self._value = self.oracle.eval(ids) if ids else 0.0
+        elif ids:
+            counter = self.oracle.empty().counter
+            if counter is not None:
+                counter.calls += 1
+        return list(ids), self._value
 
     def retained_count(self) -> int:
         return len(self.candidates)

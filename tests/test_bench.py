@@ -123,6 +123,35 @@ class TestRunBenchmark:
         assert built == ["coverage"]
 
 
+@pytest.mark.parametrize("objective", bench.OBJECTIVES)
+def test_record_fields_match_an_independent_loop(objective):
+    # Records are built positionally. k, W and epsilon are distinct, and so
+    # are calls and peak at some record, so two fields that trade places
+    # fail here.
+    config = RunConfig(
+        objective=objective, algorithm="sieve-naive", k=3, window=17, epsilon=0.3, query_every=1, **CONFIGS[objective]
+    )
+    store = load_store(config)
+    records = run_benchmark(config, store)
+    counting = CountingOracle(bench.make_oracle(config, store))
+    alg = SieveNaive(config.k, config.window, config.epsilon, counting)
+    assert len(records) == len(store)
+    peak = 0
+    for t, r in enumerate(records, start=1):
+        alg.step(t)
+        peak = max(peak, alg.retained_count())
+        ids, _ = alg.query()
+        assert (r.window_end, r.algorithm, r.k, r.window, r.epsilon) == (
+            t, config.algorithm, config.k, config.window, config.epsilon
+        )
+        assert (r.utility, r.solution_size, r.oracle_calls, r.peak_items) == (
+            counting.inner.eval(ids), len(ids), counting.calls, peak
+        ), t
+    assert any(r.oracle_calls != r.peak_items for r in records)
+    wall = [r.wall_ms for r in records]
+    assert wall == sorted(wall) and wall[0] >= 0.0
+
+
 @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
 def test_runs_on_one_store_match_a_fresh_store(monkeypatch, algorithm):
     # The store keeps its coverage encoding from run to run; no node, memo

@@ -263,7 +263,7 @@ def test_step_rejects_nonpositive_timestep(name, t, objective):
     assert (alg.query(), alg.retained_count()) == before
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP: Grids that follow the stream")
 @pytest.mark.parametrize("k,sigma", [(1, 1.0), (5, 3.0)])
 def test_small_ivm_optimum_is_not_lost(k, sigma):
     # Every ivm window optimum here is below 1, the lowest grid threshold,
@@ -610,6 +610,31 @@ class TestPrioritySample:
     def test_empty_query(self):
         ps = PrioritySample(2, 5, CoverageOracle(set_store((1,))), seed=0)
         assert ps.query() == ([], 0.0)
+
+    @pytest.mark.parametrize("objective", ["coverage", "ivm"])
+    def test_kept_value_costs_one_call_and_no_evaluation(self, objective):
+        # A query after a drop evaluates the new sample; a kept answer
+        # returns the kept value and is charged as a memo hit is.
+        if objective == "coverage":
+            store = gen_set_stream(200, 30, 4, seed=1)
+            counting = CountingOracle(CoverageOracle(store))
+        else:
+            store = gen_drift_vectors(200, 4, 3, 50, seed=1)
+            counting = CountingOracle(IVMOracle(store, KernelParams(0.75, 1.0)))
+        ps = PrioritySample(3, 20, counting, seed=2)
+        assert ps.query() == ([], 0.0) and counting.calls == 0
+        drops = kept = 0
+        for t in range(1, len(store) + 1):
+            ps.step(t)
+            dropped = ps._answer is None
+            calls, evaluations = counting.calls, counting.evaluations
+            ids, value = ps.query()
+            assert ids and value == counting.inner.eval(ids), t
+            assert counting.calls == calls + 1, t
+            assert counting.evaluations == evaluations + dropped, t
+            drops += dropped
+            kept += not dropped
+        assert drops > 10 and kept > 10
 
 
 def test_handles_track_their_sets():
