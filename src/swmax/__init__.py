@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .core import (
-    BestSoFar,
     CountingOracle,
     OracleHandle,
     SubmodularOracle,
@@ -14,15 +13,13 @@ from .objectives import (
     IVMOracle,
     KernelParams,
 )
-from .streaming import SieveStream, greedy_select, threshold_grid
+from .streaming import SieveStream, greedy_select
 from .sliding import (
     PrioritySample,
     SieveGreedy,
     SieveNaive,
     SlidingWindowDP,
     SlidingWindowReduction,
-    ThresholdGreedy,
-    dp_threshold_grid,
     sieve_reduction,
 )
 from .ingest import (
@@ -43,7 +40,6 @@ from .bench import (
 )
 
 __all__ = [
-    "BestSoFar",
     "CholState",
     "CountingOracle",
     "CoverageOracle",
@@ -61,8 +57,6 @@ __all__ = [
     "SlidingWindowDP",
     "SlidingWindowReduction",
     "SubmodularOracle",
-    "ThresholdGreedy",
-    "dp_threshold_grid",
     "gen_drift_vectors",
     "gen_set_stream",
     "greedy_select",
@@ -72,6 +66,5 @@ __all__ = [
     "parse_cli",
     "run_benchmark",
     "sieve_reduction",
-    "threshold_grid",
     "write_metrics_csv",
 ]

@@ -1,4 +1,4 @@
-"""Oracle primitives shared by all algorithms, and the ``BestSoFar`` wrapper.
+"""Oracle primitives shared by all algorithms.
 
 An item id is the timestep of its arrival, so every algorithm's ``step(t)``
 takes the integer timestep itself, and refuses one that is not above the
@@ -122,34 +122,3 @@ def next_timestep(last: int, t: int) -> int:
     if t <= last:
         raise ValueError(f"timestep {t} after {last}: timesteps start at 1 and increase")
     return t
-
-
-class BestSoFar:
-    """Makes a streaming algorithm's reported value non-decreasing.
-
-    After every step the inner solution is queried, and queries return the
-    best solution observed over any prefix. This certifies prefix-monotone
-    behaviour for inner algorithms plugged into the window reduction. It is
-    not meant for sliding-window algorithms themselves, whose value
-    legitimately drops when items expire.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self._best: tuple[list[int], float] = ([], 0.0)
-
-    def step(self, t: int) -> None:
-        self.inner.step(t)
-        sol, val = self.inner.query()
-        if val > self._best[1]:
-            self._best = (list(sol), val)
-
-    def best_value(self) -> float:
-        return self._best[1]
-
-    def query(self) -> tuple[list[int], float]:
-        sol, val = self._best
-        return list(sol), val
-
-    def retained_count(self) -> int:
-        return self.inner.retained_count() + len(self._best[0])

@@ -54,12 +54,6 @@ class DatasetStore:
         return len(self._sets)
 
     @property
-    def dim(self) -> int:
-        if self.kind != "dense":
-            raise ValueError("set stores have no vector dimension")
-        return self._vectors.shape[1]
-
-    @property
     def vectors(self) -> np.ndarray:
         if self.kind != "dense":
             raise ValueError("set stores have no vector matrix")
@@ -91,14 +85,6 @@ class DatasetStore:
         """Timestep ``t``'s set as a bitmask, bits in first-seen order; built once, on first access."""
         bit = {el: 1 << b for b, el in enumerate(dict.fromkeys(chain.from_iterable(self.sets)))}
         return {t: reduce(operator.or_, map(bit.__getitem__, s), 0) for t, s in enumerate(self.sets, start=1)}
-
-    def payload(self, t: int):
-        """Payload of the item that arrived at timestep ``t`` (1-based)."""
-        if not 1 <= t <= len(self):
-            raise ValueError(f"timestep {t} outside 1..{len(self)}")
-        if self.kind == "dense":
-            return self._vectors[t - 1]
-        return self._sets[t - 1]
 
 
 def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ()) -> DatasetStore:

@@ -8,7 +8,7 @@ the arrival's timestep, which is also its item id:
   streaming algorithm, pruned so only geometrically separated values
   survive. The only one here with a worst-case guarantee relative to the
   window optimum (factor c/(2+eps) for a c-approximate inner algorithm).
-* ``SlidingWindowDP`` -- per-threshold dynamic program (``ThresholdGreedy``)
+* ``SlidingWindowDP`` -- per-threshold dynamic program (level tables)
   tracking, for each solution size j, the latest window start from which j
   threshold-passing picks were still possible; guarantees (1-eps)/2 of the
   window optimum.
@@ -18,11 +18,12 @@ the arrival's timestep, which is also its item id:
 * ``PrioritySample`` -- the random baseline: a uniform k-subset of the
   window via smallest-priority sampling.
 
-Each threshold grid is kept as runs, ranges of adjacent thresholds that
-hold one state: one sieve buffer, or one level table. An arrival, an
-expiry or a repair is worked out once per run, while oracle calls and
-retained references are still counted per threshold, so the reported
-metrics are those of one state per threshold.
+Each threshold grid is a range of exponents l of the lattice (1+eps)**l,
+kept as runs, ranges of adjacent exponents that hold one state: one sieve
+buffer, or one level table. An arrival, an expiry or a repair is worked
+out once per run, while oracle calls and retained references are still
+counted per threshold, so the reported metrics are those of one state per
+threshold.
 
 All algorithms are deterministic functions of (stream, config, seed) and
 count the item references they hold (``retained_count``); the benchmark
@@ -62,8 +63,10 @@ class SlidingWindowReduction:
     ``inner_factory`` builds one fresh inner instance. The reduction calls
     only four of its methods: ``step(t)``, ``best_value()`` (the value
     ``query`` would report, read on every prune without building the
-    solution), ``query()`` and ``retained_count()``. An inner algorithm that
-    is not naturally prefix-monotone can be wrapped in ``core.BestSoFar``.
+    solution), ``query()`` and ``retained_count()``. An inner algorithm whose
+    value is not naturally prefix-monotone keeps its own best handle so far
+    and reports it from ``best_value`` and ``query``, as
+    ``SieveStream._best`` does.
     """
 
     def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
@@ -130,8 +133,14 @@ class SlidingWindowReduction:
         return self._retained
 
 
-class ThresholdGreedy:
-    """Level tables for a grid of thresholds over a sliding window.
+class SlidingWindowDP:
+    """Level tables for a geometric grid of thresholds over a sliding window.
+
+    Thresholds are ``T = (1+eps)**l / (2k)`` for
+    l = 0 .. 1 + ceil(log_{1+eps} M) with ``M = k * oracle.max_singleton()``,
+    which bounds every window's optimum. The grid brackets opt/(2k) within a (1+eps) factor whenever
+    the window optimum is at least 1; that threshold's deepest level is
+    within (1-eps)/2 of the optimum.
 
     For one threshold T, ``levels[j]`` is the latest timestep from which j
     elements with marginal gain >= T were still collectible, and
@@ -139,11 +148,11 @@ class ThresholdGreedy:
     restarts at the current step, expired levels are deactivated (their
     sets are retained but unreported), and levels are scanned from high to
     low so each reads its pre-step state: the scan at j reads levels j and
-    j+1 and writes only j+1, which no earlier (higher) step wrote. A literal low-to-high
-    in-place scan would let the fresh level-0 restart overwrite level 1
-    before it is read, destroying valid longer solutions. Queries return
-    the deepest active level of the best table, the lowest threshold's on
-    ties.
+    j+1 and writes only j+1, which no earlier (higher) step wrote. A
+    literal low-to-high in-place scan would let the fresh level-0 restart
+    overwrite level 1 before it is read, destroying valid longer solutions.
+    Queries return the deepest active level of the best table, the lowest
+    threshold's on ties.
 
     Invariant: a table's active levels form a prefix 0 .. d, and their
     starts do not increase with j. Level 0 starts at the current step; a
@@ -153,26 +162,28 @@ class ThresholdGreedy:
     as the one before the first inactive level, or k if none is inactive.
 
     Adjacent thresholds with equal tables share one: ``runs`` holds
-    ``[lo, hi, levels, handles]`` for thresholds ``lo .. hi-1``.
+    ``[lo, hi, levels, handles]`` for exponents ``lo .. hi-1``, and a
+    threshold is computed as ``base**l / (2.0 * k)`` where the test needs it.
     Every threshold of a run makes the same expiry and takes the same gain
     at each level j, and the pass test ``gain >= T`` holds for a prefix of
     the run, so an arrival costs one gain per run and level and splits a run
-    at most at one cut per level. A run that does not split is updated in
-    place. Adjacent runs merge again when their ``levels`` and ``handles``
-    are equal. Costs stay per threshold: a run of m thresholds charges m
-    oracle calls for its one gain, and ``retained_count`` counts every set
-    of every threshold.
+    at most at one cut per level, found by ``bisect`` over the exponents. A
+    run that does not split is updated in place. Adjacent runs merge again
+    when their ``levels`` and ``handles`` are equal. Costs stay per
+    threshold: a run of m thresholds charges m oracle calls for its one
+    gain, and ``retained_count`` counts every set of every threshold.
     """
 
-    def __init__(self, k: int, window: int, thresholds: list[float], oracle: SubmodularOracle):
+    def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
         if k < 1:
             raise ValueError(f"cardinality bound must be >= 1, got {k}")
         if window < 1:
             raise ValueError(f"window size must be >= 1, got {window}")
         self.k = k
         self.window = window
-        self.thresholds = thresholds
-        self.runs: list[list] = [[0, len(thresholds), [-1] * (k + 1), [oracle.empty()] * (k + 1)]]
+        self.base = 1.0 + epsilon
+        top = 1 + ceil_log_ratio(k * oracle.max_singleton(), epsilon)
+        self.runs: list[list] = [[0, top + 1, [-1] * (k + 1), [oracle.empty()] * (k + 1)]]
         self._retained = 0
         self._t = 0
 
@@ -195,10 +206,13 @@ class ThresholdGreedy:
 
         A hand-off that passes on a proper prefix of the run's thresholds
         splits that prefix off as a copy, which takes the hand-off, is
-        scanned on from the next level down and goes first.
+        scanned on from the next level down and goes first. The run's lowest
+        and highest thresholds are computed once per visit, the lowest again
+        after a split.
         """
-        thresholds = self.thresholds
+        base, scale = self.base, 2.0 * self.k
         lo, hi, levels, handles = run
+        low, high = base**lo / scale, base ** (hi - 1) / scale
         for j in range(top, -1, -1):
             start = levels[j]
             if start == -1 or start <= levels[j + 1]:
@@ -207,13 +221,14 @@ class ThresholdGreedy:
             gain = handle.gain(i)
             if hi - lo > 1 and handle.counter is not None:
                 handle.counter.calls += hi - lo - 1
-            if not gain >= thresholds[lo]:
+            if not gain >= low:
                 continue
             piece = run
-            if not gain >= thresholds[hi - 1]:  # thresholds lo .. cut-1 pass
-                cut = bisect_right(thresholds, gain, lo + 1, hi - 1)
+            if not gain >= high:  # thresholds lo .. cut-1 pass
+                cut = bisect_right(range(hi), gain, lo + 1, hi - 1, key=lambda l: base**l / scale)
                 piece = [lo, cut, levels[:], handles[:]]
                 run[0] = lo = cut
+                low = base**lo / scale
             p_lo, p_hi, p_levels, p_handles = piece
             p_levels[j + 1] = start
             self._retained += (p_hi - p_lo) * (len(handle.ids) + 1 - len(p_handles[j + 1].ids))
@@ -236,29 +251,6 @@ class ThresholdGreedy:
 
     def retained_count(self) -> int:
         return self._retained
-
-
-class SlidingWindowDP(ThresholdGreedy):
-    """ThresholdGreedy over a geometric grid, answering with its best table.
-
-    Thresholds are (1+eps)**l / (2k) for l = 0 .. 1 + ceil(log_{1+eps} M)
-    with ``M = k * oracle.max_singleton()``, which bounds every window's
-    optimum. The grid brackets opt/(2k) within a (1+eps) factor whenever
-    the window optimum is at least 1; that threshold's deepest level is
-    within (1-eps)/2 of the optimum.
-    """
-
-    def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
-        super().__init__(k, window, dp_threshold_grid(k, k * oracle.max_singleton(), epsilon), oracle)
-
-
-def dp_threshold_grid(k: int, upper: float, epsilon: float) -> list[float]:
-    """(1+eps)**l / (2k) for l = 0 .. 1 + ceil(log_{1+eps} upper)."""
-    if k < 1:
-        raise ValueError(f"cardinality bound must be >= 1, got {k}")
-    base = 1.0 + epsilon
-    top = 1 + ceil_log_ratio(upper, epsilon)
-    return [base**level / (2.0 * k) for level in range(top + 1)]
 
 
 class SieveNaive(SieveStream):

@@ -17,8 +17,13 @@ from typing import Sequence
 from .core import OracleHandle, SubmodularOracle, next_timestep
 
 
+@lru_cache(maxsize=64)
 def ceil_log_ratio(m: float, epsilon: float) -> int:
-    """Smallest integer L >= 0 with (1 + epsilon)**L >= m."""
+    """Smallest integer L >= 0 with (1 + epsilon)**L >= m.
+
+    Memoized, since the reduction builds a sieve per arrival with the same
+    arguments.
+    """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if m <= 1:
@@ -32,41 +37,30 @@ def ceil_log_ratio(m: float, epsilon: float) -> int:
     return level
 
 
-@lru_cache(maxsize=64)
-def threshold_grid(upper: float, epsilon: float) -> list[float]:
-    """Geometric guesses (1+eps)**0 .. (1+eps)**L with the top one >= ``upper``.
-
-    Memoized: equal arguments return the same list, which every sieve of a
-    reduction shares, so callers must not modify it.
-    """
-    base = 1.0 + epsilon
-    top = ceil_log_ratio(upper, epsilon)
-    return [base**level for level in range(top + 1)]
-
-
 class SieveStream:
     """Threshold-sieving stream maximizer under a cardinality constraint.
 
-    Keeps one buffer per guessed optimum threshold T, a grid level. An
-    arriving element joins buffer S while |S| < k and its marginal gain
-    exceeds ``(T/2 - f(S)) / (k - |S|)`` (strict, as the rule is usually
-    stated); queries return the best buffer. The grid runs from 1 up to
-    ``k * oracle.max_singleton()``, which bounds every feasible value, so
-    the best buffer is within (1-eps)/2 of the optimum whenever the
-    optimum is at least 1.
+    Keeps one buffer per guessed optimum threshold ``T = (1+eps)**l``, a
+    grid level l. An arriving element joins buffer S while |S| < k and its
+    marginal gain exceeds ``(T/2 - f(S)) / (k - |S|)`` (strict, as the rule
+    is usually stated); queries return the best buffer. The grid runs from
+    ``l = 0`` to the first T at or above ``k * oracle.max_singleton()``,
+    which bounds every feasible value, so the best buffer is within
+    (1-eps)/2 of the optimum whenever the optimum is at least 1.
 
     Adjacent levels that hold the same buffer are kept as one run,
-    ``[lo, hi, handle]`` for levels ``lo .. hi-1`` in ``runs``. The buffer
-    is its handle, grown from the oracle's root, so equal contents share
-    one; its ``ids`` are the members and its ``value`` the running sum of
-    accepted gains. An arrival costs one membership test and one gain per
-    run. The admission test is monotone in T even in floats (``T/2`` is
-    exact, and rounding keeps subtraction and division by a positive number
-    monotone), so the levels that admit it are a prefix of the run, found
-    by evaluating the same expression; that prefix becomes a run of its
-    own. Costs stay per level: a run of m levels charges m oracle calls for
-    its one gain, and ``retained_count`` counts one item reference per
-    member per level. Queries cost no oracle calls and return the best
+    ``[lo, hi, handle]`` for exponents ``lo .. hi-1`` in ``runs``; a level's
+    T is computed as ``base**l`` where the test needs it. The buffer is its
+    handle, grown from the oracle's root, so equal contents share one; its
+    ``ids`` are the members and its ``value`` the running sum of accepted
+    gains. An arrival costs one membership test and one gain per run. The
+    admission test is monotone in T even in floats (``T/2`` is exact, and
+    rounding keeps subtraction and division by a positive number monotone),
+    so the levels that admit it are a prefix of the run, found by
+    ``bisect`` over the exponents with the same expression; that prefix
+    becomes a run of its own. Costs stay per level: a run of m levels
+    charges m oracle calls for its one gain, and ``retained_count`` counts
+    one item reference per member per level. Queries cost no oracle calls and return the best
     buffer, the lowest level's on ties, as SieveStreaming reports its best
     buffer. ``_best`` keeps that handle as buffers grow, so neither a query
     nor ``best_value`` scans: a child worth strictly more replaces it, while
@@ -81,8 +75,8 @@ class SieveStream:
             raise ValueError(f"cardinality bound must be >= 1, got {k}")
         self.k = k
         self.oracle = oracle
-        self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
-        self.runs: list[list] = [[0, len(self.thresholds), oracle.empty()]]
+        self.base = 1.0 + epsilon
+        self.runs: list[list] = [[0, ceil_log_ratio(k * oracle.max_singleton(), epsilon) + 1, oracle.empty()]]
         self._retained = 0
         self._best: OracleHandle | None = self.runs[0][2]
         self._t = 0
@@ -93,7 +87,7 @@ class SieveStream:
 
     def _admit(self, t: int) -> None:
         k = self.k
-        thresholds = self.thresholds
+        base = self.base
         best = self._best
         runs = []
         for run in self.runs:
@@ -105,11 +99,11 @@ class SieveStream:
                 gain = handle.gain(t)
                 if hi - lo > 1 and handle.counter is not None:
                     handle.counter.calls += hi - lo - 1
-                if gain > (thresholds[lo] / 2.0 - value) / room:
-                    if gain > (thresholds[hi - 1] / 2.0 - value) / room:
+                if gain > (base**lo / 2.0 - value) / room:
+                    if gain > (base ** (hi - 1) / 2.0 - value) / room:
                         cut = hi
                     else:  # the first level that fails: lo passes and hi - 1 fails
-                        cut = bisect_left(thresholds, gain, lo + 1, hi - 1, key=lambda T: (T / 2.0 - value) / room)
+                        cut = bisect_left(range(hi), gain, lo + 1, hi - 1, key=lambda l: (base**l / 2.0 - value) / room)
                     self._retained += cut - lo
                     child = handle.child(t)
                     if cut == hi:

@@ -7,9 +7,9 @@ import pytest
 
 from swmax.ingest import DatasetStore, ParseError
 from swmax.objectives import DEGENERATE_PIVOT
-from swmax.streaming import threshold_grid
+from swmax.streaming import ceil_log_ratio
 
-from reference import instance_values, runs, scan_answer
+from reference import instance_values, payload, runs, scan_answer
 
 
 def set_store(*payloads) -> DatasetStore:
@@ -25,7 +25,7 @@ class UnionRecount:
     """Independent coverage oracle: plain frozenset unions, no bit tricks."""
 
     def __init__(self, store):
-        self._sets = {t: frozenset(store.payload(t)) for t in range(1, len(store) + 1)}
+        self._sets = {t: frozenset(payload(store, t)) for t in range(1, len(store) + 1)}
 
     def eval(self, ids):
         union = frozenset().union(*(self._sets[i] for i in ids)) if ids else frozenset()
@@ -107,10 +107,10 @@ def coverage_masks_per_element(store) -> tuple[dict[int, int], float]:
     masks: dict[int, int] = {}
     biggest = 0
     for t in range(1, len(store) + 1):
-        payload = store.payload(t)
-        biggest = max(biggest, len(payload))
+        elements = payload(store, t)
+        biggest = max(biggest, len(elements))
         m = 0
-        for el in payload:
+        for el in elements:
             b = bit_of.setdefault(el, len(bit_of))
             m |= 1 << b
         masks[t] = m
@@ -159,6 +159,40 @@ def greedy_by_gain(items, k, oracle):
     return selected, value, handle
 
 
+class ScriptedNode:
+    """Handle whose gains are read from a script, negative ones included;
+    like a trie node, it returns the same child for the same id."""
+
+    counter = None
+
+    def __init__(self, script, ids=(), value=0.0):
+        self.script, self.ids, self.value = script, list(ids), value
+        self.children = {}
+
+    def gain(self, t):
+        return self.script[t]
+
+    def child(self, t):
+        if t not in self.children:
+            self.children[t] = ScriptedNode(self.script, self.ids + [t], self.value + self.script[t])
+        return self.children[t]
+
+
+class ScriptedOracle:
+    """An oracle of ``ScriptedNode`` handles whose largest singleton value,
+    and so the threshold grid's top, is ``max_singleton``."""
+
+    def __init__(self, script, max_singleton=4.0):
+        self.root = ScriptedNode(script)
+        self.bound = max_singleton
+
+    def empty(self):
+        return self.root
+
+    def max_singleton(self):
+        return self.bound
+
+
 def node_state(handle):
     """What a handle holds: a coverage node's union mask, or a log-det
     node's members, skipped ids and factor rows (compared bit for bit)."""
@@ -186,7 +220,8 @@ class LevelSieve:
 
     def __init__(self, k, epsilon, oracle, window=None, sample_c=None, seed=0):
         self.k, self.oracle, self.window, self.sample_c = k, oracle, window, sample_c
-        self.thresholds = threshold_grid(k * oracle.max_singleton(), epsilon)
+        top = ceil_log_ratio(k * oracle.max_singleton(), epsilon)
+        self.thresholds = [(1 + epsilon) ** level for level in range(top + 1)]
         self.buffers = [[] for _ in self.thresholds]
         self.handles = [oracle.empty() for _ in self.thresholds]
         self.values = [0.0 for _ in self.thresholds]
@@ -229,14 +264,17 @@ class LevelSieve:
 
 
 class ThresholdTables:
-    """Reference for the run-based ThresholdGreedy: one level table per
-    threshold, each scanned from high levels to low."""
+    """Reference for the run-based SlidingWindowDP: one level table per
+    threshold ``(1+eps)**l / (2k)``, l = 0 .. 1 + ceil(log_{1+eps} kM), each
+    scanned from high levels to low."""
 
-    def __init__(self, k, window, thresholds, oracle):
-        self.k, self.window, self.thresholds = k, window, thresholds
+    def __init__(self, k, window, epsilon, oracle):
+        top = 1 + ceil_log_ratio(k * oracle.max_singleton(), epsilon)
+        self.k, self.window = k, window
+        self.thresholds = [(1 + epsilon) ** level / (2.0 * k) for level in range(top + 1)]
         self.tables = [
             ([-1] * (k + 1), [[] for _ in range(k + 1)], [oracle.empty()] * (k + 1), [0.0] * (k + 1))
-            for _ in thresholds
+            for _ in self.thresholds
         ]
 
     def step(self, i):

@@ -1,13 +1,14 @@
-"""Test-only references: exact optima, plain coverage, set-stream and
-dense-CSV writers, window members, the reduction's live instances, the
-run layout of the sieves and level tables with the handles their buffers
-hold, and the answers a full scan of their state gives."""
+"""Test-only references: exact optima, plain coverage, a store's payloads,
+set-stream and dense-CSV writers, window members, a best-so-far wrapper,
+the reduction's live instances, the run layout and thresholds of the
+sieves and level tables with the handles their buffers hold, and the
+answers a full scan of their state gives."""
 
 import math
 from itertools import combinations
 from typing import NamedTuple
 
-from swmax.sliding import SlidingWindowReduction, ThresholdGreedy
+from swmax.sliding import SlidingWindowDP, SlidingWindowReduction
 from swmax.streaming import SieveStream
 
 
@@ -39,6 +40,14 @@ def brute_force_opt(items, k, oracle, max_subsets=10**6) -> tuple[list[int], flo
     return best
 
 
+def payload(store, t):
+    """Payload of the item that arrived at timestep ``t`` (1-based): its row
+    of a dense store's vectors, or its set of a set store."""
+    if not 1 <= t <= len(store):
+        raise ValueError(f"timestep {t} outside 1..{len(store)}")
+    return store.vectors[t - 1] if store.kind == "dense" else store.sets[t - 1]
+
+
 def write_set_stream(store, path) -> None:
     """Inverse of ``load_set_stream``: one space-separated set per line."""
     sets = store.sets  # raises for a dense store, before the file is opened
@@ -56,6 +65,37 @@ def write_dense_csv(rows, path) -> None:
 def window_ids(end, size) -> list[int]:
     """Item ids of the window of ``size`` timesteps ending at ``end``, ascending."""
     return list(range(max(1, end - size + 1), end + 1))
+
+
+class BestSoFar:
+    """Makes a streaming algorithm's reported value non-decreasing.
+
+    After every step the inner solution is queried, and queries return the
+    best solution observed over any prefix. This certifies prefix-monotone
+    behaviour for inner algorithms plugged into the window reduction. It is
+    not meant for sliding-window algorithms themselves, whose value
+    legitimately drops when items expire.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self._best: tuple[list[int], float] = ([], 0.0)
+
+    def step(self, t: int) -> None:
+        self.inner.step(t)
+        sol, val = self.inner.query()
+        if val > self._best[1]:
+            self._best = (list(sol), val)
+
+    def best_value(self) -> float:
+        return self._best[1]
+
+    def query(self) -> tuple[list[int], float]:
+        sol, val = self._best
+        return list(sol), val
+
+    def retained_count(self) -> int:
+        return self.inner.retained_count() + len(self._best[0])
 
 
 def instance_starts(reduction) -> list[int]:
@@ -77,7 +117,7 @@ class SieveRun(NamedTuple):
 
 
 class TableRun(NamedTuple):
-    """A ``ThresholdGreedy`` run: thresholds ``lo .. hi-1`` share the level
+    """A ``SlidingWindowDP`` run: thresholds ``lo .. hi-1`` share the level
     starts ``levels`` and the level buffers ``handles``."""
 
     lo: int
@@ -87,20 +127,30 @@ class TableRun(NamedTuple):
 
 
 def runs(alg) -> list:
-    """A sieve's or a ``ThresholdGreedy``'s runs, lowest threshold first: the
+    """A sieve's or a ``SlidingWindowDP``'s runs, lowest threshold first: the
     one place the tests read the run layout."""
-    if isinstance(alg, ThresholdGreedy):
+    if isinstance(alg, SlidingWindowDP):
         return [TableRun(*run) for run in alg.runs]
     return [SieveRun(*run) for run in alg.runs]
 
 
+def thresholds(alg) -> list[float]:
+    """A sieve's grid thresholds ``(1+eps)**l`` or a ``SlidingWindowDP``'s
+    ``(1+eps)**l / (2k)``, for every exponent its runs span, lowest first:
+    the one place the tests read the lattice."""
+    exponents = range(runs(alg)[-1].hi)
+    if isinstance(alg, SlidingWindowDP):
+        return [alg.base**l / (2.0 * alg.k) for l in exponents]
+    return [alg.base**l for l in exponents]
+
+
 def buffer_handles(alg) -> list:
     """The handle of every buffer an algorithm holds: one per sieve run, one
-    per level of each ``ThresholdGreedy`` run, and those of every live
+    per level of each ``SlidingWindowDP`` run, and those of every live
     instance of a reduction."""
     if isinstance(alg, SlidingWindowReduction):
         return [h for inst in alg.instances for h in buffer_handles(inst.alg)]
-    if isinstance(alg, ThresholdGreedy):
+    if isinstance(alg, SlidingWindowDP):
         return [h for run in runs(alg) for h in run.handles]
     return [run.handle for run in runs(alg)]
 
@@ -111,7 +161,7 @@ def scan_answer(alg) -> tuple[list[int], float]:
 
     * a sieve's (``SieveStream`` and its subclasses): its best buffer, the
       lowest level's on ties;
-    * a ``ThresholdGreedy``'s: each run's deepest active level, found by
+    * a ``SlidingWindowDP``'s: each run's deepest active level, found by
       walking down from level k, the best of them, the lowest threshold's
       on ties, or the empty root;
     * a ``PrioritySample``'s (or any sampler with ``candidates`` of
@@ -119,7 +169,7 @@ def scan_answer(alg) -> tuple[list[int], float]:
       smallest priorities, the earlier arrival's on ties, and their value by
       one ``oracle.eval``.
     """
-    if isinstance(alg, ThresholdGreedy):
+    if isinstance(alg, SlidingWindowDP):
         best = runs(alg)[0].handles[0]
         for run in runs(alg):
             deepest = run.handles[max((j for j, start in enumerate(run.levels) if start != -1), default=0)]

@@ -36,11 +36,19 @@ from swmax.streaming import (
     SieveStream,
     ceil_log_ratio,
     greedy_select,
-    threshold_grid,
 )
 
 from conftest import ivm_value
-from reference import brute_force_opt, instance_starts, instance_values, runs, window_ids, write_set_stream
+from reference import (
+    brute_force_opt,
+    instance_starts,
+    instance_values,
+    payload,
+    runs,
+    thresholds,
+    window_ids,
+    write_set_stream,
+)
 
 EPS = 0.2
 GUARANTEE_COMBOS = ((120, 40, 2), (120, 20, 2), (60, 20, 3), (60, 40, 3))
@@ -327,7 +335,7 @@ def test_criterion_7_cost_accounting():
     accounting_ok = True
     detail = []
     for eps in (0.1, 0.2, 0.4):
-        grid = len(threshold_grid(m, eps))
+        grid = len(thresholds(SieveStream(k, eps, oracle)))
         cap = 2 * (ceil_log_ratio(m, eps) + 2)
         counting = CountingOracle(oracle)
         swrd = sieve_reduction(k, w, eps, counting)
@@ -382,7 +390,7 @@ def test_criterion_8_determinism_and_io(tmp_path):
     original = gen_set_stream(80, 40, 7, seed=9)
     write_set_stream(original, set_path)
     loaded = load_set_stream(set_path)
-    sets_ok = all(loaded.payload(t) == original.payload(t) for t in range(1, 81))
+    sets_ok = all(payload(loaded, t) == payload(original, t) for t in range(1, 81))
 
     dense_path = tmp_path / "dense.csv"
     rng = np.random.default_rng(3)

@@ -17,7 +17,7 @@ from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import greedy_select
 
 from conftest import coverage_masks_per_element, load_set_stream_per_token
-from reference import window_ids, write_set_stream
+from reference import payload, window_ids, write_set_stream
 
 
 class TestDenseCsv:
@@ -25,15 +25,15 @@ class TestDenseCsv:
         path = tmp_path / "d.csv"
         path.write_text("1,2\n3,4\n5,6\n")
         store = load_dense_csv(path)
-        assert len(store) == 3 and store.dim == 2
-        assert list(store.payload(2)) == [3.0, 4.0]
+        assert len(store) == 3 and store.vectors.shape[1] == 2
+        assert list(payload(store, 2)) == [3.0, 4.0]
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1.5,2.5\n")
         store = load_dense_csv(path)
         assert len(store) == 1
-        assert list(store.payload(1)) == [1.5, 2.5]
+        assert list(payload(store, 1)) == [1.5, 2.5]
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -53,8 +53,8 @@ class TestDenseCsv:
         path = tmp_path / "d.csv"
         path.write_text("1,2,9\n3,4,9\n")
         store = load_dense_csv(path, drop_columns=(2,))
-        assert store.dim == 2
-        assert list(store.payload(1)) == [1.0, 2.0]
+        assert store.vectors.shape[1] == 2
+        assert list(payload(store, 1)) == [1.0, 2.0]
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_drop_column_outside_row_rejected(self, tmp_path, bad):
@@ -66,7 +66,7 @@ class TestDenseCsv:
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1;2\n3;4\n")
-        assert load_dense_csv(path, delimiter=";").dim == 2
+        assert load_dense_csv(path, delimiter=";").vectors.shape[1] == 2
 
     def test_eeg_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -75,7 +75,7 @@ class TestDenseCsv:
         np.savetxt(path, data, delimiter=",", fmt="%.5f")
         store = load_dense_csv(path)
         assert len(store) == 14980
-        assert store.dim == 15
+        assert store.vectors.shape[1] == 15
 
 
 class TestNormalize:
@@ -131,7 +131,7 @@ class TestSetStream:
         path = tmp_path / "s.txt"
         path.write_text("1 2 2 3\n\n7\n")
         store = load_set_stream(path)
-        assert [store.payload(t) for t in (1, 2, 3)] == [(1, 2, 3), (), (7,)]
+        assert [payload(store, t) for t in (1, 2, 3)] == [(1, 2, 3), (), (7,)]
 
     def test_negative_token_reports_line(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -174,7 +174,7 @@ class TestSetStream:
         back = load_set_stream(path)
         assert len(back) == len(store)
         for t in range(1, 51):
-            assert back.payload(t) == store.payload(t)
+            assert payload(back, t) == payload(store, t)
 
 
 ELEMENT = st.one_of(st.integers(0, 6), st.integers(0, 10**12))
@@ -255,18 +255,18 @@ class TestSetStreamGenerator:
     def test_full_universe(self):
         store = gen_set_stream(10, 8, 8, seed=0)
         for t in range(1, 11):
-            assert store.payload(t) == tuple(range(8))
+            assert payload(store, t) == tuple(range(8))
 
     def test_mean_size_concentrates(self):
         store = gen_set_stream(10**4, 50, 10, seed=77)
-        total = sum(len(store.payload(t)) for t in range(1, 10**4 + 1))
+        total = sum(len(payload(store, t)) for t in range(1, 10**4 + 1))
         mean = total / 10**4
         assert abs(mean - 10) <= 0.5  # 5 percent
 
     def test_deterministic(self):
         a = gen_set_stream(50, 20, 5, seed=9)
         b = gen_set_stream(50, 20, 5, seed=9)
-        assert all(a.payload(t) == b.payload(t) for t in range(1, 51))
+        assert all(payload(a, t) == payload(b, t) for t in range(1, 51))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -277,9 +277,9 @@ class TestStore:
     def test_payload_bounds(self):
         store = gen_set_stream(5, 10, 3, seed=0)
         with pytest.raises(ValueError):
-            store.payload(0)
+            payload(store, 0)
         with pytest.raises(ValueError):
-            store.payload(6)
+            payload(store, 6)
 
     def test_dense_store_immutable(self):
         store = DatasetStore("dense", vectors=np.ones((2, 2)))

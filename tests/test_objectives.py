@@ -19,7 +19,7 @@ from swmax.objectives import (
     KernelParams,
 )
 from swmax.sliding import sieve_reduction
-from swmax.streaming import greedy_select, threshold_grid
+from swmax.streaming import SieveStream, greedy_select
 
 from conftest import (
     UnionRecount,
@@ -32,7 +32,7 @@ from conftest import (
     set_store,
     vec_store,
 )
-from reference import brute_force_opt, coverage_value, runs
+from reference import brute_force_opt, coverage_value, payload, runs, thresholds
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
 
@@ -427,7 +427,7 @@ class TestIvmOracle:
         rng = random.Random(1)
         for _ in range(50):
             ids = rng.sample(range(1, 13), rng.randint(0, 6))
-            expected = ivm_value(np.asarray([store.payload(i) for i in ids]), PARAMS) if ids else 0.0
+            expected = ivm_value(np.asarray([payload(store, i) for i in ids]), PARAMS) if ids else 0.0
             assert oracle.eval(ids) == pytest.approx(expected, abs=1e-8)
 
     def test_marginal_matches_eval_difference(self):
@@ -446,7 +446,7 @@ class TestIvmOracle:
         grown = [1, 2, 3, 4, 5]
         v_grown = oracle.eval(grown)
         shrunk = [1, 2, 4, 5]  # middle member expired
-        expected = ivm_value(np.asarray([store.payload(i) for i in shrunk]), PARAMS)
+        expected = ivm_value(np.asarray([payload(store, i) for i in shrunk]), PARAMS)
         handle = oracle.rebuild(shrunk)
         value = handle.value
         assert value == oracle.eval(shrunk)
@@ -684,7 +684,7 @@ class TestHandles:
         # taken, in order, and its value is the sum of the gains charged,
         # left to right and bit for bit, as a rebuild of those ids has.
         if objective == "coverage":
-            twin = CoverageOracle(set_store(*self.COVERAGE_STORE.sets, self.COVERAGE_STORE.payload(4)))
+            twin = CoverageOracle(set_store(*self.COVERAGE_STORE.sets, payload(self.COVERAGE_STORE, 4)))
         else:
             vectors = self.IVM_STORE.vectors
             twin = IVMOracle(vec_store(np.vstack([vectors, vectors[3]])), KernelParams(sigma=1e-9))
@@ -730,7 +730,7 @@ class TestUpperBound:
         # a zero bound still gets the one-level grid [1]
         oracle = CoverageOracle(set_store((), ()))
         assert oracle.max_singleton() == 0.0
-        assert threshold_grid(4 * oracle.max_singleton(), 0.2) == [1.0]
+        assert thresholds(SieveStream(4, 0.2, oracle)) == [1.0]
 
     def test_empty_store_has_zero_max_singleton(self):
         assert CoverageOracle(set_store()).max_singleton() == 0.0

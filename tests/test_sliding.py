@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swmax.bench import RunConfig, run_benchmark
-from swmax.core import BestSoFar, CountingOracle
+from swmax.core import CountingOracle
 from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import SieveStream, ceil_log_ratio
@@ -18,21 +18,30 @@ from swmax.sliding import (
     SieveNaive,
     SlidingWindowDP,
     SlidingWindowReduction,
-    ThresholdGreedy,
-    dp_threshold_grid,
     sieve_reduction,
 )
 
 from conftest import (
     LevelSieve,
     RebuildPrioritySample,
+    ScriptedOracle,
     ThresholdTables,
     level_buffers,
+    level_values,
     prune_by_mask,
     set_store,
     vec_store,
 )
-from reference import brute_force_opt, instance_starts, instance_values, runs, scan_answer, window_ids
+from reference import (
+    BestSoFar,
+    brute_force_opt,
+    instance_starts,
+    instance_values,
+    runs,
+    scan_answer,
+    thresholds,
+    window_ids,
+)
 
 
 class _StubAlg:
@@ -224,7 +233,6 @@ K_CONSTRUCTORS = {
     "SieveStream": lambda k, oracle: SieveStream(k, 0.2, oracle),
     "SieveNaive": lambda k, oracle: SieveNaive(k, 3, 0.2, oracle),
     "SieveGreedy": lambda k, oracle: SieveGreedy(k, 3, 0.2, oracle, sample_c=1.0),
-    "ThresholdGreedy": lambda k, oracle: ThresholdGreedy(k, 3, [1.0], oracle),
     "SlidingWindowDP": lambda k, oracle: SlidingWindowDP(k, 3, 0.2, oracle),
     "PrioritySample": lambda k, oracle: PrioritySample(k, 3, oracle),
     "sieve_reduction": lambda k, oracle: sieve_reduction(k, 3, 0.2, oracle),
@@ -283,83 +291,118 @@ def test_small_ivm_optimum_is_not_lost(k, sigma):
         assert final_utility(algorithm) >= (1 - eps) / 2 * greedy, algorithm
 
 
-def table(tg):
-    """(levels, sets) of a one-threshold ThresholdGreedy, whose one run spans its grid."""
-    (run,) = runs(tg)
+def table(dp):
+    """(levels, sets) of a ``SlidingWindowDP`` whose one run spans its grid."""
+    (run,) = runs(dp)
     return run.levels, [h.ids for h in run.handles]
 
 
+def per_threshold_tables(dp):
+    """(levels, sets) of every threshold, read off a ``SlidingWindowDP``'s runs."""
+    return [(run.levels, [h.ids for h in run.handles]) for run in runs(dp) for _ in range(run.lo, run.hi)]
+
+
+def reference_tables(ref):
+    """(levels, sets) of every threshold of a ``ThresholdTables``."""
+    return [(levels, sets) for levels, sets, _, _ in ref.tables]
+
+
 class TestThresholdGreedy:
+    """The threshold-greedy level tables of ``SlidingWindowDP``."""
+
     def test_hand_trace(self):
+        # Every gain is 1, at or above each threshold 0.25, 0.5 and 1 of
+        # k=2, eps=1, M=1, so the grid stays one run.
         store = set_store((0,), (1,), (2,))
-        tg = ThresholdGreedy(2, 2, [1.0], CoverageOracle(store))
-        tg.step(1)
-        tg.step(2)
-        assert table(tg)[0] == [2, 2, 1]
-        assert table(tg)[1][2] == [1, 2]
-        tg.step(3)  # level-2 start expired, rebuilt from level 1
-        assert table(tg)[0] == [3, 3, 2]
-        assert table(tg)[1][2] == [2, 3]
-        assert tg.query() == ([2, 3], 2.0)
+        oracle = CoverageOracle(store)
+        dp = SlidingWindowDP(2, 2, 1.0, oracle)
+        ref = ThresholdTables(2, 2, 1.0, oracle)
+        assert thresholds(dp) == ref.thresholds == [0.25, 0.5, 1.0]
+        for t in (1, 2):
+            dp.step(t)
+            ref.step(t)
+        assert table(dp)[0] == [2, 2, 1]
+        assert table(dp)[1][2] == [1, 2]
+        dp.step(3)  # level-2 start expired, rebuilt from level 1
+        ref.step(3)
+        assert table(dp)[0] == [3, 3, 2]
+        assert table(dp)[1][2] == [2, 3]
+        assert dp.query() == ref.query() == ([2, 3], 2.0)
+        assert per_threshold_tables(dp) == reference_tables(ref)
 
     def test_no_double_insertion(self):
+        # The first arrival's gain of 2 passes every threshold (0.25 .. 2 at
+        # k=2, eps=1, M=2), so the grid stays one run.
         store = set_store((0, 1), (0, 1))
-        tg = ThresholdGreedy(2, 5, [1.0], CoverageOracle(store))
-        tg.step(1)
-        tg.step(2)  # duplicate payload: marginal 0 < T at level 1
-        assert table(tg)[1][1] in ([1], [2])
-        assert all(len(set(s)) == len(s) for s in table(tg)[1])
+        oracle = CoverageOracle(store)
+        dp = SlidingWindowDP(2, 5, 1.0, oracle)
+        ref = ThresholdTables(2, 5, 1.0, oracle)
+        dp.step(1)
+        ref.step(1)
+        dp.step(2)  # duplicate payload: marginal 0 < T at level 1
+        ref.step(2)
+        assert table(dp)[1][1] in ([1], [2])
+        assert all(len(set(s)) == len(s) for s in table(dp)[1])
+        assert per_threshold_tables(dp) == reference_tables(ref)
 
     def test_level_invariants_random_streams(self):
         for seed in range(60):
             store = gen_set_stream(40, 20, 5, seed=seed)
             oracle = CoverageOracle(store)
             k = 3
-            tg = ThresholdGreedy(k, 8, [1.5], oracle)
+            dp = SlidingWindowDP(k, 8, 0.2, oracle)
+            ref = ThresholdTables(k, 8, 0.2, oracle)
             for t in range(1, len(store) + 1):
-                tg.step(t)
-                levels, sets = table(tg)
-                active = [lv for lv in levels if lv != -1]
-                assert active == sorted(active, reverse=True)
-                for j in range(k + 1):
-                    if levels[j] != -1:
-                        assert len(sets[j]) == j
-                        assert all(ts >= levels[j] > t - 8 for ts in sets[j])
+                dp.step(t)
+                ref.step(t)
+                for levels, sets in per_threshold_tables(dp):
+                    active = [lv for lv in levels if lv != -1]
+                    assert active == sorted(active, reverse=True)
+                    for j in range(k + 1):
+                        if levels[j] != -1:
+                            assert len(sets[j]) == j
+                            assert all(ts >= levels[j] > t - 8 for ts in sets[j])
+                assert per_threshold_tables(dp) == reference_tables(ref)
+                assert dp.query() == ref.query()
 
     def test_thresholds_share_tables_as_runs(self):
+        # At k=2, eps=1 and M=3 the thresholds are 0.25, 0.5, 1, 2 and 4.
         # Gains of 1, 2 and 3 pass a prefix of the grid, so the thresholds
         # part into runs; the lower two runs rejoin at the third arrival,
         # when their tables agree again, and part at the fourth.
         store = set_store((0,), (1, 2), (3, 4, 5), (6,), (7,))
         oracle = CoverageOracle(store)
-        tg = ThresholdGreedy(2, 2, [0.5, 1.0, 1.5, 2.5], oracle)
-        ref = ThresholdTables(2, 2, [0.5, 1.0, 1.5, 2.5], oracle)
+        dp = SlidingWindowDP(2, 2, 1.0, oracle)
+        ref = ThresholdTables(2, 2, 1.0, oracle)
+        assert thresholds(dp) == ref.thresholds == [0.25, 0.5, 1.0, 2.0, 4.0]
         spans = []
         for t in range(1, len(store) + 1):
-            tg.step(t)
+            dp.step(t)
             ref.step(t)
-            spans.append([[run.lo, run.hi] for run in runs(tg)])
-            assert tg.query() == ref.query()
-            assert tg.retained_count() == ref.retained_count()
+            spans.append([[run.lo, run.hi] for run in runs(dp)])
+            assert dp.query() == ref.query()
+            assert dp.retained_count() == ref.retained_count()
+            assert per_threshold_tables(dp) == reference_tables(ref)
         assert spans == [
-            [[0, 2], [2, 4]],
-            [[0, 2], [2, 3], [3, 4]],
-            [[0, 3], [3, 4]],
-            [[0, 2], [2, 3], [3, 4]],
-            [[0, 2], [2, 3], [3, 4]],
+            [[0, 3], [3, 5]],
+            [[0, 3], [3, 4], [4, 5]],
+            [[0, 4], [4, 5]],
+            [[0, 3], [3, 4], [4, 5]],
+            [[0, 3], [3, 4], [4, 5]],
         ]
 
 
 class TestSlidingWindowDP:
     def test_grid_example(self):
-        assert dp_threshold_grid(2, 4.0, 1.0) == [0.25, 0.5, 1.0, 2.0]
+        dp = SlidingWindowDP(2, 1, 1.0, ScriptedOracle({}, max_singleton=2.0))
+        assert thresholds(dp) == [0.25, 0.5, 1.0, 2.0]
 
     def test_grid_minimal(self):
-        assert dp_threshold_grid(1, 1.0, 1.0) == [0.5, 1.0]
+        assert thresholds(SlidingWindowDP(1, 1, 1.0, ScriptedOracle({}, max_singleton=1.0))) == [0.5, 1.0]
 
     def test_grid_brackets_every_optimum(self):
         for m, eps, k in [(4.0, 1.0, 2), (50.0, 0.2, 3), (7.5, 0.1, 5)]:
-            grid = dp_threshold_grid(k, m, eps)
+            grid = thresholds(SlidingWindowDP(k, 1, eps, ScriptedOracle({}, max_singleton=m / k)))
             samples = [1.0 + i * (m - 1.0) / 199 for i in range(200)]
             for opt in samples:
                 lo, hi = opt / (2 * k), (1 + eps) * opt / (2 * k)
@@ -368,7 +411,7 @@ class TestSlidingWindowDP:
     def test_query_trace(self):
         store = set_store((0,), (1,), (2,))
         dp = SlidingWindowDP(2, 2, 1.0, CoverageOracle(store))
-        assert dp.thresholds == dp_threshold_grid(2, 2.0, 1.0)
+        assert thresholds(dp) == [0.25, 0.5, 1.0]
         for t in range(1, len(store) + 1):
             dp.step(t)
         solution, value = dp.query()
@@ -380,16 +423,16 @@ class TestSlidingWindowDP:
         assert dp.query() == ([], 0.0)
 
     def test_query_with_only_level_zero_active(self):
-        # unreachable threshold: nothing ever passes, so only the empty
-        # level-0 restart is active
-        store = set_store((1,), (2,))
-        tg = ThresholdGreedy(2, 3, [5.0], CoverageOracle(store))
+        # empty sets gain 0, below every threshold: nothing ever passes, so
+        # only the empty level-0 restart is active
+        store = set_store((), ())
+        dp = SlidingWindowDP(2, 3, 1.0, CoverageOracle(store))
         for t in range(1, len(store) + 1):
-            tg.step(t)
-        levels, _ = table(tg)
+            dp.step(t)
+        levels, _ = table(dp)
         assert levels[0] == 2
         assert all(lv == -1 for lv in levels[1:])
-        assert tg.query() == ([], 0.0)
+        assert dp.query() == ([], 0.0)
 
     def test_guarantee_mini(self):
         eps, k, w = 0.2, 2, 12
@@ -412,7 +455,7 @@ class TestSieveNaive:
             oracle = CoverageOracle(store)
             naive = SieveNaive(3, 30, 0.2, oracle)  # n <= W: nothing expires
             plain = SieveStream(3, 0.2, oracle)
-            assert naive.thresholds == plain.thresholds
+            assert thresholds(naive) == thresholds(plain)
             for t in range(1, len(store) + 1):
                 naive.step(t)
                 plain.step(t)
@@ -422,7 +465,7 @@ class TestSieveNaive:
     def test_expiry_happens_before_condition(self):
         store = set_store((0, 1), (5,), (0, 1))
         naive = SieveNaive(1, 2, 1.0, CoverageOracle(store))
-        assert naive.thresholds == [1.0, 2.0]
+        assert thresholds(naive) == [1.0, 2.0]
         naive.step(1)
         assert level_buffers(naive)[0] == [1]
         naive.step(2)
@@ -760,7 +803,7 @@ def test_running_best_level_matches_scan():
         "coverage": CoverageOracle(coverage),
         "ivm": IVMOracle(vectors, KernelParams(sigma=(math.e**2 - 1) ** -0.5)),
     }
-    assert len(SieveStream(4, 0.2, oracles["ivm"]).thresholds) == 9
+    assert len(thresholds(SieveStream(4, 0.2, oracles["ivm"]))) == 9
     for objective, oracle in oracles.items():
         algs = {
             "sieve": SieveStream(4, 0.2, oracle),
@@ -798,7 +841,7 @@ RUN_AND_REFERENCE = {
     ),
     "sw-dp": lambda k, w, eps, c, o: (
         SlidingWindowDP(k, w, eps, o),
-        ThresholdTables(k, w, dp_threshold_grid(k, k * o.max_singleton(), eps), o),
+        ThresholdTables(k, w, eps, o),
     ),
 }
 
@@ -860,7 +903,7 @@ def test_runs_match_per_level_reference(name, stream, k, window, epsilon, sample
     gaps=st.lists(st.integers(1, 3), min_size=1, max_size=40),
 )
 def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon, gaps):
-    # ThresholdGreedy's query reads each run's deepest active level as the
+    # SlidingWindowDP's query reads each run's deepest active level as the
     # one before the first inactive level. That holds while a run's active
     # levels form a prefix whose starts do not increase with j, after every
     # arrival and through gaps that expire several levels at once.
@@ -873,3 +916,42 @@ def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon
             assert run.levels == active + [-1] * (k + 1 - len(active)), t
             assert active == sorted(active, reverse=True), t
         assert dp.query() == scan_answer(dp), t
+
+
+@settings(max_examples=150, deadline=None)
+@example(k=1, epsilon=0.2, top=0, window=3, picks=[(0, 0)])
+@example(k=2, epsilon=1.0, top=1, window=3, picks=[(1, 0), (0, 0)])
+@example(k=3, epsilon=0.1, top=30, window=5, picks=[(12, 0), (20, -1), (31, 1), (5, 0)])
+@given(
+    k=st.integers(1, 4),
+    epsilon=st.sampled_from([0.05, 0.1, 0.2, 0.5, 1.0]),
+    top=st.integers(0, 30),
+    window=st.integers(1, 6),
+    picks=st.lists(st.tuples(st.integers(-1, 32), st.sampled_from([-1, 0, 1])), min_size=1, max_size=6),
+)
+def test_bisect_cut_matches_linear_scan(k, epsilon, top, window, picks):
+    # A run's cut comes from ``bisect`` over its exponents; the references
+    # test every level's threshold in turn. Gains lie on a lattice
+    # threshold ``(1+eps)**l / (2k)`` or one float step either side of it:
+    # the sieve's strict rule at an empty buffer, ``gain > ((1+eps)**l / 2
+    # - 0) / k``, fails on it, and sw-dp's ``gain >= (1+eps)**l / (2k)``
+    # passes on it. Grids of one or two levels and runs split down to one
+    # or two levels take the bisect's empty ranges.
+    base = 1.0 + epsilon
+    script = {}
+    for t, (level, side) in enumerate(picks, start=1):
+        gain = base**level / (2.0 * k)
+        script[t] = math.nextafter(gain, side * math.inf) if side else gain
+    oracle = ScriptedOracle(script, max_singleton=base**top / k)
+    sieve, sieve_ref = SieveStream(k, epsilon, oracle), LevelSieve(k, epsilon, oracle)
+    dp, dp_ref = SlidingWindowDP(k, window, epsilon, oracle), ThresholdTables(k, window, epsilon, oracle)
+    assert thresholds(sieve) == sieve_ref.thresholds
+    assert thresholds(dp) == dp_ref.thresholds
+    for t in script:
+        for alg, ref in ((sieve, sieve_ref), (dp, dp_ref)):
+            alg.step(t)
+            ref.step(t)
+        assert level_buffers(sieve) == sieve_ref.buffers, t
+        assert level_values(sieve) == sieve_ref.values, t
+        assert per_threshold_tables(dp) == reference_tables(dp_ref), t
+        assert dp.retained_count() == dp_ref.retained_count(), t

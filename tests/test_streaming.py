@@ -8,26 +8,26 @@ from hypothesis import given, settings, strategies as st
 from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
-from swmax.streaming import (
-    SieveStream,
-    ceil_log_ratio,
-    greedy_select,
-    threshold_grid,
-)
+from swmax.streaming import SieveStream, ceil_log_ratio, greedy_select
 
-from conftest import greedy_by_gain, level_buffers, level_values, node_state, set_store, vec_store
-from reference import brute_force_opt, runs
+from conftest import ScriptedOracle, greedy_by_gain, level_buffers, level_values, node_state, set_store, vec_store
+from reference import brute_force_opt, runs, thresholds
+
+
+def sieve_grid(upper, epsilon):
+    """The grid of a one-item sieve whose bound ``k * max_singleton`` is ``upper``."""
+    return thresholds(SieveStream(1, epsilon, ScriptedOracle({}, max_singleton=upper)))
 
 
 class TestThresholdGrid:
     def test_powers_of_two(self):
-        assert threshold_grid(4.0, 1.0) == [1.0, 2.0, 4.0]
+        assert sieve_grid(4.0, 1.0) == [1.0, 2.0, 4.0]
 
     def test_single_threshold(self):
-        assert threshold_grid(1.0, 0.2) == [1.0]
+        assert sieve_grid(1.0, 0.2) == [1.0]
 
     def test_recomputed_level_count(self):
-        grid = threshold_grid(100.0, 0.2)
+        grid = sieve_grid(100.0, 0.2)
         assert len(grid) == math.ceil(math.log(100) / math.log(1.2)) + 1 == 27
         assert grid[-1] >= 100.0
         assert grid[-2] < 100.0
@@ -38,36 +38,22 @@ class TestThresholdGrid:
 
     def test_grid_strictly_increasing_and_tops_bound(self):
         for m, eps in [(2.0, 0.1), (7.3, 0.2), (500.0, 0.4), (1.0, 0.5)]:
-            grid = threshold_grid(m, eps)
+            grid = sieve_grid(m, eps)
             assert all(a < b for a, b in zip(grid, grid[1:]))
             assert grid[0] == 1.0
             assert grid[-1] >= m
 
-
-class _ScriptedNode:
-    """Handle whose gains are read from a script, negative ones included."""
-
-    counter = None
-
-    def __init__(self, script, ids=(), value=0.0):
-        self.script, self.ids, self.value = script, list(ids), value
-
-    def gain(self, t):
-        return self.script[t]
-
-    def child(self, t):
-        return _ScriptedNode(self.script, self.ids + [t], self.value + self.script[t])
-
-
-class _ScriptedOracle:
-    def __init__(self, script):
-        self.root = _ScriptedNode(script)
-
-    def empty(self):
-        return self.root
-
-    def max_singleton(self):
-        return 4.0
+    @given(
+        k=st.integers(1, 20),
+        bound=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 4.0]), st.floats(0.0, 1e6)),
+        epsilon=st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 3.0]),
+    )
+    def test_grid_is_the_lattice_bit_for_bit(self, k, bound, epsilon):
+        # A sieve computes each level's threshold as base**l, so its grid
+        # is the lattice (1+eps)**l up to the first power at or above kM.
+        sieve = SieveStream(k, epsilon, ScriptedOracle({}, max_singleton=bound))
+        top = ceil_log_ratio(k * bound, epsilon)
+        assert thresholds(sieve) == [(1 + epsilon) ** level for level in range(top + 1)]
 
 
 class TestSieveStream:
@@ -80,8 +66,8 @@ class TestSieveStream:
         # every level of the grid [1, 2, 4, 8]; item 2 enters the levels
         # with T/2 - 5 < gain. A gain of -0.5 lowers the one run, the best,
         # in place; a gain of -2 splits off the levels below 8.
-        sieve = SieveStream(2, 1.0, _ScriptedOracle({1: 5.0, 2: second}))
-        assert sieve.thresholds == [1.0, 2.0, 4.0, 8.0]
+        sieve = SieveStream(2, 1.0, ScriptedOracle({1: 5.0, 2: second}))
+        assert thresholds(sieve) == [1.0, 2.0, 4.0, 8.0]
         sieve.step(1)
         assert sieve.best_value() == 5.0
         sieve.step(2)
@@ -94,7 +80,7 @@ class TestSieveStream:
         store = set_store((1,), (2, 3))
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, 1.0, oracle)
-        assert sieve.thresholds == [1.0, 2.0, 4.0]  # k * max singleton = 4
+        assert thresholds(sieve) == [1.0, 2.0, 4.0]  # k * max singleton = 4
         sieve.step(1)  # f=1: enters T=1 (1 > 0.25) and T=2 (1 > 0.5), not T=4 (1 == 1)
         assert level_buffers(sieve)[0] == [1]
         assert level_buffers(sieve)[1] == [1]
@@ -107,7 +93,7 @@ class TestSieveStream:
         store = set_store((0, 1), (1, 2))
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, 1.0, oracle)
-        assert sieve.thresholds == [1.0, 2.0, 4.0]
+        assert thresholds(sieve) == [1.0, 2.0, 4.0]
         sieve.step(1)
         sieve.step(2)
         assert level_buffers(sieve)[2] == [1, 2]
@@ -119,7 +105,7 @@ class TestSieveStream:
         store = set_store((1,), (2,), (1, 2, 3, 4, 5, 6, 7, 8))
         oracle = CoverageOracle(store)
         sieve = SieveStream(2, 1.0, oracle)
-        assert sieve.thresholds[0] == 1.0
+        assert thresholds(sieve)[0] == 1.0
         for t in range(1, len(store) + 1):
             sieve.step(t)
         assert all(len(buf) <= 2 for buf in level_buffers(sieve))
@@ -129,7 +115,7 @@ class TestSieveStream:
         store = set_store((5, 6))
         oracle = CoverageOracle(store)
         sieve = SieveStream(1, 1.0, oracle)
-        assert sieve.thresholds == [1.0, 2.0]
+        assert thresholds(sieve) == [1.0, 2.0]
         sieve.step(1)
         # both T=1 and T=2 buffers hold item 1 at value 2; smallest wins
         values, buffers = level_values(sieve), level_buffers(sieve)
@@ -155,7 +141,7 @@ class TestSieveStream:
             if opt < 1.0:
                 continue
             sieve = SieveStream(k, eps, oracle)
-            assert sieve.thresholds[-1] >= opt
+            assert thresholds(sieve)[-1] >= opt
             for t in range(1, len(store) + 1):
                 sieve.step(t)
             assert sieve.query()[1] >= (1 - eps) / 2 * opt - 1e-9
