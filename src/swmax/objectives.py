@@ -12,14 +12,17 @@ Each objective hands out handles (see ``swmax.core``): immutable trie
 nodes, one per member set, grown from the one root that ``empty()``
 returns. A coverage node is the union bitmask of its members. A log-det
 node is a Cholesky factor of ``I + K_S / sigma**2`` in Python floats; its
-children grow it by one row, so a marginal gain costs one kernel row and one
-forward substitution against the factor instead of a fresh factorization,
-and each node computes the gain of an arrival once however many buffers
-hold it. Factors are only ever extended, since downdating is numerically
-risky: a buffer that shrinks (expiry) gets the node that ``rebuild`` grows
-from a fresh root of its own, one ``child`` per member. So every factor
-comes from the one row step of ``child``, and a collapsed pivot is skipped
-alike on every path.
+children grow it by one row, so a marginal gain costs one forward
+substitution against the factor instead of a fresh factorization, and each
+node computes the gain of an arrival once however many buffers hold it.
+The kernel row of that substitution is shared too: a root and the nodes
+grown from it share one arrival slot, the item of the last ``gain`` probe
+and its kernel entries by member id, so an entry ``K(member, arrival)`` is
+computed once however many nodes hold the member. Factors are only ever
+extended, since downdating is numerically risky: a buffer that shrinks
+(expiry) gets the node that ``rebuild`` grows from a fresh root of its
+own, one ``child`` per member. So every factor comes from the one row step
+of ``child``, and a collapsed pivot is skipped alike on every path.
 
 A batch of gains (``gains``, one greedy round) keeps each candidate's
 probe, its forward substitution against the node's factor. The child that
@@ -61,7 +64,7 @@ class CholState:
     """Log-det handle: one immutable trie node with lower-triangular L,
     ``L @ L.T == I + K_S / sigma**2`` for its member set S.
 
-    Members are points of ``rows``, where item id ``t`` is ``rows[t - 1]``.
+    Members are item ids, each the point ``rows[t - 1]`` of its id ``t``.
     ``ids`` lists every item taken, in insertion order, and ``value``, the
     sum of their gains, is ``0.5 * log det`` of the factored matrix. A
     degenerate pivot (<= DEGENERATE_PIVOT) gains 0: its item is listed in
@@ -69,11 +72,22 @@ class CholState:
     survives.
 
     The factor is kept as Python lists of floats, row ``i`` being
-    ``[L_i0, ..., L_ii]``, next to the members' points, also as lists: on
-    factors of a few rows a numpy call costs more in overhead than the
-    arithmetic it does. A probe converts nothing: a root takes the points
-    as float rows, which an ``IVMOracle`` reads from its store
-    (``vector_rows``), and its nodes share them.
+    ``[L_i0, ..., L_ii]``, next to the ids of the members that hold a row
+    (``_members``): on factors of a few rows a numpy call costs more in
+    overhead than the arithmetic it does. A probe converts nothing: a root
+    takes the points as float rows, which an ``IVMOracle`` reads from its
+    store (``vector_rows``), and its nodes share them.
+
+    The root and its nodes also share one arrival slot, the last element of
+    ``_kernel``: ``[item, x, {member id: K(x, member) / sigma**2}]``, empty
+    (``None``) until the first probe. A ``gain`` that misses the memo
+    refills it when its item differs, which checks the id and looks up
+    ``x`` once per arrival, then probes through it: each entry is read from
+    the slot, or computed and stored on a miss, by the same expression, so
+    every gain and factor row is the same float either way. Only ``gain``,
+    the one-item path that the streaming algorithms take at each arrival,
+    uses the slot. A ``gains`` batch, ``child``'s own probe and the growth
+    of a ``rebuild`` probe each item once and neither read nor reset it.
 
     A node's set, value and factor never change, only its two memo slots
     and its batch probes (see ``gains``) do. ``child(id)`` returns the node
@@ -90,12 +104,12 @@ class CholState:
                  "_batch", "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
 
     def __init__(self, rows: Sequence[list[float]], params: KernelParams):
-        self._kernel = (rows, params.sigma**-2, params.h**2)
+        self._kernel = (rows, params.sigma**-2, params.h**2, [None, None, None])
         self.counter = None
         self.ids: list[int] = []
         self.value = 0.0
         self.skipped_ids: list[int] = []
-        self._members: list[list[float]] = []
+        self._members: list[int] = []
         self._rows: list[list[float]] = []
         self._gain: tuple[int, float, tuple[list[float], list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
@@ -111,31 +125,47 @@ class CholState:
             raise ValueError(f"unknown item id {item_id}")
         return item_id - 1
 
-    def _probe(self, item_id: int) -> tuple[list[float], list[float], float]:
+    def _probe(self, item_id: int, slot: list | None = None) -> tuple[list[float], list[float], float]:
         """Point x of ``item_id``, ``w`` solving ``L w = c``, and the pivot ``d``.
 
         ``c_j = K(x, s_j) / sigma^2`` and ``d = 1 + K(x, x)/sigma^2 - w.w``
         is the Schur complement, where ``K(x, x) = 1`` for this kernel.
         ``w`` comes by forward substitution, one kernel entry and one
-        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member.
+        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member. With the root's
+        arrival slot, filled for ``item_id`` by ``gain``, each entry is read
+        from the slot, or computed and stored there on a miss.
         """
-        rows, inv_s2, h2 = self._kernel
-        x = rows[self._row(item_id)]
+        rows, inv_s2, h2, _ = self._kernel
         w: list[float] = []
-        for s, row in zip(self._members, self._rows):
-            c = inv_s2 * math.exp(-math.dist(s, x) ** 2 / h2)
-            w.append((c - sum(map(mul, row, w))) / row[-1])
+        if slot is None:
+            x = rows[self._row(item_id)]
+            for m, row in zip(self._members, self._rows):
+                c = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
+                w.append((c - sum(map(mul, row, w))) / row[-1])
+        else:
+            _, x, known = slot
+            for m, row in zip(self._members, self._rows):
+                c = known.get(m)
+                if c is None:
+                    c = known[m] = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
+                w.append((c - sum(map(mul, row, w))) / row[-1])
         return x, w, 1.0 + inv_s2 - sum(map(mul, w, w))
 
     def gain(self, item_id: int) -> float:
-        """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a collapsed pivot."""
+        """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a
+        collapsed pivot. A memo miss probes through the root's arrival slot,
+        refilled first if it holds another item."""
         counter = self.counter
         if counter is not None:
             counter.calls += 1
         memo = self._gain
         if memo is not None and memo[0] == item_id:
             return memo[1]
-        probe = self._probe(item_id)
+        slot = self._kernel[3]
+        if slot[0] != item_id:
+            slot[1] = self._kernel[0][self._row(item_id)]
+            slot[0], slot[2] = item_id, {}
+        probe = self._probe(item_id, slot)
         d = probe[2]
         gain = 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
         self._gain = (item_id, gain, probe)
@@ -163,8 +193,8 @@ class CholState:
         taken = self._batch or {}
         n = len(self._rows)
         if n:
-            inv_s2, h2 = self._kernel[1], self._kernel[2]
-            s, row = self._members[-1], self._rows[-1]
+            rows, inv_s2, h2, _ = self._kernel
+            s, row = rows[self._members[-1] - 1], self._rows[-1]
             pivot = row[-1]
         probes: dict[int, tuple[list[float], list[float], float]] = {}
         gains: list[float] = []
@@ -215,7 +245,7 @@ class CholState:
             node._members, node._rows = self._members, self._rows
         else:
             node.value, node.skipped_ids = self.value + 0.5 * math.log(d), self.skipped_ids
-            node._members, node._rows = self._members + [x], self._rows + [w + [math.sqrt(d)]]
+            node._members, node._rows = self._members + [item_id], self._rows + [w + [math.sqrt(d)]]
         self._child = (item_id, node)
         return node
 

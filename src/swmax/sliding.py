@@ -146,11 +146,12 @@ class SlidingWindowDP:
     elements with marginal gain >= T were still collectible, and
     ``handles[j]`` is the handle of those j elements. On arrival, level 0
     restarts at the current step, expired levels are deactivated (their
-    sets are retained but unreported), and levels are scanned from high to
-    low so each reads its pre-step state: the scan at j reads levels j and
-    j+1 and writes only j+1, which no earlier (higher) step wrote. A
-    literal low-to-high in-place scan would let the fresh level-0 restart
-    overwrite level 1 before it is read, destroying valid longer solutions.
+    sets are retained but unreported) from the deepest one up, and levels
+    are scanned from high to low so each reads its pre-step state: the
+    scan at j reads levels j and j+1 and writes only j+1, which no earlier
+    (higher) step wrote. A literal low-to-high in-place scan would let the
+    fresh level-0 restart overwrite level 1 before it is read, destroying
+    valid longer solutions.
     Queries return the deepest active level of the best table, the lowest
     threshold's on ties.
 
@@ -158,7 +159,10 @@ class SlidingWindowDP:
     starts do not increase with j. Level 0 starts at the current step; a
     hand-off gives level j+1 the start of level j, which it exceeded; and
     expiry deactivates the levels that start at or before the horizon, a
-    suffix of the active ones. So the query reads the deepest active level
+    suffix of the active ones. So expiry walks down from level k, past the
+    inactive levels and then the expired ones, and stops at the first live
+    level, which level 0 always is; on a nearly full table that is about
+    one test per run instead of k. The query reads the deepest active level
     as the one before the first inactive level, or k if none is inactive.
 
     Adjacent thresholds with equal tables share one: ``runs`` holds
@@ -189,15 +193,18 @@ class SlidingWindowDP:
 
     def step(self, t: int) -> None:
         self._t = next_timestep(self._t, t)  # so no start is -1, the mark of an inactive level
-        horizon = t - self.window
+        horizon, k = t - self.window, self.k
         runs: list[list] = []
         for run in self.runs:
             levels = run[2]
             levels[0] = t
-            for j in range(1, self.k + 1):
-                if levels[j] <= horizon:
-                    levels[j] = -1
-            self._scan(run, self.k - 1, t, runs)
+            j = k
+            while levels[j] == -1:
+                j -= 1
+            while levels[j] <= horizon:  # level 0 holds t, which is live
+                levels[j] = -1
+                j -= 1
+            self._scan(run, k - 1, t, runs)
         self.runs = runs
 
     def _scan(self, run: list, top: int, i: int, runs: list) -> None:
@@ -212,7 +219,8 @@ class SlidingWindowDP:
         """
         base, scale = self.base, 2.0 * self.k
         lo, hi, levels, handles = run
-        low, high = base**lo / scale, base ** (hi - 1) / scale
+        low = base**lo / scale
+        high = low if hi - lo == 1 else base ** (hi - 1) / scale
         for j in range(top, -1, -1):
             start = levels[j]
             if start == -1 or start <= levels[j + 1]:

@@ -56,9 +56,11 @@ class SieveStream:
     gains. An arrival costs one membership test and one gain per run. The
     admission test is monotone in T even in floats (``T/2`` is exact, and
     rounding keeps subtraction and division by a positive number monotone),
-    so the levels that admit it are a prefix of the run, found by
-    ``bisect`` over the exponents with the same expression; that prefix
-    becomes a run of its own. Costs stay per level: a run of m levels
+    so the levels that admit it are a prefix of the run. The run's highest
+    level is tested first, since when it admits, all do; when it does not,
+    the lowest is tested (in a run of two or more levels), and the prefix
+    is found by ``bisect`` over the exponents with the same expression;
+    that prefix becomes a run of its own. Costs stay per level: a run of m levels
     charges m oracle calls for its one gain, and ``retained_count`` counts
     one item reference per member per level. Queries cost no oracle calls and return the best
     buffer, the lowest level's on ties, as SieveStreaming reports its best
@@ -99,11 +101,14 @@ class SieveStream:
                 gain = handle.gain(t)
                 if hi - lo > 1 and handle.counter is not None:
                     handle.counter.calls += hi - lo - 1
-                if gain > (base**lo / 2.0 - value) / room:
-                    if gain > (base ** (hi - 1) / 2.0 - value) / room:
-                        cut = hi
-                    else:  # the first level that fails: lo passes and hi - 1 fails
-                        cut = bisect_left(range(hi), gain, lo + 1, hi - 1, key=lambda l: (base**l / 2.0 - value) / room)
+                if gain > (base ** (hi - 1) / 2.0 - value) / room:
+                    cut = hi
+                elif hi - lo > 1 and gain > (base**lo / 2.0 - value) / room:
+                    # the first level that fails: lo passes and hi - 1 fails
+                    cut = bisect_left(range(hi), gain, lo + 1, hi - 1, key=lambda l: (base**l / 2.0 - value) / room)
+                else:
+                    cut = lo
+                if cut != lo:
                     self._retained += cut - lo
                     child = handle.child(t)
                     if cut == hi:

@@ -5,6 +5,7 @@ from bisect import bisect_left, insort
 import numpy as np
 import pytest
 
+from swmax import objectives
 from swmax.ingest import DatasetStore, ParseError
 from swmax.objectives import DEGENERATE_PIVOT
 from swmax.streaming import ceil_log_ratio
@@ -331,6 +332,30 @@ class RebuildPrioritySample:
 
     def retained_count(self):
         return len(self.candidates)
+
+
+class KernelEntryCount:
+    """Stand-in for ``math`` in ``swmax.objectives`` that counts kernel
+    entries: each is one ``dist`` call. ``exp``, ``log``, ``sqrt`` and
+    ``log1p`` are forwarded; any other name is missing, so a new use of
+    ``math`` there fails loudly instead of going uncounted."""
+
+    exp, log, sqrt, log1p = math.exp, math.log, math.sqrt, math.log1p
+
+    def __init__(self):
+        self.entries = 0
+
+    def dist(self, p, q):
+        self.entries += 1
+        return math.dist(p, q)
+
+
+@pytest.fixture
+def kernel_entries(monkeypatch) -> KernelEntryCount:
+    """Counts the kernel entries the log-det objective computes in the test."""
+    count = KernelEntryCount()
+    monkeypatch.setattr(objectives, "math", count)
+    return count
 
 
 @pytest.fixture

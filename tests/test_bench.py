@@ -178,10 +178,9 @@ class TestSharedEvaluations:
     arrival. The exact counts on the golden ivm configs catch a change that
     silently breaks sharing, which wall time alone would hide."""
 
-    @pytest.mark.parametrize("algorithm,evaluations", [("sw-rd", 915), ("sw-dp", 1380), ("sieve-naive", 36)])
-    def test_ivm_evaluations_pinned(self, algorithm, evaluations):
-        # sieve-naive: every level of a run shares the one node its expiry
-        # rebuilds, where a rebuild per level made one node each.
+    @staticmethod
+    def _run(algorithm):
+        """Stream the golden ivm config through ``algorithm`` on a counting oracle."""
         config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
         store = load_store(config)
         counting = CountingOracle(bench.make_oracle(config, store))
@@ -193,9 +192,24 @@ class TestSharedEvaluations:
             alg = SieveNaive(config.k, config.window, config.epsilon, counting)
         for t in range(1, len(store) + 1):
             alg.step(t)
+        return config, counting
+
+    @pytest.mark.parametrize("algorithm,evaluations", [("sw-rd", 915), ("sw-dp", 1380), ("sieve-naive", 36)])
+    def test_ivm_evaluations_pinned(self, algorithm, evaluations):
+        # sieve-naive: every level of a run shares the one node its expiry
+        # rebuilds, where a rebuild per level made one node each.
+        config, counting = self._run(algorithm)
         assert counting.calls == run_benchmark(config)[-1].oracle_calls
         assert counting.evaluations == evaluations
         assert counting.evaluations < counting.calls
+
+    @pytest.mark.parametrize("algorithm,entries", [("sw-rd", 675), ("sw-dp", 1391), ("sieve-naive", 102)])
+    def test_ivm_kernel_entries_pinned(self, algorithm, entries, kernel_entries):
+        # Every buffer grown from the counting root shares its arrival slot,
+        # so a (member, arrival) kernel entry is computed once however many
+        # nodes hold the member.
+        self._run(algorithm)
+        assert kernel_entries.entries == entries
 
 
 class TestDeterminism:

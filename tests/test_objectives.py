@@ -226,16 +226,17 @@ class TestCholState:
 
 
 @st.composite
-def edge_points(draw):
+def edge_points(draw, min_log_sigma=-3.0):
     """Up to 30 points drawn from a small pool (so duplicates are common),
-    some columns held constant, and ``sigma`` log-uniform in [1e-3, 1e3]."""
+    some columns held constant, and ``sigma`` log-uniform in
+    [10**min_log_sigma, 1e3]."""
     d = draw(st.integers(1, 4))
     coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
     pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=10))
     X = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)))
     constant = draw(st.lists(st.booleans(), min_size=d, max_size=d))
     X[:, constant] = draw(coord)
-    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    sigma = 10.0 ** draw(st.floats(min_log_sigma, 3.0))
     return X, KernelParams(h=0.75, sigma=sigma)
 
 
@@ -414,6 +415,60 @@ class TestNumericalEdges:
         assert grown.ids == list(range(1, 13))
         assert gains == pytest.approx([ivm_value(X[:11], PARAMS) - ivm_value(X[:10], PARAMS),
                                        ivm_value(X, PARAMS) - ivm_value(X[:11], PARAMS)], abs=1e-9)
+
+
+class TestArrivalSlot:
+    """A root's arrival slot, shared by every node grown from it, holds the
+    kernel entries of the last item that ``gain`` probed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=edge_points(min_log_sigma=-8.0), data=st.data())
+    @example(case=TestNumericalEdges.COLLAPSE, data=None)
+    def test_slot_gain_is_a_fresh_probe(self, case, data):
+        # Each gain that the slot serves, with batches, rebuilds, evals and
+        # children of other ids in between, equals a probe that computes
+        # every entry afresh, bit for bit: pivot, solve row and gain.
+        X, params = case
+        n = len(X)
+        oracle = IVMOracle(vec_store(X), params)
+        item = st.integers(1, n)
+        if data is None:  # every point arrives once, at every prefix of the stream
+            nodes = [_grown(oracle, range(1, i)) for i in range(1, n + 1)]
+            arrivals, draw_op = range(1, n + 1), lambda: None
+        else:
+            nodes = [_grown(oracle, ids) for ids in data.draw(st.lists(st.lists(item, max_size=6), min_size=1, max_size=5))]
+            arrivals = data.draw(st.lists(item, min_size=1, max_size=6))  # gapped, and repeats
+            ops = st.sampled_from(["gains", "rebuild", "eval", "child"]) | st.none()
+            draw_op = lambda: data.draw(st.tuples(ops, st.lists(item, max_size=5)))
+        for t in arrivals:
+            for node in list(nodes):
+                op = draw_op()
+                if op is not None and op[0] is not None:
+                    name, ids = op
+                    if name == "gains":
+                        node.gains(ids)
+                    elif name == "rebuild":
+                        oracle.rebuild(ids)
+                    elif name == "eval":
+                        oracle.eval(ids)
+                    elif ids:
+                        nodes.append(node.child(ids[0]))
+                gain = node.gain(t)
+                x, w, d = node._probe(t)
+                assert oracle.empty()._kernel[3][0] == t
+                assert node._gain[2][0] is x and node._gain[2][1:] == (w, d)
+                assert gain == (0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0)
+
+    @pytest.mark.parametrize("bad", [0, -1, 13])
+    def test_unknown_id_rejected_on_an_empty_slot(self, bad):
+        X = np.random.default_rng(4).normal(size=(12, 3))
+        oracle = IVMOracle(vec_store(X), PARAMS)
+        for root in (CholState(X.tolist(), PARAMS), oracle.empty(), oracle.rebuild([])):
+            with pytest.raises(ValueError):
+                root.gain(bad)
+            assert root._kernel[3] == [None, None, None]
+            assert root.gain(5) == 0.5 * math.log(2.0)  # d = 1 + K(x, x) at sigma 1
+            assert root._kernel[3][0] == 5
 
 
 class TestIvmOracle:
