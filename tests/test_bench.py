@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import pytest
 
@@ -16,7 +17,7 @@ from swmax.bench import (
 )
 from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
-from swmax.sliding import SieveNaive, SlidingWindowDP, sieve_reduction
+from swmax.sliding import SieveNaive
 
 from reference import write_set_stream
 from test_golden import CONFIGS
@@ -180,21 +181,24 @@ class TestSharedEvaluations:
 
     @staticmethod
     def _run(algorithm):
-        """Stream the golden ivm config through ``algorithm`` on a counting oracle."""
+        """Stream the golden ivm config through ``algorithm`` on a counting
+        oracle, querying at ``run_benchmark``'s cadence: ``random`` charges
+        its queries, so its calls match the harness's only then."""
         config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
         store = load_store(config)
         counting = CountingOracle(bench.make_oracle(config, store))
-        if algorithm == "sw-rd":
-            alg = sieve_reduction(config.k, config.window, config.epsilon, counting)
-        elif algorithm == "sw-dp":
-            alg = SlidingWindowDP(config.k, config.window, config.epsilon, counting)
-        else:
-            alg = SieveNaive(config.k, config.window, config.epsilon, counting)
-        for t in range(1, len(store) + 1):
+        alg = bench._make_stream_algorithm(config, counting)
+        n, every = len(store), math.ceil(config.window / 10)
+        for t in range(1, n + 1):
             alg.step(t)
+            if t % every == 0 or t == n:
+                alg.query()
         return config, counting
 
-    @pytest.mark.parametrize("algorithm,evaluations", [("sw-rd", 915), ("sw-dp", 1380), ("sieve-naive", 36)])
+    @pytest.mark.parametrize(
+        "algorithm,evaluations",
+        [("sw-rd", 915), ("sw-dp", 1380), ("sieve-naive", 36), ("sieve-greedy", 4130), ("random", 31)],
+    )
     def test_ivm_evaluations_pinned(self, algorithm, evaluations):
         # sieve-naive: every level of a run shares the one node its expiry
         # rebuilds, where a rebuild per level made one node each.
@@ -203,7 +207,10 @@ class TestSharedEvaluations:
         assert counting.evaluations == evaluations
         assert counting.evaluations < counting.calls
 
-    @pytest.mark.parametrize("algorithm,entries", [("sw-rd", 675), ("sw-dp", 1391), ("sieve-naive", 102)])
+    @pytest.mark.parametrize(
+        "algorithm,entries",
+        [("sw-rd", 675), ("sw-dp", 1391), ("sieve-naive", 102), ("sieve-greedy", 2827), ("random", 186)],
+    )
     def test_ivm_kernel_entries_pinned(self, algorithm, entries, kernel_entries):
         # Every buffer grown from the counting root shares its arrival slot,
         # so a (member, arrival) kernel entry is computed once however many
