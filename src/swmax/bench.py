@@ -92,6 +92,15 @@ class RunConfig:
             raise ValueError("--drop-columns applies to the csv format only")
         if self.normalize and self.format not in ("csv", "synth-vec"):
             raise ValueError("--normalize applies to dense formats only")
+        # The generators' own checks, here so that the CLI reports them as usage errors.
+        if self.format == "synth-vec":
+            if min(self.synth_n, self.synth_d, self.synth_clusters, self.synth_drift_period) < 1:
+                raise ValueError("--synth-n, --synth-d, --synth-clusters and --synth-drift-period must be >= 1")
+        elif self.format == "synth-sets":
+            if min(self.synth_n, self.synth_universe) < 1:
+                raise ValueError("--synth-n and --synth-universe must be >= 1")
+            if not 0 < self.synth_mean_size <= self.synth_universe:
+                raise ValueError(f"--synth-mean-size must be in (0, {self.synth_universe}], got {self.synth_mean_size}")
 
 
 @dataclass

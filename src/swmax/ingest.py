@@ -8,6 +8,7 @@ file). Positions 1..n map to timesteps; stores are immutable after load.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from functools import cached_property, reduce
 from itertools import chain
@@ -92,9 +93,9 @@ def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ())
 
     A header row is skipped automatically when any of its fields is
     non-numeric. ``drop_columns`` removes 0-based column indices (label
-    columns, typically) before storing.
+    columns, typically) before storing; a kept ``nan`` or ``inf`` is an error.
     """
-    rows: list[list[float]] = []
+    rows: dict[int, list[float]] = {}  # by line number
     drop = set(drop_columns)
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -119,8 +120,11 @@ def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ())
                 )
             if drop:
                 values = [v for i, v in enumerate(values) if i not in drop]
-            rows.append(values)
-    matrix = np.asarray(rows, dtype=float) if rows else np.zeros((0, 0))
+            rows[line_no] = values
+    matrix = np.asarray(list(rows.values()), dtype=float) if rows else np.zeros((0, 0))
+    if not np.isfinite(matrix).all():
+        line_no = next(n for n, values in rows.items() if not all(map(math.isfinite, values)))
+        raise ParseError(path, line_no, f"non-finite field in {rows[line_no]!r}")
     return DatasetStore("dense", vectors=matrix)
 
 

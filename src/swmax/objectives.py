@@ -16,9 +16,9 @@ children grow it by one row, so a marginal gain costs one forward
 substitution against the factor instead of a fresh factorization, and each
 node computes the gain of an arrival once however many buffers hold it.
 The kernel row of that substitution is shared too: a root and the nodes
-grown from it share one arrival slot, the item of the last ``gain`` probe
-and its kernel entries by member id, so an entry ``K(member, arrival)`` is
-computed once however many nodes hold the member. Factors are only ever
+grown from it share one arrival slot, the item of the last probe and its
+kernel entries by member id, so an entry ``K(member, arrival)`` is computed
+once however many nodes probe the item in a row. Factors are only ever
 extended, since downdating is numerically risky: a buffer that shrinks
 (expiry) gets the node that ``rebuild`` grows from a fresh root of its
 own, one ``child`` per member. So every factor comes from the one row step
@@ -80,14 +80,12 @@ class CholState:
 
     The root and its nodes also share one arrival slot, the last element of
     ``_kernel``: ``[item, x, {member id: K(x, member) / sigma**2}]``, empty
-    (``None``) until the first probe. A ``gain`` that misses the memo
-    refills it when its item differs, which checks the id and looks up
-    ``x`` once per arrival, then probes through it: each entry is read from
-    the slot, or computed and stored on a miss, by the same expression, so
-    every gain and factor row is the same float either way. Only ``gain``,
-    the one-item path that the streaming algorithms take at each arrival,
-    uses the slot. A ``gains`` batch, ``child``'s own probe and the growth
-    of a ``rebuild`` probe each item once and neither read nor reset it.
+    (``None``) until the first probe. Every probe (``_probe``) goes through
+    it: one for another item refills it, which checks the id and looks up
+    ``x``, and each entry is read from the slot, or computed and stored on
+    a miss, by the same expression, so every gain and factor row is the
+    same float either way. The streaming algorithms probe one arrival
+    across many nodes in a row, so each entry is computed once per arrival.
 
     A node's set, value and factor never change, only its two memo slots
     and its batch probes (see ``gains``) do. ``child(id)`` returns the node
@@ -111,62 +109,50 @@ class CholState:
         self.skipped_ids: list[int] = []
         self._members: list[int] = []
         self._rows: list[list[float]] = []
-        self._gain: tuple[int, float, tuple[list[float], list[float], float]] | None = None
+        self._gain: tuple[int, float, tuple[list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
-        self._batch: dict[int, tuple[list[float], list[float], float]] | None = None
+        self._batch: dict[int, tuple[list[float], float]] | None = None
 
     @property
     def n(self) -> int:
         """Order of the factor (degenerate members excluded)."""
         return len(self._rows)
 
-    def _row(self, item_id: int) -> int:
-        if not 1 <= item_id <= len(self._kernel[0]):
-            raise ValueError(f"unknown item id {item_id}")
-        return item_id - 1
-
-    def _probe(self, item_id: int, slot: list | None = None) -> tuple[list[float], list[float], float]:
-        """Point x of ``item_id``, ``w`` solving ``L w = c``, and the pivot ``d``.
+    def _probe(self, item_id: int) -> tuple[list[float], float]:
+        """``w`` solving ``L w = c`` for the point x of ``item_id``, and the pivot ``d``.
 
         ``c_j = K(x, s_j) / sigma^2`` and ``d = 1 + K(x, x)/sigma^2 - w.w``
         is the Schur complement, where ``K(x, x) = 1`` for this kernel.
         ``w`` comes by forward substitution, one kernel entry and one
-        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member. With the root's
-        arrival slot, filled for ``item_id`` by ``gain``, each entry is read
-        from the slot, or computed and stored there on a miss.
+        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member. Each entry is
+        read from the root's arrival slot, or computed and stored there on a
+        miss; the slot is refilled first if it holds another item.
         """
-        rows, inv_s2, h2, _ = self._kernel
+        rows, inv_s2, h2, slot = self._kernel
+        if slot[0] != item_id:
+            if not 1 <= item_id <= len(rows):
+                raise ValueError(f"unknown item id {item_id}")
+            slot[:] = item_id, rows[item_id - 1], {}
+        _, x, known = slot
         w: list[float] = []
-        if slot is None:
-            x = rows[self._row(item_id)]
-            for m, row in zip(self._members, self._rows):
-                c = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
-                w.append((c - sum(map(mul, row, w))) / row[-1])
-        else:
-            _, x, known = slot
-            for m, row in zip(self._members, self._rows):
-                c = known.get(m)
-                if c is None:
-                    c = known[m] = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
-                w.append((c - sum(map(mul, row, w))) / row[-1])
-        return x, w, 1.0 + inv_s2 - sum(map(mul, w, w))
+        for m, row in zip(self._members, self._rows):
+            c = known.get(m)
+            if c is None:
+                c = known[m] = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
+            w.append((c - sum(map(mul, row, w))) / row[-1])
+        return w, 1.0 + inv_s2 - sum(map(mul, w, w))
 
     def gain(self, item_id: int) -> float:
         """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a
-        collapsed pivot. A memo miss probes through the root's arrival slot,
-        refilled first if it holds another item."""
+        collapsed pivot."""
         counter = self.counter
         if counter is not None:
             counter.calls += 1
         memo = self._gain
         if memo is not None and memo[0] == item_id:
             return memo[1]
-        slot = self._kernel[3]
-        if slot[0] != item_id:
-            slot[1] = self._kernel[0][self._row(item_id)]
-            slot[0], slot[2] = item_id, {}
-        probe = self._probe(item_id, slot)
-        d = probe[2]
+        probe = self._probe(item_id)
+        d = probe[1]
         gain = 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
         self._gain = (item_id, gain, probe)
         if counter is not None:
@@ -196,19 +182,19 @@ class CholState:
             rows, inv_s2, h2, _ = self._kernel
             s, row = rows[self._members[-1] - 1], self._rows[-1]
             pivot = row[-1]
-        probes: dict[int, tuple[list[float], list[float], float]] = {}
+        probes: dict[int, tuple[list[float], float]] = {}
         gains: list[float] = []
         for i in ids:
             probe = taken.get(i)
             if probe is None:
                 probe = self._probe(i)
-            elif len(probe[1]) < n:
-                x, w, _ = probe
-                c = inv_s2 * math.exp(-math.dist(s, x) ** 2 / h2)
+            elif len(probe[0]) < n:
+                w = probe[0]
+                c = inv_s2 * math.exp(-math.dist(s, rows[i - 1]) ** 2 / h2)
                 w = w + [(c - sum(map(mul, row, w))) / pivot]
-                probe = (x, w, 1.0 + inv_s2 - sum(map(mul, w, w)))
+                probe = (w, 1.0 + inv_s2 - sum(map(mul, w, w)))
             probes[i] = probe
-            d = probe[2]
+            d = probe[1]
             gains.append(0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0)
         self._batch = probes
         return gains
@@ -223,7 +209,7 @@ class CholState:
         """
         taken = None
         batch = self._batch
-        if batch is not None and item_id in batch and len(batch[item_id][1]) == len(self._rows):
+        if batch is not None and item_id in batch and len(batch[item_id][0]) == len(self._rows):
             taken, self._batch = batch, None
         memo = self._child
         if memo is not None and memo[0] == item_id:
@@ -232,11 +218,11 @@ class CholState:
             return memo[1]
         gained = self._gain
         if taken is not None:
-            x, w, d = taken[item_id]
+            w, d = taken[item_id]
         elif gained is not None and gained[0] == item_id:
-            x, w, d = gained[2]
+            w, d = gained[2]
         else:
-            x, w, d = self._probe(item_id)
+            w, d = self._probe(item_id)
         node = object.__new__(CholState)
         node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, taken
         node.ids = self.ids + [item_id]

@@ -153,6 +153,23 @@ def test_record_fields_match_an_independent_loop(objective):
     assert wall == sorted(wall) and wall[0] >= 0.0
 
 
+@pytest.mark.parametrize("algorithm", ["sw-rd", "sw-dp", "sieve-naive", "sieve-greedy", "random"])
+@pytest.mark.parametrize("objective,sigma", [("coverage", 1.0), ("ivm", 1.0), ("ivm", 1e-3), ("ivm", 3.0)])
+def test_query_value_is_the_rescored_utility(objective, sigma, algorithm):
+    # An algorithm's own value of its answer, which its threshold tests
+    # read, equals the utility the harness re-scores from the answer's ids,
+    # exactly, after every arrival. sigma 1e-3 collapses pivots.
+    config = RunConfig(objective=objective, algorithm=algorithm, k=4, window=50, sigma=sigma,
+                       **{**CONFIGS[objective], "synth_n": 400})
+    store = load_store(config)
+    counting = CountingOracle(bench.make_oracle(config, store))
+    alg = bench._make_stream_algorithm(config, counting)
+    for t in range(1, len(store) + 1):
+        alg.step(t)
+        ids, value = alg.query()
+        assert value == counting.inner.eval(ids), t
+
+
 @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
 def test_runs_on_one_store_match_a_fresh_store(monkeypatch, algorithm):
     # The store keeps its coverage encoding from run to run; no node, memo
@@ -317,6 +334,29 @@ class TestCli:
                 ["--objective", "ivm", "--algorithm", "sw-dp", "--k", "2",
                  "--window", "10", "--format", "synth-vec", flag, "nan"]
             )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "fmt,flag,value",
+        [
+            ("synth-vec", "--synth-n", "0"),
+            ("synth-vec", "--synth-d", "0"),
+            ("synth-vec", "--synth-clusters", "0"),
+            ("synth-vec", "--synth-drift-period", "0"),
+            ("synth-sets", "--synth-n", "0"),
+            ("synth-sets", "--synth-universe", "0"),
+            ("synth-sets", "--synth-mean-size", "0"),
+            ("synth-sets", "--synth-mean-size", "100"),  # above the default universe of 60
+            ("synth-sets", "--synth-mean-size", "nan"),
+        ],
+    )
+    def test_out_of_range_synth_value_exits_two(self, fmt, flag, value):
+        from swmax.bench import main
+
+        objective = "ivm" if fmt == "synth-vec" else "coverage"
+        with pytest.raises(SystemExit) as exc:
+            main(["--objective", objective, "--algorithm", "sw-dp", "--k", "2",
+                  "--window", "10", "--format", fmt, flag, value])
         assert exc.value.code == 2
 
     def test_unknown_flag_rejected(self):

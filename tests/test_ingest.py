@@ -49,6 +49,19 @@ class TestDenseCsv:
             load_dense_csv(path)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_field_reports_line(self, tmp_path, field):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n1,2\n3,{field}\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_dense_csv(path)
+        assert err.value.line_no == 3
+
+    def test_non_finite_dropped_column_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,nan\n3,4,inf\n")
+        assert load_dense_csv(path, drop_columns=(2,)).vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_drop_columns(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,9\n3,4,9\n")
