@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .core import (
-    CountingOracle,
     OracleHandle,
     SubmodularOracle,
 )
@@ -41,7 +40,6 @@ from .bench import (
 
 __all__ = [
     "CholState",
-    "CountingOracle",
     "CoverageOracle",
     "DatasetStore",
     "IVMOracle",

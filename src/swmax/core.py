@@ -27,18 +27,20 @@ arrival's step; a query that misses the memo only loses sharing, never
 correctness. A node holds at most one child and no parent, so a node is
 freed once no buffer holds it and its parent has made another child.
 
-``CountingOracle`` wraps any oracle and counts calls, the cost metric every
-benchmark reports: ``eval``, ``rebuild`` and ``gain`` cost one call each
-(both shipped objectives compute a gain directly, not by two evaluations),
-``gains(ids)`` costs one call per id, as many ``gain`` calls would, and a
-gain served from a node's memo is still charged, so the count is the
-algorithm's logical one; ``empty`` and ``child`` are free, since a node only
-records choices whose gains were already paid for. ``max_singleton`` is
-free too: the objective knows it from its construction, or in closed form.
-``evaluations`` counts the calls that did compute: every ``eval`` and
-``rebuild``, each gain that missed its node's memo, and every id of a
-batch. A ``random`` query that keeps its last sample (``PrioritySample``)
-is charged as a memo hit is: one call and no evaluation.
+Every oracle counts its own calls, the cost metric every benchmark reports,
+in ``calls`` and ``evaluations``: ``eval``, ``rebuild`` and ``gain`` cost
+one call each (both shipped objectives compute a gain directly, not by two
+evaluations), ``gains(ids)`` costs one call per id, as many ``gain`` calls
+would, and a gain served from a node's memo is still charged, so the count
+is the algorithm's logical one; ``empty`` and ``child`` are free, since a
+node only records choices whose gains were already paid for.
+``max_singleton`` is free too: the objective knows it from its
+construction, or in closed form. ``evaluations`` counts the calls that did
+compute: every ``eval`` and ``rebuild``, each gain that missed its node's
+memo, and every id of a batch. Handles charge their gains to the oracle
+that grew them, through their ``counter``. A ``random`` query that keeps
+its last sample (``PrioritySample``) is charged as a memo hit is: one call
+and no evaluation.
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ from typing import Protocol, Sequence
 class OracleHandle(Protocol):
     """Objective state of one fixed set of item ids: an immutable trie node.
 
-    While ``counter`` is set, each gain adds one to ``counter.calls`` and
-    each gain not served from the node's memo also adds one to
-    ``counter.evaluations``; ``gains(ids)`` adds ``len(ids)`` to both.
-    Children inherit the counter. That is how ``CountingOracle`` counts
-    gains without a wrapper around every node.
+    Each gain adds one to ``counter.calls``, and each gain not served from
+    the node's memo also adds one to ``counter.evaluations``;
+    ``gains(ids)`` adds ``len(ids)`` to both. ``counter`` is the oracle
+    that grew the node's root, and children inherit it.
     """
 
-    counter: object | None
+    counter: SubmodularOracle
     ids: list[int]
     value: float
 
@@ -71,7 +72,12 @@ class OracleHandle(Protocol):
 
 class SubmodularOracle(Protocol):
     """Set-function access: ``eval`` a set of item ids, or handles to grow
-    sets; ``max_singleton`` is the largest value of any one item."""
+    sets; ``max_singleton`` is the largest value of any one item. ``calls``
+    and ``evaluations`` count the oracle's own calls and its handles' gains
+    (see the module docstring)."""
+
+    calls: int
+    evaluations: int
 
     def eval(self, ids: Sequence[int]) -> float: ...
 
@@ -80,41 +86,6 @@ class SubmodularOracle(Protocol):
     def rebuild(self, ids: Sequence[int]) -> OracleHandle: ...
 
     def max_singleton(self) -> float: ...
-
-
-class CountingOracle:
-    """Forwards to ``inner`` and counts calls (``eval``, ``rebuild``, ``gain``)
-    and evaluations (the calls not served from a node's memo); ``empty`` and
-    ``max_singleton`` are forwarded uncounted.
-
-    It owns one root node, minted by an uncounted ``inner.rebuild(())``, so
-    its counter never reaches nodes that ``inner`` hands out directly.
-    """
-
-    def __init__(self, inner: SubmodularOracle):
-        self.inner = inner
-        self.calls = 0
-        self.evaluations = 0
-        self._root = inner.rebuild(())
-        self._root.counter = self
-
-    def eval(self, ids: Sequence[int]) -> float:
-        self.calls += 1
-        self.evaluations += 1
-        return self.inner.eval(ids)
-
-    def empty(self) -> OracleHandle:
-        return self._root
-
-    def rebuild(self, ids: Sequence[int]) -> OracleHandle:
-        self.calls += 1
-        self.evaluations += 1
-        handle = self.inner.rebuild(ids)
-        handle.counter = self
-        return handle
-
-    def max_singleton(self) -> float:
-        return self.inner.max_singleton()
 
 
 def next_timestep(last: int, t: int) -> int:

@@ -94,16 +94,16 @@ class CholState:
     last gain with the probe behind it, so a repeated gain is a memo hit and
     a child of the same item grows from that probe, and its last child, so
     a repeated ``child`` returns the same object. Gains count into
-    ``counter.calls`` while a counter is set, memo hits included; only
-    misses count into ``counter.evaluations``. Children inherit the counter.
+    ``counter.calls``, memo hits included; only misses count into
+    ``counter.evaluations``. Children inherit the counter.
     """
 
     __slots__ = ("_kernel", "counter", "ids", "value", "skipped_ids", "_members", "_rows", "_gain", "_child",
                  "_batch", "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
 
-    def __init__(self, rows: Sequence[list[float]], params: KernelParams):
+    def __init__(self, rows: Sequence[list[float]], params: KernelParams, counter):
         self._kernel = (rows, params.sigma**-2, params.h**2, [None, None, None])
-        self.counter = None
+        self.counter = counter
         self.ids: list[int] = []
         self.value = 0.0
         self.skipped_ids: list[int] = []
@@ -112,11 +112,6 @@ class CholState:
         self._gain: tuple[int, float, tuple[list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
         self._batch: dict[int, tuple[list[float], float]] | None = None
-
-    @property
-    def n(self) -> int:
-        """Order of the factor (degenerate members excluded)."""
-        return len(self._rows)
 
     def _probe(self, item_id: int) -> tuple[list[float], float]:
         """``w`` solving ``L w = c`` for the point x of ``item_id``, and the pivot ``d``.
@@ -146,8 +141,7 @@ class CholState:
         """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a
         collapsed pivot."""
         counter = self.counter
-        if counter is not None:
-            counter.calls += 1
+        counter.calls += 1
         memo = self._gain
         if memo is not None and memo[0] == item_id:
             return memo[1]
@@ -155,8 +149,7 @@ class CholState:
         d = probe[1]
         gain = 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
         self._gain = (item_id, gain, probe)
-        if counter is not None:
-            counter.evaluations += 1
+        counter.evaluations += 1
         return gain
 
     def gains(self, ids: Sequence[int]) -> list[float]:
@@ -173,9 +166,8 @@ class CholState:
         the new batch replaces the one taken.
         """
         counter = self.counter
-        if counter is not None:
-            counter.calls += len(ids)
-            counter.evaluations += len(ids)
+        counter.calls += len(ids)
+        counter.evaluations += len(ids)
         taken = self._batch or {}
         n = len(self._rows)
         if n:
@@ -248,7 +240,7 @@ class CoverageUnion:
     # ``__weakref__`` lets a test check that a node no buffer holds is freed.
     __slots__ = ("_masks", "ids", "mask", "value", "counter", "_gain", "_child", "__weakref__")
 
-    def __init__(self, masks: dict[int, int], ids: list[int], mask: int, value: float, counter=None):
+    def __init__(self, masks: dict[int, int], ids: list[int], mask: int, value: float, counter):
         self._masks = masks
         self.ids = ids
         self.mask = mask
@@ -259,8 +251,7 @@ class CoverageUnion:
 
     def gain(self, item_id: int) -> float:
         counter = self.counter
-        if counter is not None:
-            counter.calls += 1
+        counter.calls += 1
         memo = self._gain
         if memo is not None and memo[0] == item_id:
             return memo[1]
@@ -269,17 +260,15 @@ class CoverageUnion:
             raise ValueError(f"unknown item id {item_id}")
         gain = float((mask & ~self.mask).bit_count())
         self._gain = (item_id, gain)
-        if counter is not None:
-            counter.evaluations += 1
+        counter.evaluations += 1
         return gain
 
     def gains(self, ids: Sequence[int]) -> list[float]:
         """``[self.gain(i) for i in ids]``, each id charged and evaluated once,
         in one pass over the masks that neither reads nor sets the memo."""
         counter = self.counter
-        if counter is not None:
-            counter.calls += len(ids)
-            counter.evaluations += len(ids)
+        counter.calls += len(ids)
+        counter.evaluations += len(ids)
         masks, free = self._masks, ~self.mask
         try:
             return [float((masks[i] & free).bit_count()) for i in ids]
@@ -306,12 +295,15 @@ class CoverageOracle:
     """Union-size objective over a set-stream store.
 
     Evaluation is an or/popcount over the store's ``coverage_masks``, whatever
-    the universe ids; each oracle grows its handles from a root of its own.
+    the universe ids; each oracle grows its handles from a root of its own,
+    and counts its calls and its handles' gains (see ``swmax.core``).
     """
 
     def __init__(self, store):
         self._masks = store.coverage_masks  # a dense store raises ValueError
-        self._root = CoverageUnion(self._masks, [], 0, 0.0)
+        self.calls = 0
+        self.evaluations = 0
+        self._root = CoverageUnion(self._masks, [], 0, 0.0, self)
         self._max_singleton = float(store.max_set_size)
 
     def _union(self, ids: Sequence[int]) -> int:
@@ -330,10 +322,14 @@ class CoverageOracle:
 
     def rebuild(self, ids: Sequence[int]) -> CoverageUnion:
         """A fresh root's node on ``ids``, not linked to the shared root."""
+        self.calls += 1
+        self.evaluations += 1
         union = self._union(ids)
-        return CoverageUnion(self._masks, list(ids), union, float(union.bit_count()))
+        return CoverageUnion(self._masks, list(ids), union, float(union.bit_count()), self)
 
     def eval(self, ids: Sequence[int]) -> float:
+        self.calls += 1
+        self.evaluations += 1
         return float(self._union(ids).bit_count())
 
     def max_singleton(self) -> float:
@@ -343,14 +339,17 @@ class CoverageOracle:
 
 class IVMOracle:
     """Log-det objective over a dense-vector store; handles are ``CholState``
-    nodes on the store's float rows, each grown by ``child`` from a root."""
+    nodes on the store's float rows, each grown by ``child`` from a root.
+    It counts its calls and its handles' gains (see ``swmax.core``)."""
 
     def __init__(self, store, params: KernelParams):
         if store.kind != "dense":
             raise ValueError(f"log-det objective needs dense vectors, got {store.kind!r}")
         self.params = params
+        self.calls = 0
+        self.evaluations = 0
         self._rows = store.vector_rows
-        self._root = CholState(self._rows, params)
+        self._root = CholState(self._rows, params, self)
         # The last set evaluated and its value: the harness re-scores a
         # sample that the random baseline has just evaluated, and any answer
         # unchanged since the last record, and growing a factor costs far
@@ -366,15 +365,22 @@ class IVMOracle:
         """The node grown by ``child`` from a fresh root, one member at a
         time in order. The root is not the shared one, so the memo slots of
         the nodes that buffers hold are left alone."""
-        node = CholState(self._rows, self.params)
+        self.calls += 1
+        self.evaluations += 1
+        node = CholState(self._rows, self.params, self)
         for i in ids:
             node = node.child(i)
         return node
 
     def eval(self, ids: Sequence[int]) -> float:
+        """The set's value; a miss of ``_last_eval`` is charged by its
+        ``rebuild``, a hit as one call and one evaluation all the same."""
         key = tuple(ids)
         if key != self._last_eval[0]:
             self._last_eval = (key, self.rebuild(key).value)
+        else:
+            self.calls += 1
+            self.evaluations += 1
         return self._last_eval[1]
 
     def max_singleton(self) -> float:

@@ -72,8 +72,8 @@ class SlidingWindowReduction:
     def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
         if window < 1:
             raise ValueError(f"window size must be >= 1, got {window}")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 1.0 + epsilon > 1.0:
+            raise ValueError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon}")
         self.window = window
         self.epsilon = epsilon
         self.inner_factory = inner_factory
@@ -227,8 +227,7 @@ class SlidingWindowDP:
                 continue
             handle = handles[j]
             gain = handle.gain(i)
-            if hi - lo > 1 and handle.counter is not None:
-                handle.counter.calls += hi - lo - 1
+            handle.counter.calls += hi - lo - 1
             if not gain >= low:
                 continue
             piece = run
@@ -286,16 +285,15 @@ class SieveNaive(SieveStream):
         """Repair each run whose buffer holds an item at or before ``horizon``,
         charging each repair's calls once per level, and merge runs that
         then hold the same handle."""
-        counter = self.oracle.empty().counter
+        oracle = self.oracle
         runs: list[list] = []
         for run in self.runs:
             lo, hi, handle = run
             if handle.ids and min(handle.ids) <= horizon:
-                before = counter.calls if counter is not None else 0
+                before = oracle.calls
                 run[2] = self._repair(handle, horizon)
                 self._best = None  # a repaired value can fall; ``_admit`` rescans
-                if counter is not None:
-                    counter.calls += (hi - lo - 1) * (counter.calls - before)
+                oracle.calls += (hi - lo - 1) * (oracle.calls - before)
                 self._retained += (hi - lo) * (len(run[2].ids) - len(handle.ids))
             if runs and runs[-1][2] is run[2]:
                 runs[-1][1] = hi
@@ -365,7 +363,7 @@ class PrioritySample:
     never a member. ``query`` sorts the candidates again only after a drop
     and evaluates the new sample with one oracle call, then keeps its value
     beside the ids. A kept answer is charged as a memo hit is: one call on
-    the oracle's counter and no evaluation, so call counts do not depend on
+    the oracle's ``calls`` and no evaluation, so call counts do not depend on
     whether the sample changed.
     """
 
@@ -411,9 +409,7 @@ class PrioritySample:
             self._kth = sample[-1][1] if len(sample) == self.k else math.inf
             self._value = self.oracle.eval(ids) if ids else 0.0
         elif ids:
-            counter = self.oracle.empty().counter
-            if counter is not None:
-                counter.calls += 1
+            self.oracle.calls += 1
         return list(ids), self._value
 
     def retained_count(self) -> int:

@@ -22,10 +22,11 @@ def ceil_log_ratio(m: float, epsilon: float) -> int:
     """Smallest integer L >= 0 with (1 + epsilon)**L >= m.
 
     Memoized, since the reduction builds a sieve per arrival with the same
-    arguments.
+    arguments. An epsilon so small that ``1 + epsilon`` rounds to 1 has no
+    lattice, and is refused as a non-positive one is.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 1.0 + epsilon > 1.0:
+        raise ValueError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon}")
     if m <= 1:
         return 0
     base = 1.0 + epsilon
@@ -99,8 +100,7 @@ class SieveStream:
             if room and t not in ids:
                 value = handle.value
                 gain = handle.gain(t)
-                if hi - lo > 1 and handle.counter is not None:
-                    handle.counter.calls += hi - lo - 1
+                handle.counter.calls += hi - lo - 1
                 if gain > (base ** (hi - 1) / 2.0 - value) / room:
                     cut = hi
                 elif hi - lo > 1 and gain > (base**lo / 2.0 - value) / room:

@@ -22,6 +22,14 @@ def vec_store(rows) -> DatasetStore:
     return DatasetStore("dense", vectors=np.asarray(rows, dtype=float))
 
 
+class Tally:
+    """The counter of a ``CholState`` root built without an oracle."""
+
+    def __init__(self):
+        self.calls = 0
+        self.evaluations = 0
+
+
 class UnionRecount:
     """Independent coverage oracle: plain frozenset unions, no bit tricks."""
 
@@ -69,7 +77,8 @@ def ivm_value(X, params) -> float:
 
 def factor_matrix(handle) -> np.ndarray:
     """A log-det node's factor rows as an ``n x n`` lower-triangular array."""
-    L = np.zeros((handle.n, handle.n))
+    n = len(handle._rows)
+    L = np.zeros((n, n))
     for i, row in enumerate(handle._rows):
         L[i, : i + 1] = row
     return L
@@ -162,12 +171,11 @@ def greedy_by_gain(items, k, oracle):
 
 class ScriptedNode:
     """Handle whose gains are read from a script, negative ones included;
-    like a trie node, it returns the same child for the same id."""
+    like a trie node, it returns the same child for the same id. Its gains
+    are not counted, but an algorithm may charge ``counter`` extra calls."""
 
-    counter = None
-
-    def __init__(self, script, ids=(), value=0.0):
-        self.script, self.ids, self.value = script, list(ids), value
+    def __init__(self, script, counter, ids=(), value=0.0):
+        self.script, self.counter, self.ids, self.value = script, counter, list(ids), value
         self.children = {}
 
     def gain(self, t):
@@ -175,7 +183,7 @@ class ScriptedNode:
 
     def child(self, t):
         if t not in self.children:
-            self.children[t] = ScriptedNode(self.script, self.ids + [t], self.value + self.script[t])
+            self.children[t] = ScriptedNode(self.script, self.counter, self.ids + [t], self.value + self.script[t])
         return self.children[t]
 
 
@@ -184,7 +192,9 @@ class ScriptedOracle:
     and so the threshold grid's top, is ``max_singleton``."""
 
     def __init__(self, script, max_singleton=4.0):
-        self.root = ScriptedNode(script)
+        self.calls = 0
+        self.evaluations = 0
+        self.root = ScriptedNode(script, self)
         self.bound = max_singleton
 
     def empty(self):

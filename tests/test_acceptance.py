@@ -13,7 +13,6 @@ import pytest
 from scipy.stats import chi2
 
 from swmax.bench import RunConfig, render_metrics_csv, run_benchmark
-from swmax.core import CountingOracle
 from swmax.ingest import (
     DatasetStore,
     gen_set_stream,
@@ -38,7 +37,7 @@ from swmax.streaming import (
     greedy_select,
 )
 
-from conftest import ivm_value
+from conftest import Tally, ivm_value
 from reference import (
     brute_force_opt,
     instance_starts,
@@ -159,7 +158,7 @@ def test_criterion_3_logdet_numerics():
     for _ in range(200):
         size = int(rng.integers(1, 26))
         X = rng.normal(size=(size, 5))
-        state = CholState(X.tolist(), params)
+        state = CholState(X.tolist(), params, Tally())
         running = 0.0
         for i in range(size):
             base_ids = list(state.ids)
@@ -337,7 +336,7 @@ def test_criterion_7_cost_accounting():
     for eps in (0.1, 0.2, 0.4):
         grid = len(thresholds(SieveStream(k, eps, oracle)))
         cap = 2 * (ceil_log_ratio(m, eps) + 2)
-        counting = CountingOracle(oracle)
+        counting = CoverageOracle(store)
         swrd = sieve_reduction(k, w, eps, counting)
         fed_total = 0
         previous_starts: list[int] = []

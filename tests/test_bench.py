@@ -15,7 +15,6 @@ from swmax.bench import (
     run_benchmark,
     write_metrics_csv,
 )
-from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.sliding import SieveNaive
 
@@ -119,9 +118,27 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "make_oracle", counted_build)
         records = run_benchmark(_config(algorithm="random", query_every=5))
         # the random baseline evaluates its sample once per query; the
-        # harness re-scores every record through the same, uncounted objective
+        # harness re-scores every record through the same oracle, uncharged
         assert [r.oracle_calls for r in records] == list(range(1, len(records) + 1))
         assert built == ["coverage"]
+
+    @pytest.mark.parametrize("objective", bench.OBJECTIVES)
+    @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
+    def test_rescore_leaves_the_oracle_on_the_last_record(self, monkeypatch, objective, algorithm):
+        # The re-score after the last record is not charged either: the
+        # harness restores the counts that each re-score moved.
+        built = []
+        real = bench.make_oracle
+
+        def kept_build(config, store):
+            built.append(real(config, store))
+            return built[-1]
+
+        monkeypatch.setattr(bench, "make_oracle", kept_build)
+        config = RunConfig(objective=objective, algorithm=algorithm, k=4, window=50, sample_c=4.0, **CONFIGS[objective])
+        records = run_benchmark(config)
+        assert len(built) == 1 and records[-1].oracle_calls > 0
+        assert built[0].calls == records[-1].oracle_calls
 
 
 @pytest.mark.parametrize("objective", bench.OBJECTIVES)
@@ -134,7 +151,7 @@ def test_record_fields_match_an_independent_loop(objective):
     )
     store = load_store(config)
     records = run_benchmark(config, store)
-    counting = CountingOracle(bench.make_oracle(config, store))
+    counting, measure = bench.make_oracle(config, store), bench.make_oracle(config, store)
     alg = SieveNaive(config.k, config.window, config.epsilon, counting)
     assert len(records) == len(store)
     peak = 0
@@ -146,7 +163,7 @@ def test_record_fields_match_an_independent_loop(objective):
             t, config.algorithm, config.k, config.window, config.epsilon
         )
         assert (r.utility, r.solution_size, r.oracle_calls, r.peak_items) == (
-            counting.inner.eval(ids), len(ids), counting.calls, peak
+            measure.eval(ids), len(ids), counting.calls, peak
         ), t
     assert any(r.oracle_calls != r.peak_items for r in records)
     wall = [r.wall_ms for r in records]
@@ -162,12 +179,12 @@ def test_query_value_is_the_rescored_utility(objective, sigma, algorithm):
     config = RunConfig(objective=objective, algorithm=algorithm, k=4, window=50, sigma=sigma,
                        **{**CONFIGS[objective], "synth_n": 400})
     store = load_store(config)
-    counting = CountingOracle(bench.make_oracle(config, store))
-    alg = bench._make_stream_algorithm(config, counting)
+    oracle, measure = bench.make_oracle(config, store), bench.make_oracle(config, store)
+    alg = bench._make_stream_algorithm(config, oracle)
     for t in range(1, len(store) + 1):
         alg.step(t)
         ids, value = alg.query()
-        assert value == counting.inner.eval(ids), t
+        assert value == measure.eval(ids), t
 
 
 @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
@@ -175,13 +192,13 @@ def test_runs_on_one_store_match_a_fresh_store(monkeypatch, algorithm):
     # The store keeps its coverage encoding from run to run; no node, memo
     # or count of one run may reach the next.
     counters = []
+    real = bench.make_oracle
 
-    class Recorded(CountingOracle):
-        def __init__(self, inner):
-            super().__init__(inner)
-            counters.append(self)
+    def recorded(config, store):
+        counters.append(real(config, store))
+        return counters[-1]
 
-    monkeypatch.setattr(bench, "CountingOracle", Recorded)
+    monkeypatch.setattr(bench, "make_oracle", recorded)
     config = RunConfig(objective="coverage", algorithm=algorithm, k=4, window=50, sample_c=4.0, **CONFIGS["coverage"])
     fresh = _strip_wall(render_metrics_csv(run_benchmark(config, load_store(config))))
     shared = load_store(config)
@@ -198,12 +215,12 @@ class TestSharedEvaluations:
 
     @staticmethod
     def _run(algorithm):
-        """Stream the golden ivm config through ``algorithm`` on a counting
+        """Stream the golden ivm config through ``algorithm`` on its own
         oracle, querying at ``run_benchmark``'s cadence: ``random`` charges
         its queries, so its calls match the harness's only then."""
         config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
         store = load_store(config)
-        counting = CountingOracle(bench.make_oracle(config, store))
+        counting = bench.make_oracle(config, store)
         alg = bench._make_stream_algorithm(config, counting)
         n, every = len(store), math.ceil(config.window / 10)
         for t in range(1, n + 1):
@@ -229,7 +246,7 @@ class TestSharedEvaluations:
         [("sw-rd", 675), ("sw-dp", 1391), ("sieve-naive", 102), ("sieve-greedy", 2827), ("random", 186)],
     )
     def test_ivm_kernel_entries_pinned(self, algorithm, entries, kernel_entries):
-        # Every buffer grown from the counting root shares its arrival slot,
+        # Every buffer grown from the oracle's root shares its arrival slot,
         # so a (member, arrival) kernel entry is computed once however many
         # nodes hold the member.
         self._run(algorithm)
@@ -323,6 +340,30 @@ class TestCli:
                 ["--objective", "coverage", "--algorithm", "sw-dp", "--k", "2",
                  "--window", "10", "--epsilon", "0", "--format", "synth-sets"]
             )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("epsilon", ["1e-17", "1e-300"])
+    @pytest.mark.parametrize("algorithm", ["sw-rd", "sw-dp", "sieve-naive"])
+    def test_epsilon_lost_in_one_exits_two(self, algorithm, epsilon):
+        # 1 + epsilon rounds to 1, which leaves the threshold lattice one
+        # level: a usage error, not a division by log(1) in the run
+        from swmax.bench import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--objective", "coverage", "--algorithm", algorithm, "--k", "2", "--window", "10",
+                  "--format", "synth-sets", "--synth-n", "50", "--epsilon", epsilon])
+        assert exc.value.code == 2
+
+    def test_negative_drop_column_exits_two(self, tmp_path):
+        # wrong before the file is read, so a usage error; the loader keeps
+        # its own range check for indices past the last column
+        from swmax.bench import main
+
+        path = tmp_path / "points.csv"
+        path.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--objective", "ivm", "--algorithm", "sw-dp", "--k", "2", "--window", "10",
+                  "--input", str(path), "--drop-columns=-1"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--kernel-h", "--sigma"])

@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import swmax
-from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle
 from swmax.sliding import SieveNaive
 from swmax.streaming import SieveStream
 
-from conftest import LevelSieve, set_store
+from conftest import LevelSieve, UnionRecount, set_store
 from reference import BestSoFar, window_ids
 
 
 def test_public_names_pinned():
     assert sorted(swmax.__all__) == [
         "CholState",
-        "CountingOracle",
         "CoverageOracle",
         "DatasetStore",
         "IVMOracle",
@@ -55,32 +53,35 @@ class TestTypes:
 
 
 class TestCountingOracle:
+    """An oracle counts its own calls and its handles' gains."""
+
     def test_empty_eval_counts_one(self):
-        oracle = CountingOracle(CoverageOracle(set_store((1, 2))))
+        oracle = CoverageOracle(set_store((1, 2)))
         assert oracle.eval([]) == 0.0
         assert oracle.calls == 1
 
     def test_three_evals_count_three(self):
-        oracle = CountingOracle(CoverageOracle(set_store((1, 2), (2, 3))))
+        oracle = CoverageOracle(set_store((1, 2), (2, 3)))
         for _ in range(3):
             oracle.eval([1, 2])
         assert oracle.calls == 3
 
     def test_marginal_counts_one(self):
-        oracle = CountingOracle(CoverageOracle(set_store((1, 2), (2, 3))))
+        oracle = CoverageOracle(set_store((1, 2), (2, 3)))
         handle = oracle.empty().child(1)
         assert handle.gain(2) == 1.0
         assert oracle.calls == 1
 
     def test_wrapping_preserves_values(self):
+        # counting changes no value: each equals an independent recount
         store = gen_set_stream(30, 20, 5, seed=7)
-        inner = CoverageOracle(store)
-        wrapped = CountingOracle(inner)
+        oracle = CoverageOracle(store)
+        recount = UnionRecount(store)
         rng = random.Random(7)
         for _ in range(100):
             ids = rng.sample(range(1, 31), rng.randint(0, 6))
-            assert wrapped.eval(ids) == inner.eval(ids)
-        assert wrapped.calls == 100
+            assert oracle.eval(ids) == recount.eval(ids)
+        assert oracle.calls == 100
 
     def test_counter_matches_independent_tally(self):
         # The per-level SieveNaive issues gains, children, rebuilds after
@@ -120,9 +121,9 @@ class TestCountingOracle:
             def max_singleton(self):
                 return self.inner.max_singleton()
 
-        counting = CountingOracle(CoverageOracle(store))
+        counting = CoverageOracle(store)
         reference = LevelSieve(3, 0.2, Spy(counting), window=8)
-        runs = CountingOracle(CoverageOracle(store))
+        runs = CoverageOracle(store)
         naive = SieveNaive(3, 8, 0.2, runs)
         for t in range(1, len(store) + 1):
             reference.step(t)
@@ -132,12 +133,12 @@ class TestCountingOracle:
         assert runs.calls == tally["n"]
 
     def test_max_singleton_forwarded_uncounted(self):
-        oracle = CountingOracle(CoverageOracle(set_store((1, 2, 3), (4,))))
+        oracle = CoverageOracle(set_store((1, 2, 3), (4,)))
         assert oracle.max_singleton() == 3.0
         assert (oracle.calls, oracle.evaluations) == (0, 0)
 
     def test_invalid_id_raises(self):
-        oracle = CountingOracle(CoverageOracle(set_store((1, 2))))
+        oracle = CoverageOracle(set_store((1, 2)))
         with pytest.raises(ValueError):
             oracle.eval([99])
 

@@ -12,7 +12,6 @@ import hashlib
 import pytest
 
 from swmax.bench import ALGORITHMS, RunConfig, load_store, make_oracle, render_metrics_csv, run_benchmark
-from swmax.core import CountingOracle
 from swmax.sliding import SieveGreedy, SieveNaive, SlidingWindowDP, sieve_reduction
 
 from reference import buffer_handles, runs, write_dense_csv, write_set_stream
@@ -189,7 +188,7 @@ def test_collapsed_pivot_goldens_reach_skipped_ids(algorithm, tmp_path):
     config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50,
                        **doubled_ivm_stream(tmp_path / "doubled.csv"))
     store = load_store(config)
-    alg = COLLAPSED_PIVOT_ALGORITHMS[algorithm](CountingOracle(make_oracle(config, store)))
+    alg = COLLAPSED_PIVOT_ALGORITHMS[algorithm](make_oracle(config, store))
     steps = 0
     for t in range(1, len(store) + 1):
         alg.step(t)
@@ -215,7 +214,7 @@ def test_every_arrival_goldens_reach_size_ties(algorithm):
     # sw-rd the query reads the oldest instance's sieve.
     config = RunConfig(objective="coverage", algorithm=algorithm, k=4, window=50, **CONFIGS["coverage"])
     store = load_store(config)
-    alg = TIED_SIEVE_ALGORITHMS[algorithm](CountingOracle(make_oracle(config, store)))
+    alg = TIED_SIEVE_ALGORITHMS[algorithm](make_oracle(config, store))
     ties = 0
     for t in range(1, len(store) + 1):
         alg.step(t)

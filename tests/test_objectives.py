@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.objectives import (
     DEGENERATE_PIVOT,
@@ -22,6 +21,7 @@ from swmax.sliding import sieve_reduction
 from swmax.streaming import SieveStream, greedy_select
 
 from conftest import (
+    Tally,
     UnionRecount,
     factor_ids,
     factor_matrix,
@@ -38,21 +38,20 @@ PARAMS = KernelParams(h=0.75, sigma=1.0)
 
 
 def _grow_with_batches(oracle, reference, ids, steps):
-    """Grow a node from a counted root of ``oracle`` by ``steps``, each
+    """Grow a node from a fresh root of ``oracle`` by ``steps``, each
     ``(item, batch)``. With ``batch`` set the node first scores ``ids`` in
     one ``gains`` call, which must charge one call per id and equal the
     single gains of the node ``reference`` grows by ``child`` alone, bit for
     bit. Every grown node must hold what that node holds, and a batch, once
     handed on or used, must be let go."""
-    counting = CountingOracle(oracle)
-    node, plain = counting.empty(), reference.empty()
+    node, plain = oracle.rebuild(()), reference.empty()
     for item, batch in steps:
         if batch:
-            before = counting.calls
+            before = oracle.calls
             got = node.gains(ids)
-            assert counting.calls == before + len(ids)
+            assert oracle.calls == before + len(ids)
             # the node's batch is its own now: no probe of its parent's is kept
-            assert all(len(w) == node.n for w, _ in getattr(node, "_batch", {}).values())
+            assert all(len(w) == len(node._rows) for w, _ in getattr(node, "_batch", {}).values())
             assert got == [plain.gain(i) for i in ids]
         parent, node, plain = node, node.child(item), plain.child(item)
         assert node_state(node) == node_state(plain)
@@ -137,7 +136,7 @@ class TestIvmValue:
 
 class TestIvmMarginal:
     def test_empty_base(self):
-        state = CholState([[0.4, 0.4]], PARAMS)
+        state = CholState([[0.4, 0.4]], PARAMS, Tally())
         gain = state.gain(1)
         assert gain == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
@@ -165,15 +164,15 @@ class TestIvmMarginal:
 
 class TestCholState:
     def test_extend_from_empty(self):
-        state = CholState([[0.5]], PARAMS)
+        state = CholState([[0.5]], PARAMS, Tally())
         state = state.child(1)
-        assert state.n == 1
+        assert len(state._rows) == 1
         assert factor_matrix(state)[0, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_sequential_extensions_match_fresh_factorization(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 5))
-        state = CholState(X.tolist(), PARAMS)
+        state = CholState(X.tolist(), PARAMS, Tally())
         for i in range(20):
             state = state.child(i + 1)
         fresh = fresh_factor(X, PARAMS)
@@ -186,7 +185,7 @@ class TestCholState:
         # with strictly positive diagonal
         rng = np.random.default_rng(6)
         X = rng.normal(size=(15, 3))
-        state = CholState(X.tolist(), PARAMS)
+        state = CholState(X.tolist(), PARAMS, Tally())
         for i in range(15):
             state = state.child(i + 1)
         L = factor_matrix(state)
@@ -200,7 +199,7 @@ class TestCholState:
         rng = np.random.default_rng(9)
         for trial in range(30):
             X = rng.normal(size=(rng.integers(1, 31), 4))
-            state = CholState(X.tolist(), PARAMS)
+            state = CholState(X.tolist(), PARAMS, Tally())
             total = 0.0
             for i in range(X.shape[0]):
                 total += state.gain(i + 1)
@@ -218,7 +217,7 @@ class TestCholState:
         before_value = state.value
         assert state.gain(2) == 0.0
         state = state.child(2)
-        assert state.n == 1
+        assert len(state._rows) == 1
         assert state.skipped_ids == [2]
         assert state.value == before_value
         # factor still usable afterwards
@@ -280,7 +279,7 @@ class TestNumericalEdges:
     @example(case=TWO_POINTS)
     def test_grown_handle_matches_fresh_factorization(self, case):
         X, params = case
-        state = CholState(X.tolist(), params)
+        state = CholState(X.tolist(), params, Tally())
         for i in range(1, len(X) + 1):
             gain = state.gain(i)
             assert math.isfinite(gain)
@@ -298,7 +297,7 @@ class TestNumericalEdges:
                 continue
             ref, fresh_value = fresh
             assert np.linalg.norm(L - ref) <= 1e-8 * np.linalg.norm(ref)
-            tol = _logdet_tol(state.n, params.sigma)
+            tol = _logdet_tol(len(state._rows), params.sigma)
             assert abs(state.value - fresh_value) <= tol
             before = _fresh(X, factor_ids(state)[:-1], params)
             if before is not None:
@@ -326,7 +325,7 @@ class TestNumericalEdges:
         skipped = first.child(2)
         assert skipped.skipped_ids == [2] and skipped._batch is batch and first._batch is None
         grown = skipped.child(3)
-        assert grown.ids == [1, 2, 3] and grown.n == 2 and grown._batch is batch and skipped._batch is None
+        assert grown.ids == [1, 2, 3] and len(grown._rows) == 2 and grown._batch is batch and skipped._batch is None
         _grow_with_batches(oracle, IVMOracle(vec_store(X), params), [2, 3, 4],
                            [(1, True), (2, True), (3, False), (4, True)])
 
@@ -340,7 +339,7 @@ class TestNumericalEdges:
         ids = list(range(1, n + 1)) if data is None else data.draw(st.lists(st.integers(1, n), max_size=12))
         oracle = IVMOracle(vec_store(X), params)
         rebuilt = oracle.rebuild(ids)
-        grown, charged = CholState(X.tolist(), params), 0.0
+        grown, charged = CholState(X.tolist(), params, Tally()), 0.0
         for i in ids:
             charged += grown.gain(i)
             grown = grown.child(i)
@@ -359,7 +358,7 @@ class TestNumericalEdges:
         # the rebuilt node skips them as the grown node does.
         X, params = self.COLLAPSE
         rebuilt = IVMOracle(vec_store(X), params).rebuild([1, 2, 3, 4])
-        assert rebuilt.ids == [1, 2, 3, 4] and rebuilt.skipped_ids == [2, 4] and rebuilt.n == 2
+        assert rebuilt.ids == [1, 2, 3, 4] and rebuilt.skipped_ids == [2, 4] and len(rebuilt._rows) == 2
         assert rebuilt.value > 0.0
 
     def test_two_point_closed_form(self):
@@ -374,7 +373,7 @@ class TestNumericalEdges:
         kappa = Fraction(math.exp(-(TWO_POINTS_A**2) / params.h**2))
         exact = 0.5 * math.log((1 + a * s) * (1 + b * s) - kappa**2 * a * b * s**2)
         state = _grown(IVMOracle(vec_store(X), params), range(1, len(X) + 1))
-        assert state.n == len(X) and not state.skipped_ids
+        assert len(state._rows) == len(X) and not state.skipped_ids
         assert abs(state.value - exact) <= 1e-10 * exact
 
     @settings(max_examples=60, deadline=None)
@@ -382,10 +381,10 @@ class TestNumericalEdges:
     @example(case=COLLAPSE)
     def test_new_row_is_the_triangular_solve(self, case):
         X, params = case
-        state = CholState(X.tolist(), params)
+        state = CholState(X.tolist(), params, Tally())
         for i in range(1, len(X) + 1):
             grown = state.child(i)
-            if grown.n > state.n:
+            if len(grown._rows) > len(state._rows):
                 S = X[[j - 1 for j in factor_ids(state)]]
                 c = np.exp(-np.sum((S - X[i - 1]) ** 2, axis=1) / params.h**2) / params.sigma**2
                 ref = solve_triangular(factor_matrix(state), c, lower=True)
@@ -399,7 +398,7 @@ class TestNumericalEdges:
         # overhead than the arithmetic it does.
         X = np.random.default_rng(8).normal(size=(12, 4))
         state = _grown(IVMOracle(vec_store(X), PARAMS), range(1, 11))
-        assert state.n == 10
+        assert len(state._rows) == 10
 
         def banned(*args, **kwargs):
             raise AssertionError("numpy called on the gain path")
@@ -463,7 +462,7 @@ class TestArrivalSlot:
     def test_unknown_id_rejected_on_an_empty_slot(self, bad):
         X = np.random.default_rng(4).normal(size=(12, 3))
         oracle = IVMOracle(vec_store(X), PARAMS)
-        for root in (CholState(X.tolist(), PARAMS), oracle.empty(), oracle.rebuild([])):
+        for root in (CholState(X.tolist(), PARAMS, Tally()), oracle.empty(), oracle.rebuild([])):
             with pytest.raises(ValueError):
                 root.gain(bad)
             assert root._kernel[3] == [None, None, None]
@@ -698,7 +697,7 @@ class TestHandles:
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_counting_charges_gain_eval_rebuild_only(self, objective):
-        counting = CountingOracle(self.ORACLES[objective][0])
+        counting = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
         handle = counting.empty().child(1)
         dup = handle.child(2)
         assert counting.calls == 0
@@ -714,15 +713,16 @@ class TestHandles:
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_memo_hits_are_charged_but_not_evaluated(self, objective):
-        counting = CountingOracle(self.ORACLES[objective][0])
+        counting = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
         node = counting.empty().child(6)
         for _ in range(3):
             node.gain(9)
         node.child(9).gain(9)
         assert (counting.calls, counting.evaluations) == (4, 2)
         counting.eval([1])
+        counting.eval([1])  # an ivm eval served from ``_last_eval`` is charged all the same
         counting.rebuild([1])
-        assert (counting.calls, counting.evaluations) == (6, 4)
+        assert (counting.calls, counting.evaluations) == (7, 5)
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_rebuild_matches_grown_handle(self, objective):

@@ -1,13 +1,13 @@
 import itertools
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swmax.bench import RunConfig, run_benchmark
-from swmax.core import CountingOracle
 from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import SieveStream, ceil_log_ratio
@@ -211,11 +211,12 @@ EPSILON_CONSTRUCTORS = {
 }
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, 1e-17, 1e-300])
 @pytest.mark.parametrize("name", sorted(EPSILON_CONSTRUCTORS))
 def test_epsilon_must_be_positive(name, epsilon):
     # k * max singleton = 1 gives the one-level grid, built without
-    # dividing by log(1 + eps), so only the explicit check can refuse NaN
+    # dividing by log(1 + eps), so only the explicit check can refuse NaN,
+    # or an epsilon so small that 1 + eps rounds to 1
     oracle = CoverageOracle(set_store((1,)))
     with pytest.raises(ValueError):
         EPSILON_CONSTRUCTORS[name](epsilon, oracle)
@@ -641,7 +642,7 @@ class TestPrioritySample:
 
     def test_query_value_uses_oracle(self):
         store = set_store((1, 2), (2, 3))
-        oracle = CountingOracle(CoverageOracle(store))
+        oracle = CoverageOracle(store)
         ps = PrioritySample(2, 5, oracle, seed=0)
         for t in range(1, len(store) + 1):
             ps.step(t)
@@ -660,10 +661,10 @@ class TestPrioritySample:
         # returns the kept value and is charged as a memo hit is.
         if objective == "coverage":
             store = gen_set_stream(200, 30, 4, seed=1)
-            counting = CountingOracle(CoverageOracle(store))
+            counting, measure = CoverageOracle(store), CoverageOracle(store)
         else:
             store = gen_drift_vectors(200, 4, 3, 50, seed=1)
-            counting = CountingOracle(IVMOracle(store, KernelParams(0.75, 1.0)))
+            counting, measure = (IVMOracle(store, KernelParams(0.75, 1.0)) for _ in range(2))
         ps = PrioritySample(3, 20, counting, seed=2)
         assert ps.query() == ([], 0.0) and counting.calls == 0
         drops = kept = 0
@@ -672,7 +673,7 @@ class TestPrioritySample:
             dropped = ps._answer is None
             calls, evaluations = counting.calls, counting.evaluations
             ids, value = ps.query()
-            assert ids and value == counting.inner.eval(ids), t
+            assert ids and value == measure.eval(ids), t
             assert counting.calls == calls + 1, t
             assert counting.evaluations == evaluations + dropped, t
             drops += dropped
@@ -820,16 +821,17 @@ def test_running_best_level_matches_scan():
 
 @st.composite
 def reference_streams(draw):
-    """A small oracle and stream length: coverage, or ivm with repeated
-    points and a noise scale log-uniform in [1e-3, 1e3]."""
+    """A maker of fresh small oracles on one store, and the stream length:
+    coverage, or ivm with repeated points and a noise scale log-uniform in
+    [1e-3, 1e3]."""
     n = draw(st.integers(1, 40))
     if draw(st.booleans()):
         payloads = draw(st.lists(st.frozensets(st.integers(0, 24), max_size=8), min_size=n, max_size=n))
-        return CoverageOracle(set_store(*payloads)), n
+        return partial(CoverageOracle, set_store(*payloads)), n
     pool = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(5, 3))
     rows = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
-    return IVMOracle(vec_store(pool[rows]), KernelParams(sigma=sigma)), n
+    return partial(IVMOracle, vec_store(pool[rows]), KernelParams(sigma=sigma)), n
 
 
 RUN_AND_REFERENCE = {
@@ -853,10 +855,11 @@ def test_gapped_timesteps_match_per_level_reference(name, objective):
     # of a buffer: at W=4, arrival 10 expires 1, 2 and 3 at once.
     n = 40
     if objective == "coverage":
-        oracle = CoverageOracle(gen_set_stream(n, 12, 4, seed=9))
+        store = gen_set_stream(n, 12, 4, seed=9)
+        run_counter, ref_counter = CoverageOracle(store), CoverageOracle(store)
     else:
-        oracle = IVMOracle(gen_drift_vectors(n, 3, 3, 10, seed=9), KernelParams(sigma=0.3))
-    run_counter, ref_counter = CountingOracle(oracle), CountingOracle(oracle)
+        store = gen_drift_vectors(n, 3, 3, 10, seed=9)
+        run_counter, ref_counter = (IVMOracle(store, KernelParams(sigma=0.3)) for _ in range(2))
     alg, _ = RUN_AND_REFERENCE[name](3, 4, 0.2, 4.0, run_counter)
     _, ref = RUN_AND_REFERENCE[name](3, 4, 0.2, 4.0, ref_counter)
     for t in (1, 2, 3, 10, 11, 12, 13, 20, 22, 24, 31, 32, 33, 34, 40):
@@ -880,8 +883,8 @@ def test_runs_match_per_level_reference(name, stream, k, window, epsilon, sample
     # Runs change no output and no logical count: after every arrival the
     # run-based algorithm reports what the per-level loop reports, holds as
     # many references and has been charged as many oracle calls.
-    oracle, n = stream
-    run_counter, ref_counter = CountingOracle(oracle), CountingOracle(oracle)
+    make, n = stream
+    run_counter, ref_counter = make(), make()
     alg, _ = RUN_AND_REFERENCE[name](k, window, epsilon, sample_c, run_counter)
     _, ref = RUN_AND_REFERENCE[name](k, window, epsilon, sample_c, ref_counter)
     for t in range(1, n + 1):
@@ -907,8 +910,8 @@ def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon
     # one before the first inactive level. That holds while a run's active
     # levels form a prefix whose starts do not increase with j, after every
     # arrival and through gaps that expire several levels at once.
-    oracle, n = stream
-    dp = SlidingWindowDP(k, window, epsilon, oracle)
+    make, n = stream
+    dp = SlidingWindowDP(k, window, epsilon, make())
     for t in itertools.takewhile(lambda t: t <= n, itertools.accumulate(gaps)):
         dp.step(t)
         for run in runs(dp):

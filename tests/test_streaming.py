@@ -1,11 +1,11 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swmax.core import CountingOracle
 from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import SieveStream, ceil_log_ratio, greedy_select
@@ -35,6 +35,14 @@ class TestThresholdGrid:
     def test_ceil_log_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             ceil_log_ratio(10.0, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-300])
+    def test_ceil_log_rejects_epsilon_lost_in_one(self, epsilon):
+        # 1 + epsilon rounds to 1, so log(1 + epsilon) is 0: refused, not
+        # divided by
+        assert 1.0 + epsilon == 1.0
+        with pytest.raises(ValueError):
+            ceil_log_ratio(10.0, epsilon)
 
     def test_grid_strictly_increasing_and_tops_bound(self):
         for m, eps in [(2.0, 0.1), (7.3, 0.2), (500.0, 0.4), (1.0, 0.5)]:
@@ -182,7 +190,7 @@ class TestGreedy:
 
     def test_zero_gain_early_stop(self):
         store = set_store((1, 2), (1,), (2,))
-        oracle = CountingOracle(CoverageOracle(store))
+        oracle = CoverageOracle(store)
         chosen = greedy_select([1, 2, 3], 3, oracle)
         assert chosen.ids == [1]
         assert chosen.value == 2.0
@@ -212,18 +220,19 @@ class TestGreedy:
 
 @st.composite
 def greedy_instances(draw):
-    """An oracle and a candidate list with repeats: coverage over small
-    sets, or ivm on repeated points with a noise scale log-uniform in
-    [1e-3, 1e3], so ties and collapsed pivots both occur."""
+    """A maker of fresh oracles on one store, and a candidate list with
+    repeats: coverage over small sets, or ivm on repeated points with a
+    noise scale log-uniform in [1e-3, 1e3], so ties and collapsed pivots
+    both occur."""
     n = draw(st.integers(1, 25))
     if draw(st.booleans()):
         payloads = draw(st.lists(st.frozensets(st.integers(0, 15), max_size=6), min_size=n, max_size=n))
-        oracle = CoverageOracle(set_store(*payloads))
+        make = partial(CoverageOracle, set_store(*payloads))
     else:
         pool = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(6, 3))
         rows = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-        oracle = IVMOracle(vec_store(pool[rows]), KernelParams(sigma=10.0 ** draw(st.floats(-3.0, 3.0))))
-    return oracle, draw(st.lists(st.integers(1, n), max_size=30))
+        make = partial(IVMOracle, vec_store(pool[rows]), KernelParams(sigma=10.0 ** draw(st.floats(-3.0, 3.0))))
+    return make, draw(st.lists(st.integers(1, n), max_size=30))
 
 
 @settings(max_examples=100, deadline=None)
@@ -231,8 +240,8 @@ def greedy_instances(draw):
 def test_greedy_select_matches_per_gain_reference(instance, k):
     # One ``gains`` call per round picks, scores and charges exactly as a
     # ``gain`` call per candidate does, and grows the same handle.
-    oracle, items = instance
-    batched, single = CountingOracle(oracle), CountingOracle(oracle)
+    make, items = instance
+    batched, single = make(), make()
     handle = greedy_select(items, k, batched)
     ref_selection, ref_value, ref_handle = greedy_by_gain(items, k, single)
     assert (handle.ids, handle.value, batched.calls) == (ref_selection, ref_value, single.calls)
