@@ -78,12 +78,11 @@ class RunConfig:
             raise ValueError("--k must be >= 1")
         if self.window < 1:
             raise ValueError("--window must be >= 1")
-        if not 1.0 + self.epsilon > 1.0:
-            raise ValueError(f"--epsilon must be > 0 with 1 + epsilon > 1, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and 1.0 + self.epsilon > 1.0):
+            raise ValueError(f"--epsilon must be finite and > 0 with 1 + epsilon > 1, got {self.epsilon}")
         if self.algorithm == "sieve-greedy" and not self.sample_c > 0:
             raise ValueError("--sample-c must be > 0 for sieve-greedy")
-        if not (self.kernel_h > 0 and self.sigma > 0):
-            raise ValueError("--kernel-h and --sigma must be > 0")
+        KernelParams(self.kernel_h, self.sigma)
         if self.query_every is not None and self.query_every < 1:
             raise ValueError("--query-every must be >= 1")
         if self.format in ("csv", "sets") and not self.input:

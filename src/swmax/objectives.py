@@ -54,10 +54,16 @@ class KernelParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"kernel bandwidth must be positive, got {self.h}")
-        if not self.sigma > 0:
-            raise ValueError(f"noise scale must be positive, got {self.sigma}")
+        # The kernel divides by h**2, and the objective takes sigma**2 and
+        # sigma**-2: each must be a positive float, and a power of a finite
+        # float that overflows raises.
+        for name, value, powers in (("kernel bandwidth h", self.h, (2,)), ("noise scale sigma", self.sigma, (2, -2))):
+            try:
+                valid = math.isfinite(value) and value > 0 and all(value**p > 0 for p in powers)
+            except OverflowError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be positive and finite, and so must its powers {powers}, got {value}")
 
 
 class CholState:
@@ -71,12 +77,12 @@ class CholState:
     ``skipped_ids`` too, and the factor is kept as it was, so its invariant
     survives.
 
-    The factor is kept as Python lists of floats, row ``i`` being
-    ``[L_i0, ..., L_ii]``, next to the ids of the members that hold a row
-    (``_members``): on factors of a few rows a numpy call costs more in
-    overhead than the arithmetic it does. A probe converts nothing: a root
-    takes the points as float rows, which an ``IVMOracle`` reads from its
-    store (``vector_rows``), and its nodes share them.
+    The factor is one list, ``_factor``, of ``(member id, row)`` pairs in
+    Python floats, one per member that holds a row, in insertion order, row
+    ``i`` being ``[L_i0, ..., L_ii]``: on factors of a few rows a numpy call
+    costs more in overhead than the arithmetic it does. A probe converts
+    nothing: a root takes the points as float rows, which an ``IVMOracle``
+    reads from its store (``vector_rows``), and its nodes share them.
 
     The root and its nodes also share one arrival slot, the last element of
     ``_kernel``: ``[item, x, {member id: K(x, member) / sigma**2}]``, empty
@@ -98,7 +104,7 @@ class CholState:
     ``counter.evaluations``. Children inherit the counter.
     """
 
-    __slots__ = ("_kernel", "counter", "ids", "value", "skipped_ids", "_members", "_rows", "_gain", "_child",
+    __slots__ = ("_kernel", "counter", "ids", "value", "skipped_ids", "_factor", "_gain", "_child",
                  "_batch", "__weakref__")  # as on ``CoverageUnion``, so a test can check that a dropped node is freed
 
     def __init__(self, rows: Sequence[list[float]], params: KernelParams, counter):
@@ -107,8 +113,7 @@ class CholState:
         self.ids: list[int] = []
         self.value = 0.0
         self.skipped_ids: list[int] = []
-        self._members: list[int] = []
-        self._rows: list[list[float]] = []
+        self._factor: list[tuple[int, list[float]]] = []
         self._gain: tuple[int, float, tuple[list[float], float]] | None = None
         self._child: tuple[int, CholState] | None = None
         self._batch: dict[int, tuple[list[float], float]] | None = None
@@ -130,7 +135,7 @@ class CholState:
             slot[:] = item_id, rows[item_id - 1], {}
         _, x, known = slot
         w: list[float] = []
-        for m, row in zip(self._members, self._rows):
+        for m, row in self._factor:
             c = known.get(m)
             if c is None:
                 c = known[m] = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
@@ -169,11 +174,11 @@ class CholState:
         counter.calls += len(ids)
         counter.evaluations += len(ids)
         taken = self._batch or {}
-        n = len(self._rows)
+        n = len(self._factor)
         if n:
             rows, inv_s2, h2, _ = self._kernel
-            s, row = rows[self._members[-1] - 1], self._rows[-1]
-            pivot = row[-1]
+            m, row = self._factor[-1]
+            s, pivot = rows[m - 1], row[-1]
         probes: dict[int, tuple[list[float], float]] = {}
         gains: list[float] = []
         for i in ids:
@@ -201,7 +206,7 @@ class CholState:
         """
         taken = None
         batch = self._batch
-        if batch is not None and item_id in batch and len(batch[item_id][0]) == len(self._rows):
+        if batch is not None and item_id in batch and len(batch[item_id][0]) == len(self._factor):
             taken, self._batch = batch, None
         memo = self._child
         if memo is not None and memo[0] == item_id:
@@ -220,10 +225,10 @@ class CholState:
         node.ids = self.ids + [item_id]
         if d <= DEGENERATE_PIVOT:
             node.value, node.skipped_ids = self.value, self.skipped_ids + [item_id]
-            node._members, node._rows = self._members, self._rows
+            node._factor = self._factor
         else:
             node.value, node.skipped_ids = self.value + 0.5 * math.log(d), self.skipped_ids
-            node._members, node._rows = self._members + [item_id], self._rows + [w + [math.sqrt(d)]]
+            node._factor = self._factor + [(item_id, w + [math.sqrt(d)])]
         self._child = (item_id, node)
         return node
 
@@ -324,8 +329,9 @@ class CoverageOracle:
         """A fresh root's node on ``ids``, not linked to the shared root."""
         self.calls += 1
         self.evaluations += 1
+        ids = list(ids)
         union = self._union(ids)
-        return CoverageUnion(self._masks, list(ids), union, float(union.bit_count()), self)
+        return CoverageUnion(self._masks, ids, union, float(union.bit_count()), self)
 
     def eval(self, ids: Sequence[int]) -> float:
         self.calls += 1

@@ -72,8 +72,8 @@ class SlidingWindowReduction:
     def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
         if window < 1:
             raise ValueError(f"window size must be >= 1, got {window}")
-        if not 1.0 + epsilon > 1.0:
-            raise ValueError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon}")
+        if not (math.isfinite(epsilon) and 1.0 + epsilon > 1.0):
+            raise ValueError(f"epsilon must be finite and positive with 1 + epsilon > 1, got {epsilon}")
         self.window = window
         self.epsilon = epsilon
         self.inner_factory = inner_factory
@@ -187,6 +187,10 @@ class SlidingWindowDP:
         self.window = window
         self.base = 1.0 + epsilon
         top = 1 + ceil_log_ratio(k * oracle.max_singleton(), epsilon)
+        try:
+            self.base**top  # the highest threshold ``_scan`` computes
+        except OverflowError:
+            raise ValueError(f"epsilon {epsilon} is too large: the top threshold (1 + epsilon)**{top} overflows") from None
         self.runs: list[list] = [[0, top + 1, [-1] * (k + 1), [oracle.empty()] * (k + 1)]]
         self._retained = 0
         self._t = 0

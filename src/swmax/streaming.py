@@ -22,11 +22,11 @@ def ceil_log_ratio(m: float, epsilon: float) -> int:
     """Smallest integer L >= 0 with (1 + epsilon)**L >= m.
 
     Memoized, since the reduction builds a sieve per arrival with the same
-    arguments. An epsilon so small that ``1 + epsilon`` rounds to 1 has no
-    lattice, and is refused as a non-positive one is.
+    arguments. An infinite epsilon, or one so small that ``1 + epsilon``
+    rounds to 1, has no lattice, and is refused as a non-positive one is.
     """
-    if not 1.0 + epsilon > 1.0:
-        raise ValueError(f"epsilon must be positive with 1 + epsilon > 1, got {epsilon}")
+    if not (math.isfinite(epsilon) and 1.0 + epsilon > 1.0):
+        raise ValueError(f"epsilon must be finite and positive with 1 + epsilon > 1, got {epsilon}")
     if m <= 1:
         return 0
     base = 1.0 + epsilon

@@ -77,18 +77,16 @@ def ivm_value(X, params) -> float:
 
 def factor_matrix(handle) -> np.ndarray:
     """A log-det node's factor rows as an ``n x n`` lower-triangular array."""
-    n = len(handle._rows)
+    n = len(handle._factor)
     L = np.zeros((n, n))
-    for i, row in enumerate(handle._rows):
+    for i, (_, row) in enumerate(handle._factor):
         L[i, : i + 1] = row
     return L
 
 
 def factor_ids(handle) -> list[int]:
-    """A log-det node's members that hold a factor row, in order: its ids
-    bar the skipped ones (the ids of these tests do not repeat)."""
-    skipped = set(handle.skipped_ids)
-    return [i for i in handle.ids if i not in skipped]
+    """A log-det node's members that hold a factor row, in order."""
+    return [m for m, _ in handle._factor]
 
 
 def load_set_stream_per_token(path) -> list[tuple[int, ...]]:
@@ -206,10 +204,11 @@ class ScriptedOracle:
 
 def node_state(handle):
     """What a handle holds: a coverage node's union mask, or a log-det
-    node's members, skipped ids and factor rows (compared bit for bit)."""
+    node's members, skipped ids and factor rows, each with its member
+    (compared bit for bit)."""
     if hasattr(handle, "mask"):
         return handle.mask
-    return handle.ids, handle.skipped_ids, handle._rows
+    return handle.ids, handle.skipped_ids, handle._factor
 
 
 def level_buffers(alg) -> list[list[int]]:
@@ -346,11 +345,11 @@ class RebuildPrioritySample:
 
 class KernelEntryCount:
     """Stand-in for ``math`` in ``swmax.objectives`` that counts kernel
-    entries: each is one ``dist`` call. ``exp``, ``log``, ``sqrt`` and
-    ``log1p`` are forwarded; any other name is missing, so a new use of
-    ``math`` there fails loudly instead of going uncounted."""
+    entries: each is one ``dist`` call. ``exp``, ``log``, ``sqrt``,
+    ``log1p`` and ``isfinite`` are forwarded; any other name is missing, so a
+    new use of ``math`` there fails loudly instead of going uncounted."""
 
-    exp, log, sqrt, log1p = math.exp, math.log, math.sqrt, math.log1p
+    exp, log, sqrt, log1p, isfinite = math.exp, math.log, math.sqrt, math.log1p, math.isfinite
 
     def __init__(self):
         self.entries = 0

@@ -368,14 +368,21 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--kernel-h", "--sigma"])
     def test_nan_parameter_exits_two(self, flag):
+        # so do the values that would crash the run or give it no grid: an
+        # infinite epsilon, an h whose square underflows or overflows, and a
+        # sigma whose square or inverse square does
         from swmax.bench import main
 
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["--objective", "ivm", "--algorithm", "sw-dp", "--k", "2",
-                 "--window", "10", "--format", "synth-vec", flag, "nan"]
-            )
-        assert exc.value.code == 2
+        values = {"--epsilon": ["nan", "inf"], "--kernel-h": ["nan", "inf", "1e-200", "1e200"],
+                  "--sigma": ["nan", "inf", "1e-200", "1e200"]}
+        for value in values[flag]:
+            for objective, fmt in [("ivm", "synth-vec"), ("coverage", "synth-sets")]:
+                with pytest.raises(SystemExit) as exc:
+                    main(
+                        ["--objective", objective, "--algorithm", "sw-dp", "--k", "2",
+                         "--window", "10", "--format", fmt, flag, value]
+                    )
+                assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "fmt,flag,value",

@@ -51,7 +51,7 @@ def _grow_with_batches(oracle, reference, ids, steps):
             got = node.gains(ids)
             assert oracle.calls == before + len(ids)
             # the node's batch is its own now: no probe of its parent's is kept
-            assert all(len(w) == len(node._rows) for w, _ in getattr(node, "_batch", {}).values())
+            assert all(len(w) == len(node._factor) for w, _ in getattr(node, "_batch", {}).values())
             assert got == [plain.gain(i) for i in ids]
         parent, node, plain = node, node.child(item), plain.child(item)
         assert node_state(node) == node_state(plain)
@@ -121,6 +121,19 @@ class TestSeKernel:
             se_kernel(np.zeros(2), np.zeros(3), PARAMS)
 
 
+@pytest.mark.parametrize(
+    "h,sigma",
+    [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1e-200, 1.0), (1e200, 1.0),
+     (0.75, -1.0), (0.75, math.nan), (0.75, math.inf), (0.75, 1e-200), (0.75, 1e200)],
+)
+def test_kernel_params_refuse_what_the_objective_cannot_use(h, sigma):
+    # h**2 or sigma**2 underflowing to 0 divides by zero in the run, and
+    # sigma**-2 or sigma**2 overflowing raises in the middle of it
+    with pytest.raises(ValueError):
+        KernelParams(h, sigma)
+    KernelParams(1e-150, 1e-150)  # every power still a positive finite float
+
+
 class TestIvmValue:
     def test_empty(self):
         assert ivm_value(np.zeros((0, 3)), PARAMS) == 0.0
@@ -166,7 +179,7 @@ class TestCholState:
     def test_extend_from_empty(self):
         state = CholState([[0.5]], PARAMS, Tally())
         state = state.child(1)
-        assert len(state._rows) == 1
+        assert len(state._factor) == 1
         assert factor_matrix(state)[0, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_sequential_extensions_match_fresh_factorization(self):
@@ -217,7 +230,7 @@ class TestCholState:
         before_value = state.value
         assert state.gain(2) == 0.0
         state = state.child(2)
-        assert len(state._rows) == 1
+        assert len(state._factor) == 1
         assert state.skipped_ids == [2]
         assert state.value == before_value
         # factor still usable afterwards
@@ -297,7 +310,7 @@ class TestNumericalEdges:
                 continue
             ref, fresh_value = fresh
             assert np.linalg.norm(L - ref) <= 1e-8 * np.linalg.norm(ref)
-            tol = _logdet_tol(len(state._rows), params.sigma)
+            tol = _logdet_tol(len(state._factor), params.sigma)
             assert abs(state.value - fresh_value) <= tol
             before = _fresh(X, factor_ids(state)[:-1], params)
             if before is not None:
@@ -325,7 +338,7 @@ class TestNumericalEdges:
         skipped = first.child(2)
         assert skipped.skipped_ids == [2] and skipped._batch is batch and first._batch is None
         grown = skipped.child(3)
-        assert grown.ids == [1, 2, 3] and len(grown._rows) == 2 and grown._batch is batch and skipped._batch is None
+        assert grown.ids == [1, 2, 3] and len(grown._factor) == 2 and grown._batch is batch and skipped._batch is None
         _grow_with_batches(oracle, IVMOracle(vec_store(X), params), [2, 3, 4],
                            [(1, True), (2, True), (3, False), (4, True)])
 
@@ -339,14 +352,18 @@ class TestNumericalEdges:
         ids = list(range(1, n + 1)) if data is None else data.draw(st.lists(st.integers(1, n), max_size=12))
         oracle = IVMOracle(vec_store(X), params)
         rebuilt = oracle.rebuild(ids)
-        grown, charged = CholState(X.tolist(), params, Tally()), 0.0
+        grown, charged, kept = CholState(X.tolist(), params, Tally()), 0.0, []
         for i in ids:
             charged += grown.gain(i)
-            grown = grown.child(i)
+            parent, grown = grown, grown.child(i)
+            if grown.skipped_ids == parent.skipped_ids:
+                kept.append(i)
         assert node_state(rebuilt) == node_state(grown)
         # a node carries the ids taken, collapsed pivots too, and the sum
-        # of the gains charged, left to right and bit for bit
+        # of the gains charged, left to right and bit for bit; a factor row
+        # is held by each id taken bar the skipped ones, in order
         assert grown.ids == ids
+        assert factor_ids(grown) == kept
         assert rebuilt.value == grown.value == charged
         again = oracle.rebuild(grown.ids)
         assert (again.ids, again.value) == (grown.ids, grown.value)
@@ -358,7 +375,7 @@ class TestNumericalEdges:
         # the rebuilt node skips them as the grown node does.
         X, params = self.COLLAPSE
         rebuilt = IVMOracle(vec_store(X), params).rebuild([1, 2, 3, 4])
-        assert rebuilt.ids == [1, 2, 3, 4] and rebuilt.skipped_ids == [2, 4] and len(rebuilt._rows) == 2
+        assert rebuilt.ids == [1, 2, 3, 4] and rebuilt.skipped_ids == [2, 4] and len(rebuilt._factor) == 2
         assert rebuilt.value > 0.0
 
     def test_two_point_closed_form(self):
@@ -373,7 +390,7 @@ class TestNumericalEdges:
         kappa = Fraction(math.exp(-(TWO_POINTS_A**2) / params.h**2))
         exact = 0.5 * math.log((1 + a * s) * (1 + b * s) - kappa**2 * a * b * s**2)
         state = _grown(IVMOracle(vec_store(X), params), range(1, len(X) + 1))
-        assert len(state._rows) == len(X) and not state.skipped_ids
+        assert len(state._factor) == len(X) and not state.skipped_ids
         assert abs(state.value - exact) <= 1e-10 * exact
 
     @settings(max_examples=60, deadline=None)
@@ -384,7 +401,7 @@ class TestNumericalEdges:
         state = CholState(X.tolist(), params, Tally())
         for i in range(1, len(X) + 1):
             grown = state.child(i)
-            if len(grown._rows) > len(state._rows):
+            if len(grown._factor) > len(state._factor):
                 S = X[[j - 1 for j in factor_ids(state)]]
                 c = np.exp(-np.sum((S - X[i - 1]) ** 2, axis=1) / params.h**2) / params.sigma**2
                 ref = solve_triangular(factor_matrix(state), c, lower=True)
@@ -398,7 +415,7 @@ class TestNumericalEdges:
         # overhead than the arithmetic it does.
         X = np.random.default_rng(8).normal(size=(12, 4))
         state = _grown(IVMOracle(vec_store(X), PARAMS), range(1, 11))
-        assert len(state._rows) == 10
+        assert len(state._factor) == 10
 
         def banned(*args, **kwargs):
             raise AssertionError("numpy called on the gain path")
@@ -590,6 +607,17 @@ class TestHandles:
         for i in everyone:
             if i not in members + extra:
                 assert abs(grown.gain(i) - self._diff(oracle, members + extra, i)) <= tol
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
+    @settings(max_examples=30, deadline=None)
+    @given(members=ids)
+    def test_rebuild_reads_its_ids_once(self, objective, members):
+        # an iterator of ids serves as a list does: the node lists the ids
+        # that it scored
+        oracle, _ = self.ORACLES[objective]
+        node = oracle.rebuild(iter(members))
+        assert node.ids == members
+        assert node.value == oracle.eval(members)
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_child_is_shared(self, objective):

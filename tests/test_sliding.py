@@ -211,15 +211,24 @@ EPSILON_CONSTRUCTORS = {
 }
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, 1e-17, 1e-300])
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, 1e-17, 1e-300, math.inf])
 @pytest.mark.parametrize("name", sorted(EPSILON_CONSTRUCTORS))
 def test_epsilon_must_be_positive(name, epsilon):
     # k * max singleton = 1 gives the one-level grid, built without
     # dividing by log(1 + eps), so only the explicit check can refuse NaN,
-    # or an epsilon so small that 1 + eps rounds to 1
+    # infinity, or an epsilon so small that 1 + eps rounds to 1
     oracle = CoverageOracle(set_store((1,)))
     with pytest.raises(ValueError):
         EPSILON_CONSTRUCTORS[name](epsilon, oracle)
+
+
+def test_dp_top_threshold_must_be_a_float():
+    # k * max singleton = 2 puts sw-dp's top threshold at (1 + eps)**2,
+    # which overflows: refused when built, naming epsilon, not in a step
+    oracle = CoverageOracle(set_store((1,)))
+    with pytest.raises(ValueError, match="epsilon"):
+        SlidingWindowDP(2, 3, 1e308, oracle)
+    SlidingWindowDP(1, 3, 1e308, oracle).step(1)  # its top threshold is 1 + eps
 
 
 @pytest.mark.parametrize("sample_c", [-1.0, math.nan])
