@@ -85,6 +85,9 @@ class RunConfig:
         KernelParams(self.kernel_h, self.sigma)
         if self.query_every is not None and self.query_every < 1:
             raise ValueError("--query-every must be >= 1")
+        needs = ("sets", "synth-sets") if self.objective == "coverage" else ("csv", "synth-vec")
+        if self.format not in needs:
+            raise ValueError(f"--objective {self.objective} needs --format {' or '.join(needs)}, got {self.format}")
         if self.format in ("csv", "sets") and not self.input:
             raise ValueError(f"--format {self.format} requires --input")
         if self.drop_columns and self.format != "csv":

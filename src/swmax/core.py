@@ -17,7 +17,8 @@ A handle is an immutable trie node for one set, and all a buffer holds:
 ``ids`` lists the members in insertion order, and ``value`` is 0.0 at a
 root and a parent's value plus the item's gain at a child. ``gain(id)`` is
 the marginal gain of one more item, ``gains(ids)`` the gains of many items
-in one batch, as greedy scores its candidates in a round, and ``child(id)``
+in one batch, as lazy greedy scores its candidates in its first round (its
+later rounds re-score one candidate at a time by ``gain``), and ``child(id)``
 the node for the set plus that item, leaving the node itself unchanged. A
 node remembers its last gain and its last child, so buffers with equal
 contents grown from one root hold one node, compute the gain of an arrival

@@ -24,14 +24,18 @@ extended, since downdating is numerically risky: a buffer that shrinks
 own, one ``child`` per member. So every factor comes from the one row step
 of ``child``, and a collapsed pivot is skipped alike on every path.
 
-A batch of gains (``gains``, one greedy round) keeps each candidate's
-probe, its forward substitution against the node's factor. The child that
-greedy takes inherits the batch, and its own batch extends each probe by
-the one row the factor grew by, so a greedy round costs one kernel entry
-and one solve entry per candidate, not a kernel row and a whole solve. A
-batch lives until it is handed on or used: a node hands it to the child
-grown from one of its ids and drops it, and the child's own batch replaces
-it, so a finished greedy leaves at most one batch, on its last node.
+A batch of gains (``gains``, greedy's first round) keeps each candidate's
+probe, its forward substitution against the node's factor, and the child
+that greedy takes inherits the batch. Greedy is lazy: a later round
+re-scores, by ``gain``, only the candidates whose bounds reach the top,
+perhaps several rows after their last score, and each such gain resumes the
+kept probe over the rows the factor gained since, one kernel entry and one
+solve entry per row, not a kernel row and a whole solve. A batch probe's
+kernel entries are each read once, so they stay out of the arrival slot. A
+batch lives until it is handed on or used: a node hands it, without the
+probe of the id taken, to the child grown from one of its ids and drops
+it, and ``gains`` and ``gain`` add their probes to it, so a finished greedy
+leaves at most one batch, on its last node.
 """
 
 from __future__ import annotations
@@ -86,12 +90,13 @@ class CholState:
 
     The root and its nodes also share one arrival slot, the last element of
     ``_kernel``: ``[item, x, {member id: K(x, member) / sigma**2}]``, empty
-    (``None``) until the first probe. Every probe (``_probe``) goes through
-    it: one for another item refills it, which checks the id and looks up
-    ``x``, and each entry is read from the slot, or computed and stored on
-    a miss, by the same expression, so every gain and factor row is the
-    same float either way. The streaming algorithms probe one arrival
-    across many nodes in a row, so each entry is computed once per arrival.
+    (``None``) until the first probe. Every probe of an arrival
+    (``_probe``) goes through it: one for another item refills it, which
+    checks the id and looks up ``x``, and each entry is read from the slot,
+    or computed and stored on a miss, by the same expression, so every gain
+    and factor row is the same float either way. The streaming algorithms
+    probe one arrival across many nodes in a row, so each entry is computed
+    once per arrival. Batch probes (see ``gains``) leave the slot alone.
 
     A node's set, value and factor never change, only its two memo slots
     and its batch probes (see ``gains``) do. ``child(id)`` returns the node
@@ -118,23 +123,40 @@ class CholState:
         self._child: tuple[int, CholState] | None = None
         self._batch: dict[int, tuple[list[float], float]] | None = None
 
-    def _probe(self, item_id: int) -> tuple[list[float], float]:
+    def _probe(self, item_id: int, w: list[float] | None = None) -> tuple[list[float], float]:
         """``w`` solving ``L w = c`` for the point x of ``item_id``, and the pivot ``d``.
 
         ``c_j = K(x, s_j) / sigma^2`` and ``d = 1 + K(x, x)/sigma^2 - w.w``
         is the Schur complement, where ``K(x, x) = 1`` for this kernel.
         ``w`` comes by forward substitution, one kernel entry and one
-        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member. Each entry is
-        read from the root's arrival slot, or computed and stored there on a
-        miss; the slot is refilled first if it holds another item.
+        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member.
+
+        A batch probe (see ``gains``) passes the ``w`` it kept, the solve
+        against the first ``len(w)`` rows of this factor, or ``[]`` to start
+        one, and the loop resumes it from the next row. Each of its entries
+        is read once, so it computes them and leaves the arrival slot alone.
+        A probe of an arrival (no ``w``) reads each entry from the root's
+        arrival slot, or computes and stores it there on a miss; the slot is
+        refilled first if it holds another item. Both loops do the same
+        float operations in the same order, so a resumed probe is a fresh
+        one bit for bit.
         """
         rows, inv_s2, h2, slot = self._kernel
+        if w is not None:
+            if not 1 <= item_id <= len(rows):
+                raise ValueError(f"unknown item id {item_id}")
+            x = rows[item_id - 1]
+            w = w[:]
+            for m, row in self._factor[len(w):]:
+                c = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
+                w.append((c - sum(map(mul, row, w))) / row[-1])
+            return w, 1.0 + inv_s2 - sum(map(mul, w, w))
         if slot[0] != item_id:
             if not 1 <= item_id <= len(rows):
                 raise ValueError(f"unknown item id {item_id}")
             slot[:] = item_id, rows[item_id - 1], {}
         _, x, known = slot
-        w: list[float] = []
+        w = []
         for m, row in self._factor:
             c = known.get(m)
             if c is None:
@@ -144,13 +166,19 @@ class CholState:
 
     def gain(self, item_id: int) -> float:
         """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a
-        collapsed pivot."""
+        collapsed pivot. An item of the node's batch (see ``gains``) has its
+        kept probe resumed, and the batch keeps the result."""
         counter = self.counter
         counter.calls += 1
         memo = self._gain
         if memo is not None and memo[0] == item_id:
             return memo[1]
-        probe = self._probe(item_id)
+        batch = self._batch
+        kept = None if batch is None else batch.get(item_id)
+        if kept is None:
+            probe = self._probe(item_id)
+        else:
+            probe = batch[item_id] = self._probe(item_id, kept[0])
         d = probe[1]
         gain = 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
         self._gain = (item_id, gain, probe)
@@ -159,41 +187,28 @@ class CholState:
 
     def gains(self, ids: Sequence[int]) -> list[float]:
         """``[self.gain(i) for i in ids]``, bit for bit, each id charged and
-        evaluated once; the probes are kept as this node's batch.
+        evaluated once; the probes are kept in this node's batch.
 
-        A node grown by ``child`` from an id of a batch takes the batch
-        with it, so its probes are against the factor one row short. Its own
-        ``gains`` extends each of them by that row: one kernel entry ``c``
-        and ``(c - sum(map(mul, row, w))) / row[-1]``, the last step
-        ``_probe`` would take, so ``w`` and ``d`` come out as ``_probe``
-        computes them. After a collapsed pivot the factor, and so each
-        probe, is unchanged. An id outside the batch is probed afresh, and
-        the new batch replaces the one taken.
+        A node grown by ``child`` from an id of a batch takes the batch with
+        it, so its probes are against a prefix of its factor: a probe last
+        resumed k rows back lacks those k rows, and after a collapsed pivot
+        the factor, and so each probe, is unchanged. ``gains`` resumes the
+        kept probe of each id (see ``_probe``), or starts one for an id
+        outside the batch, and stores the result in the batch; the other
+        probes stay as they are.
         """
         counter = self.counter
         counter.calls += len(ids)
         counter.evaluations += len(ids)
-        taken = self._batch or {}
-        n = len(self._factor)
-        if n:
-            rows, inv_s2, h2, _ = self._kernel
-            m, row = self._factor[-1]
-            s, pivot = rows[m - 1], row[-1]
-        probes: dict[int, tuple[list[float], float]] = {}
+        batch = self._batch
+        if batch is None:
+            batch = self._batch = {}
         gains: list[float] = []
         for i in ids:
-            probe = taken.get(i)
-            if probe is None:
-                probe = self._probe(i)
-            elif len(probe[0]) < n:
-                w = probe[0]
-                c = inv_s2 * math.exp(-math.dist(s, rows[i - 1]) ** 2 / h2)
-                w = w + [(c - sum(map(mul, row, w))) / pivot]
-                probe = (w, 1.0 + inv_s2 - sum(map(mul, w, w)))
-            probes[i] = probe
+            kept = batch.get(i)
+            probe = batch[i] = self._probe(i, [] if kept is None else kept[0])
             d = probe[1]
             gains.append(0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0)
-        self._batch = probes
         return gains
 
     def child(self, item_id: int) -> "CholState":
@@ -201,27 +216,31 @@ class CholState:
         is added to ``skipped_ids`` too, and the factor is kept.
 
         If the node's own batch holds a probe of the item, the batch moves on
-        to the child, new or from the memo, to be extended in the child's own
-        ``gains``, and a new child takes its probe from it.
+        to the child, new or from the memo, without that probe. A new child
+        grows its row from the gain memo's probe of the item, or else from
+        the batch's, resumed to this factor's length if it falls short.
         """
-        taken = None
-        batch = self._batch
-        if batch is not None and item_id in batch and len(batch[item_id][0]) == len(self._factor):
-            taken, self._batch = batch, None
+        kept = batch = self._batch
+        if batch is not None:
+            kept = batch.pop(item_id, None)
+            if kept is None:
+                batch = None
+            else:
+                self._batch = None
         memo = self._child
         if memo is not None and memo[0] == item_id:
-            if taken is not None:
-                memo[1]._batch = taken
+            if batch is not None:
+                memo[1]._batch = batch
             return memo[1]
         gained = self._gain
-        if taken is not None:
-            w, d = taken[item_id]
-        elif gained is not None and gained[0] == item_id:
+        if gained is not None and gained[0] == item_id:
             w, d = gained[2]
+        elif kept is not None:
+            w, d = self._probe(item_id, kept[0]) if len(kept[0]) < len(self._factor) else kept
         else:
             w, d = self._probe(item_id)
         node = object.__new__(CholState)
-        node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, taken
+        node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, batch
         node.ids = self.ids + [item_id]
         if d <= DEGENERATE_PIVOT:
             node.value, node.skipped_ids = self.value, self.skipped_ids + [item_id]

@@ -140,24 +140,39 @@ def greedy_select(items: Sequence[int], k: int, oracle: SubmodularOracle) -> Ora
     """Classic greedy: k rounds of best marginal gain, smallest id on ties.
 
     Returns the handle grown with the selection, its ``ids`` in the order
-    chosen. Each round scores the remaining candidates with one ``gains``
-    call on the handle grown so far, so a log-det handle extends the last
-    round's probes instead of probing afresh. Stops early once the best gain
-    is <= 0 (it cannot help a monotone objective and skipping it saves
-    oracle calls). The id tie-break makes the result invariant to candidate
-    order.
+    chosen; a repeated id is one candidate. Greedy is lazy (Minoux's
+    accelerated greedy): a candidate's last gain, an upper bound on its next
+    one by submodularity, is kept in ``order`` as ``(-bound, id)``, sorted
+    at the start of every round. The first round scores every candidate in
+    one ``gains`` call. A later round re-scores the entries from the top,
+    by one ``gain`` each on the handle grown so far, until the next bound
+    is no better than the best gain of this round, and takes that one.
+    These are the re-scores, in order, that a heap of round-tagged bounds
+    makes, and with exact gains the pick is the one that scoring every
+    candidate would make. A log-det handle resumes the candidate's kept
+    probe instead of probing afresh. Stops early once the best gain is <= 0
+    (it cannot help a monotone objective and skipping it saves oracle
+    calls). The id tie-break makes the result invariant to candidate order.
     """
     handle = oracle.empty()
-    candidates = list(items)
-    for _ in range(k):
-        if not candidates:
+    candidates = list(dict.fromkeys(items))
+    if k < 1 or not candidates:
+        return handle
+    order = sorted(zip([-gain for gain in handle.gains(candidates)], candidates))
+    while order[0][0] < 0.0:
+        handle = handle.child(order.pop(0)[1])
+        k -= 1
+        if not k or not order:
             break
-        gains = handle.gains(candidates)
-        best_gain = max(gains)
-        if best_gain <= 0.0:
-            break
-        best_id = min(c for c, g in zip(candidates, gains) if g == best_gain)
-        handle = handle.child(best_id)
-        candidates = [c for c in candidates if c != best_id]
+        gain = handle.gain
+        # every bound predates the pick, so the top one is re-scored
+        best = order[0] = (-gain(order[0][1]), order[0][1])
+        for i in range(1, len(order)):
+            bound = order[i]
+            if bound >= best:
+                break
+            order[i] = score = (-gain(bound[1]), bound[1])
+            if score < best:
+                best = score
+        order.sort()
     return handle
-

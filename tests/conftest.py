@@ -8,7 +8,7 @@ import pytest
 from swmax import objectives
 from swmax.ingest import DatasetStore, ParseError
 from swmax.objectives import DEGENERATE_PIVOT
-from swmax.streaming import ceil_log_ratio
+from swmax.streaming import ceil_log_ratio, greedy_select
 
 from reference import instance_values, payload, runs, scan_answer
 
@@ -144,29 +144,6 @@ def prune_by_mask(reduction) -> None:
         reduction.instances = [inst for inst, kept in zip(reduction.instances, keep) if kept]
 
 
-def greedy_by_gain(items, k, oracle):
-    """Reference for ``greedy_select``: k rounds that score each candidate
-    with its own ``gain`` call, best gain first, smallest id on ties."""
-    selected, chosen = [], set()
-    handle = oracle.empty()
-    value = 0.0
-    for _ in range(k):
-        best_id, best_gain = None, 0.0
-        for cand in items:
-            if cand in chosen:
-                continue
-            gain = handle.gain(cand)
-            if best_id is None or gain > best_gain or (gain == best_gain and cand < best_id):
-                best_id, best_gain = cand, gain
-        if best_id is None or best_gain <= 0.0:
-            break
-        selected.append(best_id)
-        chosen.add(best_id)
-        handle = handle.child(best_id)
-        value += best_gain
-    return selected, value, handle
-
-
 class ScriptedNode:
     """Handle whose gains are read from a script, negative ones included;
     like a trie node, it returns the same child for the same id. Its gains
@@ -248,7 +225,8 @@ class LevelSieve:
             if len(survivors) < len(buf):
                 if self.sample_c is not None:
                     candidates = sorted(set(self.samples) | set(survivors))
-                    buf, self.values[level], self.handles[level] = greedy_by_gain(candidates, len(survivors), self.oracle)
+                    self.handles[level] = greedy_select(candidates, len(survivors), self.oracle)
+                    buf, self.values[level] = list(self.handles[level].ids), self.handles[level].value
                 elif survivors:
                     buf = survivors
                     self.handles[level] = self.oracle.rebuild(buf)

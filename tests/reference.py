@@ -1,8 +1,9 @@
 """Test-only references: exact optima, plain coverage, a store's payloads,
 set-stream and dense-CSV writers, window members, a best-so-far wrapper,
 the reduction's live instances, the run layout and thresholds of the
-sieves and level tables with the handles their buffers hold, and the
-answers a full scan of their state gives."""
+sieves and level tables with the handles their buffers hold, the answers
+a full scan of their state gives, and eager greedy, which scores every
+candidate in every round."""
 
 import math
 from itertools import combinations
@@ -181,3 +182,26 @@ def scan_answer(alg) -> tuple[list[int], float]:
         ids = sorted(c[0] for c in sorted(alg.candidates, key=lambda c: c[1])[: alg.k])
         return (ids, alg.oracle.eval(ids)) if ids else ([], 0.0)
     return list(best.ids), best.value
+
+
+def greedy_by_gain(items, k, oracle):
+    """Reference for ``greedy_select``: k rounds that score each candidate
+    with its own ``gain`` call, best gain first, smallest id on ties."""
+    selected, chosen = [], set()
+    handle = oracle.empty()
+    value = 0.0
+    for _ in range(k):
+        best_id, best_gain = None, 0.0
+        for cand in items:
+            if cand in chosen:
+                continue
+            gain = handle.gain(cand)
+            if best_id is None or gain > best_gain or (gain == best_gain and cand < best_id):
+                best_id, best_gain = cand, gain
+        if best_id is None or best_gain <= 0.0:
+            break
+        selected.append(best_id)
+        chosen.add(best_id)
+        handle = handle.child(best_id)
+        value += best_gain
+    return selected, value, handle

@@ -17,6 +17,7 @@ from swmax.bench import (
 )
 from swmax.ingest import gen_set_stream
 from swmax.sliding import SieveNaive
+from swmax.streaming import greedy_select
 
 from reference import write_set_stream
 from test_golden import CONFIGS
@@ -217,33 +218,40 @@ class TestSharedEvaluations:
     def _run(algorithm):
         """Stream the golden ivm config through ``algorithm`` on its own
         oracle, querying at ``run_benchmark``'s cadence: ``random`` charges
-        its queries, so its calls match the harness's only then."""
+        its queries, so its calls match the harness's only then. ``greedy``
+        runs on each queried window instead, as the harness runs it."""
         config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
         store = load_store(config)
         counting = bench.make_oracle(config, store)
-        alg = bench._make_stream_algorithm(config, counting)
         n, every = len(store), math.ceil(config.window / 10)
+        alg = None if algorithm == "greedy" else bench._make_stream_algorithm(config, counting)
         for t in range(1, n + 1):
-            alg.step(t)
+            if alg is not None:
+                alg.step(t)
             if t % every == 0 or t == n:
-                alg.query()
+                if alg is None:
+                    greedy_select(range(max(1, t - config.window + 1), t + 1), config.k, counting)
+                else:
+                    alg.query()
         return config, counting
 
     @pytest.mark.parametrize(
         "algorithm,evaluations",
-        [("sw-rd", 915), ("sw-dp", 1380), ("sieve-naive", 36), ("sieve-greedy", 4130), ("random", 31)],
+        [("sw-rd", 915), ("sw-dp", 1380), ("sieve-naive", 36), ("sieve-greedy", 3369), ("random", 31), ("greedy", 5719)],
     )
     def test_ivm_evaluations_pinned(self, algorithm, evaluations):
         # sieve-naive: every level of a run shares the one node its expiry
-        # rebuilds, where a rebuild per level made one node each.
+        # rebuilds, where a rebuild per level made one node each. greedy
+        # scores in batches, which keep no memo, so each of its calls is an
+        # evaluation.
         config, counting = self._run(algorithm)
         assert counting.calls == run_benchmark(config)[-1].oracle_calls
         assert counting.evaluations == evaluations
-        assert counting.evaluations < counting.calls
+        assert (counting.evaluations < counting.calls) == (algorithm != "greedy")
 
     @pytest.mark.parametrize(
         "algorithm,entries",
-        [("sw-rd", 675), ("sw-dp", 1391), ("sieve-naive", 102), ("sieve-greedy", 2827), ("random", 186)],
+        [("sw-rd", 675), ("sw-dp", 1391), ("sieve-naive", 102), ("sieve-greedy", 2029), ("random", 186), ("greedy", 3970)],
     )
     def test_ivm_kernel_entries_pinned(self, algorithm, entries, kernel_entries):
         # Every buffer grown from the oracle's root shares its arrival slot,
@@ -332,6 +340,25 @@ class TestCli:
                 ["--objective", "coverage", "--algorithm", "sieve-greedy",
                  "--k", "2", "--window", "10", "--format", "synth-sets"]
             )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "objective,fmt", [("coverage", "csv"), ("coverage", "synth-vec"), ("ivm", "sets"), ("ivm", "synth-sets")]
+    )
+    def test_objective_and_format_mismatch_exits_two(self, objective, fmt, tmp_path, monkeypatch):
+        # Coverage reads sets and ivm dense vectors: a mismatched pair is a
+        # usage error, refused before any input is read or generated.
+        from swmax.bench import main
+
+        def no_load(config):
+            raise AssertionError("input loaded")
+
+        monkeypatch.setattr(bench, "load_store", no_load)
+        stream = tmp_path / "input.txt"
+        stream.write_text("1 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--objective", objective, "--algorithm", "sw-rd", "--k", "2", "--window", "10",
+                  "--format", fmt, "--input", str(stream)])
         assert exc.value.code == 2
 
     def test_zero_epsilon_rejected(self):

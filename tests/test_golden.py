@@ -22,19 +22,19 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    ("coverage", "greedy"): "f115b42d772d1b0d32f6f82143312f050b717bede7d2c24a042df0b56a1f50df",
+    ("coverage", "greedy"): "71ede0480bc4bd9efbf1e7e9c43c47f21435ff89f7030f65e712473ddff6bab9",
     ("coverage", "sieve"): "cbd14e482c8692b119c32bf56899b939e7eb683efebd4cc6f84d872c33a7a991",
     ("coverage", "sw-rd"): "8664455a4dcf51fe3e0ceaab2dcf6c0546d31ffbae80f79f885a89d6f6c747da",
     ("coverage", "sw-dp"): "2f97368089c3e5104a618bcf4cb75be24764222c777f995787123502e603965c",
     ("coverage", "sieve-naive"): "4fa87d5a2b718297a116650bcb2ef878d67cacf5f7ec26d2008a75d9fcb2db21",
-    ("coverage", "sieve-greedy"): "982f3402d7ed413d52eb209ccc04a2fa5b1d65457264261f7ecb36d7f3c73575",
+    ("coverage", "sieve-greedy"): "f6ee62d03a63ae872b73928b8b29802f9e3d8b76de95cee0bf0e8f3ee5df789e",
     ("coverage", "random"): "e9c7120989beb1135df557b72ae35cb7057f73a8bfd11a245513214d5ef4e40d",
-    ("ivm", "greedy"): "92927482cc929865854e8bb690476d619dcfd8502e221e6e6c56e8dfac8ee35e",
+    ("ivm", "greedy"): "a6dddde0370f1d8fe719b3d2193959ea0a1741fa82360cc2cac226ebec33fa92",
     ("ivm", "sieve"): "a75eff56f12f05f6152699bb6a5054cc7254b133ba390470ceb729ce47c33ae4",
     ("ivm", "sw-rd"): "2a2c5454102bd45109cf75e6d8e721019211a7c3ae3d6123c7e42de4d6ba8375",
     ("ivm", "sw-dp"): "ca225a3e883dc58f0feba0d4ad2d88008a6c9f6ca92b13ee340d7d653793a10c",
     ("ivm", "sieve-naive"): "e1a3f15a8ca2453f71c92a2a453182cb037308c8ee5a1a852ac1634220adecac",
-    ("ivm", "sieve-greedy"): "fdba95ff7aa701db8204dfb3bc698c58569b6d66faf455f2ba6b11d7f59258a0",
+    ("ivm", "sieve-greedy"): "1d7dc3d16e3521c5115662b4b7c3520af8bed52c657e4a9f39fdbdc0909ca4b1",
     ("ivm", "random"): "c4b70a48968246041ccfb4c14109713bb0253480d2fd0163797ed84446f1c9ef",
 }
 
@@ -43,10 +43,10 @@ GOLDEN = {
 # changed admission or greedy choice on a deep factor shows here. Greedy
 # grows each candidate's solve over 11 rounds against one growing factor.
 GOLDEN_IVM_K12 = {
-    "greedy": "6401cfb7d17755533b61c78e424823fdc407b32d8d6cfc433af1d63de8d9180f",
+    "greedy": "170856c21fc8bd19c08bab427a25fb3be19347d6f13e306bd154b43794af7aba",
     "sw-rd": "d1276450a9f774da3d6e6209521526b6dbde8f60d7f8147d741dfdb15e50910e",
     "sw-dp": "b1e2ae981278c5a5367e788848102ae132be83293809a9f34ca3319b9f2bebc5",
-    "sieve-greedy": "0e99c85c6c2a1005ba543632871d1cfd38969026efe8cdddc39ddd8e15af6ccb",
+    "sieve-greedy": "52ad9ecf2c3cdbad18cdf0d04ef920b8a727070d1eb60b034b9e5b1dc011aece",
 }
 
 # Coverage cells at the benchmark's coverage shape (universe 1000, mean set
@@ -57,9 +57,9 @@ GOLDEN_IVM_K12 = {
 # up to 200 candidates a round.
 WIDE_COVERAGE = dict(format="synth-sets", synth_n=600, synth_universe=1000, synth_mean_size=20.0, seed=0)
 GOLDEN_WIDE_COVERAGE = {
-    "greedy": "dab0ec69fe2104df77230c3d090dc63ac42a3632d2bcc8fa104aab2ed4f6c7e8",
+    "greedy": "9d3e3a1441e0d77ba06d9461610131e24143da9b56467e2d0280201e5f0da693",
     "random": "6bfa80aef57a3a7c17e5a4818446288be4519fc2835357a63c8572cfb0f2822d",
-    "sieve-greedy": "f5be3b2a5f083e60d1c5868e7d397af9099734077645decc1232b3d4e9e2c7c8",
+    "sieve-greedy": "82720b072b1d32b3d7655e9fc0de15d3c72e774294d8dc40fb67ee00b5b78484",
     "sieve-naive": "81b3ad4d6becd74ffc2ebcb18c5562d6bbd95c48cb660cce37d620cc342005a8",
     "sw-dp": "a82526ee581ddacde37dd4979f4be6b851fdbaf76139421ecd39982ea0fd902b",
     "sw-rd": "9aff7b5ea30a137baec91f8025850cdf41cd4ecfec5365b6c9230c0062f0934f",
@@ -81,7 +81,7 @@ GOLDEN_IVM_SW_RD_EVERY_ARRIVAL = "87c1d883afabcbd1bf5db025ac2a2c23857a702629750a
 # collapses and buffers hold skipped ids (``CholState.skipped_ids``).
 GOLDEN_IVM_COLLAPSED_PIVOTS = {
     "sieve-naive": "3bae7d1a2fa4111805b70ade1e9cedf81857a7d9c4467733a6385a86fe1b837d",
-    "sieve-greedy": "ff43696e38ec9cb32fa6d1e86d8a37b1c68eacd30da27200266c9a7ff6876d17",
+    "sieve-greedy": "9cc83a209a084483b6be64b1dcc9aec92160409eba43ba5e26780ba0242f6463",
     "sw-rd": "fa5c547c628cd07d1c05c84c625ae2e473473c079316f6d4ee94a49e2f212875",
     "sw-dp": "009af9368e84b675381f729f2045c10c9fe88d945be845fd38df833e2543e703",
 }
@@ -93,7 +93,7 @@ GOLDEN_IVM_COLLAPSED_PIVOTS = {
 # CSV), and the random baseline's answer at every arrival.
 GOLDEN_COVERAGE_EVERY_ARRIVAL = {
     "random": "14c15be4338a8c68a3ac751e9a8d4e04314e200931dd27384a12d47c475e6853",
-    "sieve-greedy": "6f85f7f3b928ffec3e6927263fea63dacec391eb6dff1b22d4cc1014d1149e8c",
+    "sieve-greedy": "3759a85860963d2db91a3ed85e7accd6f1297e9a2ffe5039892b0736985630e7",
     "sieve-naive": "4fe5eecb3976a6143a055bf29be01abe8878543ab82cd8de4c552417458a0638",
     "sw-rd": "0add1ef9ae78abc1d199fca5e16cbd80c09b89c6feeee6f0be305a228b223a05",
 }

@@ -37,26 +37,42 @@ from reference import brute_force_opt, coverage_value, payload, runs, thresholds
 PARAMS = KernelParams(h=0.75, sigma=1.0)
 
 
-def _grow_with_batches(oracle, reference, ids, steps):
+def _grow_with_batches(oracle, reference, steps):
     """Grow a node from a fresh root of ``oracle`` by ``steps``, each
-    ``(item, batch)``. With ``batch`` set the node first scores ``ids`` in
-    one ``gains`` call, which must charge one call per id and equal the
-    single gains of the node ``reference`` grows by ``child`` alone, bit for
-    bit. Every grown node must hold what that node holds, and a batch, once
-    handed on or used, must be let go."""
+    ``(item, ids)``. The node first scores ``ids`` in one ``gains`` call
+    (none if empty), which must charge one call per id and equal the single
+    gains of the node ``reference`` grows by ``child`` alone, bit for bit.
+    A log-det batch keeps every probe it held, each against a prefix of the
+    node's factor, and the probes just scored against all of it. Every grown
+    node must hold what that node holds, and a batch that holds the item
+    must move to the child without that item's probe."""
     node, plain = oracle.rebuild(()), reference.empty()
-    for item, batch in steps:
-        if batch:
-            before = oracle.calls
+    for item, ids in steps:
+        if ids:
+            before, held = oracle.calls, set(getattr(node, "_batch", None) or ())
             got = node.gains(ids)
             assert oracle.calls == before + len(ids)
-            # the node's batch is its own now: no probe of its parent's is kept
-            assert all(len(w) == len(node._factor) for w, _ in getattr(node, "_batch", {}).values())
             assert got == [plain.gain(i) for i in ids]
+            if hasattr(node, "_batch"):
+                assert set(node._batch) == held | set(ids)
+                assert all(len(node._batch[i][0]) == len(node._factor) for i in ids)
+                assert all(len(w) <= len(node._factor) for w, _ in node._batch.values())
+        batch = getattr(node, "_batch", None)
+        moves = batch is not None and item in batch
         parent, node, plain = node, node.child(item), plain.child(item)
         assert node_state(node) == node_state(plain)
-        if batch and item in ids:
-            assert getattr(parent, "_batch", None) is None
+        if moves:
+            assert parent._batch is None and node._batch is batch and item not in batch
+
+
+def _batch_step(ids, n):
+    """Strategies for one step of ``_grow_with_batches`` on candidates
+    ``ids`` of a store of ``n`` items: the item taken, often a candidate,
+    and the ids scored first: all candidates, as greedy's first round
+    scores them, a few, or none."""
+    if not ids:
+        return st.integers(1, n), st.just([])
+    return st.sampled_from(ids) | st.integers(1, n), st.just(ids) | st.lists(st.sampled_from(ids), max_size=3)
 
 
 def _grown(oracle, ids):
@@ -322,9 +338,8 @@ class TestNumericalEdges:
         X, params = case
         n = len(X)
         ids = data.draw(st.lists(st.integers(1, n), max_size=12))
-        item = st.sampled_from(ids) | st.integers(1, n) if ids else st.integers(1, n)
-        steps = data.draw(st.lists(st.tuples(item, st.booleans()), max_size=12))
-        _grow_with_batches(IVMOracle(vec_store(X), params), IVMOracle(vec_store(X), params), ids, steps)
+        steps = data.draw(st.lists(st.tuples(*_batch_step(ids, n)), max_size=12))
+        _grow_with_batches(IVMOracle(vec_store(X), params), IVMOracle(vec_store(X), params), steps)
 
     def test_batch_passes_through_a_skipped_pivot(self):
         # Point 2 repeats point 1 and collapses its pivot: the skipping child
@@ -339,8 +354,8 @@ class TestNumericalEdges:
         assert skipped.skipped_ids == [2] and skipped._batch is batch and first._batch is None
         grown = skipped.child(3)
         assert grown.ids == [1, 2, 3] and len(grown._factor) == 2 and grown._batch is batch and skipped._batch is None
-        _grow_with_batches(oracle, IVMOracle(vec_store(X), params), [2, 3, 4],
-                           [(1, True), (2, True), (3, False), (4, True)])
+        _grow_with_batches(oracle, IVMOracle(vec_store(X), params),
+                           [(1, [2, 3, 4]), (2, [2, 3, 4]), (3, []), (4, [2, 3, 4])])
 
     @settings(max_examples=60, deadline=None)
     @given(case=edge_points(), data=st.data())
@@ -683,10 +698,9 @@ class TestHandles:
     @given(ids=st.lists(st.integers(1, N), max_size=12), data=st.data())
     def test_batch_gains_match_single_gains(self, objective, ids, data):
         oracle, _ = self.ORACLES[objective]
-        item = st.sampled_from(ids) | st.integers(1, self.N) if ids else st.integers(1, self.N)
-        steps = data.draw(st.lists(st.tuples(item, st.booleans()), max_size=10))
+        steps = data.draw(st.lists(st.tuples(*_batch_step(ids, self.N)), max_size=10))
         reference = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
-        _grow_with_batches(oracle, reference, ids, steps)
+        _grow_with_batches(oracle, reference, steps)
 
     def test_batch_follows_a_child_from_the_memo(self):
         # A greedy round that picks the item of the node's last child, as
@@ -699,6 +713,27 @@ class TestHandles:
         assert root.child(3) is first and first._batch is batch and root._batch is None
         assert first.gains([4, 5]) == [_grown(self.IVM, [3]).gain(i) for i in (4, 5)]
         assert all(len(w) == 1 for w, _ in first._batch.values())
+
+    @pytest.mark.parametrize("rescore", ["gain", "gains"])
+    def test_batch_resumes_a_probe_many_rows_behind(self, rescore):
+        # As lazy greedy scores: every candidate at the root, then one a
+        # round by ``gain``. The probes of 8 and 9 stay empty while the
+        # factor grows by three rows, and are then resumed over all three,
+        # by ``gain``, ``gains`` or the ``child`` that takes the item, bit
+        # for bit as a fresh probe.
+        oracle = IVMOracle(self.IVM_STORE, PARAMS)
+        node = oracle.empty()
+        node.gains([5, 6, 7, 8, 9])
+        for i in (5, 6, 7):
+            node = node.child(i)
+            if i != 7:
+                node.gain(i + 1)
+        assert len(node._factor) == 3 and [len(w) for w, _ in node._batch.values()] == [0, 0]
+        fresh = oracle.rebuild([5, 6, 7])
+        got = node.gain(8) if rescore == "gain" else node.gains([8])[0]
+        assert got == fresh.gain(8) and node._batch[8] == fresh._probe(8)
+        grown = node.child(9)
+        assert node_state(grown) == node_state(fresh.child(9)) and set(grown._batch) == {8}
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_finished_greedy_frees_nodes_and_probes(self, objective):

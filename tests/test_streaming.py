@@ -10,8 +10,8 @@ from swmax.ingest import gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import SieveStream, ceil_log_ratio, greedy_select
 
-from conftest import ScriptedOracle, greedy_by_gain, level_buffers, level_values, node_state, set_store, vec_store
-from reference import brute_force_opt, runs, thresholds
+from conftest import ScriptedOracle, level_buffers, level_values, node_state, set_store, vec_store
+from reference import brute_force_opt, greedy_by_gain, runs, thresholds
 
 
 def sieve_grid(upper, epsilon):
@@ -207,6 +207,36 @@ class TestGreedy:
             chosen = greedy_select(shuffled, 4, oracle)
             assert (chosen.ids, chosen.value) == (baseline.ids, baseline.value)
 
+    def test_lazy_rounds_rescore_only_the_top(self):
+        # A={1,2,3,4}, B={5,6,7}, C={1,2}, D={8}. Round one scores all four
+        # (4, 3, 2, 1) and takes A. Round two re-scores B, still 3 and on
+        # top, and takes it. Round three re-scores C to 0, then D to 1,
+        # which is on top, and takes D: 4 + 1 + 2 = 7 calls, where scoring
+        # every remaining candidate in every round makes 4 + 3 + 2 = 9.
+        store = set_store((1, 2, 3, 4), (5, 6, 7), (1, 2), (8,))
+        lazy, eager = CoverageOracle(store), CoverageOracle(store)
+        chosen = greedy_select([1, 2, 3, 4], 3, lazy)
+        assert (chosen.ids, chosen.value, lazy.calls) == ([1, 2, 4], 8.0, 7)
+        assert greedy_by_gain([1, 2, 3, 4], 3, eager)[:2] == ([1, 2, 4], 8.0) and eager.calls == 9
+
+    @pytest.mark.parametrize("objective", ["coverage", "ivm"])
+    def test_repeated_ids_are_taken_once(self, objective):
+        # A log-det gain of an item already in the set is positive (another
+        # noisy observation of its point), so a lazy greedy that kept a
+        # second bound for an id once taken would take that id again; on
+        # coverage it would re-score it for nothing. Every copy leaves with
+        # the first, and the selection is eager greedy's over the distinct
+        # ids, for no more calls.
+        if objective == "coverage":
+            make = partial(CoverageOracle, set_store((1, 2, 3), (4, 5), (3, 4, 6), (7,)))
+        else:
+            make = partial(IVMOracle, vec_store(np.random.default_rng(1).normal(size=(4, 3))), KernelParams())
+        lazy, eager = make(), make()
+        chosen = greedy_select([3, 1, 3, 2, 1, 4, 3], 7, lazy)
+        ref_selection, ref_value, ref_handle = greedy_by_gain([3, 1, 2, 4], 7, eager)
+        assert len(set(chosen.ids)) == len(chosen.ids) and (chosen.ids, chosen.value) == (ref_selection, ref_value)
+        assert node_state(chosen) == node_state(ref_handle) and lazy.calls <= eager.calls
+
     def test_classical_bound_against_brute_force(self):
         ratio = 1 - 1 / math.e
         for seed in range(100):
@@ -238,14 +268,15 @@ def greedy_instances(draw):
 @settings(max_examples=100, deadline=None)
 @given(instance=greedy_instances(), k=st.integers(0, 8))
 def test_greedy_select_matches_per_gain_reference(instance, k):
-    # One ``gains`` call per round picks, scores and charges exactly as a
-    # ``gain`` call per candidate does, and grows the same handle.
+    # Lazy greedy, with its resumed probes, picks and grows exactly what a
+    # ``gain`` call per candidate per round does, and charges no more calls.
     make, items = instance
-    batched, single = make(), make()
-    handle = greedy_select(items, k, batched)
+    lazy, single = make(), make()
+    handle = greedy_select(items, k, lazy)
     ref_selection, ref_value, ref_handle = greedy_by_gain(items, k, single)
-    assert (handle.ids, handle.value, batched.calls) == (ref_selection, ref_value, single.calls)
+    assert (handle.ids, handle.value) == (ref_selection, ref_value)
     assert node_state(handle) == node_state(ref_handle)
+    assert lazy.calls <= single.calls
 
 
 class TestBruteForce:
