@@ -97,6 +97,9 @@ class RunConfig:
         if self.normalize and self.format not in ("csv", "synth-vec"):
             raise ValueError("--normalize applies to dense formats only")
         # The generators' own checks, here so that the CLI reports them as usage errors.
+        # numpy's generators refuse a negative seed; the algorithms' random.Random takes any.
+        if self.format in ("synth-vec", "synth-sets") and self.seed < 0:
+            raise ValueError(f"--seed must be >= 0 for --format {self.format}, got {self.seed}")
         if self.format == "synth-vec":
             if min(self.synth_n, self.synth_d, self.synth_clusters, self.synth_drift_period) < 1:
                 raise ValueError("--synth-n, --synth-d, --synth-clusters and --synth-drift-period must be >= 1")

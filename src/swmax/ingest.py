@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from functools import cached_property, reduce
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,8 +26,26 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _canonical(values: list[int]) -> tuple[int, ...]:
+    """A sorted list of ints as its canonical set: the tuple of its distinct elements.
+
+    A list with no repeated element, the common case, becomes the tuple as
+    it is; only a list that repeats one pays for de-duplication.
+    """
+    if all(map(operator.lt, values, islice(values, 1, None))):
+        return tuple(values)
+    return tuple(dict.fromkeys(values))
+
+
 class DatasetStore:
-    """Immutable payload-per-timestep storage backing the oracles, and their encodings of it, each built once."""
+    """Immutable payload-per-timestep storage backing the oracles, and their encodings of it, each built once.
+
+    A set store holds each set canonical: a strictly increasing tuple of
+    ``int``s. The constructor sorts and de-duplicates any payloads, each
+    element through ``operator.index``; ``load_set_stream`` and
+    ``gen_set_stream`` build canonical sets themselves and hand them over
+    as they are.
+    """
 
     def __init__(self, kind: str, vectors: np.ndarray | None = None, sets: Sequence[Iterable[int]] | None = None):
         if kind == "dense":
@@ -43,11 +61,20 @@ class DatasetStore:
         elif kind == "sets":
             if sets is None:
                 raise ValueError("set store needs a payload list")
-            self._sets = tuple([tuple(sorted(set(map(operator.index, s)))) for s in sets])
+            self._sets = tuple([_canonical(sorted(map(operator.index, s))) for s in sets])
             self._vectors = None
         else:
             raise ValueError(f"unknown store kind {kind!r}")
         self.kind = kind
+
+    @classmethod
+    def _from_canonical(cls, sets: list[tuple[int, ...]]) -> DatasetStore:
+        """A set store over ``sets``, each already canonical, taken as they are."""
+        store = object.__new__(cls)
+        store.kind = "sets"
+        store._sets = tuple(sets)
+        store._vectors = None
+        return store
 
     def __len__(self) -> int:
         if self.kind == "dense":
@@ -64,8 +91,8 @@ class DatasetStore:
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Timestep ``t``'s set at index ``t - 1``, sorted and distinct.
 
-        Elements pass through ``operator.index`` when the store is built,
-        so a float or a string raises ``TypeError`` there.
+        The constructor passes each element through ``operator.index``, so
+        a float or a string raises ``TypeError`` there.
         """
         if self.kind != "sets":
             raise ValueError("dense stores have no set list")
@@ -85,7 +112,8 @@ class DatasetStore:
     def coverage_masks(self) -> dict[int, int]:
         """Timestep ``t``'s set as a bitmask, bits in first-seen order; built once, on first access."""
         bit = {el: 1 << b for b, el in enumerate(dict.fromkeys(chain.from_iterable(self.sets)))}
-        return {t: reduce(operator.or_, map(bit.__getitem__, s), 0) for t, s in enumerate(self.sets, start=1)}
+        # A set's elements are distinct, so their bits are too, and their sum is their union.
+        return {t: sum(map(bit.__getitem__, s)) for t, s in enumerate(self.sets, start=1)}
 
 
 def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ()) -> DatasetStore:
@@ -155,16 +183,18 @@ def load_set_stream(path) -> DatasetStore:
     """One line of whitespace-separated non-negative integers -> one set.
 
     Empty lines are empty sets. A rejected line's error names its first bad
-    token in line order. The store sorts each set and drops duplicates.
+    token in line order. Each line is parsed and sorted in one pass, and
+    kept as the tuple of its distinct elements, which the store takes as it
+    is.
     """
-    payloads: list[list[int]] = []
+    payloads: list[tuple[int, ...]] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
-                values = list(map(int, line.split()))
+                values = sorted(map(int, line.split()))
             except ValueError:
                 values = None
-            if values is None or min(values, default=0) < 0:
+            if values is None or values and values[0] < 0:
                 # Rejected: this pass raises, naming the first bad token.
                 for token in line.split():
                     try:
@@ -173,8 +203,8 @@ def load_set_stream(path) -> DatasetStore:
                         raise ParseError(path, line_no, f"non-integer token {token!r}") from None
                     if value < 0:
                         raise ParseError(path, line_no, f"negative element {value}")
-            payloads.append(values)
-    return DatasetStore("sets", sets=payloads)
+            payloads.append(_canonical(values))
+    return DatasetStore._from_canonical(payloads)
 
 
 def gen_drift_vectors(
@@ -211,7 +241,10 @@ def gen_drift_vectors(
 
 
 def gen_set_stream(n: int, universe: int, mean_size: float, seed: int) -> DatasetStore:
-    """Independent uniform subsets of [0, universe) with expected size ``mean_size``."""
+    """Independent uniform subsets of [0, universe) with expected size ``mean_size``.
+
+    Each set is the increasing indices of its members, so the store takes it as it is.
+    """
     if n < 1 or universe < 1:
         raise ValueError("n and universe must be >= 1")
     if not 0 < mean_size <= universe:
@@ -221,5 +254,5 @@ def gen_set_stream(n: int, universe: int, mean_size: float, seed: int) -> Datase
     payloads = []
     for _ in range(n):
         mask = rng.random(universe) < p
-        payloads.append(np.flatnonzero(mask).tolist())
-    return DatasetStore("sets", sets=payloads)
+        payloads.append(tuple(np.flatnonzero(mask).tolist()))
+    return DatasetStore._from_canonical(payloads)

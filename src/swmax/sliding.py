@@ -231,7 +231,8 @@ class SlidingWindowDP:
                 continue
             handle = handles[j]
             gain = handle.gain(i)
-            handle.counter.calls += hi - lo - 1
+            if hi - lo > 1:
+                handle.counter.calls += hi - lo - 1
             if not gain >= low:
                 continue
             piece = run

@@ -100,7 +100,8 @@ class SieveStream:
             if room and t not in ids:
                 value = handle.value
                 gain = handle.gain(t)
-                handle.counter.calls += hi - lo - 1
+                if hi - lo > 1:
+                    handle.counter.calls += hi - lo - 1
                 if gain > (base ** (hi - 1) / 2.0 - value) / room:
                     cut = hi
                 elif hi - lo > 1 and gain > (base**lo / 2.0 - value) / room:

@@ -434,6 +434,31 @@ class TestCli:
                   "--window", "10", "--format", fmt, flag, value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("objective,fmt", [("ivm", "synth-vec"), ("coverage", "synth-sets")])
+    def test_negative_seed_for_synth_format_exits_two(self, objective, fmt, capsys):
+        # numpy's generators refuse it from inside the run, with a message
+        # that names no flag
+        from swmax.bench import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--objective", objective, "--algorithm", "sw-dp", "--k", "2",
+                  "--window", "10", "--format", fmt, "--synth-n", "30", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert f"--seed must be >= 0 for --format {fmt}, got -1" in capsys.readouterr().err
+
+    def test_negative_seed_for_file_format_runs(self, tmp_path):
+        # the algorithms' random.Random takes any integer seed
+        from swmax.bench import main
+
+        stream = tmp_path / "sets.txt"
+        write_set_stream(gen_set_stream(40, 20, 5, seed=3), stream)
+        out = tmp_path / "metrics.csv"
+        code = main(["--objective", "coverage", "--algorithm", "sieve-greedy", "--sample-c", "20",
+                     "--k", "3", "--window", "15", "--input", str(stream), "--format", "sets",
+                     "--output", str(out), "--query-every", "10", "--seed", "-1"])
+        assert code == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 4  # t = 10, 20, 30, 40
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--objective", "coverage", "--frobnicate"])

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -231,6 +232,36 @@ def test_set_path_matches_per_token_reference(tmp_path, text):
     assert oracle.max_singleton() == biggest
 
 
+def assert_canonical(store) -> None:
+    """Every set of ``store`` is a strictly increasing tuple of exact ``int``s."""
+    for s in store.sets:
+        assert type(s) is tuple and all(type(e) is int for e in s)
+        assert all(a < b for a, b in zip(s, s[1:])), s
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=set_stream_text(bad=False))
+def test_loaded_sets_are_canonical(tmp_path, text):
+    # The loader hands its sets to the store as they are, past the
+    # constructor's operator.index, so their form is checked here.
+    path = tmp_path / "s.txt"
+    path.write_text(text, encoding="utf-8")
+    store = load_set_stream(path)
+    assert_canonical(store)
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.split() for line in fh]
+    assert store.sets == DatasetStore("sets", sets=[[int(token) for token in line] for line in lines]).sets
+
+
+@pytest.mark.parametrize("n,universe,mean_size,seed", [(200, 30, 6, 0), (50, 8, 8, 1), (100, 1000, 20, 7), (40, 5, 0.5, 3)])
+def test_generated_sets_are_canonical(n, universe, mean_size, seed):
+    store = gen_set_stream(n, universe, mean_size, seed)
+    assert_canonical(store)
+    rng = np.random.default_rng(seed)
+    masks = [rng.random(universe) < mean_size / universe for _ in range(n)]
+    assert store.sets == DatasetStore("sets", sets=[np.flatnonzero(m) for m in masks]).sets
+
+
 class TestDriftVectors:
     def test_deterministic(self):
         a = gen_drift_vectors(200, 3, 4, 50, seed=42)
@@ -308,6 +339,48 @@ class TestStore:
         # int() would truncate a float (2.7 and 2.2 both to 2) and parse a string
         with pytest.raises(TypeError):
             DatasetStore("sets", sets=[(1,), payload])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payloads=st.lists(
+            st.one_of(
+                st.lists(
+                    st.one_of(
+                        st.integers(-8, 8),
+                        st.integers(-(10**12), 10**12),
+                        st.booleans(),
+                        st.builds(np.int64, st.integers(-(2**40), 2**40)),
+                        st.builds(np.int32, st.integers(-8, 8)),
+                        st.builds(np.uint16, st.integers(0, 8)),
+                    ),
+                    max_size=10,
+                ),
+                st.lists(st.integers(-8, 8), max_size=6).map(tuple),
+            ),
+            max_size=8,
+        ),
+        bad=st.one_of(st.none(), st.sampled_from([1.0, 2.5, "3", np.float64(2.0)])),
+        where=st.integers(0, 10),
+    )
+    def test_constructor_matches_set_reference(self, payloads, bad, where):
+        # Duplicates, any order, negatives, empty sets, numpy integers and
+        # bools give the reference's sets; a float or a string raises its
+        # TypeError.
+        def reference(payloads):
+            return tuple(tuple(sorted(set(map(operator.index, s)))) for s in payloads)
+
+        if bad is not None:
+            payloads = [list(s) for s in payloads] or [[]]
+            target = payloads[where % len(payloads)]
+            target.insert(where % (len(target) + 1), bad)
+            with pytest.raises(TypeError):
+                reference(payloads)
+            with pytest.raises(TypeError):
+                DatasetStore("sets", sets=payloads)
+            return
+        store = DatasetStore("sets", sets=payloads)
+        assert store.sets == reference(payloads)
+        assert_canonical(store)
 
     def test_set_elements_normalized(self):
         store = DatasetStore("sets", sets=[np.array([7, 3, 7]), (np.int32(2), True, 2), []])
