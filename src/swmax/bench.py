@@ -26,7 +26,7 @@ from .ingest import (
     load_set_stream,
     normalize_columns_then_rows,
 )
-from .core import SubmodularOracle
+from .core import SubmodularOracle, lattice_base, positive_int
 from .objectives import CoverageOracle, IVMOracle, KernelParams
 from .sliding import (
     PrioritySample,
@@ -52,8 +52,8 @@ class RunConfig:
     window: int
     epsilon: float = 0.2
     sample_c: float = 20.0
-    kernel_h: float = 0.75
-    sigma: float = 1.0
+    kernel_h: float = KernelParams.h
+    sigma: float = KernelParams.sigma
     query_every: int | None = None
     seed: int = 0
     input: str | None = None
@@ -74,17 +74,14 @@ class RunConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.k < 1:
-            raise ValueError("--k must be >= 1")
-        if self.window < 1:
-            raise ValueError("--window must be >= 1")
-        if not (math.isfinite(self.epsilon) and 1.0 + self.epsilon > 1.0):
-            raise ValueError(f"--epsilon must be finite and > 0 with 1 + epsilon > 1, got {self.epsilon}")
+        positive_int(self.k, "--k")
+        positive_int(self.window, "--window")
+        lattice_base(self.epsilon, "--epsilon")
         if self.algorithm == "sieve-greedy" and not self.sample_c > 0:
             raise ValueError("--sample-c must be > 0 for sieve-greedy")
         KernelParams(self.kernel_h, self.sigma)
-        if self.query_every is not None and self.query_every < 1:
-            raise ValueError("--query-every must be >= 1")
+        if self.query_every is not None:
+            positive_int(self.query_every, "--query-every")
         needs = ("sets", "synth-sets") if self.objective == "coverage" else ("csv", "synth-vec")
         if self.format not in needs:
             raise ValueError(f"--objective {self.objective} needs --format {' or '.join(needs)}, got {self.format}")
@@ -98,14 +95,16 @@ class RunConfig:
             raise ValueError("--normalize applies to dense formats only")
         # The generators' own checks, here so that the CLI reports them as usage errors.
         # numpy's generators refuse a negative seed; the algorithms' random.Random takes any.
-        if self.format in ("synth-vec", "synth-sets") and self.seed < 0:
-            raise ValueError(f"--seed must be >= 0 for --format {self.format}, got {self.seed}")
+        if self.format in ("synth-vec", "synth-sets"):
+            if self.seed < 0:
+                raise ValueError(f"--seed must be >= 0 for --format {self.format}, got {self.seed}")
+            positive_int(self.synth_n, "--synth-n")
         if self.format == "synth-vec":
-            if min(self.synth_n, self.synth_d, self.synth_clusters, self.synth_drift_period) < 1:
-                raise ValueError("--synth-n, --synth-d, --synth-clusters and --synth-drift-period must be >= 1")
+            positive_int(self.synth_d, "--synth-d")
+            positive_int(self.synth_clusters, "--synth-clusters")
+            positive_int(self.synth_drift_period, "--synth-drift-period")
         elif self.format == "synth-sets":
-            if min(self.synth_n, self.synth_universe) < 1:
-                raise ValueError("--synth-n and --synth-universe must be >= 1")
+            positive_int(self.synth_universe, "--synth-universe")
             if not 0 < self.synth_mean_size <= self.synth_universe:
                 raise ValueError(f"--synth-mean-size must be in (0, {self.synth_universe}], got {self.synth_mean_size}")
 
@@ -255,64 +254,52 @@ def write_metrics_csv(records: Sequence[MetricsRecord], path) -> None:
 
 
 def parse_cli(argv: Sequence[str]) -> RunConfig:
-    """Map CLI flags onto a validated RunConfig; usage errors exit with 2."""
+    """Map CLI flags onto a validated RunConfig; usage errors exit with 2.
+
+    Every flag's dest is a RunConfig field of the same name, and a flag
+    left out is left out of the namespace, so it takes RunConfig's default.
+    """
     parser = argparse.ArgumentParser(
         prog="swmax-bench",
         description="Benchmark submodular maximization algorithms over sliding windows.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--objective", choices=OBJECTIVES, required=True)
     parser.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     parser.add_argument("--k", type=int, required=True, help="cardinality constraint")
     parser.add_argument("--window", type=int, required=True, help="sliding window size W")
-    parser.add_argument("--epsilon", type=float, default=0.2)
+    parser.add_argument("--epsilon", type=float)
     parser.add_argument(
         "--sample-c",
         type=float,
-        default=None,
         help="sieve-greedy sampling parameter (an item is sampled w.p. c/W); required for sieve-greedy, typically 20",
     )
-    parser.add_argument("--kernel-h", type=float, default=0.75)
-    parser.add_argument("--sigma", type=float, default=1.0)
-    parser.add_argument(
-        "--query-every",
-        type=int,
-        default=None,
-        help="record every Nth timestep (default: ceil(W/10))",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--input", default=None)
-    parser.add_argument("--format", choices=FORMATS, default="csv")
-    parser.add_argument(
-        "--drop-columns",
-        default="",
-        help="comma-separated 0-based column indices to drop from CSV input",
-    )
-    parser.add_argument(
-        "--normalize",
-        action="store_true",
-        help="min-max each column then L2-normalize each row (dense input)",
-    )
-    parser.add_argument("--output", default=None, help="metrics CSV path (default: stdout)")
-    parser.add_argument("--synth-n", type=int, default=2000)
-    parser.add_argument("--synth-d", type=int, default=5)
-    parser.add_argument("--synth-clusters", type=int, default=4)
-    parser.add_argument("--synth-drift-period", type=int, default=500)
-    parser.add_argument("--synth-universe", type=int, default=60)
-    parser.add_argument("--synth-mean-size", type=float, default=8.0)
-    args = parser.parse_args(argv)
+    parser.add_argument("--kernel-h", type=float)
+    parser.add_argument("--sigma", type=float)
+    parser.add_argument("--query-every", type=int, help="record every Nth timestep (default: ceil(W/10))")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--input")
+    parser.add_argument("--format", choices=FORMATS)
+    parser.add_argument("--drop-columns", help="comma-separated 0-based column indices to drop from CSV input")
+    parser.add_argument("--normalize", action="store_true", help="min-max each column then L2-normalize each row (dense input)")
+    parser.add_argument("--output", help="metrics CSV path (default: stdout)")
+    parser.add_argument("--synth-n", type=int)
+    parser.add_argument("--synth-d", type=int)
+    parser.add_argument("--synth-clusters", type=int)
+    parser.add_argument("--synth-drift-period", type=int)
+    parser.add_argument("--synth-universe", type=int)
+    parser.add_argument("--synth-mean-size", type=float)
+    args = vars(parser.parse_args(argv))
 
-    if args.algorithm == "sieve-greedy" and args.sample_c is None:
+    if args["algorithm"] == "sieve-greedy" and "sample_c" not in args:
         parser.error("--sample-c is required for sieve-greedy")
-    drop: tuple[int, ...] = ()
-    if args.drop_columns:
+    drop = args.pop("drop_columns", "")
+    if drop:
         try:
-            drop = tuple(int(part) for part in args.drop_columns.split(","))
+            args["drop_columns"] = tuple(int(part) for part in drop.split(","))
         except ValueError:
-            parser.error(f"--drop-columns expects integers, got {args.drop_columns!r}")
-
-    # Every flag's dest is a RunConfig field of the same name.
-    sample_c = args.sample_c if args.sample_c is not None else 20.0
-    config = RunConfig(**{**vars(args), "drop_columns": drop, "sample_c": sample_c})
+            parser.error(f"--drop-columns expects integers, got {drop!r}")
+    config = RunConfig(**args)
     try:
         config.validate()
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Oracle primitives shared by all algorithms.
+"""Oracle primitives and parameter rules shared by all algorithms.
 
 An item id is the timestep of its arrival, so every algorithm's ``step(t)``
 takes the integer timestep itself, and refuses one that is not above the
@@ -42,10 +42,16 @@ memo, and every id of a batch. Handles charge their gains to the oracle
 that grew them, through their ``counter``. A ``random`` query that keeps
 its last sample (``PrioritySample``) is charged as a memo hit is: one call
 and no evaluation.
+
+A size (``k``, a window) must be an integer >= 1 and ``epsilon`` must leave
+a lattice base above 1: ``positive_int`` and ``lattice_base`` are these
+rules, for the algorithms and ``RunConfig`` alike.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Protocol, Sequence
 
 
@@ -94,3 +100,22 @@ def next_timestep(last: int, t: int) -> int:
     if t <= last:
         raise ValueError(f"timestep {t} after {last}: timesteps start at 1 and increase")
     return t
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` if it is an integer >= 1, read by ``operator.index``: a float
+    or a str raises ``TypeError``, a numpy integer passes, and below 1 is a
+    ``ValueError`` that names ``name``."""
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def lattice_base(epsilon: float, name: str = "epsilon") -> float:
+    """``1 + epsilon``, the base of the threshold lattice; a ``ValueError``
+    that names ``name`` if it is not finite and above 1."""
+    base = 1.0 + epsilon
+    if not 1.0 < base < math.inf:
+        raise ValueError(f"{name} must be finite and positive with 1 + epsilon > 1, got {epsilon}")
+    return base

@@ -32,10 +32,10 @@ perhaps several rows after their last score, and each such gain resumes the
 kept probe over the rows the factor gained since, one kernel entry and one
 solve entry per row, not a kernel row and a whole solve. A batch probe's
 kernel entries are each read once, so they stay out of the arrival slot. A
-batch lives until it is handed on or used: a node hands it, without the
-probe of the id taken, to the child grown from one of its ids and drops
-it, and ``gains`` and ``gain`` add their probes to it, so a finished greedy
-leaves at most one batch, on its last node.
+batch lives until it is handed on or replaced: a node hands it, without
+the probe of the id taken, to the child grown from one of its ids and
+drops it, ``gain`` keeps the probe it resumes in it, and ``gains`` starts
+a new one, so a finished greedy leaves at most one batch, on its last node.
 """
 
 from __future__ import annotations
@@ -167,7 +167,9 @@ class CholState:
     def gain(self, item_id: int) -> float:
         """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a
         collapsed pivot. An item of the node's batch (see ``gains``) has its
-        kept probe resumed, and the batch keeps the result."""
+        kept probe resumed, and the batch keeps the result. A batch that
+        ``child`` handed on holds probes against a prefix of this factor: one
+        scored k rows back lacks those k rows (none after a collapsed pivot)."""
         counter = self.counter
         counter.calls += 1
         memo = self._gain
@@ -187,26 +189,15 @@ class CholState:
 
     def gains(self, ids: Sequence[int]) -> list[float]:
         """``[self.gain(i) for i in ids]``, bit for bit, each id charged and
-        evaluated once; the probes are kept in this node's batch.
-
-        A node grown by ``child`` from an id of a batch takes the batch with
-        it, so its probes are against a prefix of its factor: a probe last
-        resumed k rows back lacks those k rows, and after a collapsed pivot
-        the factor, and so each probe, is unchanged. ``gains`` resumes the
-        kept probe of each id (see ``_probe``), or starts one for an id
-        outside the batch, and stores the result in the batch; the other
-        probes stay as they are.
-        """
+        evaluated once. Each id is probed afresh against this node's factor,
+        and the probes are the node's batch, in place of any it held."""
         counter = self.counter
         counter.calls += len(ids)
         counter.evaluations += len(ids)
-        batch = self._batch
-        if batch is None:
-            batch = self._batch = {}
+        batch = self._batch = {}
         gains: list[float] = []
         for i in ids:
-            kept = batch.get(i)
-            probe = batch[i] = self._probe(i, [] if kept is None else kept[0])
+            probe = batch[i] = self._probe(i, [])
             d = probe[1]
             gains.append(0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0)
         return gains

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .core import OracleHandle, SubmodularOracle, next_timestep
+from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, positive_int
 from .streaming import SieveStream, ceil_log_ratio, greedy_select
 
 
@@ -70,11 +70,8 @@ class SlidingWindowReduction:
     """
 
     def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
-        if window < 1:
-            raise ValueError(f"window size must be >= 1, got {window}")
-        if not (math.isfinite(epsilon) and 1.0 + epsilon > 1.0):
-            raise ValueError(f"epsilon must be finite and positive with 1 + epsilon > 1, got {epsilon}")
-        self.window = window
+        self.window = positive_int(window, "window")
+        lattice_base(epsilon)
         self.epsilon = epsilon
         self.inner_factory = inner_factory
         self.instances: list[ReductionInstance] = []
@@ -179,13 +176,9 @@ class SlidingWindowDP:
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
-        if k < 1:
-            raise ValueError(f"cardinality bound must be >= 1, got {k}")
-        if window < 1:
-            raise ValueError(f"window size must be >= 1, got {window}")
-        self.k = k
-        self.window = window
-        self.base = 1.0 + epsilon
+        self.k = k = positive_int(k, "k")
+        self.window = positive_int(window, "window")
+        self.base = lattice_base(epsilon)
         top = 1 + ceil_log_ratio(k * oracle.max_singleton(), epsilon)
         try:
             self.base**top  # the highest threshold ``_scan`` computes
@@ -276,10 +269,8 @@ class SieveNaive(SieveStream):
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
-        if window < 1:
-            raise ValueError(f"window size must be >= 1, got {window}")
         super().__init__(k, epsilon, oracle)
-        self.window = window
+        self.window = positive_int(window, "window")
 
     def step(self, t: int) -> None:
         self._t = next_timestep(self._t, t)
@@ -373,12 +364,8 @@ class PrioritySample:
     """
 
     def __init__(self, k: int, window: int, oracle: SubmodularOracle, seed: int = 0):
-        if k < 1:
-            raise ValueError(f"cardinality bound must be >= 1, got {k}")
-        if window < 1:
-            raise ValueError(f"window size must be >= 1, got {window}")
-        self.k = k
-        self.window = window
+        self.k = positive_int(k, "k")
+        self.window = positive_int(window, "window")
         self.oracle = oracle
         self.candidates: list[list] = []
         self._rng = random.Random(seed)
@@ -423,6 +410,5 @@ class PrioritySample:
 
 def sieve_reduction(k: int, window: int, epsilon: float, oracle: SubmodularOracle) -> SlidingWindowReduction:
     """The standard configuration: the reduction over fresh sieve instances."""
-    if k < 1:
-        raise ValueError(f"cardinality bound must be >= 1, got {k}")
+    k = positive_int(k, "k")
     return SlidingWindowReduction(window, epsilon, lambda: SieveStream(k, epsilon, oracle))

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Sequence
 
-from .core import OracleHandle, SubmodularOracle, next_timestep
+from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, positive_int
 
 
 @lru_cache(maxsize=64)
@@ -22,14 +22,11 @@ def ceil_log_ratio(m: float, epsilon: float) -> int:
     """Smallest integer L >= 0 with (1 + epsilon)**L >= m.
 
     Memoized, since the reduction builds a sieve per arrival with the same
-    arguments. An infinite epsilon, or one so small that ``1 + epsilon``
-    rounds to 1, has no lattice, and is refused as a non-positive one is.
+    arguments. An epsilon without a lattice raises (``lattice_base``).
     """
-    if not (math.isfinite(epsilon) and 1.0 + epsilon > 1.0):
-        raise ValueError(f"epsilon must be finite and positive with 1 + epsilon > 1, got {epsilon}")
+    base = lattice_base(epsilon)
     if m <= 1:
         return 0
-    base = 1.0 + epsilon
     level = max(0, math.ceil(math.log(m) / math.log(base)))
     while base**level < m:
         level += 1
@@ -74,9 +71,7 @@ class SieveStream:
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
-        if k < 1:
-            raise ValueError(f"cardinality bound must be >= 1, got {k}")
-        self.k = k
+        self.k = k = positive_int(k, "k")
         self.oracle = oracle
         self.base = 1.0 + epsilon
         self.runs: list[list] = [[0, ceil_log_ratio(k * oracle.max_singleton(), epsilon) + 1, oracle.empty()]]
@@ -154,7 +149,9 @@ def greedy_select(items: Sequence[int], k: int, oracle: SubmodularOracle) -> Ora
     probe instead of probing afresh. Stops early once the best gain is <= 0
     (it cannot help a monotone objective and skipping it saves oracle
     calls). The id tie-break makes the result invariant to candidate order.
+    ``k`` must be an integer (``operator.index``); below 1 it selects nothing.
     """
+    k = index(k)
     handle = oracle.empty()
     candidates = list(dict.fromkeys(items))
     if k < 1 or not candidates:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -333,6 +334,27 @@ class TestCli:
         )
         assert config.algorithm == "sw-rd"
         assert config.window == 2000
+
+    @pytest.mark.parametrize("algorithm", ["sw-rd", "sieve-greedy"])
+    @pytest.mark.parametrize("fmt", ["csv", "sets", "synth-vec", "synth-sets"])
+    def test_omitted_flags_take_run_config_defaults(self, fmt, algorithm):
+        # The parser states no default of its own: a flag left out takes
+        # RunConfig's, so the CLI and a RunConfig built by keyword agree on
+        # every field, which the CLI parity check of perfbench relies on.
+        # csv is the default format, so its argv leaves --format out too.
+        objective = "coverage" if fmt in ("sets", "synth-sets") else "ivm"
+        fields = dict(objective=objective, algorithm=algorithm, k=3, window=10)
+        argv = ["--objective", objective, "--algorithm", algorithm, "--k", "3", "--window", "10"]
+        if fmt != "csv":
+            fields["format"] = fmt
+            argv += ["--format", fmt]
+        if fmt in ("csv", "sets"):
+            fields["input"] = "input.txt"
+            argv += ["--input", "input.txt"]
+        if algorithm == "sieve-greedy":
+            fields["sample_c"] = 5.0
+            argv += ["--sample-c", "5"]
+        assert dataclasses.asdict(parse_cli(argv)) == dataclasses.asdict(RunConfig(**fields))
 
     def test_sieve_greedy_requires_sample_c(self):
         with pytest.raises(SystemExit) as exc:

@@ -42,19 +42,20 @@ def _grow_with_batches(oracle, reference, steps):
     ``(item, ids)``. The node first scores ``ids`` in one ``gains`` call
     (none if empty), which must charge one call per id and equal the single
     gains of the node ``reference`` grows by ``child`` alone, bit for bit.
-    A log-det batch keeps every probe it held, each against a prefix of the
-    node's factor, and the probes just scored against all of it. Every grown
-    node must hold what that node holds, and a batch that holds the item
-    must move to the child without that item's probe."""
+    A log-det batch then holds the probes just scored, each against all of
+    the node's factor, and after a ``child`` hand-off each held probe is
+    against a prefix of it. Every grown node must hold what that node
+    holds, and a batch that holds the item must move to the child without
+    that item's probe."""
     node, plain = oracle.rebuild(()), reference.empty()
     for item, ids in steps:
         if ids:
-            before, held = oracle.calls, set(getattr(node, "_batch", None) or ())
+            before = oracle.calls
             got = node.gains(ids)
             assert oracle.calls == before + len(ids)
             assert got == [plain.gain(i) for i in ids]
             if hasattr(node, "_batch"):
-                assert set(node._batch) == held | set(ids)
+                assert set(node._batch) == set(ids)
                 assert all(len(node._batch[i][0]) == len(node._factor) for i in ids)
                 assert all(len(w) <= len(node._factor) for w, _ in node._batch.values())
         batch = getattr(node, "_batch", None)
@@ -705,13 +706,13 @@ class TestHandles:
     def test_batch_follows_a_child_from_the_memo(self):
         # A greedy round that picks the item of the node's last child, as
         # consecutive windows of the greedy baseline often do, still hands
-        # its batch on, so the next round extends it.
+        # its batch on, so the next round's gains resume its probes.
         root = IVMOracle(self.IVM_STORE, PARAMS).empty()
         first = root.child(3)
         root.gains([3, 4, 5])
         batch = root._batch
         assert root.child(3) is first and first._batch is batch and root._batch is None
-        assert first.gains([4, 5]) == [_grown(self.IVM, [3]).gain(i) for i in (4, 5)]
+        assert [first.gain(i) for i in (4, 5)] == [_grown(self.IVM, [3]).gain(i) for i in (4, 5)]
         assert all(len(w) == 1 for w, _ in first._batch.values())
 
     @pytest.mark.parametrize("rescore", ["gain", "gains"])
@@ -719,8 +720,10 @@ class TestHandles:
         # As lazy greedy scores: every candidate at the root, then one a
         # round by ``gain``. The probes of 8 and 9 stay empty while the
         # factor grows by three rows, and are then resumed over all three,
-        # by ``gain``, ``gains`` or the ``child`` that takes the item, bit
-        # for bit as a fresh probe.
+        # by ``gain`` or the ``child`` that takes the item, bit for bit as a
+        # fresh probe. ``gains`` instead probes 8 afresh, to the same
+        # floats, as a new batch that drops 9's probe, so the child of 9
+        # grows from a probe of its own and takes no batch.
         oracle = IVMOracle(self.IVM_STORE, PARAMS)
         node = oracle.empty()
         node.gains([5, 6, 7, 8, 9])
@@ -733,7 +736,11 @@ class TestHandles:
         got = node.gain(8) if rescore == "gain" else node.gains([8])[0]
         assert got == fresh.gain(8) and node._batch[8] == fresh._probe(8)
         grown = node.child(9)
-        assert node_state(grown) == node_state(fresh.child(9)) and set(grown._batch) == {8}
+        assert node_state(grown) == node_state(fresh.child(9))
+        if rescore == "gain":
+            assert set(grown._batch) == {8} and node._batch is None
+        else:
+            assert grown._batch is None and set(node._batch) == {8}
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_finished_greedy_frees_nodes_and_probes(self, objective):

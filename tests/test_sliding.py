@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from swmax.bench import RunConfig, run_benchmark
 from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
-from swmax.streaming import SieveStream, ceil_log_ratio
+from swmax.streaming import SieveStream, ceil_log_ratio, greedy_select
 from swmax.sliding import (
     PrioritySample,
     ReductionInstance,
@@ -255,6 +255,58 @@ def test_k_must_be_positive(name, k):
     # refused when built, not at the first step
     with pytest.raises(ValueError):
         K_CONSTRUCTORS[name](k, CoverageOracle(set_store((1,))))
+
+
+SIZE_ENTRY_POINTS = {  # name: (build from k, window and an oracle, the sizes it takes)
+    "SieveStream": (lambda k, window, oracle: SieveStream(k, 0.2, oracle), ("k",)),
+    "SieveNaive": (lambda k, window, oracle: SieveNaive(k, window, 0.2, oracle), ("k", "window")),
+    "SieveGreedy": (lambda k, window, oracle: SieveGreedy(k, window, 0.2, oracle, sample_c=1.0), ("k", "window")),
+    "SlidingWindowDP": (lambda k, window, oracle: SlidingWindowDP(k, window, 0.2, oracle), ("k", "window")),
+    "PrioritySample": (lambda k, window, oracle: PrioritySample(k, window, oracle), ("k", "window")),
+    "sieve_reduction": (lambda k, window, oracle: sieve_reduction(k, window, 0.2, oracle), ("k", "window")),
+    "SlidingWindowReduction": (
+        lambda k, window, oracle: SlidingWindowReduction(window, 0.2, lambda: SieveStream(2, 0.2, oracle)),
+        ("window",),
+    ),
+    "greedy_select": (lambda k, window, oracle: greedy_select(range(1, 5), k, oracle), ("k",)),
+    "RunConfig.validate": (
+        lambda k, window, oracle: RunConfig(
+            objective="coverage", algorithm="sw-rd", k=k, window=window, format="synth-sets"
+        ).validate(),
+        ("k", "window"),
+    ),
+}
+
+
+def _size_answer(built):
+    """What an entry point of ``SIZE_ENTRY_POINTS`` answers on four arrivals."""
+    if hasattr(built, "step"):
+        for t in range(1, 5):
+            built.step(t)
+        return built.query()
+    return getattr(built, "ids", built)
+
+
+@pytest.mark.parametrize(
+    "name,size", [(name, size) for name, (_, sizes) in SIZE_ENTRY_POINTS.items() for size in sizes]
+)
+def test_non_integer_size_is_refused(name, size):
+    # A k of 2.5 leaves room (k - |S|) that never reaches 0, so a buffer or
+    # greedy would take more than k items; a window of 2.5 is no window.
+    # Each entry point reads its sizes by ``operator.index`` and raises.
+    build, _ = SIZE_ENTRY_POINTS[name]
+    sizes = {"k": 2, "window": 3, size: 2.5}
+    with pytest.raises(TypeError):
+        build(sizes["k"], sizes["window"], CoverageOracle(set_store((1,), (2,), (3,), (4,))))
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
+def test_numpy_integer_sizes_run(name):
+    # ``operator.index`` takes a numpy integer as the int it is
+    build, _ = SIZE_ENTRY_POINTS[name]
+    store = set_store((1,), (2,), (3,), (4,))
+    got = _size_answer(build(np.int64(2), np.int64(3), CoverageOracle(store)))
+    assert got == _size_answer(build(2, 3, CoverageOracle(store)))
 
 
 STEP_CONSTRUCTORS = {**K_CONSTRUCTORS, "BestSoFar": lambda k, oracle: BestSoFar(SieveStream(k, 0.2, oracle))}
