@@ -1,9 +1,9 @@
 """Benchmark harness and CLI.
 
 Streams a dataset through one algorithm and records, at each query point,
-the window utility, solution size, cumulative oracle calls, and the peak
-number of buffered item references. Output is a CSV; wall-clock time is
-informational only, oracle calls are the cost metric.
+the value and size of the handle its ``query`` answers, cumulative oracle
+calls, and the peak number of buffered item references. Output is a CSV;
+wall-clock time is informational only, oracle calls are the cost metric.
 
 ``greedy`` and ``sieve`` are not sliding-window algorithms: they are rerun
 from scratch on every queried window (the usual quality/cost baselines).
@@ -26,7 +26,7 @@ from .ingest import (
     load_set_stream,
     normalize_columns_then_rows,
 )
-from .core import SubmodularOracle, lattice_base, positive_int
+from .core import OracleHandle, SubmodularOracle, lattice_base, positive_int
 from .objectives import CoverageOracle, IVMOracle, KernelParams
 from .sliding import (
     PrioritySample,
@@ -170,10 +170,9 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
     """Stream the dataset through the configured algorithm, recording metrics.
 
     Records are taken at every ``query_every``-th timestep and at the final
-    one. Reported utility is always recomputed from the returned ids by the
-    run's oracle, whose counts are then restored, so cross-algorithm
-    comparisons use identical oracle code and counted calls reflect the
-    algorithm alone.
+    one. A record's utility is the ``value`` of the answer's handle, which
+    the algorithm grew on the run's oracle, so every algorithm is scored by
+    the same oracle code and the harness charges no call of its own.
     """
     config.validate()
     if store is None:
@@ -188,17 +187,12 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
     records: list[MetricsRecord] = []
     start = time.perf_counter()
 
-    def record(window_end: int, solution: list[int], peak: int) -> None:
-        # Through the run's oracle, so an ivm answer that ``random`` has just
-        # evaluated hits its ``_last_eval``; the restored counts leave it uncharged.
-        calls, evaluations = oracle.calls, oracle.evaluations
-        utility = oracle.eval(solution)
-        oracle.calls, oracle.evaluations = calls, evaluations
+    def record(window_end: int, answer: OracleHandle, peak: int) -> None:
         # Positional: by keyword a record took 744 ns against 266 ns (timeit best of 7, 2-core Xeon, Python 3.11).
         records.append(
             MetricsRecord(
-                window_end, algorithm, k, window, epsilon, utility, len(solution),
-                calls, peak, (time.perf_counter() - start) * 1000.0,
+                window_end, algorithm, k, window, epsilon, answer.value, len(answer.ids),
+                oracle.calls, peak, (time.perf_counter() - start) * 1000.0,
             )
         )
 
@@ -209,15 +203,15 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
                 continue
             members = range(max(1, t - window + 1), t + 1)
             if algorithm == "greedy":
-                solution = greedy_select(members, k, oracle).ids
+                answer = greedy_select(members, k, oracle)
                 peak = max(peak, len(members))
             else:
                 sieve = SieveStream(k, epsilon, oracle)
                 for m in members:
                     sieve.step(m)
                     peak = max(peak, sieve.retained_count())
-                solution, _ = sieve.query()
-            record(t, solution, peak)
+                answer = sieve.query()
+            record(t, answer, peak)
     else:
         alg = _make_stream_algorithm(config, oracle)
         peak = 0
@@ -227,8 +221,7 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
             if retained > peak:
                 peak = retained
             if t % query_every == 0 or t == n:
-                solution, _ = alg.query()
-                record(t, solution, peak)
+                record(t, alg.query(), peak)
     return records
 
 

@@ -15,7 +15,10 @@ upper end of every threshold grid.
 
 A handle is an immutable trie node for one set, and all a buffer holds:
 ``ids`` lists the members in insertion order, and ``value`` is 0.0 at a
-root and a parent's value plus the item's gain at a child. ``gain(id)`` is
+root and a parent's value plus the item's gain at a child. It is also an
+answer: every algorithm's ``query()`` returns the handle of its solution,
+so an answer's value is the one its algorithm computed, and the benchmark
+records it without scoring the ids again. ``gain(id)`` is
 the marginal gain of one more item, ``gains(ids)`` the gains of many items
 in one batch, as lazy greedy scores its candidates in its first round (its
 later rounds re-score one candidate at a time by ``gain``), and ``child(id)``

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import positive_int
+
 
 class ParseError(ValueError):
     """Input file rejected; carries the 1-based offending line number."""
@@ -121,7 +123,8 @@ def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ())
 
     A header row is skipped automatically when any of its fields is
     non-numeric. ``drop_columns`` removes 0-based column indices (label
-    columns, typically) before storing; a kept ``nan`` or ``inf`` is an error.
+    columns, typically) before storing, and must keep at least one; a kept
+    ``nan`` or ``inf`` is an error.
     """
     rows: dict[int, list[float]] = {}  # by line number
     drop = set(drop_columns)
@@ -142,6 +145,8 @@ def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ())
                 for i in drop:
                     if not 0 <= i < width:
                         raise ValueError(f"drop column {i} outside 0..{width - 1}")
+                if len(drop) == width:
+                    raise ValueError(f"drop columns {sorted(drop)} leave none of the {width} columns")
             elif len(values) != width:
                 raise ParseError(
                     path, line_no, f"expected {width} columns, got {len(values)}"
@@ -223,8 +228,9 @@ def gen_drift_vectors(
     scale ``spread``. Rotation makes the windowed distribution shift at
     every phase boundary while a single-cluster stream stays stationary.
     """
-    if min(n, d, n_clusters, drift_period) < 1:
-        raise ValueError("n, d, n_clusters, and drift_period must all be >= 1")
+    n, d = positive_int(n, "n"), positive_int(d, "d")
+    n_clusters = positive_int(n_clusters, "n_clusters")
+    drift_period = positive_int(drift_period, "drift_period")
     if spread < 0:
         raise ValueError(f"spread must be >= 0, got {spread}")
     rng = np.random.default_rng(seed)
@@ -245,8 +251,7 @@ def gen_set_stream(n: int, universe: int, mean_size: float, seed: int) -> Datase
 
     Each set is the increasing indices of its members, so the store takes it as it is.
     """
-    if n < 1 or universe < 1:
-        raise ValueError("n and universe must be >= 1")
+    n, universe = positive_int(n, "n"), positive_int(universe, "universe")
     if not 0 < mean_size <= universe:
         raise ValueError(f"mean size must be in (0, {universe}], got {mean_size}")
     rng = np.random.default_rng(seed)

@@ -366,12 +366,6 @@ class IVMOracle:
         self.evaluations = 0
         self._rows = store.vector_rows
         self._root = CholState(self._rows, params, self)
-        # The last set evaluated and its value: the harness re-scores a
-        # sample that the random baseline has just evaluated, and any answer
-        # unchanged since the last record, and growing a factor costs far
-        # more than the query. The random baseline keeps its sample's value
-        # itself and does not re-evaluate an unchanged set.
-        self._last_eval: tuple[tuple[int, ...], float] = ((), 0.0)
 
     def empty(self) -> CholState:
         """The oracle's one root node, the same object on every call."""
@@ -389,15 +383,8 @@ class IVMOracle:
         return node
 
     def eval(self, ids: Sequence[int]) -> float:
-        """The set's value; a miss of ``_last_eval`` is charged by its
-        ``rebuild``, a hit as one call and one evaluation all the same."""
-        key = tuple(ids)
-        if key != self._last_eval[0]:
-            self._last_eval = (key, self.rebuild(key).value)
-        else:
-            self.calls += 1
-            self.evaluations += 1
-        return self._last_eval[1]
+        """The set's value, charged as its ``rebuild`` is."""
+        return self.rebuild(ids).value
 
     def max_singleton(self) -> float:
         """``0.5 * log(1 + K(x, x)/sigma**2)`` with ``K(x, x) = 1``: every

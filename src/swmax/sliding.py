@@ -2,7 +2,8 @@
 
 Four approaches over the most recent W items, all under a cardinality
 constraint k. Each is fed one arrival at a time by ``step(t)``, with ``t``
-the arrival's timestep, which is also its item id:
+the arrival's timestep, which is also its item id, and ``query()`` returns
+the handle of its answer (``ids`` and ``value``):
 
 * ``SlidingWindowReduction`` -- staggered restarts of any prefix-monotone
   streaming algorithm, pruned so only geometrically separated values
@@ -61,11 +62,10 @@ class SlidingWindowReduction:
     c/(2+eps) factor for a prefix-monotone, c-approximate inner algorithm.
 
     ``inner_factory`` builds one fresh inner instance. The reduction calls
-    only four of its methods: ``step(t)``, ``best_value()`` (the value
-    ``query`` would report, read on every prune without building the
-    solution), ``query()`` and ``retained_count()``. An inner algorithm whose
-    value is not naturally prefix-monotone keeps its own best handle so far
-    and reports it from ``best_value`` and ``query``, as
+    only three of its methods: ``step(t)``, ``query()``, the handle of its
+    answer, whose ``value`` every prune reads, and ``retained_count()``. An
+    inner algorithm whose value is not naturally prefix-monotone keeps its
+    own best handle so far and answers it from ``query``, as
     ``SieveStream._best`` does.
     """
 
@@ -98,7 +98,7 @@ class SlidingWindowReduction:
         The pass also sums the survivors' retained references.
         """
         instances = self.instances
-        vals = [inst.alg.best_value() for inst in instances]
+        vals = [inst.alg.query().value for inst in instances]
         last = len(vals) - 1
         grow = 1.0 + self.epsilon
         kept = []
@@ -118,11 +118,11 @@ class SlidingWindowReduction:
         self.instances = kept
         self._retained = retained
 
-    def query(self) -> tuple[list[int], float]:
-        """Solution of the oldest instance; ``step`` has dropped every
-        instance that started before the window."""
+    def query(self) -> OracleHandle:
+        """Answer of the oldest instance, which ``step`` has kept in the
+        window; before the first step, that of a fresh instance."""
         if not self.instances:
-            return [], 0.0
+            return self.inner_factory().query()
         return self.instances[0].alg.query()
 
     def retained_count(self) -> int:
@@ -245,14 +245,14 @@ class SlidingWindowDP:
         else:
             runs.append(run)
 
-    def query(self) -> tuple[list[int], float]:
+    def query(self) -> OracleHandle:
         k = self.k
         best = self.runs[0][3][0]  # level 0 never changes: the root, empty and of value 0
         for _, _, levels, handles in self.runs:
             handle = handles[k if levels[k] != -1 else levels.index(-1) - 1]
             if handle.value > best.value:
                 best = handle
-        return list(best.ids), best.value
+        return best
 
     def retained_count(self) -> int:
         return self._retained
@@ -351,16 +351,17 @@ class PrioritySample:
     never re-enter the sample) is dropped: the expected buffer is O(k log(W/k)).
 
     The sample changes only when one of its members expires or an arrival
-    enters it, so ``query`` keeps its last answer, the sorted ids, and the
-    k-th smallest priority behind it (``inf`` with fewer than k candidates).
+    enters it, so ``query`` keeps its last answer, the handle that
+    ``rebuild`` grows on the sorted ids, and the k-th smallest priority
+    behind it (``inf`` with fewer than k candidates).
     ``step`` drops the answer when an expiring candidate's priority is at
     most that k-th priority, or the arrival's is below it; ties go to the
     earlier arrival, as in a stable sort by priority. A beaten candidate is
     never a member. ``query`` sorts the candidates again only after a drop
-    and evaluates the new sample with one oracle call, then keeps its value
-    beside the ids. A kept answer is charged as a memo hit is: one call on
-    the oracle's ``calls`` and no evaluation, so call counts do not depend on
-    whether the sample changed.
+    and rebuilds the new sample with one oracle call (an empty sample is the
+    oracle's root and costs none). A kept answer is charged as a memo hit
+    is: one call on the oracle's ``calls`` and no evaluation, so call counts
+    do not depend on whether the sample changed.
     """
 
     def __init__(self, k: int, window: int, oracle: SubmodularOracle, seed: int = 0):
@@ -370,8 +371,7 @@ class PrioritySample:
         self.candidates: list[list] = []
         self._rng = random.Random(seed)
         self._t = 0
-        self._answer: list[int] | None = None
-        self._value = 0.0
+        self._answer: OracleHandle | None = None
         self._kth = math.inf
 
     def step(self, t: int) -> None:
@@ -393,16 +393,16 @@ class PrioritySample:
         kept.append([t, priority, 0])
         self.candidates = kept
 
-    def query(self) -> tuple[list[int], float]:
-        ids = self._answer
-        if ids is None:
+    def query(self) -> OracleHandle:
+        answer = self._answer
+        if answer is None:
             sample = sorted(self.candidates, key=itemgetter(1))[: self.k]
-            self._answer = ids = sorted(c[0] for c in sample)
+            ids = sorted(c[0] for c in sample)
             self._kth = sample[-1][1] if len(sample) == self.k else math.inf
-            self._value = self.oracle.eval(ids) if ids else 0.0
-        elif ids:
+            self._answer = answer = self.oracle.rebuild(ids) if ids else self.oracle.empty()
+        elif answer.ids:
             self.oracle.calls += 1
-        return list(ids), self._value
+        return answer
 
     def retained_count(self) -> int:
         return len(self.candidates)

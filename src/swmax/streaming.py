@@ -60,14 +60,14 @@ class SieveStream:
     is found by ``bisect`` over the exponents with the same expression;
     that prefix becomes a run of its own. Costs stay per level: a run of m levels
     charges m oracle calls for its one gain, and ``retained_count`` counts
-    one item reference per member per level. Queries cost no oracle calls and return the best
-    buffer, the lowest level's on ties, as SieveStreaming reports its best
-    buffer. ``_best`` keeps that handle as buffers grow, so neither a query
-    nor ``best_value`` scans: a child worth strictly more replaces it, while
-    a child that ties it (a lower level may hold the tie) or a negative gain
-    sets it to None, and the arrival ends with a rescan, ``max`` over the
-    run handles, which keeps the lowest level's on ties. ``step`` refuses a
-    timestep that does not follow the last one.
+    one item reference per member per level. Queries cost no oracle calls
+    and return the best buffer's handle, the lowest level's on ties, as
+    SieveStreaming reports its best buffer. ``_best`` keeps that handle as
+    buffers grow, so a query does not scan: a child worth strictly more
+    replaces it, while a child that ties it (a lower level may hold the tie)
+    or a negative gain sets it to None, and the arrival ends with a rescan,
+    ``max`` over the run handles, which keeps the lowest level's on ties.
+    ``step`` refuses a timestep that does not follow the last one.
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
@@ -121,12 +121,8 @@ class SieveStream:
         self.runs = runs
         self._best = max((run[2] for run in runs), key=attrgetter("value")) if best is None else best
 
-    def best_value(self) -> float:
-        return self._best.value
-
-    def query(self) -> tuple[list[int], float]:
-        best = self._best
-        return list(best.ids), best.value
+    def query(self) -> OracleHandle:
+        return self._best
 
     def retained_count(self) -> int:
         return self._retained

@@ -241,11 +241,9 @@ class LevelSieve:
                     self.handles[level] = self.handles[level].child(t)
                     self.values[level] += gain
 
-    def best_value(self):
-        return max(self.values)
-
     def query(self):
-        return list(self.buffers[self.values.index(self.best_value())]), self.best_value()
+        best = max(self.values)
+        return list(self.buffers[self.values.index(best)]), best
 
     def retained_count(self):
         return sum(map(len, self.buffers)) + len(self.samples)

@@ -1,9 +1,9 @@
 """Test-only references: exact optima, plain coverage, a store's payloads,
-set-stream and dense-CSV writers, window members, a best-so-far wrapper,
-the reduction's live instances, the run layout and thresholds of the
-sieves and level tables with the handles their buffers hold, the answers
-a full scan of their state gives, and eager greedy, which scores every
-candidate in every round."""
+set-stream and dense-CSV writers, window members, an algorithm's answer as
+ids and value, a best-so-far wrapper, the reduction's live instances, the
+run layout and thresholds of the sieves and level tables with the handles
+their buffers hold, the answers a full scan of their state gives, and eager
+greedy, which scores every candidate in every round."""
 
 import math
 from itertools import combinations
@@ -68,35 +68,38 @@ def window_ids(end, size) -> list[int]:
     return list(range(max(1, end - size + 1), end + 1))
 
 
+def answer(alg) -> tuple[list[int], float]:
+    """The ids and value of the handle an algorithm's ``query()`` returns:
+    the one place the tests read an answer."""
+    handle = alg.query()
+    return list(handle.ids), handle.value
+
+
 class BestSoFar:
     """Makes a streaming algorithm's reported value non-decreasing.
 
-    After every step the inner solution is queried, and queries return the
-    best solution observed over any prefix. This certifies prefix-monotone
-    behaviour for inner algorithms plugged into the window reduction. It is
-    not meant for sliding-window algorithms themselves, whose value
-    legitimately drops when items expire.
+    After every step the inner algorithm is queried, and queries return the
+    handle of the best answer observed over any prefix, the empty one
+    included. This certifies prefix-monotone behaviour for inner algorithms
+    plugged into the window reduction. It is not meant for sliding-window
+    algorithms themselves, whose value legitimately drops when items expire.
     """
 
     def __init__(self, inner):
         self.inner = inner
-        self._best: tuple[list[int], float] = ([], 0.0)
+        self._best = inner.query()
 
     def step(self, t: int) -> None:
         self.inner.step(t)
-        sol, val = self.inner.query()
-        if val > self._best[1]:
-            self._best = (list(sol), val)
+        handle = self.inner.query()
+        if handle.value > self._best.value:
+            self._best = handle
 
-    def best_value(self) -> float:
-        return self._best[1]
-
-    def query(self) -> tuple[list[int], float]:
-        sol, val = self._best
-        return list(sol), val
+    def query(self):
+        return self._best
 
     def retained_count(self) -> int:
-        return self.inner.retained_count() + len(self._best[0])
+        return self.inner.retained_count() + len(self._best.ids)
 
 
 def instance_starts(reduction) -> list[int]:
@@ -106,7 +109,7 @@ def instance_starts(reduction) -> list[int]:
 
 def instance_values(reduction) -> list[float]:
     """Values of a ``SlidingWindowReduction``'s live instances, as its prune reads them."""
-    return [inst.alg.best_value() for inst in reduction.instances]
+    return [inst.alg.query().value for inst in reduction.instances]
 
 
 class SieveRun(NamedTuple):

@@ -39,6 +39,7 @@ from swmax.streaming import (
 
 from conftest import Tally, ivm_value
 from reference import (
+    answer,
     brute_force_opt,
     instance_starts,
     instance_values,
@@ -113,11 +114,11 @@ def guarantee_runs():
                 _, window_opt = brute_force_opt(members, k, oracle)
                 _, prefix_opt = brute_force_opt(list(range(1, t + 1)), k, oracle)
                 results["checks"] += 1
-                if swdp.query()[1] < (1 - EPS) / 2 * window_opt - 1e-9:
+                if answer(swdp)[1] < (1 - EPS) / 2 * window_opt - 1e-9:
                     results["swdp_viol"] += 1
-                if swrd.query()[1] < swrd_factor * window_opt - 1e-9:
+                if answer(swrd)[1] < swrd_factor * window_opt - 1e-9:
                     results["swrd_viol"] += 1
-                if sieve.query()[1] < (1 - EPS) / 2 * prefix_opt - 1e-9:
+                if answer(sieve)[1] < (1 - EPS) / 2 * prefix_opt - 1e-9:
                     results["sieve_viol"] += 1
                 if greedy_select(members, k, oracle).value < greedy_factor * window_opt - 1e-9:
                     results["greedy_viol"] += 1
@@ -253,14 +254,14 @@ def test_criterion_5_qualitative_replication():
             if t % 10 == 0:
                 queries += 1
                 for name, alg in algs.items():
-                    sums[name] += oracle.eval(alg.query()[0])
+                    sums[name] += oracle.eval(answer(alg)[0])
                 members = window_ids(t, w)
                 sums["greedy"] += greedy_select(members, k, oracle).value
                 per_window_sieve = SieveStream(k, EPS, oracle)
                 for mt in members:
                     per_window_sieve.step(mt)
-                sieve_val = oracle.eval(per_window_sieve.query()[0])
-                swrd_val = oracle.eval(algs["sw-rd"].query()[0])
+                sieve_val = oracle.eval(answer(per_window_sieve)[0])
+                swrd_val = oracle.eval(answer(algs["sw-rd"])[0])
                 windows += 1
                 if swrd_val < sieve_val / 2 - 1e-9:
                     factor2_viol += 1
@@ -295,7 +296,7 @@ def test_criterion_6_sampler_uniformity():
         sampler = PrioritySample(k, w, oracle, seed=900000 + trial)
         for t in range(1, w + 1):
             sampler.step(t)
-        ids, _ = sampler.query()
+        ids, _ = answer(sampler)
         counts[tuple(ids)] += 1
     expected = trials / len(counts)
     stat = sum((c - expected) ** 2 / expected for c in counts.values())

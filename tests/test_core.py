@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from swmax.sliding import SieveNaive
 from swmax.streaming import SieveStream
 
 from conftest import LevelSieve, UnionRecount, set_store
-from reference import BestSoFar, window_ids
+from reference import BestSoFar, answer, window_ids
 
 
 def test_public_names_pinned():
@@ -162,17 +163,19 @@ class TestWindowMembers:
 
 
 class _ScriptedAlg:
-    """Replays a fixed value sequence; solution is the step index."""
+    """Replays a fixed value sequence; the answer after step i is [i], and
+    before the first step the empty one."""
 
     def __init__(self, values):
-        self.values = list(values)
+        self.answers = [SimpleNamespace(ids=[], value=0.0)]
+        self.answers += [SimpleNamespace(ids=[i], value=v) for i, v in enumerate(values, start=1)]
         self.i = 0
 
     def step(self, t):
         self.i += 1
 
     def query(self):
-        return [self.i], self.values[self.i - 1]
+        return self.answers[self.i]
 
     def retained_count(self):
         return 1
@@ -184,15 +187,15 @@ class TestMonotoneWrap:
         seen = []
         for t in range(1, 4):
             wrapped.step(t)
-            seen.append(wrapped.query()[1])
+            seen.append(answer(wrapped)[1])
         assert seen == [1.0, 3.0, 3.0]
-        assert wrapped.query()[0] == [2]  # the step that scored 3
+        assert answer(wrapped)[0] == [2]  # the step that scored 3
 
     def test_constant_sequence_unchanged(self):
         wrapped = BestSoFar(_ScriptedAlg([2.0, 2.0, 2.0]))
         for t in range(1, 4):
             wrapped.step(t)
-            assert wrapped.query()[1] == 2.0
+            assert answer(wrapped)[1] == 2.0
 
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=30))
     def test_wrapped_sequence_non_decreasing(self, values):
@@ -200,7 +203,7 @@ class TestMonotoneWrap:
         previous = 0.0
         for t in range(1, len(values) + 1):
             wrapped.step(t)
-            current = wrapped.query()[1]
+            current = answer(wrapped)[1]
             assert current >= previous
             previous = current
 
@@ -214,4 +217,4 @@ class TestMonotoneWrap:
             for t in range(1, len(store) + 1):
                 plain.step(t)
                 wrapped.step(t)
-                assert plain.query()[1] == wrapped.query()[1]
+                assert answer(plain)[1] == answer(wrapped)[1]

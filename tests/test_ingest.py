@@ -77,6 +77,20 @@ class TestDenseCsv:
         with pytest.raises(ValueError, match=f"drop column {bad} outside 0..2"):
             load_dense_csv(path, drop_columns=(0, bad))
 
+    def test_dropping_every_column_rejected(self, tmp_path, capsys):
+        # Zero-dimensional points are all one point; the CLI reports it as a
+        # run error, since the width is known only once the file is read.
+        from swmax.bench import main
+
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3,4\n5,6\n")
+        with pytest.raises(ValueError, match=r"drop columns \[0, 1\] leave none of the 2 columns"):
+            load_dense_csv(path, drop_columns=(1, 0))
+        code = main(["--objective", "ivm", "--algorithm", "sw-rd", "--k", "2", "--window", "3",
+                     "--format", "csv", "--input", str(path), "--drop-columns", "0,1"])
+        assert code == 1
+        assert "drop columns [0, 1]" in capsys.readouterr().err
+
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1;2\n3;4\n")

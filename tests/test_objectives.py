@@ -790,7 +790,7 @@ class TestHandles:
         node.child(9).gain(9)
         assert (counting.calls, counting.evaluations) == (4, 2)
         counting.eval([1])
-        counting.eval([1])  # an ivm eval served from ``_last_eval`` is charged all the same
+        counting.eval([1])
         counting.rebuild([1])
         assert (counting.calls, counting.evaluations) == (7, 5)
 

@@ -34,6 +34,7 @@ from conftest import (
 )
 from reference import (
     BestSoFar,
+    answer,
     brute_force_opt,
     instance_starts,
     instance_values,
@@ -45,24 +46,26 @@ from reference import (
 
 
 class _StubAlg:
+    """An inner algorithm that is its own answer: no ids and a fixed value."""
+
+    ids: list[int] = []
+
     def __init__(self, value):
         self.value = value
 
     def step(self, item):
         pass
 
-    def best_value(self):
-        return self.value
-
     def query(self):
-        return [], self.value
+        return self
 
     def retained_count(self):
         return 0
 
 
 class _ValueOnlyAlg(_StubAlg):
-    def query(self):
+    @property
+    def ids(self):
         raise AssertionError("the reduction read a solution it does not report")
 
 
@@ -145,7 +148,7 @@ class TestReduction:
         red = _stub_reduction(8, 0.2, [(1, 9.0), (2, 5.0), (5, 4.0)])
         red.step(9)  # start 1 leaves the window [2, 9]
         assert instance_starts(red) == [2, 5, 9]
-        assert red.query() == ([], 5.0)
+        assert answer(red) == ([], 5.0)
 
     def test_prune_reads_values_without_solutions(self):
         red = SlidingWindowReduction(5, 0.2, lambda: _ValueOnlyAlg(1.0))
@@ -155,7 +158,7 @@ class TestReduction:
 
     def test_query_before_any_item(self):
         red = sieve_reduction(1, 3, 0.5, CoverageOracle(set_store((1,))))
-        assert red.query() == ([], 0.0)
+        assert answer(red) == ([], 0.0)
 
     def test_newest_instance_survives_and_solution_in_window(self):
         store = gen_set_stream(60, 20, 5, seed=8)
@@ -165,7 +168,7 @@ class TestReduction:
             starts = instance_starts(red)
             assert starts[-1] == t
             assert all(a < b for a, b in zip(starts, starts[1:]))
-            solution, _ = red.query()
+            solution, _ = answer(red)
             assert all(t - 10 < s <= t for s in solution)
 
     def test_structure_invariants_random_streams(self):
@@ -196,7 +199,7 @@ class TestReduction:
                 if t % 9 == 0:
                     members = window_ids(t, w)
                     _, opt = brute_force_opt(members, k, oracle)
-                    assert red.query()[1] >= factor * opt - 1e-9
+                    assert answer(red)[1] >= factor * opt - 1e-9
 
 
 EPSILON_CONSTRUCTORS = {
@@ -283,7 +286,7 @@ def _size_answer(built):
     if hasattr(built, "step"):
         for t in range(1, 5):
             built.step(t)
-        return built.query()
+        return answer(built)
     return getattr(built, "ids", built)
 
 
@@ -327,10 +330,10 @@ def test_step_rejects_nonpositive_timestep(name, t, objective):
     alg = STEP_CONSTRUCTORS[name](2, oracle)
     for s in range(1, 3) if t > 0 else ():
         alg.step(s)
-    before = alg.query(), alg.retained_count()
+    before = answer(alg), alg.retained_count()
     with pytest.raises(ValueError):
         alg.step(t)
-    assert (alg.query(), alg.retained_count()) == before
+    assert (answer(alg), alg.retained_count()) == before
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP: Grids that follow the stream")
@@ -389,7 +392,7 @@ class TestThresholdGreedy:
         ref.step(3)
         assert table(dp)[0] == [3, 3, 2]
         assert table(dp)[1][2] == [2, 3]
-        assert dp.query() == ref.query() == ([2, 3], 2.0)
+        assert answer(dp) == ref.query() == ([2, 3], 2.0)
         assert per_threshold_tables(dp) == reference_tables(ref)
 
     def test_no_double_insertion(self):
@@ -425,7 +428,7 @@ class TestThresholdGreedy:
                             assert len(sets[j]) == j
                             assert all(ts >= levels[j] > t - 8 for ts in sets[j])
                 assert per_threshold_tables(dp) == reference_tables(ref)
-                assert dp.query() == ref.query()
+                assert answer(dp) == ref.query()
 
     def test_thresholds_share_tables_as_runs(self):
         # At k=2, eps=1 and M=3 the thresholds are 0.25, 0.5, 1, 2 and 4.
@@ -442,7 +445,7 @@ class TestThresholdGreedy:
             dp.step(t)
             ref.step(t)
             spans.append([[run.lo, run.hi] for run in runs(dp)])
-            assert dp.query() == ref.query()
+            assert answer(dp) == ref.query()
             assert dp.retained_count() == ref.retained_count()
             assert per_threshold_tables(dp) == reference_tables(ref)
         assert spans == [
@@ -476,13 +479,13 @@ class TestSlidingWindowDP:
         assert thresholds(dp) == [0.25, 0.5, 1.0]
         for t in range(1, len(store) + 1):
             dp.step(t)
-        solution, value = dp.query()
+        solution, value = answer(dp)
         assert solution == [2, 3]
         assert value == 2.0
 
     def test_query_before_any_item(self):
         dp = SlidingWindowDP(2, 3, 1.0, CoverageOracle(set_store((1,))))
-        assert dp.query() == ([], 0.0)
+        assert answer(dp) == ([], 0.0)
 
     def test_query_with_only_level_zero_active(self):
         # empty sets gain 0, below every threshold: nothing ever passes, so
@@ -494,7 +497,7 @@ class TestSlidingWindowDP:
         levels, _ = table(dp)
         assert levels[0] == 2
         assert all(lv == -1 for lv in levels[1:])
-        assert dp.query() == ([], 0.0)
+        assert answer(dp) == ([], 0.0)
 
     def test_guarantee_mini(self):
         eps, k, w = 0.2, 2, 12
@@ -507,7 +510,7 @@ class TestSlidingWindowDP:
                 if t % 8 == 0:
                     members = window_ids(t, w)
                     _, opt = brute_force_opt(members, k, oracle)
-                    assert dp.query()[1] >= (1 - eps) / 2 * opt - 1e-9
+                    assert answer(dp)[1] >= (1 - eps) / 2 * opt - 1e-9
 
 
 class TestSieveNaive:
@@ -521,7 +524,7 @@ class TestSieveNaive:
             for t in range(1, len(store) + 1):
                 naive.step(t)
                 plain.step(t)
-                assert naive.query() == plain.query()
+                assert answer(naive) == answer(plain)
             assert level_buffers(naive) == level_buffers(plain)
 
     def test_expiry_happens_before_condition(self):
@@ -557,7 +560,7 @@ class TestSieveGreedy:
                 naive.step(t)
                 assert not sg.samples
                 assert [set(b) for b in level_buffers(sg)] == [set(b) for b in level_buffers(naive)]
-                assert sg.query()[1] == naive.query()[1]
+                assert answer(sg)[1] == answer(naive)[1]
 
     def test_full_sampling_keeps_whole_window(self):
         w = 6
@@ -605,7 +608,7 @@ class TestSieveGreedy:
             out = []
             for t in range(1, len(store) + 1):
                 sg.step(t)
-                out.append(sg.query())
+                out.append(answer(sg))
             return out
 
         assert trace(11) == trace(11)
@@ -625,7 +628,7 @@ class TestPrioritySample:
         for t in range(1, len(store) + 1):
             ps.step(t)
             lo = max(1, t - 5)
-            ids, _ = ps.query()
+            ids, _ = answer(ps)
             assert ids == list(range(lo, t + 1))
 
     def test_k1_retains_suffix_minima(self):
@@ -636,7 +639,7 @@ class TestPrioritySample:
             priorities = {t: p for t, p, _ in ps.candidates}
             chain = [p for _, p, _ in ps.candidates]
             assert chain == sorted(chain)  # suffix minima decrease toward the front
-            ids, _ = ps.query()
+            ids, _ = answer(ps)
             assert len(ids) == 1
             assert priorities[ids[0]] == min(chain)
 
@@ -656,7 +659,7 @@ class TestPrioritySample:
                 if sum(1 for u in members if u > s and priorities[u] < priorities[s]) < k
             ]
             assert [s for s, _, _ in ps.candidates] == expected
-            ids, _ = ps.query()
+            ids, _ = answer(ps)
             want = sorted(sorted(members, key=priorities.get)[:k])
             assert ids == want
 
@@ -697,7 +700,7 @@ class TestPrioritySample:
             sample = ref.query()
             assert (ps._answer is not None) == (sample[0] == answered), t
             if queried:
-                assert ps.query() == sample, t
+                assert answer(ps) == sample, t
                 answered = sample[0]
             assert ps.retained_count() == ref.retained_count(), t
 
@@ -707,14 +710,14 @@ class TestPrioritySample:
         ps = PrioritySample(2, 5, oracle, seed=0)
         for t in range(1, len(store) + 1):
             ps.step(t)
-        ids, value = ps.query()
+        ids, value = answer(ps)
         assert ids == [1, 2]
         assert value == 3.0
         assert oracle.calls == 1
 
     def test_empty_query(self):
         ps = PrioritySample(2, 5, CoverageOracle(set_store((1,))), seed=0)
-        assert ps.query() == ([], 0.0)
+        assert answer(ps) == ([], 0.0)
 
     @pytest.mark.parametrize("objective", ["coverage", "ivm"])
     def test_kept_value_costs_one_call_and_no_evaluation(self, objective):
@@ -727,13 +730,13 @@ class TestPrioritySample:
             store = gen_drift_vectors(200, 4, 3, 50, seed=1)
             counting, measure = (IVMOracle(store, KernelParams(0.75, 1.0)) for _ in range(2))
         ps = PrioritySample(3, 20, counting, seed=2)
-        assert ps.query() == ([], 0.0) and counting.calls == 0
+        assert answer(ps) == ([], 0.0) and counting.calls == 0
         drops = kept = 0
         for t in range(1, len(store) + 1):
             ps.step(t)
             dropped = ps._answer is None
             calls, evaluations = counting.calls, counting.evaluations
-            ids, value = ps.query()
+            ids, value = answer(ps)
             assert ids and value == measure.eval(ids), t
             assert counting.calls == calls + 1, t
             assert counting.evaluations == evaluations + dropped, t
@@ -875,9 +878,7 @@ def test_running_best_level_matches_scan():
         for t in range(1, len(coverage) + 1):
             for name, alg in algs.items():
                 alg.step(t)
-                answer = scan_answer(alg)
-                assert alg.query() == answer, (objective, name, t)
-                assert alg.best_value() == answer[1], (objective, name, t)
+                assert answer(alg) == scan_answer(alg), (objective, name, t)
 
 
 @st.composite
@@ -926,7 +927,7 @@ def test_gapped_timesteps_match_per_level_reference(name, objective):
     for t in (1, 2, 3, 10, 11, 12, 13, 20, 22, 24, 31, 32, 33, 34, 40):
         alg.step(t)
         ref.step(t)
-        assert alg.query() == ref.query(), t
+        assert answer(alg) == ref.query(), t
         assert alg.retained_count() == ref.retained_count(), t
         assert run_counter.calls == ref_counter.calls, t
 
@@ -951,9 +952,7 @@ def test_runs_match_per_level_reference(name, stream, k, window, epsilon, sample
     for t in range(1, n + 1):
         alg.step(t)
         ref.step(t)
-        assert alg.query() == ref.query(), t
-        if name != "sw-dp":
-            assert alg.best_value() == ref.best_value(), t
+        assert answer(alg) == ref.query(), t
         assert alg.retained_count() == ref.retained_count(), t
         assert run_counter.calls == ref_counter.calls, t
 
@@ -979,7 +978,7 @@ def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon
             active = [start for start in run.levels if start != -1]
             assert run.levels == active + [-1] * (k + 1 - len(active)), t
             assert active == sorted(active, reverse=True), t
-        assert dp.query() == scan_answer(dp), t
+        assert answer(dp) == scan_answer(dp), t
 
 
 @settings(max_examples=150, deadline=None)
