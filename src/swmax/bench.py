@@ -26,7 +26,7 @@ from .ingest import (
     load_set_stream,
     normalize_columns_then_rows,
 )
-from .core import OracleHandle, SubmodularOracle, lattice_base, positive_int
+from .core import OracleHandle, SubmodularOracle, lattice_base, non_negative, positive_int
 from .objectives import CoverageOracle, IVMOracle, KernelParams
 from .sliding import (
     PrioritySample,
@@ -77,8 +77,8 @@ class RunConfig:
         positive_int(self.k, "--k")
         positive_int(self.window, "--window")
         lattice_base(self.epsilon, "--epsilon")
-        if self.algorithm == "sieve-greedy" and not self.sample_c > 0:
-            raise ValueError("--sample-c must be > 0 for sieve-greedy")
+        if self.algorithm == "sieve-greedy":
+            non_negative(self.sample_c, "--sample-c")
         KernelParams(self.kernel_h, self.sigma)
         if self.query_every is not None:
             positive_int(self.query_every, "--query-every")

@@ -46,8 +46,9 @@ that grew them, through their ``counter``. A ``random`` query that keeps
 its last sample (``PrioritySample``) is charged as a memo hit is: one call
 and no evaluation.
 
-A size (``k``, a window) must be an integer >= 1 and ``epsilon`` must leave
-a lattice base above 1: ``positive_int`` and ``lattice_base`` are these
+A size (``k``, a window) must be an integer >= 1, ``epsilon`` must leave
+a lattice base above 1 and ``sieve-greedy``'s sampling parameter must be
+>= 0: ``positive_int``, ``lattice_base`` and ``non_negative`` are these
 rules, for the algorithms and ``RunConfig`` alike.
 """
 
@@ -112,6 +113,14 @@ def positive_int(value, name: str) -> int:
     value = operator.index(value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def non_negative(value: float, name: str) -> float:
+    """``value`` if it is >= 0; else, NaN included, a ``ValueError`` that
+    names ``name``."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 

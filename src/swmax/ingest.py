@@ -121,25 +121,31 @@ class DatasetStore:
 def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ()) -> DatasetStore:
     """One CSV row -> one vector, in file order.
 
-    A header row is skipped automatically when any of its fields is
-    non-numeric. ``drop_columns`` removes 0-based column indices (label
-    columns, typically) before storing, and must keep at least one; a kept
-    ``nan`` or ``inf`` is an error.
+    The first non-empty row is skipped as a header when any of its fields
+    is non-numeric. A ``ParseError`` names the line on which the bad row
+    ends, as ``csv.reader`` counts lines, so a quoted field that spans lines
+    does not shift later line numbers. ``drop_columns`` removes 0-based
+    column indices (label columns, typically) before storing, and must keep
+    at least one; a kept ``nan`` or ``inf`` is an error.
     """
     rows: dict[int, list[float]] = {}  # by line number
     drop = set(drop_columns)
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         width = None
-        for line_no, row in enumerate(reader, start=1):
+        header = True  # the first non-empty row may be a header
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num
             try:
                 values = [float(field) for field in row]
             except ValueError:
-                if line_no == 1:
-                    continue  # header
+                if header:
+                    header = False
+                    continue
                 raise ParseError(path, line_no, f"non-numeric field in {row!r}") from None
+            header = False
             if width is None:
                 width = len(values)
                 for i in drop:

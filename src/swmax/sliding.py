@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, positive_int
+from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, non_negative, positive_int
 from .streaming import SieveStream, ceil_log_ratio, greedy_select
 
 
@@ -266,36 +266,60 @@ class SieveNaive(SieveStream):
     reduced buffer. Every level of a run holds the same buffer, so a run
     drops and rebuilds once; adjacent runs that then hold the same handle
     merge.
+
+    ``_oldest`` is the earliest member of any buffer, ``inf`` while all are
+    empty: ``_expire`` sets it, and an ``_admit`` into empty buffers sets it
+    to the arrival (members are otherwise only added, and each is newer).
+    ``step`` skips ``_expire`` while ``_oldest`` is after the horizon, since
+    then no member expires, and skips ``_admit`` while ``_open`` is 0, as
+    ``SieveStream`` does, but never after an ``_expire``: a repair may
+    leave room that ``_open`` does not count yet, and ``_admit`` rescans
+    the best buffer that a repair clears. So an arrival that neither
+    expires a member nor meets a buffer with room costs O(1).
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
         super().__init__(k, epsilon, oracle)
         self.window = positive_int(window, "window")
+        self._oldest = math.inf
 
     def step(self, t: int) -> None:
         self._t = next_timestep(self._t, t)
-        self._expire(t - self.window)
+        horizon = t - self.window
+        if self._oldest <= horizon:
+            self._expire(horizon)
+        elif not self._open:
+            return
         self._admit(t)
+        if self._retained:  # a first member since the buffers emptied is this arrival
+            self._oldest = min(self._oldest, t)
 
     def _expire(self, horizon: int) -> None:
         """Repair each run whose buffer holds an item at or before ``horizon``,
-        charging each repair's calls once per level, and merge runs that
-        then hold the same handle."""
+        charging each repair's calls once per level, merge runs that then
+        hold the same handle, and set ``_oldest`` to the earliest member."""
         oracle = self.oracle
         runs: list[list] = []
+        oldest = math.inf
         for run in self.runs:
             lo, hi, handle = run
-            if handle.ids and min(handle.ids) <= horizon:
-                before = oracle.calls
-                run[2] = self._repair(handle, horizon)
-                self._best = None  # a repaired value can fall; ``_admit`` rescans
-                oracle.calls += (hi - lo - 1) * (oracle.calls - before)
-                self._retained += (hi - lo) * (len(run[2].ids) - len(handle.ids))
+            if handle.ids:
+                first = min(handle.ids)
+                if first <= horizon:
+                    before = oracle.calls
+                    run[2] = self._repair(handle, horizon)
+                    self._best = None  # a repaired value can fall; ``_admit`` rescans
+                    oracle.calls += (hi - lo - 1) * (oracle.calls - before)
+                    self._retained += (hi - lo) * (len(run[2].ids) - len(handle.ids))
+                    first = min(run[2].ids, default=math.inf)  # a greedy repair may pick an older sample
+                if first < oldest:
+                    oldest = first
             if runs and runs[-1][2] is run[2]:
                 runs[-1][1] = hi
             else:
                 runs.append(run)
         self.runs = runs
+        self._oldest = oldest
 
     def _repair(self, handle: OracleHandle, horizon: int) -> OracleHandle:
         """The handle of ``handle``'s members after ``horizon``."""
@@ -312,24 +336,29 @@ class SieveGreedy(SieveNaive):
     usual sieve add condition applies. The repair may return fewer elements
     than asked when B is thin; the smaller set is accepted. A run repairs
     once and is charged its greedy's calls once per level.
+
+    B is drawn and pruned on every arrival; the expiry and admission passes
+    are skipped as in ``SieveNaive``, whose two invariants hold here too: a
+    repair may pick a sample older than every surviving member, so
+    ``_expire`` sets ``_oldest`` from the repaired buffer, and the repaired
+    buffer may have room, which the ``_admit`` after every ``_expire``
+    counts in ``_open``.
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle, sample_c: float, seed: int = 0):
-        if not sample_c >= 0:
-            raise ValueError(f"sampling parameter must be >= 0, got {sample_c}")
+        sample_c = non_negative(sample_c, "sample_c")
         super().__init__(k, window, epsilon, oracle)
         self.sample_rate = min(1.0, sample_c / window)
         self.samples: list[int] = []
         self._rng = random.Random(seed)
 
     def step(self, t: int) -> None:
-        self._t = next_timestep(self._t, t)
+        next_timestep(self._t, t)  # refused before the sample draw
         if self._rng.random() < self.sample_rate:
             self.samples.append(t)
         while self.samples and self.samples[0] <= t - self.window:
             self.samples.pop(0)
-        self._expire(t - self.window)
-        self._admit(t)
+        super().step(t)
 
     def _repair(self, handle: OracleHandle, horizon: int) -> OracleHandle:
         """Greedy's pick, from the sample and ``handle``'s members after
@@ -338,7 +367,7 @@ class SieveGreedy(SieveNaive):
         return greedy_select(sorted(set(self.samples) | set(survivors)), len(survivors), self.oracle)
 
     def retained_count(self) -> int:
-        return super().retained_count() + len(self.samples)
+        return self._retained + len(self.samples)
 
 
 class PrioritySample:

@@ -67,6 +67,11 @@ class SieveStream:
     replaces it, while a child that ties it (a lower level may hold the tie)
     or a negative gain sets it to None, and the arrival ends with a rescan,
     ``max`` over the run handles, which keeps the lowest level's on ties.
+    ``_open`` counts the runs whose buffer has room, as the last ``_admit``
+    left them: a run that took its k-th item there counts as full. ``step``
+    skips ``_admit`` while it is 0, which changes nothing: a full buffer is
+    asked no gain, so no call is charged, no run splits and ``_best``
+    stands. Once every buffer is full, an arrival costs O(1).
     ``step`` refuses a timestep that does not follow the last one.
     """
 
@@ -77,17 +82,20 @@ class SieveStream:
         self.runs: list[list] = [[0, ceil_log_ratio(k * oracle.max_singleton(), epsilon) + 1, oracle.empty()]]
         self._retained = 0
         self._best: OracleHandle | None = self.runs[0][2]
+        self._open = 1
         self._t = 0
 
     def step(self, t: int) -> None:
         self._t = next_timestep(self._t, t)
-        self._admit(t)
+        if self._open:
+            self._admit(t)
 
     def _admit(self, t: int) -> None:
         k = self.k
         base = self.base
         best = self._best
         runs = []
+        opened = 0
         for run in self.runs:
             lo, hi, handle = run
             ids = handle.ids
@@ -109,16 +117,20 @@ class SieveStream:
                     child = handle.child(t)
                     if cut == hi:
                         run[2] = child
+                        room -= 1
                     else:
                         runs.append([lo, cut, child])
                         run[0] = cut
+                        opened += room > 1
                     if best is not None:
                         if gain < 0.0 or child.value == best.value:  # a fall, or a tie a lower level may win
                             best = None
                         elif child.value > best.value:
                             best = child
+            opened += room > 0
             runs.append(run)
         self.runs = runs
+        self._open = opened
         self._best = max((run[2] for run in runs), key=attrgetter("value")) if best is None else best
 
     def query(self) -> OracleHandle:

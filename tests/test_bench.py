@@ -378,6 +378,24 @@ class TestCli:
             )
         assert exc.value.code == 2
 
+    def test_sample_c_zero_accepted(self):
+        # SieveGreedy samples nothing at c = 0, and the CLI takes what it takes
+        config = parse_cli(
+            ["--objective", "coverage", "--algorithm", "sieve-greedy", "--sample-c", "0",
+             "--k", "2", "--window", "10", "--format", "synth-sets"]
+        )
+        assert config.sample_c == 0.0
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_negative_sample_c_exits_two(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(
+                ["--objective", "coverage", "--algorithm", "sieve-greedy", "--sample-c", value,
+                 "--k", "2", "--window", "10", "--format", "synth-sets"]
+            )
+        assert exc.value.code == 2
+        assert "--sample-c must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "objective,fmt", [("coverage", "csv"), ("coverage", "synth-vec"), ("ivm", "sets"), ("ivm", "synth-sets")]
     )

@@ -36,6 +36,27 @@ class TestDenseCsv:
         assert len(store) == 1
         assert list(payload(store, 1)) == [1.5, 2.5]
 
+    def test_header_after_blank_line_skipped(self, tmp_path):
+        # the header rule applies to the first non-empty row, not to line 1
+        path = tmp_path / "d.csv"
+        path.write_text("\nx0,x1\n1,2\n")
+        assert load_dense_csv(path).vectors.tolist() == [[1.0, 2.0]]
+
+    def test_second_non_numeric_row_is_no_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\na,b\nc,d\n1,2\n")
+        with pytest.raises(ParseError) as err:
+            load_dense_csv(path)
+        assert err.value.line_no == 3
+
+    def test_line_after_multiline_field_reports_its_line(self, tmp_path):
+        # the quoted field spans lines 2 and 3, so the bad row is on line 4
+        path = tmp_path / "d.csv"
+        path.write_text('1,2\n"3\n",4\nx,5\n')
+        with pytest.raises(ParseError) as err:
+            load_dense_csv(path)
+        assert err.value.line_no == 4
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2\n3,4,5\n")

@@ -615,6 +615,46 @@ class TestSieveGreedy:
         assert trace(11) != trace(12)  # sampling actually depends on the seed
 
 
+IDLE_SIEVES = {
+    "SieveStream": lambda oracle: SieveStream(3, 0.2, oracle),
+    "SieveNaive": lambda oracle: SieveNaive(3, 100, 0.2, oracle),
+    "SieveGreedy": lambda oracle: SieveGreedy(3, 100, 0.2, oracle, sample_c=4.0, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDLE_SIEVES))
+def test_idle_arrival_runs_no_pass(name):
+    # An arrival that meets no buffer with room and expires no member can
+    # change nothing, so it runs neither the expiry nor the admission pass.
+    # Every other arrival runs the admission pass.
+    store = gen_set_stream(300, 40, 6, seed=5)
+    sieve = IDLE_SIEVES[name](CoverageOracle(store))
+    passes = []
+
+    def counted(method):
+        run_pass = getattr(sieve, method)
+
+        def counting(*args):
+            passes.append(method)
+            return run_pass(*args)
+
+        return counting
+
+    for method in ("_expire", "_admit"):
+        if hasattr(sieve, method):
+            setattr(sieve, method, counted(method))
+    idle = 0
+    for t in range(1, len(store) + 1):
+        horizon = t - getattr(sieve, "window", t)  # a SieveStream expires nothing
+        members = [min(run.handle.ids) for run in runs(sieve) if run.handle.ids]
+        is_idle = all(len(run.handle.ids) == sieve.k for run in runs(sieve)) and min(members) > horizon
+        passes.clear()
+        sieve.step(t)
+        assert (passes == []) == is_idle, t
+        idle += is_idle
+    assert idle > len(store) // 2
+
+
 def _tie_priorities(rng: random.Random, grain: int) -> None:
     """Round ``rng``'s draws down to multiples of 1/grain, so priorities tie."""
     draw = rng.random
