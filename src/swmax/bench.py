@@ -1,18 +1,19 @@
 """Benchmark harness and CLI.
 
-Streams a dataset through one algorithm and records, at each query point,
+Steps one algorithm through a dataset and records, at each query point,
 the value and size of the handle its ``query`` answers, cumulative oracle
-calls, and the peak number of buffered item references. Output is a CSV;
-wall-clock time is informational only, oracle calls are the cost metric.
+calls, and the peak of its ``retained_count``. Output is a CSV; wall-clock
+time is informational only, oracle calls are the cost metric.
 
-``greedy`` and ``sieve`` are not sliding-window algorithms: they are rerun
-from scratch on every queried window (the usual quality/cost baselines).
+``greedy`` and ``sieve`` are not sliding-window algorithms: each query reruns
+one from scratch on the window it ends (the usual quality/cost baselines).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .ingest import (
     load_set_stream,
     normalize_columns_then_rows,
 )
-from .core import OracleHandle, SubmodularOracle, lattice_base, non_negative, positive_int
+from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, non_negative, positive_int
 from .objectives import CoverageOracle, IVMOracle, KernelParams
 from .sliding import (
     PrioritySample,
@@ -89,7 +90,7 @@ class RunConfig:
             raise ValueError(f"--format {self.format} requires --input")
         if self.drop_columns and self.format != "csv":
             raise ValueError("--drop-columns applies to the csv format only")
-        if any(c < 0 for c in self.drop_columns):
+        if any(operator.index(c) < 0 for c in self.drop_columns):
             raise ValueError(f"--drop-columns takes indices >= 0, got {self.drop_columns}")
         if self.normalize and self.format not in ("csv", "synth-vec"):
             raise ValueError("--normalize applies to dense formats only")
@@ -151,8 +152,39 @@ def make_oracle(config: RunConfig, store: DatasetStore):
     return IVMOracle(store, KernelParams(config.kernel_h, config.sigma))
 
 
+class _Rerun:
+    """``greedy`` or ``sieve`` as an algorithm: ``query`` reruns
+    ``greedy_select``, or a fresh ``SieveStream``, on the window ending at
+    the last ``step``. ``retained_count`` is what the last rerun held:
+    greedy's window, or the sieve's count after its last step."""
+
+    def __init__(self, config: RunConfig, oracle: SubmodularOracle):
+        self.greedy = config.algorithm == "greedy"
+        self.k, self.window, self.epsilon, self.oracle = config.k, config.window, config.epsilon, oracle
+        self._t = self._retained = 0
+
+    def step(self, t: int) -> None:
+        self._t = next_timestep(self._t, t)
+
+    def query(self) -> OracleHandle:
+        members = range(max(1, self._t - self.window + 1), self._t + 1)
+        if self.greedy:
+            self._retained = len(members)
+            return greedy_select(members, self.k, self.oracle)
+        sieve = SieveStream(self.k, self.epsilon, self.oracle)
+        for m in members:
+            sieve.step(m)
+        self._retained = sieve.retained_count()
+        return sieve.query()
+
+    def retained_count(self) -> int:
+        return self._retained
+
+
 def _make_stream_algorithm(config: RunConfig, oracle: SubmodularOracle):
     k, w, eps = config.k, config.window, config.epsilon
+    if config.algorithm in ("greedy", "sieve"):
+        return _Rerun(config, oracle)
     if config.algorithm == "sw-rd":
         return sieve_reduction(k, w, eps, oracle)
     if config.algorithm == "sw-dp":
@@ -161,9 +193,7 @@ def _make_stream_algorithm(config: RunConfig, oracle: SubmodularOracle):
         return SieveNaive(k, w, eps, oracle)
     if config.algorithm == "sieve-greedy":
         return SieveGreedy(k, w, eps, oracle, config.sample_c, seed=config.seed)
-    if config.algorithm == "random":
-        return PrioritySample(k, w, oracle, seed=config.seed)
-    raise ValueError(f"{config.algorithm!r} is not a streaming algorithm")
+    return PrioritySample(k, w, oracle, seed=config.seed)
 
 
 def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[MetricsRecord]:
@@ -172,7 +202,8 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
     Records are taken at every ``query_every``-th timestep and at the final
     one. A record's utility is the ``value`` of the answer's handle, which
     the algorithm grew on the run's oracle, so every algorithm is scored by
-    the same oracle code and the harness charges no call of its own.
+    the same oracle code and the harness charges no call of its own. The
+    peak is that of ``retained_count``, read after each step and query.
     """
     config.validate()
     if store is None:
@@ -187,41 +218,22 @@ def run_benchmark(config: RunConfig, store: DatasetStore | None = None) -> list[
     records: list[MetricsRecord] = []
     start = time.perf_counter()
 
-    def record(window_end: int, answer: OracleHandle, peak: int) -> None:
-        # Positional: by keyword a record took 744 ns against 266 ns (timeit best of 7, 2-core Xeon, Python 3.11).
-        records.append(
-            MetricsRecord(
-                window_end, algorithm, k, window, epsilon, answer.value, len(answer.ids),
-                oracle.calls, peak, (time.perf_counter() - start) * 1000.0,
+    alg = _make_stream_algorithm(config, oracle)
+    peak = 0
+    for t in range(1, n + 1):
+        alg.step(t)
+        answer = alg.query() if t % query_every == 0 or t == n else None
+        retained = alg.retained_count()
+        if retained > peak:
+            peak = retained
+        if answer is not None:
+            # Positional: by keyword a record took 744 ns against 266 ns (timeit best of 7, 2-core Xeon, Python 3.11).
+            records.append(
+                MetricsRecord(
+                    t, algorithm, k, window, epsilon, answer.value, len(answer.ids),
+                    oracle.calls, peak, (time.perf_counter() - start) * 1000.0,
+                )
             )
-        )
-
-    if algorithm in ("greedy", "sieve"):
-        peak = 0
-        for t in range(1, n + 1):
-            if t % query_every and t != n:
-                continue
-            members = range(max(1, t - window + 1), t + 1)
-            if algorithm == "greedy":
-                answer = greedy_select(members, k, oracle)
-                peak = max(peak, len(members))
-            else:
-                sieve = SieveStream(k, epsilon, oracle)
-                for m in members:
-                    sieve.step(m)
-                    peak = max(peak, sieve.retained_count())
-                answer = sieve.query()
-            record(t, answer, peak)
-    else:
-        alg = _make_stream_algorithm(config, oracle)
-        peak = 0
-        for t in range(1, n + 1):
-            alg.step(t)
-            retained = alg.retained_count()
-            if retained > peak:
-                peak = retained
-            if t % query_every == 0 or t == n:
-                record(t, alg.query(), peak)
     return records
 
 

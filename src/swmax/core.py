@@ -1,17 +1,19 @@
 """Oracle primitives and parameter rules shared by all algorithms.
 
-An item id is the timestep of its arrival, so every algorithm's ``step(t)``
-takes the integer timestep itself, and refuses one that is not above the
-last (``next_timestep``); timesteps start at 1 and may skip some. A window
-of size W ending at ``end`` covers timesteps ``max(1, end - W + 1) .. end``.
+An algorithm is ``step(t)``, ``query()``, which returns the handle of its
+answer, and ``retained_count()``, the item references it holds. An item id
+is the timestep of its arrival, so ``step`` takes the integer timestep
+itself, and refuses one that is not above the last (``next_timestep``);
+timesteps start at 1 and may skip some. A window of size W ending at
+``end`` covers timesteps ``max(1, end - W + 1) .. end``.
 
-Objectives are accessed through an oracle: ``eval(ids)`` scores a set,
-``empty()`` returns the oracle's root handle on the empty set and
-``rebuild(ids)`` a handle on any set grown from a fresh root, for buffers
-that shrank, and ``max_singleton()`` the largest value of any one item. A
-monotone submodular objective is subadditive, so ``k * max_singleton()``
-bounds the value of every set of at most k items; that product is the
-upper end of every threshold grid.
+Objectives are accessed through an oracle: ``empty()`` returns the
+oracle's root handle on the empty set, ``rebuild(ids)`` a handle on any
+set grown from a fresh root, for buffers that shrank and to score a set
+by its ``value``, and ``max_singleton()`` the largest value of any one
+item. A monotone submodular objective is subadditive, so
+``k * max_singleton()`` bounds the value of every set of at most k items;
+that product is the upper end of every threshold grid.
 
 A handle is an immutable trie node for one set, and all a buffer holds:
 ``ids`` lists the members in insertion order, and ``value`` is 0.0 at a
@@ -32,19 +34,19 @@ correctness. A node holds at most one child and no parent, so a node is
 freed once no buffer holds it and its parent has made another child.
 
 Every oracle counts its own calls, the cost metric every benchmark reports,
-in ``calls`` and ``evaluations``: ``eval``, ``rebuild`` and ``gain`` cost
-one call each (both shipped objectives compute a gain directly, not by two
+in ``calls`` and ``evaluations``: ``rebuild`` and ``gain`` cost one call
+each (both shipped objectives compute a gain directly, not by two
 evaluations), ``gains(ids)`` costs one call per id, as many ``gain`` calls
 would, and a gain served from a node's memo is still charged, so the count
 is the algorithm's logical one; ``empty`` and ``child`` are free, since a
 node only records choices whose gains were already paid for.
 ``max_singleton`` is free too: the objective knows it from its
 construction, or in closed form. ``evaluations`` counts the calls that did
-compute: every ``eval`` and ``rebuild``, each gain that missed its node's
-memo, and every id of a batch. Handles charge their gains to the oracle
-that grew them, through their ``counter``. A ``random`` query that keeps
-its last sample (``PrioritySample``) is charged as a memo hit is: one call
-and no evaluation.
+compute: every ``rebuild``, each gain that missed its node's memo, and
+every id of a batch. Handles charge their gains to the oracle that grew
+them, through their ``counter``. A ``random`` query that keeps its last
+sample (``PrioritySample``) is charged as a memo hit is: one call and no
+evaluation.
 
 A size (``k``, a window) must be an integer >= 1, ``epsilon`` must leave
 a lattice base above 1 and ``sieve-greedy``'s sampling parameter must be
@@ -82,15 +84,13 @@ class OracleHandle(Protocol):
 
 
 class SubmodularOracle(Protocol):
-    """Set-function access: ``eval`` a set of item ids, or handles to grow
-    sets; ``max_singleton`` is the largest value of any one item. ``calls``
-    and ``evaluations`` count the oracle's own calls and its handles' gains
-    (see the module docstring)."""
+    """Set-function access through handles: the shared root, or a set grown
+    from a fresh one; ``max_singleton`` is the largest value of any one item.
+    ``calls`` and ``evaluations`` count the oracle's own calls and its
+    handles' gains (see the module docstring)."""
 
     calls: int
     evaluations: int
-
-    def eval(self, ids: Sequence[int]) -> float: ...
 
     def empty(self) -> OracleHandle: ...
 

@@ -125,12 +125,13 @@ def load_dense_csv(path, delimiter: str = ",", drop_columns: Sequence[int] = ())
     is non-numeric. A ``ParseError`` names the line on which the bad row
     ends, as ``csv.reader`` counts lines, so a quoted field that spans lines
     does not shift later line numbers. ``drop_columns`` removes 0-based
-    column indices (label columns, typically) before storing, and must keep
-    at least one; a kept ``nan`` or ``inf`` is an error.
+    column indices (label columns, typically), each read by ``operator.index``,
+    before storing, and must keep at least one; a kept ``nan`` or ``inf`` is
+    an error. A leading UTF-8 byte-order mark is not part of the first field.
     """
     rows: dict[int, list[float]] = {}  # by line number
-    drop = set(drop_columns)
-    with open(path, newline="") as fh:
+    drop = set(map(operator.index, drop_columns))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         width = None
         header = True  # the first non-empty row may be a header
@@ -193,13 +194,13 @@ def normalize_columns_then_rows(store: DatasetStore) -> DatasetStore:
 def load_set_stream(path) -> DatasetStore:
     """One line of whitespace-separated non-negative integers -> one set.
 
-    Empty lines are empty sets. A rejected line's error names its first bad
-    token in line order. Each line is parsed and sorted in one pass, and
-    kept as the tuple of its distinct elements, which the store takes as it
-    is.
+    Empty lines are empty sets, and a leading UTF-8 byte-order mark is
+    skipped. A rejected line's error names its first bad token in line
+    order. Each line is parsed and sorted in one pass, and kept as the tuple
+    of its distinct elements, which the store takes as it is.
     """
     payloads: list[tuple[int, ...]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 values = sorted(map(int, line.split()))

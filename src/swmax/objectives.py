@@ -321,16 +321,6 @@ class CoverageOracle:
         self._root = CoverageUnion(self._masks, [], 0, 0.0, self)
         self._max_singleton = float(store.max_set_size)
 
-    def _union(self, ids: Sequence[int]) -> int:
-        acc = 0
-        masks = self._masks
-        try:
-            for i in ids:
-                acc |= masks[i]
-        except KeyError as exc:
-            raise ValueError(f"unknown item id {exc.args[0]}") from exc
-        return acc
-
     def empty(self) -> CoverageUnion:
         """The oracle's one root node, the same object on every call."""
         return self._root
@@ -339,14 +329,13 @@ class CoverageOracle:
         """A fresh root's node on ``ids``, not linked to the shared root."""
         self.calls += 1
         self.evaluations += 1
-        ids = list(ids)
-        union = self._union(ids)
-        return CoverageUnion(self._masks, ids, union, float(union.bit_count()), self)
-
-    def eval(self, ids: Sequence[int]) -> float:
-        self.calls += 1
-        self.evaluations += 1
-        return float(self._union(ids).bit_count())
+        ids, union, masks = list(ids), 0, self._masks
+        try:
+            for i in ids:
+                union |= masks[i]
+        except KeyError as exc:
+            raise ValueError(f"unknown item id {exc.args[0]}") from exc
+        return CoverageUnion(masks, ids, union, float(union.bit_count()), self)
 
     def max_singleton(self) -> float:
         """Size of the largest set in the store; 0 for an empty store."""
@@ -381,10 +370,6 @@ class IVMOracle:
         for i in ids:
             node = node.child(i)
         return node
-
-    def eval(self, ids: Sequence[int]) -> float:
-        """The set's value, charged as its ``rebuild`` is."""
-        return self.rebuild(ids).value
 
     def max_singleton(self) -> float:
         """``0.5 * log(1 + K(x, x)/sigma**2)`` with ``K(x, x) = 1``: every

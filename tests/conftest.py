@@ -36,12 +36,12 @@ class UnionRecount:
     def __init__(self, store):
         self._sets = {t: frozenset(payload(store, t)) for t in range(1, len(store) + 1)}
 
-    def eval(self, ids):
+    def value(self, ids):
         union = frozenset().union(*(self._sets[i] for i in ids)) if ids else frozenset()
         return float(len(union))
 
     def marginal(self, item_id, ids):
-        return self.eval(list(ids) + [item_id]) - self.eval(ids)
+        return self.value(list(ids) + [item_id]) - self.value(ids)
 
 
 def se_kernel(x, y, params) -> float:

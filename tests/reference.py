@@ -1,9 +1,10 @@
-"""Test-only references: exact optima, plain coverage, a store's payloads,
-set-stream and dense-CSV writers, window members, an algorithm's answer as
-ids and value, a best-so-far wrapper, the reduction's live instances, the
-run layout and thresholds of the sieves and level tables with the handles
-their buffers hold, the answers a full scan of their state gives, and eager
-greedy, which scores every candidate in every round."""
+"""Test-only references: a set's value on an oracle, exact optima, plain
+coverage, a store's payloads, set-stream and dense-CSV writers, window
+members, an algorithm's answer as ids and value, a best-so-far wrapper, the
+reduction's live instances, the run layout and thresholds of the sieves and
+level tables with the handles their buffers hold, the answers a full scan
+of their state gives, and eager greedy, which scores every candidate in
+every round."""
 
 import math
 from itertools import combinations
@@ -21,18 +22,38 @@ def coverage_value(payloads) -> int:
     return len(union)
 
 
-def brute_force_opt(items, k, oracle, max_subsets=10**6) -> tuple[list[int], float]:
+def score(oracle, ids) -> float:
+    """The value of the set ``ids``: the ``value`` of the handle that
+    ``oracle.rebuild`` grows for it, charged as one call and one evaluation.
+    The one place the tests score a set on an oracle."""
+    return oracle.rebuild(ids).value
+
+
+def brute_force_opt(items, k, objective, max_subsets=10**6) -> tuple[list[int], float]:
     """Exact optimum over all subsets of size <= k, by enumeration.
 
-    Refuses instances with more than ``max_subsets`` candidate subsets.
+    ``objective`` is a set store, whose subsets are scored as coverage from
+    its ``coverage_masks`` and charge no oracle, or a function from a tuple
+    of ids to its value, such as ``partial(score, oracle)``. Refuses
+    instances with more than ``max_subsets`` candidate subsets.
     """
     n = len(items)
     top = min(k, n)
     total = sum(math.comb(n, size) for size in range(top + 1))
     if total > max_subsets:
         raise ValueError(f"{total} subsets exceed the enumeration guard {max_subsets}")
+    if callable(objective):
+        evaluate = objective
+    else:
+        masks = objective.coverage_masks
+
+        def evaluate(combo):
+            union = 0
+            for i in combo:
+                union |= masks[i]
+            return float(union.bit_count())
+
     best: tuple[list[int], float] = ([], 0.0)
-    evaluate = oracle.eval
     for size in range(1, top + 1):
         for combo in combinations(items, size):
             value = evaluate(combo)
@@ -171,7 +192,7 @@ def scan_answer(alg) -> tuple[list[int], float]:
     * a ``PrioritySample``'s (or any sampler with ``candidates`` of
       ``(t, priority, ...)``, ``k`` and ``oracle``): the sorted ids of the k
       smallest priorities, the earlier arrival's on ties, and their value by
-      one ``oracle.eval``.
+      one ``score``.
     """
     if isinstance(alg, SlidingWindowDP):
         best = runs(alg)[0].handles[0]
@@ -183,7 +204,7 @@ def scan_answer(alg) -> tuple[list[int], float]:
         best = max((run.handle for run in runs(alg)), key=lambda h: h.value)
     else:
         ids = sorted(c[0] for c in sorted(alg.candidates, key=lambda c: c[1])[: alg.k])
-        return (ids, alg.oracle.eval(ids)) if ids else ([], 0.0)
+        return (ids, score(alg.oracle, ids)) if ids else ([], 0.0)
     return list(best.ids), best.value
 
 

@@ -45,6 +45,7 @@ from reference import (
     instance_values,
     payload,
     runs,
+    score,
     thresholds,
     window_ids,
     write_set_stream,
@@ -111,8 +112,8 @@ def guarantee_runs():
 
             if t % 20 == 0 or t == n:
                 members = window_ids(t, w)
-                _, window_opt = brute_force_opt(members, k, oracle)
-                _, prefix_opt = brute_force_opt(list(range(1, t + 1)), k, oracle)
+                _, window_opt = brute_force_opt(members, k, store)
+                _, prefix_opt = brute_force_opt(list(range(1, t + 1)), k, store)
                 results["checks"] += 1
                 if answer(swdp)[1] < (1 - EPS) / 2 * window_opt - 1e-9:
                     results["swdp_viol"] += 1
@@ -254,14 +255,14 @@ def test_criterion_5_qualitative_replication():
             if t % 10 == 0:
                 queries += 1
                 for name, alg in algs.items():
-                    sums[name] += oracle.eval(answer(alg)[0])
+                    sums[name] += score(oracle, answer(alg)[0])
                 members = window_ids(t, w)
                 sums["greedy"] += greedy_select(members, k, oracle).value
                 per_window_sieve = SieveStream(k, EPS, oracle)
                 for mt in members:
                     per_window_sieve.step(mt)
-                sieve_val = oracle.eval(answer(per_window_sieve)[0])
-                swrd_val = oracle.eval(answer(algs["sw-rd"])[0])
+                sieve_val = score(oracle, answer(per_window_sieve)[0])
+                swrd_val = score(oracle, answer(algs["sw-rd"])[0])
                 windows += 1
                 if swrd_val < sieve_val / 2 - 1e-9:
                     factor2_viol += 1

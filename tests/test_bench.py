@@ -18,9 +18,8 @@ from swmax.bench import (
 )
 from swmax.ingest import gen_set_stream
 from swmax.sliding import SieveNaive
-from swmax.streaming import SieveStream, greedy_select
 
-from reference import answer, window_ids, write_set_stream
+from reference import answer, score, write_set_stream
 from test_golden import CONFIGS
 
 
@@ -165,7 +164,7 @@ def test_record_fields_match_an_independent_loop(objective):
             t, config.algorithm, config.k, config.window, config.epsilon
         )
         assert (r.utility, r.solution_size, r.oracle_calls, r.peak_items) == (
-            measure.eval(ids), len(ids), counting.calls, peak
+            score(measure, ids), len(ids), counting.calls, peak
         ), t
     assert any(r.oracle_calls != r.peak_items for r in records)
     wall = [r.wall_ms for r in records]
@@ -177,30 +176,31 @@ def test_record_fields_match_an_independent_loop(objective):
 def test_query_value_is_the_rescored_utility(objective, sigma, algorithm):
     # The value of an answer's handle, which the algorithm's threshold tests
     # read and the harness records as utility, equals a separate oracle's
-    # score of the answer's ids, exactly: after every arrival, and for the
-    # rerun baselines on every recorded window. sigma 1e-3 collapses pivots.
+    # score of the answer's ids, exactly, after every arrival; the rerun
+    # baselines rerun on every window. sigma 1e-3 collapses pivots.
     config = RunConfig(objective=objective, algorithm=algorithm, k=4, window=50, sigma=sigma,
                        **{**CONFIGS[objective], "synth_n": 400})
     store = load_store(config)
     oracle, measure = bench.make_oracle(config, store), bench.make_oracle(config, store)
-    if algorithm in ("greedy", "sieve"):
-        n, every = len(store), math.ceil(config.window / 10)
-        for t in sorted({*range(every, n + 1, every), n}):
-            members = window_ids(t, config.window)
-            if algorithm == "greedy":
-                handle = greedy_select(members, config.k, oracle)
-            else:
-                sieve = SieveStream(config.k, config.epsilon, oracle)
-                for m in members:
-                    sieve.step(m)
-                handle = sieve.query()
-            assert handle.value == measure.eval(handle.ids), t
-        return
     alg = bench._make_stream_algorithm(config, oracle)
     for t in range(1, len(store) + 1):
         alg.step(t)
         ids, value = answer(alg)
-        assert value == measure.eval(ids), t
+        assert value == score(measure, ids), t
+
+
+@pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
+def test_every_algorithm_is_built_by_the_factory_and_refuses_a_repeated_timestep(algorithm):
+    # The harness steps every algorithm, the rerun baselines included,
+    # through one protocol: step, query, retained_count.
+    config = _config(algorithm=algorithm, sample_c=4.0)
+    alg = bench._make_stream_algorithm(config, bench.make_oracle(config, load_store(config)))
+    alg.step(1)
+    alg.step(3)
+    assert alg.query().ids and alg.retained_count() >= 1
+    for t in (3, 2):
+        with pytest.raises(ValueError):
+            alg.step(t)
 
 
 @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
@@ -233,21 +233,17 @@ class TestSharedEvaluations:
     def _run(algorithm):
         """Stream the golden ivm config through ``algorithm`` on its own
         oracle, querying at ``run_benchmark``'s cadence: ``random`` charges
-        its queries, so its calls match the harness's only then. ``greedy``
-        runs on each queried window instead, as the harness runs it."""
+        its queries, and ``greedy`` reruns on each queried window, so their
+        calls match the harness's only then."""
         config = RunConfig(objective="ivm", algorithm=algorithm, k=4, window=50, epsilon=0.2, **CONFIGS["ivm"])
         store = load_store(config)
         counting = bench.make_oracle(config, store)
         n, every = len(store), math.ceil(config.window / 10)
-        alg = None if algorithm == "greedy" else bench._make_stream_algorithm(config, counting)
+        alg = bench._make_stream_algorithm(config, counting)
         for t in range(1, n + 1):
-            if alg is not None:
-                alg.step(t)
+            alg.step(t)
             if t % every == 0 or t == n:
-                if alg is None:
-                    greedy_select(range(max(1, t - config.window + 1), t + 1), config.k, counting)
-                else:
-                    alg.query()
+                alg.query()
         return config, counting
 
     @pytest.mark.parametrize(
@@ -578,3 +574,10 @@ class TestLoadStore:
     def test_drop_columns_requires_csv(self):
         with pytest.raises(ValueError):
             _config(drop_columns=(1,), format="synth-sets").validate()
+
+    @pytest.mark.parametrize("column", [1.5, 1.0, "1"])
+    def test_non_integer_drop_column_rejected(self, column):
+        # read by operator.index, as sizes and set elements are
+        config = _config(objective="ivm", format="csv", input="unused.csv", drop_columns=(column,))
+        with pytest.raises(TypeError):
+            config.validate()

@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 
 import swmax
 from swmax.ingest import gen_set_stream
-from swmax.objectives import CoverageOracle
+from swmax.core import SubmodularOracle
+from swmax.objectives import CoverageOracle, IVMOracle
 from swmax.sliding import SieveNaive
 from swmax.streaming import SieveStream
 
 from conftest import LevelSieve, UnionRecount, set_store
-from reference import BestSoFar, answer, window_ids
+from reference import BestSoFar, answer, score, window_ids
 
 
 def test_public_names_pinned():
@@ -45,6 +46,24 @@ def test_public_names_pinned():
     ]
 
 
+def _public_methods(cls) -> list[str]:
+    return sorted(name for name, member in vars(cls).items() if callable(member) and not name.startswith("_"))
+
+
+def test_oracle_protocol_pinned():
+    # An oracle is its root, a rebuilt set, its bound and its two counts;
+    # the shipped oracles define those methods and no others.
+    assert sorted({*SubmodularOracle.__annotations__, *_public_methods(SubmodularOracle)}) == [
+        "calls",
+        "empty",
+        "evaluations",
+        "max_singleton",
+        "rebuild",
+    ]
+    for cls in (CoverageOracle, IVMOracle):
+        assert _public_methods(cls) == _public_methods(SubmodularOracle), cls
+
+
 class TestTypes:
     """``window_ids``, the reference window every guarantee test checks against."""
 
@@ -58,13 +77,13 @@ class TestCountingOracle:
 
     def test_empty_eval_counts_one(self):
         oracle = CoverageOracle(set_store((1, 2)))
-        assert oracle.eval([]) == 0.0
+        assert score(oracle, []) == 0.0
         assert oracle.calls == 1
 
     def test_three_evals_count_three(self):
         oracle = CoverageOracle(set_store((1, 2), (2, 3)))
         for _ in range(3):
-            oracle.eval([1, 2])
+            score(oracle, [1, 2])
         assert oracle.calls == 3
 
     def test_marginal_counts_one(self):
@@ -81,7 +100,7 @@ class TestCountingOracle:
         rng = random.Random(7)
         for _ in range(100):
             ids = rng.sample(range(1, 31), rng.randint(0, 6))
-            assert oracle.eval(ids) == recount.eval(ids)
+            assert score(oracle, ids) == recount.value(ids)
         assert oracle.calls == 100
 
     def test_counter_matches_independent_tally(self):
@@ -107,10 +126,6 @@ class TestCountingOracle:
         class Spy:
             def __init__(self, inner):
                 self.inner = inner
-
-            def eval(self, ids):
-                tally["n"] += 1
-                return self.inner.eval(ids)
 
             def empty(self):
                 return SpyHandle(self.inner.empty())
@@ -141,7 +156,7 @@ class TestCountingOracle:
     def test_invalid_id_raises(self):
         oracle = CoverageOracle(set_store((1, 2)))
         with pytest.raises(ValueError):
-            oracle.eval([99])
+            score(oracle, [99])
 
 
 class TestWindowMembers:

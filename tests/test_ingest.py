@@ -36,6 +36,17 @@ class TestDenseCsv:
         assert len(store) == 1
         assert list(payload(store, 1)) == [1.5, 2.5]
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # a BOM before a numeric first row would make it non-numeric
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeff1.0,2\n3,4\n", encoding="utf-8")
+        assert load_dense_csv(path).vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_byte_order_mark_before_a_header_skips_only_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeffx0,x1\n1,2\n3,4\n", encoding="utf-8")
+        assert load_dense_csv(path).vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_header_after_blank_line_skipped(self, tmp_path):
         # the header rule applies to the first non-empty row, not to line 1
         path = tmp_path / "d.csv"
@@ -90,6 +101,14 @@ class TestDenseCsv:
         store = load_dense_csv(path, drop_columns=(2,))
         assert store.vectors.shape[1] == 2
         assert list(payload(store, 1)) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("column", [1.5, 1.0])
+    def test_non_integer_drop_column_rejected(self, tmp_path, column):
+        # read by operator.index, as sizes and set elements are
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,9\n3,4,9\n")
+        with pytest.raises(TypeError):
+            load_dense_csv(path, drop_columns=(column,))
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_drop_column_outside_row_rejected(self, tmp_path, bad):
@@ -181,6 +200,12 @@ class TestSetStream:
         path.write_text("1 2 2 3\n\n7\n")
         store = load_set_stream(path)
         assert [payload(store, t) for t in (1, 2, 3)] == [(1, 2, 3), (), (7,)]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("\ufeff1 2\n3\n", encoding="utf-8")
+        store = load_set_stream(path)
+        assert [payload(store, t) for t in (1, 2)] == [(1, 2), (3,)]
 
     def test_negative_token_reports_line(self, tmp_path):
         path = tmp_path / "s.txt"

@@ -3,6 +3,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from conftest import (
     set_store,
     vec_store,
 )
-from reference import brute_force_opt, coverage_value, payload, runs, thresholds
+from reference import brute_force_opt, coverage_value, payload, runs, score, thresholds
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
 
@@ -101,7 +102,7 @@ class TestCoverage:
         slow = UnionRecount(store)
         for _ in range(300):
             ids = rng.sample(range(1, 51), rng.randint(0, 5))
-            assert fast.eval(ids) == slow.eval(ids)
+            assert score(fast, ids) == slow.value(ids)
             if ids:
                 extra = rng.randint(1, 50)
                 if extra not in ids:
@@ -111,7 +112,7 @@ class TestCoverage:
     def test_sparse_universe_ids(self):
         store = set_store((10**9, 7), (7, 42))
         oracle = CoverageOracle(store)
-        assert oracle.eval([1, 2]) == 3.0
+        assert score(oracle, [1, 2]) == 3.0
 
 
 class TestSeKernel:
@@ -383,7 +384,7 @@ class TestNumericalEdges:
         assert rebuilt.value == grown.value == charged
         again = oracle.rebuild(grown.ids)
         assert (again.ids, again.value) == (grown.ids, grown.value)
-        assert oracle.eval(ids) == rebuilt.value
+        assert score(oracle, ids) == rebuilt.value
         assert oracle.empty()._child is None
 
     def test_rebuild_skips_a_collapsed_pivot(self):
@@ -457,10 +458,10 @@ class TestArrivalSlot:
     @given(case=edge_points(min_log_sigma=-8.0), data=st.data())
     @example(case=TestNumericalEdges.COLLAPSE, data=None)
     def test_slot_gain_is_a_fresh_probe(self, case, data):
-        # Each gain that the slot serves, with batches, rebuilds, evals and
-        # children of other ids in between, equals the probe of the node's
-        # ids on a fresh root, which computes every entry anew, bit for bit:
-        # pivot, solve row and gain.
+        # Each gain that the slot serves, with batches, rebuilds and children
+        # of other ids in between, equals the probe of the node's ids on a
+        # fresh root, which computes every entry anew, bit for bit: pivot,
+        # solve row and gain.
         X, params = case
         n = len(X)
         oracle = IVMOracle(vec_store(X), params)
@@ -471,7 +472,7 @@ class TestArrivalSlot:
         else:
             nodes = [_grown(oracle, ids) for ids in data.draw(st.lists(st.lists(item, max_size=6), min_size=1, max_size=5))]
             arrivals = data.draw(st.lists(item, min_size=1, max_size=6))  # gapped, and repeats
-            ops = st.sampled_from(["gains", "rebuild", "eval", "child"]) | st.none()
+            ops = st.sampled_from(["gains", "rebuild", "child"]) | st.none()
             draw_op = lambda: data.draw(st.tuples(ops, st.lists(item, max_size=5)))
         for t in arrivals:
             for node in list(nodes):
@@ -482,8 +483,6 @@ class TestArrivalSlot:
                         node.gains(ids)
                     elif name == "rebuild":
                         oracle.rebuild(ids)
-                    elif name == "eval":
-                        oracle.eval(ids)
                     elif ids:
                         nodes.append(node.child(ids[0]))
                 gain = node.gain(t)
@@ -515,7 +514,7 @@ class TestIvmOracle:
         for _ in range(50):
             ids = rng.sample(range(1, 13), rng.randint(0, 6))
             expected = ivm_value(np.asarray([payload(store, i) for i in ids]), PARAMS) if ids else 0.0
-            assert oracle.eval(ids) == pytest.approx(expected, abs=1e-8)
+            assert score(oracle, ids) == pytest.approx(expected, abs=1e-8)
 
     def test_marginal_matches_eval_difference(self):
         oracle, _ = self._oracle(seed=3)
@@ -525,26 +524,26 @@ class TestIvmOracle:
             extra = rng.randint(1, 12)
             if extra in ids:
                 continue
-            diff = oracle.eval(list(ids) + [extra]) - oracle.eval(ids)
+            diff = score(oracle, list(ids) + [extra]) - score(oracle, ids)
             assert oracle.rebuild(ids).gain(extra) == pytest.approx(diff, abs=1e-9)
 
     def test_shrink_rebuilds_consistently(self):
         oracle, store = self._oracle(seed=5)
         grown = [1, 2, 3, 4, 5]
-        v_grown = oracle.eval(grown)
+        v_grown = score(oracle, grown)
         shrunk = [1, 2, 4, 5]  # middle member expired
         expected = ivm_value(np.asarray([payload(store, i) for i in shrunk]), PARAMS)
         handle = oracle.rebuild(shrunk)
         value = handle.value
-        assert value == oracle.eval(shrunk)
+        assert value == score(oracle, shrunk)
         assert value == pytest.approx(expected, abs=1e-8)
         assert handle.ids == shrunk
-        assert oracle.eval(grown) == v_grown
+        assert score(oracle, grown) == v_grown
 
     def test_invalid_id(self):
         oracle, _ = self._oracle()
         with pytest.raises(ValueError):
-            oracle.eval([999])
+            score(oracle, [999])
 
 
 class TestOracleLaws:
@@ -567,7 +566,7 @@ class TestOracleLaws:
         oracle = CoverageOracle(store)
         for a, b, v in self._triples(rng, 40, 500):
             assert _grown(oracle, a).gain(v) >= _grown(oracle, b).gain(v) - 1e-9
-            assert oracle.eval(a) <= oracle.eval(b) + 1e-9
+            assert score(oracle, a) <= score(oracle, b) + 1e-9
 
     def test_ivm_laws(self):
         rng = random.Random(29)
@@ -576,13 +575,13 @@ class TestOracleLaws:
         oracle = IVMOracle(store, PARAMS)
         for a, b, v in self._triples(rng, 40, 500):
             assert _grown(oracle, a).gain(v) >= _grown(oracle, b).gain(v) - 1e-9
-            assert oracle.eval(a) <= oracle.eval(b) + 1e-9
+            assert score(oracle, a) <= score(oracle, b) + 1e-9
 
 
 class TestHandles:
-    """The handle laws, for both objectives: gains match eval differences,
-    nodes are immutable and shared, unknown ids are rejected, unreferenced
-    nodes are freed, and counting charges gain/eval/rebuild but not
+    """The handle laws, for both objectives: gains match differences of
+    scored sets, nodes are immutable and shared, unknown ids are rejected,
+    unreferenced nodes are freed, and counting charges gain/rebuild but not
     empty/child."""
 
     N = 30
@@ -594,7 +593,7 @@ class TestHandles:
     ids = st.lists(st.integers(1, N), max_size=8, unique=True)
 
     def _diff(self, oracle, members, extra):
-        return oracle.eval(members + [extra]) - oracle.eval(members)
+        return score(oracle, members + [extra]) - score(oracle, members)
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     @settings(max_examples=60, deadline=None)
@@ -633,7 +632,7 @@ class TestHandles:
         oracle, _ = self.ORACLES[objective]
         node = oracle.rebuild(iter(members))
         assert node.ids == members
-        assert node.value == oracle.eval(members)
+        assert node.value == score(oracle, members)
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_child_is_shared(self, objective):
@@ -774,7 +773,7 @@ class TestHandles:
         handle.gain(3)
         dup.gain(3)
         assert counting.calls == 2
-        counting.eval([1, 2])
+        score(counting, [1, 2])
         assert counting.calls == 3
         rebuilt = counting.rebuild([2, 3])
         assert counting.calls == 4
@@ -789,8 +788,8 @@ class TestHandles:
             node.gain(9)
         node.child(9).gain(9)
         assert (counting.calls, counting.evaluations) == (4, 2)
-        counting.eval([1])
-        counting.eval([1])
+        score(counting, [1])
+        score(counting, [1])
         counting.rebuild([1])
         assert (counting.calls, counting.evaluations) == (7, 5)
 
@@ -799,7 +798,7 @@ class TestHandles:
         oracle, tol = self.ORACLES[objective]
         members = [4, 9, 2, 17]
         rebuilt = oracle.rebuild(members)
-        assert rebuilt.value == oracle.eval(members)
+        assert rebuilt.value == score(oracle, members)
         grown = _grown(oracle, members)
         for i in range(1, self.N + 1):
             if i not in members:
@@ -834,21 +833,21 @@ class TestUpperBound:
 
     def test_coverage_tight_single_item(self):
         oracle = CoverageOracle(set_store((4, 9)))
-        assert oracle.max_singleton() == oracle.eval([1]) == 2.0
+        assert oracle.max_singleton() == score(oracle, [1]) == 2.0
 
     def test_ivm_hadamard_bound(self):
         rng = np.random.default_rng(31)
         store = vec_store(rng.normal(size=(30, 5)))
         oracle = IVMOracle(store, PARAMS)
-        assert oracle.max_singleton() == pytest.approx(oracle.eval([7]), abs=1e-12)
+        assert oracle.max_singleton() == pytest.approx(score(oracle, [7]), abs=1e-12)
         bound = 5 * oracle.max_singleton()
         assert bound == pytest.approx(2.5 * math.log(2), abs=1e-12)
         picker = random.Random(31)
         for _ in range(100):
             ids = picker.sample(range(1, 31), 5)
-            assert oracle.eval(ids) <= bound + 1e-9
+            assert score(oracle, ids) <= bound + 1e-9
         # and it bounds the actual optimum
-        _, opt = brute_force_opt(list(range(1, 16)), 5, oracle)
+        _, opt = brute_force_opt(list(range(1, 16)), 5, partial(score, oracle))
         assert opt <= bound + 1e-9
 
     def test_clamped_at_one(self):

@@ -40,6 +40,7 @@ from reference import (
     instance_values,
     runs,
     scan_answer,
+    score,
     thresholds,
     window_ids,
 )
@@ -198,7 +199,7 @@ class TestReduction:
                 red.step(t)
                 if t % 9 == 0:
                     members = window_ids(t, w)
-                    _, opt = brute_force_opt(members, k, oracle)
+                    _, opt = brute_force_opt(members, k, store)
                     assert answer(red)[1] >= factor * opt - 1e-9
 
 
@@ -509,7 +510,7 @@ class TestSlidingWindowDP:
                 dp.step(t)
                 if t % 8 == 0:
                     members = window_ids(t, w)
-                    _, opt = brute_force_opt(members, k, oracle)
+                    _, opt = brute_force_opt(members, k, store)
                     assert answer(dp)[1] >= (1 - eps) / 2 * opt - 1e-9
 
 
@@ -777,7 +778,7 @@ class TestPrioritySample:
             dropped = ps._answer is None
             calls, evaluations = counting.calls, counting.evaluations
             ids, value = answer(ps)
-            assert ids and value == measure.eval(ids), t
+            assert ids and value == score(measure, ids), t
             assert counting.calls == calls + 1, t
             assert counting.evaluations == evaluations + dropped, t
             drops += dropped
@@ -804,7 +805,7 @@ def test_handles_track_their_sets():
                 pairs += [(handle.ids, handle) for handle in run.handles]
             for ids, handle in pairs:
                 for probe in (1, t, 60):
-                    assert handle.gain(probe) == oracle.eval(ids + [probe]) - oracle.eval(ids)
+                    assert handle.gain(probe) == score(oracle, ids + [probe]) - score(oracle, ids)
 
 
 def _recount(alg) -> int:

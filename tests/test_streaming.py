@@ -11,7 +11,7 @@ from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
 from swmax.streaming import SieveStream, ceil_log_ratio, greedy_select
 
 from conftest import ScriptedOracle, level_buffers, level_values, node_state, set_store, vec_store
-from reference import answer, brute_force_opt, greedy_by_gain, runs, thresholds
+from reference import answer, brute_force_opt, greedy_by_gain, runs, score, thresholds
 
 
 def sieve_grid(upper, epsilon):
@@ -145,7 +145,7 @@ class TestSieveStream:
             k = rng.choice([2, 3])
             store = gen_set_stream(n, 25, 5, seed=seed)
             oracle = CoverageOracle(store)
-            _, opt = brute_force_opt(list(range(1, n + 1)), k, oracle)
+            _, opt = brute_force_opt(list(range(1, n + 1)), k, store)
             if opt < 1.0:
                 continue
             sieve = SieveStream(k, eps, oracle)
@@ -243,7 +243,7 @@ class TestGreedy:
             store = gen_set_stream(16, 20, 5, seed=seed)
             oracle = CoverageOracle(store)
             ids = list(range(1, 17))
-            _, opt = brute_force_opt(ids, 3, oracle)
+            _, opt = brute_force_opt(ids, 3, store)
             got = greedy_select(ids, 3, oracle).value
             assert got >= ratio * opt - 1e-9
 
@@ -281,18 +281,19 @@ def test_greedy_select_matches_per_gain_reference(instance, k):
 
 class TestBruteForce:
     def test_single_item(self):
-        oracle = CoverageOracle(set_store((3, 4)))
-        assert brute_force_opt([1], 2, oracle) == ([1], 2.0)
+        assert brute_force_opt([1], 2, set_store((3, 4))) == ([1], 2.0)
 
     def test_abc_instance(self, abc_store):
-        oracle = CoverageOracle(abc_store)
-        _, value = brute_force_opt([1, 2, 3], 2, oracle)
+        _, value = brute_force_opt([1, 2, 3], 2, abc_store)
         assert value == 5.0
 
+    def test_scoring_function_matches_the_store(self, abc_store):
+        oracle = CoverageOracle(abc_store)
+        assert brute_force_opt([1, 2, 3], 2, partial(score, oracle)) == brute_force_opt([1, 2, 3], 2, abc_store)
+
     def test_guard(self):
-        oracle = CoverageOracle(set_store(*[(i,) for i in range(40)]))
         with pytest.raises(ValueError):
-            brute_force_opt(list(range(1, 41)), 10, oracle, max_subsets=1000)
+            brute_force_opt(list(range(1, 41)), 10, set_store(*[(i,) for i in range(40)]), max_subsets=1000)
 
     def test_matches_greedy_on_disjoint_sets(self):
         rng = random.Random(5)
@@ -302,7 +303,7 @@ class TestBruteForce:
             for s in sizes:
                 payloads.append(tuple(range(next_el, next_el + s)))
                 next_el += s
-            oracle = CoverageOracle(set_store(*payloads))
+            store = set_store(*payloads)
             ids = list(range(1, 9))
             k = rng.randint(1, 4)
-            assert greedy_select(ids, k, oracle).value == brute_force_opt(ids, k, oracle)[1]
+            assert greedy_select(ids, k, CoverageOracle(store)).value == brute_force_opt(ids, k, store)[1]
