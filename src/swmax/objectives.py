@@ -15,6 +15,8 @@ node is a Cholesky factor of ``I + K_S / sigma**2`` in Python floats; its
 children grow it by one row, so a marginal gain costs one forward
 substitution against the factor instead of a fresh factorization, and each
 node computes the gain of an arrival once however many buffers hold it.
+The substitution carries the pivot: each row adds the square of its solved
+entry to a running sum, so the pivot takes no second pass over the solve.
 The kernel row of that substitution is shared too: a root and the nodes
 grown from it share one arrival slot, the item of the last probe and its
 kernel entries by member id, so an entry ``K(member, arrival)`` is computed
@@ -29,13 +31,14 @@ probe, its forward substitution against the node's factor, and the child
 that greedy takes inherits the batch. Greedy is lazy: a later round
 re-scores, by ``gain``, only the candidates whose bounds reach the top,
 perhaps several rows after their last score, and each such gain resumes the
-kept probe over the rows the factor gained since, one kernel entry and one
-solve entry per row, not a kernel row and a whole solve. A batch probe's
-kernel entries are each read once, so they stay out of the arrival slot. A
-batch lives until it is handed on or replaced: a node hands it, without
-the probe of the id taken, to the child grown from one of its ids and
-drops it, ``gain`` keeps the probe it resumes in it, and ``gains`` starts
-a new one, so a finished greedy leaves at most one batch, on its last node.
+kept probe and its running sum over the rows the factor gained since, one
+kernel entry and one solve entry per row, not a kernel row and a whole
+solve. A batch probe's kernel entries are each read once, so they stay out
+of the arrival slot. A batch lives until it is handed on or replaced: a
+node hands it, without the probe of the id taken, to the child grown from
+one of its ids and drops it, ``gain`` keeps the probe it resumes in it,
+and ``gains`` starts a new one, so a finished greedy leaves at most one
+batch, on its last node.
 """
 
 from __future__ import annotations
@@ -103,10 +106,10 @@ class CholState:
     for S + [id], whose factor is this one grown by one row; rows and lists
     are shared between nodes, never written in place. The node keeps its
     last gain with the probe behind it, so a repeated gain is a memo hit and
-    a child of the same item grows from that probe, and its last child, so
-    a repeated ``child`` returns the same object. Gains count into
-    ``counter.calls``, memo hits included; only misses count into
-    ``counter.evaluations``. Children inherit the counter.
+    a child of the same item grows from that probe and adds that gain to its
+    value, and its last child, so a repeated ``child`` returns the same
+    object. Gains count into ``counter.calls``, memo hits included; only
+    misses count into ``counter.evaluations``. Children inherit the counter.
     """
 
     __slots__ = ("_kernel", "counter", "ids", "value", "skipped_ids", "_factor", "_gain", "_child",
@@ -119,27 +122,35 @@ class CholState:
         self.value = 0.0
         self.skipped_ids: list[int] = []
         self._factor: list[tuple[int, list[float]]] = []
-        self._gain: tuple[int, float, tuple[list[float], float]] | None = None
+        self._gain: tuple[int, float, tuple[list[float], float, float]] | None = None
         self._child: tuple[int, CholState] | None = None
-        self._batch: dict[int, tuple[list[float], float]] | None = None
+        self._batch: dict[int, tuple[list[float], float, float]] | None = None
 
-    def _probe(self, item_id: int, w: list[float] | None = None) -> tuple[list[float], float]:
-        """``w`` solving ``L w = c`` for the point x of ``item_id``, and the pivot ``d``.
+    def _probe(self, item_id: int, w: list[float] | None = None, s: float = 0.0) -> tuple[list[float], float, float]:
+        """``(w, d, s)``: ``w`` solving ``L w = c`` for the point x of
+        ``item_id``, the pivot ``d`` and the running sum ``s = w.w``.
 
-        ``c_j = K(x, s_j) / sigma^2`` and ``d = 1 + K(x, x)/sigma^2 - w.w``
-        is the Schur complement, where ``K(x, x) = 1`` for this kernel.
-        ``w`` comes by forward substitution, one kernel entry and one
-        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member.
+        ``c_j = K(x, x_j) / sigma^2`` for member j's point ``x_j``, and
+        ``d = 1 + K(x, x)/sigma^2 - w.w`` is the Schur complement, where
+        ``K(x, x) = 1`` for this kernel. ``w`` comes by forward
+        substitution, one kernel entry and one
+        ``w_i = (c_i - sum_j L_ij w_j) / L_ii`` per member, the first row
+        being ``c_0 / L_00``. Each row also adds ``w_i * w_i`` to ``s``, so
+        the pivot takes no second pass over ``w``. ``s`` runs left to right
+        from 0.0, uncompensated: the float that Python 3.11's
+        ``sum(map(mul, w, w))`` gives, on which the golden hashes were
+        pinned (``math.fsum``, and ``sum`` from Python 3.12 on, round
+        differently).
 
-        A batch probe (see ``gains``) passes the ``w`` it kept, the solve
-        against the first ``len(w)`` rows of this factor, or ``[]`` to start
-        one, and the loop resumes it from the next row. Each of its entries
-        is read once, so it computes them and leaves the arrival slot alone.
-        A probe of an arrival (no ``w``) reads each entry from the root's
-        arrival slot, or computes and stores it there on a miss; the slot is
-        refilled first if it holds another item. Both loops do the same
-        float operations in the same order, so a resumed probe is a fresh
-        one bit for bit.
+        A batch probe (see ``gains``) passes the ``w`` and ``s`` it kept,
+        the solve against the first ``len(w)`` rows of this factor, or
+        ``[]`` and 0.0 to start one, and the loop resumes both from the next
+        row. Each of its entries is read once, so it computes them and
+        leaves the arrival slot alone. A probe of an arrival (no ``w``)
+        reads each entry from the root's arrival slot, or computes and
+        stores it there on a miss; the slot is refilled first if it holds
+        another item. Both loops do the same float operations in the same
+        order, so a resumed probe is a fresh one bit for bit.
         """
         rows, inv_s2, h2, slot = self._kernel
         if w is not None:
@@ -149,8 +160,10 @@ class CholState:
             w = w[:]
             for m, row in self._factor[len(w):]:
                 c = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
-                w.append((c - sum(map(mul, row, w))) / row[-1])
-            return w, 1.0 + inv_s2 - sum(map(mul, w, w))
+                wi = (c - sum(map(mul, row, w))) / row[-1] if w else c / row[0]
+                w.append(wi)
+                s += wi * wi
+            return w, 1.0 + inv_s2 - s, s
         if slot[0] != item_id:
             if not 1 <= item_id <= len(rows):
                 raise ValueError(f"unknown item id {item_id}")
@@ -161,8 +174,10 @@ class CholState:
             c = known.get(m)
             if c is None:
                 c = known[m] = inv_s2 * math.exp(-math.dist(rows[m - 1], x) ** 2 / h2)
-            w.append((c - sum(map(mul, row, w))) / row[-1])
-        return w, 1.0 + inv_s2 - sum(map(mul, w, w))
+            wi = (c - sum(map(mul, row, w))) / row[-1] if w else c / row[0]
+            w.append(wi)
+            s += wi * wi
+        return w, 1.0 + inv_s2 - s, s
 
     def gain(self, item_id: int) -> float:
         """Marginal log-det gain ``0.5 * log d`` of adding the item; 0 for a
@@ -180,7 +195,7 @@ class CholState:
         if kept is None:
             probe = self._probe(item_id)
         else:
-            probe = batch[item_id] = self._probe(item_id, kept[0])
+            probe = batch[item_id] = self._probe(item_id, kept[0], kept[2])
         d = probe[1]
         gain = 0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0
         self._gain = (item_id, gain, probe)
@@ -208,8 +223,9 @@ class CholState:
 
         If the node's own batch holds a probe of the item, the batch moves on
         to the child, new or from the memo, without that probe. A new child
-        grows its row from the gain memo's probe of the item, or else from
-        the batch's, resumed to this factor's length if it falls short.
+        grows its row from the gain memo's probe of the item, and takes its
+        value step from the memo's gain, or else from the batch's probe,
+        resumed to this factor's length if it falls short.
         """
         kept = batch = self._batch
         if batch is not None:
@@ -223,13 +239,13 @@ class CholState:
             if batch is not None:
                 memo[1]._batch = batch
             return memo[1]
-        gained = self._gain
+        gained, step = self._gain, None
         if gained is not None and gained[0] == item_id:
-            w, d = gained[2]
+            _, step, (w, d, _) = gained
         elif kept is not None:
-            w, d = self._probe(item_id, kept[0]) if len(kept[0]) < len(self._factor) else kept
+            w, d, _ = self._probe(item_id, kept[0], kept[2]) if len(kept[0]) < len(self._factor) else kept
         else:
-            w, d = self._probe(item_id)
+            w, d, _ = self._probe(item_id)
         node = object.__new__(CholState)
         node._kernel, node.counter, node._gain, node._child, node._batch = self._kernel, self.counter, None, None, batch
         node.ids = self.ids + [item_id]
@@ -237,7 +253,7 @@ class CholState:
             node.value, node.skipped_ids = self.value, self.skipped_ids + [item_id]
             node._factor = self._factor
         else:
-            node.value, node.skipped_ids = self.value + 0.5 * math.log(d), self.skipped_ids
+            node.value, node.skipped_ids = self.value + (0.5 * math.log(d) if step is None else step), self.skipped_ids
             node._factor = self._factor + [(item_id, w + [math.sqrt(d)])]
         self._child = (item_id, node)
         return node

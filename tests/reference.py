@@ -3,8 +3,8 @@ coverage, a store's payloads, set-stream and dense-CSV writers, window
 members, an algorithm's answer as ids and value, a best-so-far wrapper, the
 reduction's live instances, the run layout and thresholds of the sieves and
 level tables with the handles their buffers hold, the answers a full scan
-of their state gives, and eager greedy, which scores every candidate in
-every round."""
+of their state gives, the layout of a log-det probe, and eager greedy,
+which scores every candidate in every round."""
 
 import math
 from itertools import combinations
@@ -206,6 +206,27 @@ def scan_answer(alg) -> tuple[list[int], float]:
         ids = sorted(c[0] for c in sorted(alg.candidates, key=lambda c: c[1])[: alg.k])
         return (ids, score(alg.oracle, ids)) if ids else ([], 0.0)
     return list(best.ids), best.value
+
+
+class Probe(NamedTuple):
+    """A log-det probe of an item against a node's factor, or a prefix of
+    it: the forward solve ``w``, the pivot ``d`` and the running sum
+    ``squares`` of ``w_i * w_i`` that ``d`` is taken from."""
+
+    w: list[float]
+    d: float
+    squares: float
+
+
+def probe(raw) -> Probe:
+    """A log-det probe as ``CholState._probe`` returns it and a node's gain
+    memo and batch keep it: the one place the tests read its layout."""
+    return Probe(*raw)
+
+
+def batch_probes(node) -> dict[int, Probe]:
+    """A log-det node's batch (see ``CholState.gains``): its probes by item id."""
+    return {i: probe(raw) for i, raw in node._batch.items()}
 
 
 def greedy_by_gain(items, k, oracle):

@@ -33,12 +33,12 @@ from conftest import (
     set_store,
     vec_store,
 )
-from reference import brute_force_opt, coverage_value, payload, runs, score, thresholds
+from reference import batch_probes, brute_force_opt, coverage_value, payload, probe, runs, score, thresholds
 
 PARAMS = KernelParams(h=0.75, sigma=1.0)
 
 
-def _grow_with_batches(oracle, reference, steps):
+def _grow_with_batches(oracle, reference, steps, rescore=False):
     """Grow a node from a fresh root of ``oracle`` by ``steps``, each
     ``(item, ids)``. The node first scores ``ids`` in one ``gains`` call
     (none if empty), which must charge one call per id and equal the single
@@ -47,7 +47,10 @@ def _grow_with_batches(oracle, reference, steps):
     the node's factor, and after a ``child`` hand-off each held probe is
     against a prefix of it. Every grown node must hold what that node
     holds, and a batch that holds the item must move to the child without
-    that item's probe."""
+    that item's probe. With ``rescore``, each grown node then scores every
+    id of the batch it holds by ``gain``, which resumes the kept probe and
+    its running sum of squares, and must equal the reference's gain bit for
+    bit."""
     node, plain = oracle.rebuild(()), reference.empty()
     for item, ids in steps:
         if ids:
@@ -56,15 +59,19 @@ def _grow_with_batches(oracle, reference, steps):
             assert oracle.calls == before + len(ids)
             assert got == [plain.gain(i) for i in ids]
             if hasattr(node, "_batch"):
-                assert set(node._batch) == set(ids)
-                assert all(len(node._batch[i][0]) == len(node._factor) for i in ids)
-                assert all(len(w) <= len(node._factor) for w, _ in node._batch.values())
+                probes = batch_probes(node)
+                assert set(probes) == set(ids)
+                assert all(len(probes[i].w) == len(node._factor) for i in ids)
+                assert all(len(p.w) <= len(node._factor) for p in probes.values())
         batch = getattr(node, "_batch", None)
         moves = batch is not None and item in batch
         parent, node, plain = node, node.child(item), plain.child(item)
         assert node_state(node) == node_state(plain)
         if moves:
             assert parent._batch is None and node._batch is batch and item not in batch
+        if rescore and getattr(node, "_batch", None):
+            for i in batch_probes(node):
+                assert node.gain(i) == plain.gain(i)
 
 
 def _batch_step(ids, n):
@@ -341,7 +348,7 @@ class TestNumericalEdges:
         n = len(X)
         ids = data.draw(st.lists(st.integers(1, n), max_size=12))
         steps = data.draw(st.lists(st.tuples(*_batch_step(ids, n)), max_size=12))
-        _grow_with_batches(IVMOracle(vec_store(X), params), IVMOracle(vec_store(X), params), steps)
+        _grow_with_batches(IVMOracle(vec_store(X), params), IVMOracle(vec_store(X), params), steps, data.draw(st.booleans()))
 
     def test_batch_passes_through_a_skipped_pivot(self):
         # Point 2 repeats point 1 and collapses its pivot: the skipping child
@@ -486,9 +493,9 @@ class TestArrivalSlot:
                     elif ids:
                         nodes.append(node.child(ids[0]))
                 gain = node.gain(t)
-                w, d = oracle.rebuild(node.ids)._probe(t)
-                assert node._gain[2] == (w, d)
-                assert gain == (0.5 * math.log(d) if d > DEGENERATE_PIVOT else 0.0)
+                fresh = probe(oracle.rebuild(node.ids)._probe(t))
+                assert probe(node._gain[2]) == fresh
+                assert gain == (0.5 * math.log(fresh.d) if fresh.d > DEGENERATE_PIVOT else 0.0)
 
     @pytest.mark.parametrize("bad", [0, -1, 13])
     def test_unknown_id_rejected_on_an_empty_slot(self, bad):
@@ -700,7 +707,7 @@ class TestHandles:
         oracle, _ = self.ORACLES[objective]
         steps = data.draw(st.lists(st.tuples(*_batch_step(ids, self.N)), max_size=10))
         reference = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
-        _grow_with_batches(oracle, reference, steps)
+        _grow_with_batches(oracle, reference, steps, data.draw(st.booleans()))
 
     def test_batch_follows_a_child_from_the_memo(self):
         # A greedy round that picks the item of the node's last child, as
@@ -712,7 +719,7 @@ class TestHandles:
         batch = root._batch
         assert root.child(3) is first and first._batch is batch and root._batch is None
         assert [first.gain(i) for i in (4, 5)] == [_grown(self.IVM, [3]).gain(i) for i in (4, 5)]
-        assert all(len(w) == 1 for w, _ in first._batch.values())
+        assert all(len(p.w) == 1 for p in batch_probes(first).values())
 
     @pytest.mark.parametrize("rescore", ["gain", "gains"])
     def test_batch_resumes_a_probe_many_rows_behind(self, rescore):
@@ -730,10 +737,10 @@ class TestHandles:
             node = node.child(i)
             if i != 7:
                 node.gain(i + 1)
-        assert len(node._factor) == 3 and [len(w) for w, _ in node._batch.values()] == [0, 0]
+        assert len(node._factor) == 3 and [len(p.w) for p in batch_probes(node).values()] == [0, 0]
         fresh = oracle.rebuild([5, 6, 7])
         got = node.gain(8) if rescore == "gain" else node.gains([8])[0]
-        assert got == fresh.gain(8) and node._batch[8] == fresh._probe(8)
+        assert got == fresh.gain(8) and batch_probes(node)[8] == probe(fresh._probe(8))
         grown = node.child(9)
         assert node_state(grown) == node_state(fresh.child(9))
         if rescore == "gain":
