@@ -139,38 +139,40 @@ class SlidingWindowDP:
     the window optimum is at least 1; that threshold's deepest level is
     within (1-eps)/2 of the optimum.
 
-    For one threshold T, ``levels[j]`` is the latest timestep from which j
-    elements with marginal gain >= T were still collectible, and
-    ``handles[j]`` is the handle of those j elements. On arrival, level 0
-    restarts at the current step, expired levels are deactivated (their
-    sets are retained but unreported) from the deepest one up, and levels
-    are scanned from high to low so each reads its pre-step state: the
-    scan at j reads levels j and j+1 and writes only j+1, which no earlier
-    (higher) step wrote. A literal low-to-high in-place scan would let the
-    fresh level-0 restart overwrite level 1 before it is read, destroying
-    valid longer solutions.
-    Queries return the deepest active level of the best table, the lowest
-    threshold's on ties.
+    For one threshold T, ``handles[j]`` is the handle of j elements with
+    marginal gain >= T collected from the latest timestep from which j
+    were still collectible, the level's start. That start is the set's
+    first id; level 0, the empty root, starts at the current step, and an
+    empty set at 0. A level is live while its start is after the horizon
+    ``max(0, t - W)``; an expired level keeps its set (retained but
+    unreported), and nothing marks it. On arrival, levels are scanned from
+    high to low so each reads its pre-step state: the scan at j reads
+    levels j and j+1 and writes only j+1, which no earlier (higher) step
+    wrote, and level j hands off when it is live and starts after level
+    j+1. A literal low-to-high in-place scan would let the fresh level-0
+    restart overwrite level 1 before it is read, destroying valid longer
+    solutions. Queries return the deepest live level of the best table,
+    the lowest threshold's on ties.
 
-    Invariant: a table's active levels form a prefix 0 .. d, and their
+    Invariant: a table's live levels form a prefix 0 .. d, and their
     starts do not increase with j. Level 0 starts at the current step; a
-    hand-off gives level j+1 the start of level j, which it exceeded; and
-    expiry deactivates the levels that start at or before the horizon, a
-    suffix of the active ones. So expiry walks down from level k, past the
-    inactive levels and then the expired ones, and stops at the first live
-    level, which level 0 always is; on a nearly full table that is about
-    one test per run instead of k. The query reads the deepest active level
-    as the one before the first inactive level, or k if none is inactive.
+    hand-off gives level j+1 a child of level j's set, so the start of
+    level j, which it exceeded; and the levels that start at or before the
+    horizon are a suffix of the live ones. So expiry is a comparison that
+    writes nothing, and the query walks down from level k, past the empty
+    and expired levels, and stops at the first live level; on a nearly
+    full table that is about one test per run instead of k. Before the
+    first step no level is live, and the walk stops at level 0, the root.
 
     Adjacent thresholds with equal tables share one: ``runs`` holds
-    ``[lo, hi, levels, handles]`` for exponents ``lo .. hi-1``, and a
-    threshold is computed as ``base**l / (2.0 * k)`` where the test needs it.
-    Every threshold of a run makes the same expiry and takes the same gain
+    ``[lo, hi, handles]`` for exponents ``lo .. hi-1``, and a threshold is
+    computed as ``base**l / (2.0 * k)`` where the test needs it. Every
+    threshold of a run reads the same starts and takes the same gain
     at each level j, and the pass test ``gain >= T`` holds for a prefix of
     the run, so an arrival costs one gain per run and level and splits a run
     at most at one cut per level, found by ``bisect`` over the exponents. A
     run that does not split is updated in place. Adjacent runs merge again
-    when their ``levels`` and ``handles`` are equal. Costs stay per
+    when their ``handles`` are equal. Costs stay per
     threshold: a run of m thresholds charges m oracle calls for its one
     gain, and ``retained_count`` counts every set of every threshold.
     """
@@ -184,29 +186,22 @@ class SlidingWindowDP:
             self.base**top  # the highest threshold ``_scan`` computes
         except OverflowError:
             raise ValueError(f"epsilon {epsilon} is too large: the top threshold (1 + epsilon)**{top} overflows") from None
-        self.runs: list[list] = [[0, top + 1, [-1] * (k + 1), [oracle.empty()] * (k + 1)]]
+        self.runs: list[list] = [[0, top + 1, [oracle.empty()] * (k + 1)]]
         self._retained = 0
         self._t = 0
 
     def step(self, t: int) -> None:
-        self._t = next_timestep(self._t, t)  # so no start is -1, the mark of an inactive level
-        horizon, k = t - self.window, self.k
+        self._t = next_timestep(self._t, t)
+        horizon = max(0, t - self.window)
         runs: list[list] = []
         for run in self.runs:
-            levels = run[2]
-            levels[0] = t
-            j = k
-            while levels[j] == -1:
-                j -= 1
-            while levels[j] <= horizon:  # level 0 holds t, which is live
-                levels[j] = -1
-                j -= 1
-            self._scan(run, k - 1, t, runs)
+            self._scan(run, self.k - 1, t, horizon, runs)
         self.runs = runs
 
-    def _scan(self, run: list, top: int, i: int, runs: list) -> None:
-        """Scan levels ``top`` .. 0 of ``run`` in place, then append it to
-        ``runs``, merged into the previous run if their tables are equal.
+    def _scan(self, run: list, top: int, i: int, horizon: int, runs: list) -> None:
+        """Scan levels ``top`` .. 0 of ``run`` in place for arrival ``i``,
+        then append it to ``runs``, merged into the previous run if their
+        tables are equal.
 
         A hand-off that passes on a proper prefix of the run's thresholds
         splits that prefix off as a copy, which takes the hand-off, is
@@ -215,14 +210,16 @@ class SlidingWindowDP:
         after a split.
         """
         base, scale = self.base, 2.0 * self.k
-        lo, hi, levels, handles = run
+        lo, hi, handles = run
         low = base**lo / scale
         high = low if hi - lo == 1 else base ** (hi - 1) / scale
+        start = (handles[top + 1].ids or (0,))[0]
         for j in range(top, -1, -1):
-            start = levels[j]
-            if start == -1 or start <= levels[j + 1]:
-                continue
+            above = start  # level j+1's start: only the hand-off at j writes it
             handle = handles[j]
+            start = (handle.ids or (0,))[0] if j else i
+            if start <= horizon or start <= above:
+                continue
             gain = handle.gain(i)
             if hi - lo > 1:
                 handle.counter.calls += hi - lo - 1
@@ -231,27 +228,28 @@ class SlidingWindowDP:
             piece = run
             if not gain >= high:  # thresholds lo .. cut-1 pass
                 cut = bisect_right(range(hi), gain, lo + 1, hi - 1, key=lambda l: base**l / scale)
-                piece = [lo, cut, levels[:], handles[:]]
+                piece = [lo, cut, handles[:]]
                 run[0] = lo = cut
                 low = base**lo / scale
-            p_lo, p_hi, p_levels, p_handles = piece
-            p_levels[j + 1] = start
+            p_lo, p_hi, p_handles = piece
             self._retained += (p_hi - p_lo) * (len(handle.ids) + 1 - len(p_handles[j + 1].ids))
             p_handles[j + 1] = handle.child(i)
             if piece is not run:
-                self._scan(piece, j - 1, i, runs)
-        if runs and runs[-1][2] == levels and runs[-1][3] == handles:
+                self._scan(piece, j - 1, i, horizon, runs)
+        if runs and runs[-1][2] == handles:
             runs[-1][1] = hi
         else:
             runs.append(run)
 
     def query(self) -> OracleHandle:
-        k = self.k
-        best = self.runs[0][3][0]  # level 0 never changes: the root, empty and of value 0
-        for _, _, levels, handles in self.runs:
-            handle = handles[k if levels[k] != -1 else levels.index(-1) - 1]
-            if handle.value > best.value:
-                best = handle
+        horizon, k = max(0, self._t - self.window), self.k
+        best = self.runs[0][2][0]  # level 0 never changes: the root, empty and of value 0
+        for _, _, handles in self.runs:
+            j = k
+            while j and (handles[j].ids or (0,))[0] <= horizon:
+                j -= 1
+            if handles[j].value > best.value:
+                best = handles[j]
         return best
 
     def retained_count(self) -> int:

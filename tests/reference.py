@@ -143,7 +143,10 @@ class SieveRun(NamedTuple):
 
 class TableRun(NamedTuple):
     """A ``SlidingWindowDP`` run: thresholds ``lo .. hi-1`` share the level
-    starts ``levels`` and the level buffers ``handles``."""
+    buffers ``handles``. ``levels`` is derived from them: each live level's
+    start (the current step for level 0, its set's first id for level
+    j >= 1), and -1 for a level that is not live, one whose start (0 for an
+    empty set) is at or before the horizon ``max(0, t - W)``."""
 
     lo: int
     hi: int
@@ -155,8 +158,15 @@ def runs(alg) -> list:
     """A sieve's or a ``SlidingWindowDP``'s runs, lowest threshold first: the
     one place the tests read the run layout."""
     if isinstance(alg, SlidingWindowDP):
-        return [TableRun(*run) for run in alg.runs]
+        return [TableRun(lo, hi, _live_starts(alg, handles), handles) for lo, hi, handles in alg.runs]
     return [SieveRun(*run) for run in alg.runs]
+
+
+def _live_starts(dp, handles) -> list[int]:
+    """The ``levels`` of a ``SlidingWindowDP`` run's ``handles`` (see ``TableRun``)."""
+    horizon = max(0, dp._t - dp.window)
+    starts = [dp._t] + [(h.ids or (0,))[0] for h in handles[1:]]
+    return [start if start > horizon else -1 for start in starts]
 
 
 def thresholds(alg) -> list[float]:

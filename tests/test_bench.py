@@ -2,9 +2,14 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swmax
 from swmax import bench
 from swmax.bench import (
     CSV_HEADER,
@@ -560,6 +565,35 @@ class TestCli:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _python_m_swmax(argv, cwd):
+    """Run ``python -m swmax`` on ``argv`` in a fresh interpreter that imports
+    the package under test."""
+    src = str(Path(swmax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "swmax", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestEntryPoint:
+    ARGV = ["--objective", "coverage", "--algorithm", "sw-dp", "--k", "3", "--window", "20",
+            "--format", "synth-sets", "--synth-n", "60"]
+
+    def test_module_prints_the_metrics_csv(self, tmp_path):
+        proc = _python_m_swmax(self.ARGV, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        expected = render_metrics_csv(run_benchmark(parse_cli(self.ARGV)))
+        assert _strip_wall(proc.stdout) == _strip_wall(expected)
+
+    def test_module_refuses_k_zero(self, tmp_path):
+        argv = list(self.ARGV)
+        argv[argv.index("--k") + 1] = "0"
+        proc = _python_m_swmax(argv, tmp_path)
+        assert proc.returncode == 2
+        assert "--k must be >= 1, got 0" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestLoadStore:

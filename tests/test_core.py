@@ -75,12 +75,12 @@ class TestTypes:
 class TestCountingOracle:
     """An oracle counts its own calls and its handles' gains."""
 
-    def test_empty_eval_counts_one(self):
+    def test_empty_score_counts_one(self):
         oracle = CoverageOracle(set_store((1, 2)))
         assert score(oracle, []) == 0.0
         assert oracle.calls == 1
 
-    def test_three_evals_count_three(self):
+    def test_three_scores_count_three(self):
         oracle = CoverageOracle(set_store((1, 2), (2, 3)))
         for _ in range(3):
             score(oracle, [1, 2])
@@ -92,7 +92,7 @@ class TestCountingOracle:
         assert handle.gain(2) == 1.0
         assert oracle.calls == 1
 
-    def test_wrapping_preserves_values(self):
+    def test_counting_preserves_values(self):
         # counting changes no value: each equals an independent recount
         store = gen_set_stream(30, 20, 5, seed=7)
         oracle = CoverageOracle(store)

@@ -1007,19 +1007,23 @@ def test_runs_match_per_level_reference(name, stream, k, window, epsilon, sample
     gaps=st.lists(st.integers(1, 3), min_size=1, max_size=40),
 )
 def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon, gaps):
-    # SlidingWindowDP's query reads each run's deepest active level as the
-    # one before the first inactive level. That holds while a run's active
-    # levels form a prefix whose starts do not increase with j, after every
-    # arrival and through gaps that expire several levels at once.
+    # SlidingWindowDP's query walks down from level k to each run's first
+    # live level, which is its deepest one while a run's live levels form a
+    # prefix whose starts do not increase with j. That holds after every
+    # arrival and through gaps that expire several levels at once, and
+    # there the tables and the answer match the per-threshold reference.
     make, n = stream
     dp = SlidingWindowDP(k, window, epsilon, make())
+    ref = ThresholdTables(k, window, epsilon, make())
     for t in itertools.takewhile(lambda t: t <= n, itertools.accumulate(gaps)):
         dp.step(t)
+        ref.step(t)
         for run in runs(dp):
             active = [start for start in run.levels if start != -1]
             assert run.levels == active + [-1] * (k + 1 - len(active)), t
             assert active == sorted(active, reverse=True), t
-        assert answer(dp) == scan_answer(dp), t
+        assert per_threshold_tables(dp) == reference_tables(ref), t
+        assert answer(dp) == scan_answer(dp) == ref.query(), t
 
 
 @settings(max_examples=150, deadline=None)
