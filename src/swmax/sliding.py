@@ -135,7 +135,8 @@ class SlidingWindowDP:
 
     Thresholds are ``T = (1+eps)**l / (2k)`` for
     l = 0 .. 1 + ceil(log_{1+eps} M) with ``M = k * oracle.max_singleton()``,
-    which bounds every window's optimum. The grid brackets opt/(2k) within a (1+eps) factor whenever
+    which bounds every window's optimum; ``thresholds`` lists them, built
+    once. The grid brackets opt/(2k) within a (1+eps) factor whenever
     the window optimum is at least 1; that threshold's deepest level is
     within (1-eps)/2 of the optimum.
 
@@ -163,27 +164,38 @@ class SlidingWindowDP:
     and expired levels, and stops at the first live level; on a nearly
     full table that is about one test per run instead of k. Before the
     first step no level is live, and the walk stops at level 0, the root.
+    And level j holds exactly j ids or none, expired levels included: the
+    root holds none, and a hand-off gives level j+1 a live level j's set
+    plus the arrival. So a hand-off adds j+1 retained references per
+    threshold when level j+1 was empty, and none when it replaces a set.
+
+    Level 0 is the root in every table: it is live and starts after level
+    1, so it hands off whenever its gain passes. ``step`` asks the root's
+    gain once per arrival, and each run hands off from level 0 after its
+    scan of levels k-1 .. 1, with no start test.
 
     Adjacent thresholds with equal tables share one: ``runs`` holds
-    ``[lo, hi, handles]`` for exponents ``lo .. hi-1``, and a threshold is
-    computed as ``base**l / (2.0 * k)`` where the test needs it. Every
-    threshold of a run reads the same starts and takes the same gain
-    at each level j, and the pass test ``gain >= T`` holds for a prefix of
-    the run, so an arrival costs one gain per run and level and splits a run
-    at most at one cut per level, found by ``bisect`` over the exponents. A
-    run that does not split is updated in place. Adjacent runs merge again
-    when their ``handles`` are equal. Costs stay per
-    threshold: a run of m thresholds charges m oracle calls for its one
-    gain, and ``retained_count`` counts every set of every threshold.
+    ``[lo, hi, handles]`` for exponents ``lo .. hi-1``. Every threshold of
+    a run reads the same starts and takes the same gain at each level j,
+    and the pass test ``gain >= T`` holds for a prefix of the run, so an
+    arrival costs one gain per run and level j >= 1, and one gain in all
+    at level 0, and splits a run at most at one cut per level, found by
+    ``bisect`` over ``thresholds`` between the run's ends. A run that does
+    not split is updated in place. Adjacent runs merge again when their
+    ``handles`` are equal. Costs stay per threshold: a gain that a run of
+    m thresholds takes is charged m oracle calls, its own call and m-1
+    more (m at level 0, bar the root's one call per arrival) that ``step``
+    adds to the oracle's ``calls`` once per arrival; and
+    ``retained_count`` counts every set of every threshold.
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
         self.k = k = positive_int(k, "k")
         self.window = positive_int(window, "window")
-        self.base = lattice_base(epsilon)
+        base = lattice_base(epsilon)
         top = 1 + ceil_log_ratio(k * oracle.max_singleton(), epsilon)
         try:
-            self.base**top  # the highest threshold ``_scan`` computes
+            self.thresholds = [base**l / (2.0 * k) for l in range(top + 1)]
         except OverflowError:
             raise ValueError(f"epsilon {epsilon} is too large: the top threshold (1 + epsilon)**{top} overflows") from None
         self.runs: list[list] = [[0, top + 1, [oracle.empty()] * (k + 1)]]
@@ -193,53 +205,72 @@ class SlidingWindowDP:
     def step(self, t: int) -> None:
         self._t = next_timestep(self._t, t)
         horizon = max(0, t - self.window)
+        root = self.runs[0][2][0]
+        gain = root.gain(t)
         runs: list[list] = []
+        calls = -1  # ``gain`` charged one of level 0's calls
         for run in self.runs:
-            self._scan(run, self.k - 1, t, horizon, runs)
+            calls += self._scan(run, self.k - 1, t, horizon, gain, runs)
+        root.counter.calls += calls
         self.runs = runs
 
-    def _scan(self, run: list, top: int, i: int, horizon: int, runs: list) -> None:
-        """Scan levels ``top`` .. 0 of ``run`` in place for arrival ``i``,
-        then append it to ``runs``, merged into the previous run if their
-        tables are equal.
+    def _scan(self, run: list, top: int, i: int, horizon: int, root_gain: float, runs: list) -> int:
+        """Scan levels ``top`` .. 1 of ``run`` in place for arrival ``i``,
+        hand off from level 0 on the root's gain ``root_gain``, then append
+        the run to ``runs``, merged into the previous run if their tables
+        are equal. Returns the calls that the run's thresholds owe beyond
+        the one each gain charged, all of level 0's included.
 
-        A hand-off that passes on a proper prefix of the run's thresholds
-        splits that prefix off as a copy, which takes the hand-off, is
-        scanned on from the next level down and goes first. The run's lowest
-        and highest thresholds are computed once per visit, the lowest again
-        after a split.
+        A hand-off at level j >= 1 that passes on a proper prefix of the
+        run's thresholds splits that prefix off as a copy, which takes the
+        hand-off, is scanned on from the next level down and goes first.
+        At level 0 nothing is left to scan: the run keeps the prefix and
+        takes the hand-off, and the rest is split off as an unchanged copy
+        that goes after it. The two differ at level 1, so they do not merge.
         """
-        base, scale = self.base, 2.0 * self.k
+        table = self.thresholds
         lo, hi, handles = run
-        low = base**lo / scale
-        high = low if hi - lo == 1 else base ** (hi - 1) / scale
+        low, high = table[lo], table[hi - 1]
+        calls, extra = 0, hi - lo - 1  # each gain owes ``extra`` calls beyond its own
         start = (handles[top + 1].ids or (0,))[0]
-        for j in range(top, -1, -1):
+        for j in range(top, 0, -1):
             above = start  # level j+1's start: only the hand-off at j writes it
             handle = handles[j]
-            start = (handle.ids or (0,))[0] if j else i
+            start = (handle.ids or (0,))[0]
             if start <= horizon or start <= above:
                 continue
             gain = handle.gain(i)
-            if hi - lo > 1:
-                handle.counter.calls += hi - lo - 1
+            calls += extra
             if not gain >= low:
                 continue
-            piece = run
-            if not gain >= high:  # thresholds lo .. cut-1 pass
-                cut = bisect_right(range(hi), gain, lo + 1, hi - 1, key=lambda l: base**l / scale)
-                piece = [lo, cut, handles[:]]
-                run[0] = lo = cut
-                low = base**lo / scale
-            p_lo, p_hi, p_handles = piece
-            self._retained += (p_hi - p_lo) * (len(handle.ids) + 1 - len(p_handles[j + 1].ids))
-            p_handles[j + 1] = handle.child(i)
-            if piece is not run:
-                self._scan(piece, j - 1, i, horizon, runs)
+            cut = hi if gain >= high else bisect_right(table, gain, lo + 1, hi - 1)  # lo .. cut-1 pass
+            if not above:  # level j+1 was empty: a timestep, so a start, is >= 1
+                self._retained += (cut - lo) * (j + 1)
+            if cut == hi:
+                handles[j + 1] = handle.child(i)
+                continue
+            piece = [lo, cut, handles[:]]
+            piece[2][j + 1] = handle.child(i)
+            run[0] = lo = cut
+            low, extra = table[lo], hi - lo - 1
+            calls += self._scan(piece, j - 1, i, horizon, root_gain, runs)
+        calls += extra + 1  # level 0's gain, asked once by ``step``, owes one call per threshold
+        upper = None
+        if root_gain >= low:
+            if not root_gain >= high:  # lo .. cut-1 pass
+                cut = bisect_right(table, root_gain, lo + 1, hi - 1)
+                upper = [cut, hi, handles[:]]
+                run[1] = hi = cut
+            if not start:  # level 1 was empty
+                self._retained += hi - lo
+            handles[1] = handles[0].child(i)
         if runs and runs[-1][2] == handles:
             runs[-1][1] = hi
         else:
             runs.append(run)
+        if upper:
+            runs.append(upper)
+        return calls
 
     def query(self) -> OracleHandle:
         horizon, k = max(0, self._t - self.window), self.k

@@ -170,13 +170,13 @@ def _live_starts(dp, handles) -> list[int]:
 
 
 def thresholds(alg) -> list[float]:
-    """A sieve's grid thresholds ``(1+eps)**l`` or a ``SlidingWindowDP``'s
-    ``(1+eps)**l / (2k)``, for every exponent its runs span, lowest first:
-    the one place the tests read the lattice."""
-    exponents = range(runs(alg)[-1].hi)
+    """A sieve's grid thresholds ``(1+eps)**l``, for every exponent its runs
+    span, or the table ``(1+eps)**l / (2k)`` that a ``SlidingWindowDP``
+    builds once and scans, lowest first: the one place the tests read the
+    lattice."""
     if isinstance(alg, SlidingWindowDP):
-        return [alg.base**l / (2.0 * alg.k) for l in exponents]
-    return [alg.base**l for l in exponents]
+        return list(alg.thresholds)
+    return [alg.base**l for l in range(runs(alg)[-1].hi)]
 
 
 def buffer_handles(alg) -> list:
@@ -196,9 +196,9 @@ def scan_answer(alg) -> tuple[list[int], float]:
 
     * a sieve's (``SieveStream`` and its subclasses): its best buffer, the
       lowest level's on ties;
-    * a ``SlidingWindowDP``'s: each run's deepest active level, found by
-      walking down from level k, the best of them, the lowest threshold's
-      on ties, or the empty root;
+    * a ``SlidingWindowDP``'s: each run's deepest live level, the largest
+      j whose start in ``TableRun.levels`` is not -1 (0, the root, if none
+      is), the best of them, the lowest threshold's on ties;
     * a ``PrioritySample``'s (or any sampler with ``candidates`` of
       ``(t, priority, ...)``, ``k`` and ``oracle``): the sorted ids of the k
       smallest priorities, the earlier arrival's on ties, and their value by

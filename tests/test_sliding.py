@@ -373,7 +373,7 @@ def reference_tables(ref):
     return [(levels, sets) for levels, sets, _, _ in ref.tables]
 
 
-class TestThresholdGreedy:
+class TestLevelTables:
     """The threshold-greedy level tables of ``SlidingWindowDP``."""
 
     def test_hand_trace(self):
@@ -1026,6 +1026,34 @@ def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon
         assert answer(dp) == scan_answer(dp) == ref.query(), t
 
 
+@pytest.mark.parametrize("objective", ["coverage", "ivm"])
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 5),
+    window=st.integers(1, 12),
+    epsilon=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+    gaps=st.lists(st.integers(1, 3), min_size=1, max_size=40),
+)
+def test_every_level_holds_its_size_or_nothing(objective, seed, k, window, epsilon, gaps):
+    # Level j of every run holds exactly j ids or none, expired levels
+    # included: the root holds none, and a hand-off gives level j+1 a live
+    # level j's set plus the arrival. SlidingWindowDP counts its retained
+    # references by this, adding j+1 per threshold only when a hand-off
+    # fills an empty level j+1, so after every step, through gaps that
+    # expire several levels at once, the count must match a recount.
+    if objective == "coverage":
+        oracle = CoverageOracle(gen_set_stream(60, 20, 4, seed=seed))
+    else:
+        oracle = IVMOracle(gen_drift_vectors(60, 3, 3, 10, seed=seed), KernelParams(sigma=0.3))
+    dp = SlidingWindowDP(k, window, epsilon, oracle)
+    for t in itertools.takewhile(lambda t: t <= 60, itertools.accumulate(gaps)):
+        dp.step(t)
+        for run in runs(dp):
+            assert all(len(h.ids) in (0, j) for j, h in enumerate(run.handles)), t
+        assert dp.retained_count() == _recount(dp), t
+
+
 @settings(max_examples=150, deadline=None)
 @example(k=1, epsilon=0.2, top=0, window=3, picks=[(0, 0)])
 @example(k=2, epsilon=1.0, top=1, window=3, picks=[(1, 0), (0, 0)])
@@ -1038,13 +1066,15 @@ def test_active_levels_are_a_prefix_of_falling_starts(stream, k, window, epsilon
     picks=st.lists(st.tuples(st.integers(-1, 32), st.sampled_from([-1, 0, 1])), min_size=1, max_size=6),
 )
 def test_bisect_cut_matches_linear_scan(k, epsilon, top, window, picks):
-    # A run's cut comes from ``bisect`` over its exponents; the references
-    # test every level's threshold in turn. Gains lie on a lattice
-    # threshold ``(1+eps)**l / (2k)`` or one float step either side of it:
-    # the sieve's strict rule at an empty buffer, ``gain > ((1+eps)**l / 2
-    # - 0) / k``, fails on it, and sw-dp's ``gain >= (1+eps)**l / (2k)``
-    # passes on it. Grids of one or two levels and runs split down to one
-    # or two levels take the bisect's empty ranges.
+    # A run's cut comes from ``bisect`` over its exponents (the sieve) or
+    # over the threshold table (sw-dp), which the grid checks below pin to
+    # the references'; the references test every level's threshold in
+    # turn. Gains lie on a lattice threshold ``(1+eps)**l / (2k)`` or one
+    # float step either side of it: the sieve's strict rule at an empty
+    # buffer, ``gain > ((1+eps)**l / 2 - 0) / k``, fails on it, and sw-dp's
+    # ``gain >= (1+eps)**l / (2k)`` passes on it. Grids of one or two
+    # levels and runs split down to one or two levels take the bisect's
+    # empty ranges.
     base = 1.0 + epsilon
     script = {}
     for t, (level, side) in enumerate(picks, start=1):
