@@ -20,11 +20,11 @@ the handle of its answer (``ids`` and ``value``):
   window via smallest-priority sampling.
 
 Each threshold grid is a range of exponents l of the lattice (1+eps)**l,
-kept as runs, ranges of adjacent exponents that hold one state: one sieve
-buffer, or one level table. An arrival, an expiry or a repair is worked
-out once per run, while oracle calls and retained references are still
-counted per threshold, so the reported metrics are those of one state per
-threshold.
+read off the table ``threshold_table`` memoizes for it, and kept as runs,
+ranges of adjacent exponents that hold one state: one sieve buffer, or one
+level table. An arrival, an expiry or a repair is worked out once per run,
+while oracle calls and retained references are still counted per
+threshold, so the reported metrics are those of one state per threshold.
 
 All algorithms are deterministic functions of (stream, config, seed) and
 count the item references they hold (``retained_count``); the benchmark
@@ -41,7 +41,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, non_negative, positive_int
-from .streaming import SieveStream, ceil_log_ratio, greedy_select
+from .streaming import SieveStream, greedy_select, threshold_table
 
 
 @dataclass
@@ -135,10 +135,11 @@ class SlidingWindowDP:
 
     Thresholds are ``T = (1+eps)**l / (2k)`` for
     l = 0 .. 1 + ceil(log_{1+eps} M) with ``M = k * oracle.max_singleton()``,
-    which bounds every window's optimum; ``thresholds`` lists them, built
-    once. The grid brackets opt/(2k) within a (1+eps) factor whenever
-    the window optimum is at least 1; that threshold's deepest level is
-    within (1-eps)/2 of the optimum.
+    which bounds every window's optimum; ``thresholds`` is their table,
+    which ``threshold_table`` builds once for every grid with the same k,
+    epsilon and M. The grid brackets opt/(2k) within a (1+eps) factor
+    whenever the window optimum is at least 1; that threshold's deepest
+    level is within (1-eps)/2 of the optimum.
 
     For one threshold T, ``handles[j]`` is the handle of j elements with
     marginal gain >= T collected from the latest timestep from which j
@@ -192,13 +193,8 @@ class SlidingWindowDP:
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
         self.k = k = positive_int(k, "k")
         self.window = positive_int(window, "window")
-        base = lattice_base(epsilon)
-        top = 1 + ceil_log_ratio(k * oracle.max_singleton(), epsilon)
-        try:
-            self.thresholds = [base**l / (2.0 * k) for l in range(top + 1)]
-        except OverflowError:
-            raise ValueError(f"epsilon {epsilon} is too large: the top threshold (1 + epsilon)**{top} overflows") from None
-        self.runs: list[list] = [[0, top + 1, [oracle.empty()] * (k + 1)]]
+        self.thresholds = threshold_table(k * oracle.max_singleton(), epsilon, 2.0 * k, 1)
+        self.runs: list[list] = [[0, len(self.thresholds), [oracle.empty()] * (k + 1)]]
         self._retained = 0
         self._t = 0
 

@@ -17,12 +17,15 @@ from typing import Sequence
 from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, positive_int
 
 
-@lru_cache(maxsize=64)
+GRID_CAP = 2**20
+"""The most thresholds a grid may hold: a table of 2**20 floats takes about 32 MB."""
+
+
 def ceil_log_ratio(m: float, epsilon: float) -> int:
     """Smallest integer L >= 0 with (1 + epsilon)**L >= m.
 
-    Memoized, since the reduction builds a sieve per arrival with the same
-    arguments. An epsilon without a lattice raises (``lattice_base``).
+    ``threshold_table`` memoizes it with the table it sizes. An epsilon
+    without a lattice raises (``lattice_base``).
     """
     base = lattice_base(epsilon)
     if m <= 1:
@@ -33,6 +36,27 @@ def ceil_log_ratio(m: float, epsilon: float) -> int:
     while level > 0 and base ** (level - 1) >= m:
         level -= 1
     return level
+
+
+@lru_cache(maxsize=16)
+def threshold_table(bound: float, epsilon: float, divisor: float, extra: int = 0) -> tuple[float, ...]:
+    """The lattice ``(1 + epsilon)**l / divisor`` for ``l = 0 .. top``, with
+    ``top = ceil_log_ratio(bound, epsilon) + extra``: every threshold grid.
+
+    ``bound`` is the grid's upper end, ``k * oracle.max_singleton()``.
+    Memoized, so every grid of one run reads one table, and the reduction's
+    sieve per arrival builds none. A grid of more than ``GRID_CAP``
+    thresholds is refused before any is built, and so is one whose top
+    threshold overflows; each ``ValueError`` names epsilon.
+    """
+    top = ceil_log_ratio(bound, epsilon) + extra
+    if top >= GRID_CAP:
+        raise ValueError(f"epsilon {epsilon} is too small: its grid would hold {top + 1} thresholds, above {GRID_CAP}")
+    base = 1.0 + epsilon
+    try:
+        return tuple([base**l / divisor for l in range(top + 1)])
+    except OverflowError:
+        raise ValueError(f"epsilon {epsilon} is too large: the top threshold (1 + epsilon)**{top} overflows") from None
 
 
 class SieveStream:
@@ -47,39 +71,41 @@ class SieveStream:
     (1-eps)/2 of the optimum whenever the optimum is at least 1.
 
     Adjacent levels that hold the same buffer are kept as one run,
-    ``[lo, hi, handle]`` for exponents ``lo .. hi-1`` in ``runs``; a level's
-    T is computed as ``base**l`` where the test needs it. The buffer is its
-    handle, grown from the oracle's root, so equal contents share one; its
-    ``ids`` are the members and its ``value`` the running sum of accepted
-    gains. An arrival costs one membership test and one gain per run. The
-    admission test is monotone in T even in floats (``T/2`` is exact, and
-    rounding keeps subtraction and division by a positive number monotone),
-    so the levels that admit it are a prefix of the run. The run's highest
-    level is tested first, since when it admits, all do; when it does not,
-    the lowest is tested (in a run of two or more levels), and the prefix
-    is found by ``bisect`` over the exponents with the same expression;
-    that prefix becomes a run of its own. Costs stay per level: a run of m levels
-    charges m oracle calls for its one gain, and ``retained_count`` counts
-    one item reference per member per level. Queries cost no oracle calls
-    and return the best buffer's handle, the lowest level's on ties, as
-    SieveStreaming reports its best buffer. ``_best`` keeps that handle as
-    buffers grow, so a query does not scan: a child worth strictly more
-    replaces it, while a child that ties it (a lower level may hold the tie)
-    or a negative gain sets it to None, and the arrival ends with a rescan,
-    ``max`` over the run handles, which keeps the lowest level's on ties.
-    ``_open`` counts the runs whose buffer has room, as the last ``_admit``
-    left them: a run that took its k-th item there counts as full. ``step``
-    skips ``_admit`` while it is 0, which changes nothing: a full buffer is
-    asked no gain, so no call is charged, no run splits and ``_best``
-    stands. Once every buffer is full, an arrival costs O(1).
-    ``step`` refuses a timestep that does not follow the last one.
+    ``[lo, hi, handle]`` for exponents ``lo .. hi-1`` in ``runs``; level l
+    reads its ``T/2`` off ``halves[l]``, the table that ``threshold_table``
+    builds with divisor 2 and every sieve of the same grid shares. The
+    buffer is its handle, grown from the oracle's root, so equal contents
+    share one; its ``ids`` are the members and its ``value`` the running sum
+    of accepted gains. An arrival costs one membership test and one gain per
+    run. The admission test is monotone in T even in floats (``T/2`` is
+    exact, and rounding keeps subtraction and division by a positive number
+    monotone), so the levels that admit it are a prefix of the run. The
+    run's highest level is tested first, since when it admits, all do; when
+    it does not, the lowest is tested (in a run of two or more levels), and
+    the prefix is found by ``bisect`` over ``halves`` with the same
+    expression; that prefix becomes a run of its own. Costs stay per level:
+    a run of m levels charges m oracle calls for its one gain, and
+    ``retained_count`` counts one item reference per member per level.
+    Queries cost no oracle calls and return the best buffer's handle, the
+    lowest level's on ties, as SieveStreaming reports its best buffer.
+    ``_best`` keeps that handle as buffers grow, so a query does not scan: a
+    child worth strictly more replaces it, while a child that ties it (a
+    lower level may hold the tie) or a negative gain sets it to None, and
+    the arrival ends with a rescan, ``max`` over the run handles, which
+    keeps the lowest level's on ties. ``_open`` counts the runs whose buffer
+    has room, as the last ``_admit`` left them: a run that took its k-th
+    item there counts as full. ``step`` skips ``_admit`` while it is 0,
+    which changes nothing: a full buffer is asked no gain, so no call is
+    charged, no run splits and ``_best`` stands. Once every buffer is full,
+    an arrival costs O(1). ``step`` refuses a timestep that does not follow
+    the last one.
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
         self.k = k = positive_int(k, "k")
         self.oracle = oracle
-        self.base = 1.0 + epsilon
-        self.runs: list[list] = [[0, ceil_log_ratio(k * oracle.max_singleton(), epsilon) + 1, oracle.empty()]]
+        self.halves = threshold_table(k * oracle.max_singleton(), epsilon, 2.0)
+        self.runs: list[list] = [[0, len(self.halves), oracle.empty()]]
         self._retained = 0
         self._best: OracleHandle | None = self.runs[0][2]
         self._open = 1
@@ -92,7 +118,7 @@ class SieveStream:
 
     def _admit(self, t: int) -> None:
         k = self.k
-        base = self.base
+        halves = self.halves
         best = self._best
         runs = []
         opened = 0
@@ -105,11 +131,11 @@ class SieveStream:
                 gain = handle.gain(t)
                 if hi - lo > 1:
                     handle.counter.calls += hi - lo - 1
-                if gain > (base ** (hi - 1) / 2.0 - value) / room:
+                if gain > (halves[hi - 1] - value) / room:
                     cut = hi
-                elif hi - lo > 1 and gain > (base**lo / 2.0 - value) / room:
+                elif hi - lo > 1 and gain > (halves[lo] - value) / room:
                     # the first level that fails: lo passes and hi - 1 fails
-                    cut = bisect_left(range(hi), gain, lo + 1, hi - 1, key=lambda l: (base**l / 2.0 - value) / room)
+                    cut = bisect_left(halves, gain, lo + 1, hi - 1, key=lambda h: (h - value) / room)
                 else:
                     cut = lo
                 if cut != lo:

@@ -170,13 +170,13 @@ def _live_starts(dp, handles) -> list[int]:
 
 
 def thresholds(alg) -> list[float]:
-    """A sieve's grid thresholds ``(1+eps)**l``, for every exponent its runs
-    span, or the table ``(1+eps)**l / (2k)`` that a ``SlidingWindowDP``
-    builds once and scans, lowest first: the one place the tests read the
-    lattice."""
+    """A grid's thresholds, lowest first: a sieve's ``(1+eps)**l``, each
+    twice the half ``T/2`` it reads off its table, or the table
+    ``(1+eps)**l / (2k)`` that a ``SlidingWindowDP`` scans: the one place
+    the tests read the lattice."""
     if isinstance(alg, SlidingWindowDP):
         return list(alg.thresholds)
-    return [alg.base**l for l in range(runs(alg)[-1].hi)]
+    return [2.0 * h for h in alg.halves]
 
 
 def buffer_handles(alg) -> list:

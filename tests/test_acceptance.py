@@ -6,6 +6,7 @@ at desk scale.
 """
 
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.stats import chi2
 from swmax.bench import RunConfig, render_metrics_csv, run_benchmark
 from swmax.ingest import (
     DatasetStore,
+    gen_drift_vectors,
     gen_set_stream,
     load_dense_csv,
     load_set_stream,
@@ -22,6 +24,7 @@ from swmax.ingest import (
 from swmax.objectives import (
     CholState,
     CoverageOracle,
+    IVMOracle,
     KernelParams,
 )
 from swmax.sliding import (
@@ -136,6 +139,59 @@ def test_criterion_1_guarantee_suite(guarantee_runs):
         f"{r['checks']} window checks x 4 algorithms, "
         f"violations: sw-dp={r['swdp_viol']} sw-rd={r['swrd_viol']} "
         f"sieve={r['sieve_viol']} greedy={r['greedy_viol']}",
+    )
+
+
+# Cells where one item's value, log(1 + 1/sigma**2) / 2, is below 1/(2k),
+# the lowest threshold's bar for a first member, so the threshold
+# algorithms admit nothing and answer 0 at every check.
+IVM_BELOW_THE_GRID = {(1.0, 1), (3.0, 1), (3.0, 2), (3.0, 3)}
+
+
+@pytest.mark.parametrize(
+    "sigma,k",
+    [
+        pytest.param(
+            sigma,
+            k,
+            marks=[pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP: Grids that follow the stream")]
+            if (sigma, k) in IVM_BELOW_THE_GRID
+            else [],
+        )
+        for sigma in (0.3, 1.0, 3.0)
+        for k in (1, 2, 3)
+    ],
+)
+def test_criterion_1_ivm_guarantee_suite(sigma, k):
+    # sw-dp and sw-rd against the window optimum on the log-det objective,
+    # 12 drifting streams per cell and a check every 4th arrival; a second
+    # oracle scores the optimum, so the algorithms' memos see only their own
+    # work
+    window = 10
+    swrd_factor = ((1 - EPS) / 2) / (2 + EPS)
+    checks = swdp_viol = swrd_viol = 0
+    for seed in range(12):
+        store = gen_drift_vectors(48, 3, 3, 16, seed)
+        params = KernelParams(sigma=sigma)
+        oracle = IVMOracle(store, params)
+        value = partial(score, IVMOracle(store, params))
+        swdp = SlidingWindowDP(k, window, EPS, oracle)
+        swrd = sieve_reduction(k, window, EPS, oracle)
+        for t in range(1, len(store) + 1):
+            swdp.step(t)
+            swrd.step(t)
+            if t % 4 == 0:
+                _, window_opt = brute_force_opt(window_ids(t, window), k, value)
+                checks += 1
+                if answer(swdp)[1] < (1 - EPS) / 2 * window_opt - 1e-9:
+                    swdp_viol += 1
+                if answer(swrd)[1] < swrd_factor * window_opt - 1e-9:
+                    swrd_viol += 1
+    _report(
+        1,
+        f"ivm approximation guarantees, sigma={sigma} k={k}",
+        swdp_viol + swrd_viol == 0,
+        f"{checks} window checks x 2 algorithms, violations: sw-dp={swdp_viol} sw-rd={swrd_viol}",
     )
 
 

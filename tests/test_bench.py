@@ -566,6 +566,25 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_grid_over_the_cap_exits_one(self, capsys):
+        # a valid epsilon whose grid at k * max singleton >= 2 holds
+        # millions of thresholds: the run refuses it, naming epsilon
+        from swmax.bench import main
+
+        code = main(
+            [
+                "--objective", "coverage",
+                "--algorithm", "sw-rd",
+                "--k", "2",
+                "--window", "10",
+                "--format", "synth-sets",
+                "--synth-n", "50",
+                "--epsilon", "1e-7",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: epsilon 1e-07 is too small")
+
 
 def _python_m_swmax(argv, cwd):
     """Run ``python -m swmax`` on ``argv`` in a fresh interpreter that imports

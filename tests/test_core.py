@@ -196,7 +196,7 @@ class _ScriptedAlg:
         return 1
 
 
-class TestMonotoneWrap:
+class TestBestSoFar:
     def test_running_max(self):
         wrapped = BestSoFar(_ScriptedAlg([1.0, 3.0, 2.0]))
         seen = []

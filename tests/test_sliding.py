@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from swmax.bench import RunConfig, run_benchmark
 from swmax.ingest import DatasetStore, gen_drift_vectors, gen_set_stream
 from swmax.objectives import CoverageOracle, IVMOracle, KernelParams
-from swmax.streaming import SieveStream, ceil_log_ratio, greedy_select
+from swmax.streaming import SieveStream, ceil_log_ratio, greedy_select, threshold_table
 from swmax.sliding import (
     PrioritySample,
     ReductionInstance,
@@ -233,6 +234,48 @@ def test_dp_top_threshold_must_be_a_float():
     with pytest.raises(ValueError, match="epsilon"):
         SlidingWindowDP(2, 3, 1e308, oracle)
     SlidingWindowDP(1, 3, 1e308, oracle).step(1)  # its top threshold is 1 + eps
+
+
+@pytest.mark.parametrize("name", ["SieveStream", "SlidingWindowDP"])
+def test_grid_over_the_cap_is_refused_unbuilt(name):
+    # k * max singleton = 100 at eps = 1e-7 asks for 46,051,706 thresholds
+    # (one more for sw-dp), about 1.5 GB of floats: refused, naming
+    # epsilon, before one is computed, and nothing is memoized
+    threshold_table.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="epsilon 1e-07 is too small"):
+            EPSILON_CONSTRUCTORS[name](1e-7, ScriptedOracle({}, max_singleton=100.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert threshold_table.cache_info().currsize == 0
+
+
+def test_grid_cap_counts_every_threshold(monkeypatch):
+    # at k * max singleton = 4 and eps = 1 a sieve's grid is 1, 2 and 4,
+    # and sw-dp's has a fourth threshold: a cap of 3 admits only the first
+    monkeypatch.setattr("swmax.streaming.GRID_CAP", 3)
+    threshold_table.cache_clear()
+    oracle = ScriptedOracle({}, max_singleton=4.0)
+    assert thresholds(SieveStream(1, 1.0, oracle)) == [1.0, 2.0, 4.0]
+    with pytest.raises(ValueError, match="epsilon 1.0 is too small"):
+        SlidingWindowDP(1, 3, 1.0, oracle)
+
+
+def test_grids_share_one_table():
+    # equal (k, epsilon, oracle) give one table object: two sieves, every
+    # live sieve of one reduction, and two sw-dp instances
+    oracle = CoverageOracle(gen_set_stream(30, 20, 4, seed=0))
+    assert SieveStream(3, 0.2, oracle).halves is SieveStream(3, 0.2, oracle).halves
+    assert SlidingWindowDP(3, 10, 0.2, oracle).thresholds is SlidingWindowDP(3, 10, 0.2, oracle).thresholds
+    red = sieve_reduction(3, 10, 0.2, oracle)
+    for t in range(1, 31):
+        red.step(t)
+    tables = [inst.alg.halves for inst in red.instances]
+    assert len(tables) > 1
+    assert all(table is tables[0] for table in tables)
 
 
 @pytest.mark.parametrize("sample_c", [-1.0, math.nan])
