@@ -298,9 +298,9 @@ class SieveNaive(SieveStream):
     ``step`` skips ``_expire`` while ``_oldest`` is after the horizon, since
     then no member expires, and skips ``_admit`` while ``_open`` is 0, as
     ``SieveStream`` does, but never after an ``_expire``: a repair may
-    leave room that ``_open`` does not count yet, and ``_admit`` rescans
-    the best buffer that a repair clears. So an arrival that neither
-    expires a member nor meets a buffer with room costs O(1).
+    leave room that ``_open`` does not count yet, and a value that
+    ``_best`` does not hold yet. So an arrival that neither expires a
+    member nor meets a buffer with room costs O(1).
     """
 
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
@@ -332,8 +332,7 @@ class SieveNaive(SieveStream):
                 first = min(handle.ids)
                 if first <= horizon:
                     before = oracle.calls
-                    run[2] = self._repair(handle, horizon)
-                    self._best = None  # a repaired value can fall; ``_admit`` rescans
+                    run[2] = self._repair([s for s in handle.ids if s > horizon])
                     oracle.calls += (hi - lo - 1) * (oracle.calls - before)
                     self._retained += (hi - lo) * (len(run[2].ids) - len(handle.ids))
                     first = min(run[2].ids, default=math.inf)  # a greedy repair may pick an older sample
@@ -346,9 +345,8 @@ class SieveNaive(SieveStream):
         self.runs = runs
         self._oldest = oldest
 
-    def _repair(self, handle: OracleHandle, horizon: int) -> OracleHandle:
-        """The handle of ``handle``'s members after ``horizon``."""
-        survivors = [s for s in handle.ids if s > horizon]
+    def _repair(self, survivors: list[int]) -> OracleHandle:
+        """The handle of an expiring buffer's ``survivors``."""
         return self.oracle.rebuild(survivors) if survivors else self.oracle.empty()
 
 
@@ -385,11 +383,10 @@ class SieveGreedy(SieveNaive):
             self.samples.pop(0)
         super().step(t)
 
-    def _repair(self, handle: OracleHandle, horizon: int) -> OracleHandle:
-        """Greedy's pick, from the sample and ``handle``'s members after
-        ``horizon``, of as many items as those members."""
-        survivors = [s for s in handle.ids if s > horizon]
-        return greedy_select(sorted(set(self.samples) | set(survivors)), len(survivors), self.oracle)
+    def _repair(self, survivors: list[int]) -> OracleHandle:
+        """Greedy's pick, from the sample and an expiring buffer's
+        ``survivors``, of as many items as survive."""
+        return greedy_select(self.samples + survivors, len(survivors), self.oracle)
 
     def retained_count(self) -> int:
         return self._retained + len(self.samples)

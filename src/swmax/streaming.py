@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from operator import attrgetter, index
+from operator import index
 from typing import Sequence
 
 from .core import OracleHandle, SubmodularOracle, lattice_base, next_timestep, positive_int
@@ -88,17 +88,14 @@ class SieveStream:
     ``retained_count`` counts one item reference per member per level.
     Queries cost no oracle calls and return the best buffer's handle, the
     lowest level's on ties, as SieveStreaming reports its best buffer.
-    ``_best`` keeps that handle as buffers grow, so a query does not scan: a
-    child worth strictly more replaces it, while a child that ties it (a
-    lower level may hold the tie) or a negative gain sets it to None, and
-    the arrival ends with a rescan, ``max`` over the run handles, which
-    keeps the lowest level's on ties. ``_open`` counts the runs whose buffer
-    has room, as the last ``_admit`` left them: a run that took its k-th
-    item there counts as full. ``step`` skips ``_admit`` while it is 0,
-    which changes nothing: a full buffer is asked no gain, so no call is
-    charged, no run splits and ``_best`` stands. Once every buffer is full,
-    an arrival costs O(1). ``step`` refuses a timestep that does not follow
-    the last one.
+    ``_admit`` picks it, ``_best``, as it lays the runs down in level order:
+    a run replaces the pick only when it is worth strictly more. ``_open``
+    counts the runs whose buffer has room, as the last ``_admit`` left
+    them: a run that took its k-th item there counts as full. ``step``
+    skips ``_admit`` while it is 0, which changes nothing: a full buffer is
+    asked no gain, so no call is charged, no run splits and ``_best``
+    stands. Once every buffer is full, an arrival costs O(1). ``step``
+    refuses a timestep that does not follow the last one.
     """
 
     def __init__(self, k: int, epsilon: float, oracle: SubmodularOracle):
@@ -107,7 +104,7 @@ class SieveStream:
         self.halves = threshold_table(k * oracle.max_singleton(), epsilon, 2.0)
         self.runs: list[list] = [[0, len(self.halves), oracle.empty()]]
         self._retained = 0
-        self._best: OracleHandle | None = self.runs[0][2]
+        self._best: OracleHandle = self.runs[0][2]
         self._open = 1
         self._t = 0
 
@@ -119,9 +116,10 @@ class SieveStream:
     def _admit(self, t: int) -> None:
         k = self.k
         halves = self.halves
-        best = self._best
         runs = []
         opened = 0
+        best = None
+        top = -math.inf
         for run in self.runs:
             lo, hi, handle = run
             ids = handle.ids
@@ -142,22 +140,22 @@ class SieveStream:
                     self._retained += cut - lo
                     child = handle.child(t)
                     if cut == hi:
-                        run[2] = child
+                        run[2] = handle = child
                         room -= 1
                     else:
                         runs.append([lo, cut, child])
                         run[0] = cut
                         opened += room > 1
-                    if best is not None:
-                        if gain < 0.0 or child.value == best.value:  # a fall, or a tie a lower level may win
-                            best = None
-                        elif child.value > best.value:
-                            best = child
-            opened += room > 0
+                        if child.value > top:
+                            best, top = child, child.value
+            if room:
+                opened += 1
             runs.append(run)
+            if handle.value > top:
+                best, top = handle, handle.value
         self.runs = runs
         self._open = opened
-        self._best = max((run[2] for run in runs), key=attrgetter("value")) if best is None else best
+        self._best = best
 
     def query(self) -> OracleHandle:
         return self._best

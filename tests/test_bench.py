@@ -448,6 +448,22 @@ class TestCli:
                   "--input", str(path), "--drop-columns=-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "objective,fmt,flags,message",
+        [
+            ("coverage", "synth-sets", ["--normalize"], "--normalize applies to dense formats only"),
+            ("ivm", "synth-vec", ["--drop-columns", "1,x"], "--drop-columns expects integers, got '1,x'"),
+        ],
+    )
+    def test_misapplied_dense_flag_exits_two(self, objective, fmt, flags, message, capsys):
+        from swmax.bench import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--objective", objective, "--algorithm", "sw-dp", "--k", "2", "--window", "10",
+                  "--format", fmt, *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--epsilon", "--kernel-h", "--sigma"])
     def test_nan_parameter_exits_two(self, flag):
         # so do the values that would crash the run or give it no grid: an
@@ -550,6 +566,14 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 4  # t = 10, 20, 30, 40
 
+    def test_main_without_output_writes_stdout(self, capsys):
+        from swmax.bench import main
+
+        argv = TestEntryPoint.ARGV
+        assert main(argv) == 0
+        expected = render_metrics_csv(run_benchmark(parse_cli(argv)))
+        assert _strip_wall(capsys.readouterr().out) == _strip_wall(expected)
+
     def test_runtime_error_exits_one(self, tmp_path, capsys):
         from swmax.bench import main
 
@@ -623,6 +647,14 @@ class TestLoadStore:
         store = load_store(config)
         assert store.kind == "dense"
         assert len(store) == 30
+
+    @pytest.mark.parametrize("field,name", [("objective", "cut"), ("algorithm", "sieve-max")])
+    def test_unknown_name_refused(self, field, name):
+        # argparse's choices refuse it on the command line; a library caller
+        # meets the check in ``validate``
+        with pytest.raises(ValueError) as exc:
+            run_benchmark(_config(**{field: name}))
+        assert str(exc.value) == f"unknown {field} {name!r}"
 
     def test_drop_columns_requires_csv(self):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ class TestTypes:
         assert window_ids(5, 3)[0] == 3
 
 
-class TestCountingOracle:
+class TestOracleCounts:
     """An oracle counts its own calls and its handles' gains."""
 
     def test_empty_score_counts_one(self):

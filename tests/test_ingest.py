@@ -394,6 +394,20 @@ class TestStore:
         with pytest.raises(ValueError):
             DatasetStore("dense", vectors=np.array([[1.0, float("nan")]]))
 
+    @pytest.mark.parametrize(
+        "kind,payloads,message",
+        [
+            ("dense", {}, "dense store needs a vector matrix"),
+            ("dense", {"vectors": np.ones(3)}, "expected an (n, d) matrix, got shape (3,)"),
+            ("sets", {}, "set store needs a payload list"),
+            ("graph", {"sets": [(1,)]}, "unknown store kind 'graph'"),
+        ],
+    )
+    def test_constructor_refusals(self, kind, payloads, message):
+        with pytest.raises(ValueError) as exc:
+            DatasetStore(kind, **payloads)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("payload", [(1.5, 2.7, 2.2), ("3", True), (np.float64(2.0),)])
     def test_non_integer_set_elements_rejected(self, payload):
         # int() would truncate a float (2.7 and 2.2 both to 2) and parse a string
@@ -483,5 +497,7 @@ class TestStore:
         assert again.vector_rows is not store.vector_rows
         with pytest.raises(ValueError):
             gen_set_stream(4, 5, 2, seed=0).vector_rows
+        with pytest.raises(ValueError):
+            IVMOracle(gen_set_stream(4, 5, 2, seed=0), KernelParams())
         with pytest.raises(ValueError):
             DatasetStore("dense", vectors=np.ones((1, 1))).max_set_size
