@@ -9,11 +9,14 @@ timesteps start at 1 and may skip some. A window of size W ending at
 
 Objectives are accessed through an oracle: ``empty()`` returns the
 oracle's root handle on the empty set, ``rebuild(ids)`` a handle on any
-set grown from a fresh root, for buffers that shrank and to score a set
-by its ``value``, and ``max_singleton()`` the largest value of any one
-item. A monotone submodular objective is subadditive, so
-``k * max_singleton()`` bounds the value of every set of at most k items;
-that product is the upper end of every threshold grid.
+set, for buffers that shrank and to score a set by its ``value``, and
+``max_singleton()`` the largest value of any one item. A monotone
+submodular objective is subadditive, so ``k * max_singleton()`` bounds the
+value of every set of at most k items; that product is the upper end of
+every threshold grid. ``SubmodularOracle`` implements all three once:
+an objective subclasses it with its bound and ``_fresh_root()``, a new
+root, and ``rebuild`` grows a set by ``child``, one id at a time, from a
+fresh root, so the memos of the nodes that buffers hold are left alone.
 
 A handle is an immutable trie node for one set, and all a buffer holds:
 ``ids`` lists the members in insertion order, and ``value`` is 0.0 at a
@@ -44,8 +47,9 @@ node only records choices whose gains were already paid for.
 construction, or in closed form. ``evaluations`` counts the calls that did
 compute: every ``rebuild``, each gain that missed its node's memo, and
 every id of a batch. Handles charge their gains to the oracle that grew
-them, through their ``counter``. A ``random`` query that keeps its last
-sample (``PrioritySample``) is charged as a memo hit is: one call and no
+them, and an algorithm charges the calls it owes per threshold to the
+oracle it holds. A ``random`` query that keeps its last sample
+(``PrioritySample``) is charged as a memo hit is: one call and no
 evaluation.
 
 A size (``k``, a window) must be an integer >= 1, ``epsilon`` must leave
@@ -64,13 +68,11 @@ from typing import Protocol, Sequence
 class OracleHandle(Protocol):
     """Objective state of one fixed set of item ids: an immutable trie node.
 
-    Each gain adds one to ``counter.calls``, and each gain not served from
-    the node's memo also adds one to ``counter.evaluations``;
-    ``gains(ids)`` adds ``len(ids)`` to both. ``counter`` is the oracle
-    that grew the node's root, and children inherit it.
+    Each gain adds one to its oracle's ``calls``, and each gain not served
+    from the node's memo also adds one to its ``evaluations``;
+    ``gains(ids)`` adds ``len(ids)`` to both.
     """
 
-    counter: SubmodularOracle
     ids: list[int]
     value: float
 
@@ -84,19 +86,40 @@ class OracleHandle(Protocol):
 
 
 class SubmodularOracle(Protocol):
-    """Set-function access through handles: the shared root, or a set grown
-    from a fresh one; ``max_singleton`` is the largest value of any one item.
-    ``calls`` and ``evaluations`` count the oracle's own calls and its
-    handles' gains (see the module docstring)."""
+    """Set-function access through handles, written once for every
+    objective (see the module docstring): an objective subclasses it,
+    passes its bound to ``__init__`` and defines ``_fresh_root``."""
 
     calls: int
     evaluations: int
 
-    def empty(self) -> OracleHandle: ...
+    def __init__(self, max_singleton: float):
+        self.calls = 0
+        self.evaluations = 0
+        self._max_singleton = max_singleton
+        self._root = self._fresh_root()
 
-    def rebuild(self, ids: Sequence[int]) -> OracleHandle: ...
+    def _fresh_root(self) -> OracleHandle:
+        """A new root node on the empty set, charging its gains to this oracle."""
+        ...
 
-    def max_singleton(self) -> float: ...
+    def empty(self) -> OracleHandle:
+        """The oracle's one root node, the same object on every call."""
+        return self._root
+
+    def rebuild(self, ids: Sequence[int]) -> OracleHandle:
+        """The node grown by ``child`` from a fresh root, one id at a time
+        in order. The root is not the shared one, so the memo slots of the
+        nodes that buffers hold are left alone."""
+        self.calls += 1
+        self.evaluations += 1
+        node = self._fresh_root()
+        for i in ids:
+            node = node.child(i)
+        return node
+
+    def max_singleton(self) -> float:
+        return self._max_singleton
 
 
 def next_timestep(last: int, t: int) -> int:

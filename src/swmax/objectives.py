@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
+from .core import SubmodularOracle
+
 # Schur complements of I + K/sigma^2 are >= 1 in exact arithmetic; a pivot
 # at or below this threshold means rounding has destroyed the factor.
 DEGENERATE_PIVOT = 1e-12
@@ -322,72 +324,29 @@ class CoverageUnion:
         return node
 
 
-class CoverageOracle:
-    """Union-size objective over a set-stream store.
-
-    Evaluation is an or/popcount over the store's ``coverage_masks``, whatever
-    the universe ids; each oracle grows its handles from a root of its own,
-    and counts its calls and its handles' gains (see ``swmax.core``).
-    """
+class CoverageOracle(SubmodularOracle):
+    """Union-size objective over a set-stream store's ``coverage_masks``,
+    whatever the universe ids; its bound is the store's largest set size,
+    0 for an empty store."""
 
     def __init__(self, store):
         self._masks = store.coverage_masks  # a dense store raises ValueError
-        self.calls = 0
-        self.evaluations = 0
-        self._root = CoverageUnion(self._masks, [], 0, 0.0, self)
-        self._max_singleton = float(store.max_set_size)
+        super().__init__(float(store.max_set_size))
 
-    def empty(self) -> CoverageUnion:
-        """The oracle's one root node, the same object on every call."""
-        return self._root
-
-    def rebuild(self, ids: Sequence[int]) -> CoverageUnion:
-        """A fresh root's node on ``ids``, not linked to the shared root."""
-        self.calls += 1
-        self.evaluations += 1
-        ids, union, masks = list(ids), 0, self._masks
-        try:
-            for i in ids:
-                union |= masks[i]
-        except KeyError as exc:
-            raise ValueError(f"unknown item id {exc.args[0]}") from exc
-        return CoverageUnion(masks, ids, union, float(union.bit_count()), self)
-
-    def max_singleton(self) -> float:
-        """Size of the largest set in the store; 0 for an empty store."""
-        return self._max_singleton
+    def _fresh_root(self) -> CoverageUnion:
+        return CoverageUnion(self._masks, [], 0, 0.0, self)
 
 
-class IVMOracle:
-    """Log-det objective over a dense-vector store; handles are ``CholState``
-    nodes on the store's float rows, each grown by ``child`` from a root.
-    It counts its calls and its handles' gains (see ``swmax.core``)."""
+class IVMOracle(SubmodularOracle):
+    """Log-det objective over a dense-vector store's float rows
+    (``vector_rows``; a set store raises ValueError). Its bound is
+    ``0.5 * log(1 + K(x, x)/sigma**2)`` with ``K(x, x) = 1``: every point
+    scores the same alone under the squared exponential kernel."""
 
     def __init__(self, store, params: KernelParams):
-        if store.kind != "dense":
-            raise ValueError(f"log-det objective needs dense vectors, got {store.kind!r}")
-        self.params = params
-        self.calls = 0
-        self.evaluations = 0
         self._rows = store.vector_rows
-        self._root = CholState(self._rows, params, self)
+        self.params = params
+        super().__init__(0.5 * math.log1p(1.0 / params.sigma**2))
 
-    def empty(self) -> CholState:
-        """The oracle's one root node, the same object on every call."""
-        return self._root
-
-    def rebuild(self, ids: Sequence[int]) -> CholState:
-        """The node grown by ``child`` from a fresh root, one member at a
-        time in order. The root is not the shared one, so the memo slots of
-        the nodes that buffers hold are left alone."""
-        self.calls += 1
-        self.evaluations += 1
-        node = CholState(self._rows, self.params, self)
-        for i in ids:
-            node = node.child(i)
-        return node
-
-    def max_singleton(self) -> float:
-        """``0.5 * log(1 + K(x, x)/sigma**2)`` with ``K(x, x) = 1``: every
-        point scores the same alone under the squared exponential kernel."""
-        return 0.5 * math.log1p(1.0 / self.params.sigma**2)
+    def _fresh_root(self) -> CholState:
+        return CholState(self._rows, self.params, self)

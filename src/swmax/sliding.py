@@ -63,10 +63,12 @@ class SlidingWindowReduction:
 
     ``inner_factory`` builds one fresh inner instance. The reduction calls
     only three of its methods: ``step(t)``, ``query()``, the handle of its
-    answer, whose ``value`` every prune reads, and ``retained_count()``. An
-    inner algorithm whose value is not naturally prefix-monotone keeps its
-    own best handle so far and answers it from ``query``, as
-    ``SieveStream._best`` does.
+    answer, whose ``value`` every prune reads, and ``retained_count()``.
+    ``SieveStream`` answers its best current buffer, ``_best``. Its buffers
+    only grow, so its answer's value falls only when a buffer admits a
+    negative gain: the sieve is prefix-monotone while no admitted gain is
+    negative. That always holds for coverage, and for log-det up to
+    rounding, since an exact log-det gain is >= 0.
     """
 
     def __init__(self, window: int, epsilon: float, inner_factory: Callable[[], object]):
@@ -193,6 +195,7 @@ class SlidingWindowDP:
     def __init__(self, k: int, window: int, epsilon: float, oracle: SubmodularOracle):
         self.k = k = positive_int(k, "k")
         self.window = positive_int(window, "window")
+        self.oracle = oracle
         self.thresholds = threshold_table(k * oracle.max_singleton(), epsilon, 2.0 * k, 1)
         self.runs: list[list] = [[0, len(self.thresholds), [oracle.empty()] * (k + 1)]]
         self._retained = 0
@@ -207,7 +210,7 @@ class SlidingWindowDP:
         calls = -1  # ``gain`` charged one of level 0's calls
         for run in self.runs:
             calls += self._scan(run, self.k - 1, t, horizon, gain, runs)
-        root.counter.calls += calls
+        self.oracle.calls += calls
         self.runs = runs
 
     def _scan(self, run: list, top: int, i: int, horizon: int, root_gain: float, runs: list) -> int:

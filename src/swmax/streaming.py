@@ -128,7 +128,7 @@ class SieveStream:
                 value = handle.value
                 gain = handle.gain(t)
                 if hi - lo > 1:
-                    handle.counter.calls += hi - lo - 1
+                    self.oracle.calls += hi - lo - 1
                 if gain > (halves[hi - 1] - value) / room:
                     cut = hi
                 elif hi - lo > 1 and gain > (halves[lo] - value) / room:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swmax import objectives
+from swmax.core import SubmodularOracle
 from swmax.ingest import DatasetStore, ParseError
 from swmax.objectives import DEGENERATE_PIVOT
 from swmax.streaming import ceil_log_ratio, greedy_select
@@ -147,10 +148,10 @@ def prune_by_mask(reduction) -> None:
 class ScriptedNode:
     """Handle whose gains are read from a script, negative ones included;
     like a trie node, it returns the same child for the same id. Its gains
-    are not counted, but an algorithm may charge ``counter`` extra calls."""
+    are not counted, but an algorithm may charge its oracle extra calls."""
 
-    def __init__(self, script, counter, ids=(), value=0.0):
-        self.script, self.counter, self.ids, self.value = script, counter, list(ids), value
+    def __init__(self, script, ids=(), value=0.0):
+        self.script, self.ids, self.value = script, list(ids), value
         self.children = {}
 
     def gain(self, t):
@@ -158,25 +159,20 @@ class ScriptedNode:
 
     def child(self, t):
         if t not in self.children:
-            self.children[t] = ScriptedNode(self.script, self.counter, self.ids + [t], self.value + self.script[t])
+            self.children[t] = ScriptedNode(self.script, self.ids + [t], self.value + self.script[t])
         return self.children[t]
 
 
-class ScriptedOracle:
+class ScriptedOracle(SubmodularOracle):
     """An oracle of ``ScriptedNode`` handles whose largest singleton value,
     and so the threshold grid's top, is ``max_singleton``."""
 
     def __init__(self, script, max_singleton=4.0):
-        self.calls = 0
-        self.evaluations = 0
-        self.root = ScriptedNode(script, self)
-        self.bound = max_singleton
+        self.script = script
+        super().__init__(max_singleton)
 
-    def empty(self):
-        return self.root
-
-    def max_singleton(self):
-        return self.bound
+    def _fresh_root(self):
+        return ScriptedNode(self.script)
 
 
 def node_state(handle):

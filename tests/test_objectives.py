@@ -801,6 +801,20 @@ class TestHandles:
         assert (counting.calls, counting.evaluations) == (7, 5)
 
     @pytest.mark.parametrize("objective", sorted(ORACLES))
+    def test_rebuild_leaves_the_shared_root_alone(self, objective):
+        # rebuild grows its set from a fresh root, so the shared root keeps
+        # its gain memo and its child memo even when the ids include theirs
+        oracle = CoverageOracle(self.COVERAGE_STORE) if objective == "coverage" else IVMOracle(self.IVM_STORE, PARAMS)
+        root = oracle.empty()
+        gain = root.gain(3)
+        child = root.child(5)
+        oracle.rebuild([3, 5, 8])
+        evaluations = oracle.evaluations
+        assert root.gain(3) == gain
+        assert oracle.evaluations == evaluations  # served from the memo
+        assert root.child(5) is child
+
+    @pytest.mark.parametrize("objective", sorted(ORACLES))
     def test_rebuild_matches_grown_handle(self, objective):
         oracle, tol = self.ORACLES[objective]
         members = [4, 9, 2, 17]

@@ -940,7 +940,7 @@ def test_harness_peak_is_running_max_of_recount():
         assert [r.peak_items for r in records] == peak_trace, name
 
 
-def test_running_best_level_matches_scan():
+def test_best_buffer_matches_scan():
     # Queries must report the best level, the lowest one on ties, after
     # admissions, naive expiry and greedy repair at every single step. Sets
     # from a small universe give many equal values on different levels.
